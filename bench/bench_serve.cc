@@ -33,9 +33,10 @@
 // The fifth sweep is the bitmap-prefilter claim: point lookups over
 // growing corpora with the token-bitmap gate at the serving default
 // (256 bits) against a gate-disabled twin on the same corpus and
-// queries. The gate may only skip merge work, never change an answer,
-// so the sweep ABORTS (exit 1) if the gated service's total result
-// count deviates from the ungated baseline.
+// queries, query passes interleaved, best of three per leg. The gate
+// may only skip merge work, never change an answer, so the sweep ABORTS
+// (exit 1) if the gated service's total result count deviates from the
+// ungated baseline.
 //
 // The sixth sweep is the segmented-compaction scaling claim: a fixed
 // 1k-record delta folded into corpora of increasing size, with the
@@ -44,7 +45,9 @@
 // Steady-state segmented compaction must stay ~flat in the corpus size
 // — it builds one delta-sized segment and occasionally merges
 // delta-scale neighbours — while the baseline rewrites the whole corpus
-// every round.
+// every round. Point lookups then run against both chains, interleaved
+// and best of three as in the bitmap sweep; the sweep ABORTS if the two
+// legs disagree on a single result count.
 //
 // The seventh sweep prices the out-of-core base tier: the same durable
 // corpus opened materialized (resident_budget_bytes = 0, every segment
@@ -85,6 +88,35 @@ uint64_t ResidentKb() {
     }
   }
   return 0;
+}
+
+/// Replays `queries` as point lookups against every leg, interleaved and
+/// best of three per leg: on a shared machine a sequential leg-then-leg
+/// timing mostly measures load drift, not the difference between legs.
+/// Fills each leg's best QPS and result count; returns false as soon as
+/// a round's legs disagree on the result count.
+bool ReplayInterleaved(
+    const std::vector<std::unique_ptr<SimilarityService>>& legs,
+    const RecordSet& queries, std::vector<double>* best_qps,
+    std::vector<uint64_t>* results) {
+  best_qps->assign(legs.size(), 0);
+  results->assign(legs.size(), 0);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t leg = 0; leg < legs.size(); ++leg) {
+      uint64_t count = 0;
+      Timer point_timer;
+      for (RecordId q = 0; q < queries.size(); ++q) {
+        count += legs[leg]->Query(queries.record(q), queries.text(q)).size();
+      }
+      double qps = queries.size() / point_timer.ElapsedSeconds();
+      (*best_qps)[leg] = std::max((*best_qps)[leg], qps);
+      (*results)[leg] = count;
+    }
+    for (uint64_t count : *results) {
+      if (count != results->front()) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -325,9 +357,6 @@ int main(int argc, char** argv) {
     TokenDictionary bm_dict;
     RecordSet bm_corpus = WordCorpusPrefix(bm_texts, corpus_size, &bm_dict);
     RecordSet bm_queries = WordCorpusPrefix(bm_texts, kQueries, &bm_dict);
-    // Both legs are built up front and their query passes interleaved,
-    // best-of-three per leg: on a shared machine a sequential
-    // leg-then-leg timing mostly measures load drift, not the gate.
     std::vector<std::unique_ptr<SimilarityService>> legs;
     for (size_t bits : {size_t{0}, kTokenBitmapBits}) {
       ServiceOptions options;
@@ -338,28 +367,14 @@ int main(int argc, char** argv) {
       legs.push_back(
           std::make_unique<SimilarityService>(bm_corpus, pred, options));
     }
-    uint64_t leg_results[2] = {0, 0};
-    double leg_best_qps[2] = {0, 0};
-    for (int round = 0; round < 3; ++round) {
-      for (size_t leg = 0; leg < legs.size(); ++leg) {
-        uint64_t results = 0;
-        Timer point_timer;
-        for (RecordId q = 0; q < bm_queries.size(); ++q) {
-          results += legs[leg]
-                         ->Query(bm_queries.record(q), bm_queries.text(q))
-                         .size();
-        }
-        double qps = bm_queries.size() / point_timer.ElapsedSeconds();
-        leg_best_qps[leg] = std::max(leg_best_qps[leg], qps);
-        leg_results[leg] = results;
-      }
-      if (leg_results[1] != leg_results[0]) {
-        std::fprintf(stderr,
-                     "bitmap sweep result mismatch: corpus=%u gated leg got "
-                     "%" PRIu64 " results, ungated baseline has %" PRIu64 "\n",
-                     corpus_size, leg_results[1], leg_results[0]);
-        return 1;
-      }
+    std::vector<double> leg_best_qps;
+    std::vector<uint64_t> leg_results;
+    if (!ReplayInterleaved(legs, bm_queries, &leg_best_qps, &leg_results)) {
+      std::fprintf(stderr,
+                   "bitmap sweep result mismatch: corpus=%u gated leg got "
+                   "%" PRIu64 " results, ungated baseline has %" PRIu64 "\n",
+                   corpus_size, leg_results[1], leg_results[0]);
+      return 1;
     }
     for (size_t leg = 0; leg < legs.size(); ++leg) {
       // Per-query stats are per-leg totals over all rounds.
@@ -374,12 +389,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Compaction scaling: fixed delta, growing corpus, chain vs collapse.
+  // Compaction scaling: fixed delta, growing corpus, chain vs collapse —
+  // aborts if the two legs disagree on a single result count.
   const uint32_t kScaleDelta = Scaled(1000, scale);
   constexpr uint32_t kScaleRounds = 3;
   std::printf(
       "\ncorpus,mode,compact1_sec,compact2_sec,compact3_sec,segments,"
-      "point_qps\n");
+      "point_qps,results\n");
   for (uint32_t corpus_size :
        {Scaled(10000, scale), Scaled(50000, scale), Scaled(100000, scale)}) {
     std::vector<std::string> scale_texts =
@@ -392,34 +408,47 @@ int main(int argc, char** argv) {
     RecordSet deltas = BuildWordCorpus(delta_texts, &scale_dict);
     RecordSet scale_queries =
         WordCorpusPrefix(scale_texts, kQueries, &scale_dict);
-    for (bool segmented : {true, false}) {
+    // Leg 0 is segmented (default merge ratio), leg 1 the collapsed
+    // baseline (ratio 0).
+    std::vector<std::unique_ptr<SimilarityService>> legs;
+    double round_seconds[2][kScaleRounds] = {};
+    for (size_t ratio : {2u, 0u}) {
       ServiceOptions options;
       options.memtable_limit = 0;
       options.num_threads = threads;
       options.num_shards = 4;
-      options.segment_merge_ratio = segmented ? 2 : 0;
-      SimilarityService service(scale_corpus, pred, options);
-      double round_seconds[kScaleRounds] = {0, 0, 0};
+      options.segment_merge_ratio = ratio;
+      auto service =
+          std::make_unique<SimilarityService>(scale_corpus, pred, options);
       RecordId next = 0;
       for (uint32_t round = 0; round < kScaleRounds; ++round) {
         for (uint32_t i = 0; i < kScaleDelta && next < deltas.size();
              ++i, ++next) {
-          service.Insert(deltas.record(next), deltas.text(next));
+          service->Insert(deltas.record(next), deltas.text(next));
         }
         Timer compact_timer;
-        service.Compact();
-        round_seconds[round] = compact_timer.ElapsedSeconds();
+        service->Compact();
+        round_seconds[legs.size()][round] = compact_timer.ElapsedSeconds();
       }
-      Timer point_timer;
-      for (RecordId q = 0; q < scale_queries.size(); ++q) {
-        service.Query(scale_queries.record(q), scale_queries.text(q));
-      }
-      double point_seconds = point_timer.ElapsedSeconds();
-      std::printf("%u,%s,%.3f,%.3f,%.3f,%" PRIu64 ",%.0f\n", corpus_size,
-                  segmented ? "segmented" : "baseline", round_seconds[0],
-                  round_seconds[1], round_seconds[2],
-                  static_cast<uint64_t>(service.stats().segments),
-                  scale_queries.size() / point_seconds);
+      legs.push_back(std::move(service));
+    }
+    std::vector<double> leg_best_qps;
+    std::vector<uint64_t> leg_results;
+    if (!ReplayInterleaved(legs, scale_queries, &leg_best_qps,
+                           &leg_results)) {
+      std::fprintf(stderr,
+                   "compaction scaling result mismatch: corpus=%u segmented "
+                   "leg got %" PRIu64 " results, baseline has %" PRIu64 "\n",
+                   corpus_size, leg_results[0], leg_results[1]);
+      return 1;
+    }
+    for (size_t leg = 0; leg < legs.size(); ++leg) {
+      std::printf("%u,%s,%.3f,%.3f,%.3f,%" PRIu64 ",%.0f,%" PRIu64 "\n",
+                  corpus_size, leg == 0 ? "segmented" : "baseline",
+                  round_seconds[leg][0], round_seconds[leg][1],
+                  round_seconds[leg][2],
+                  static_cast<uint64_t>(legs[leg]->stats().segments),
+                  leg_best_qps[leg], leg_results[leg]);
       std::fflush(stdout);
     }
   }

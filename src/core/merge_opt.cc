@@ -39,14 +39,12 @@ constexpr size_t kBitmapGateMinDepth = 4;
 }  // namespace
 
 void ListMerger::Reset(const std::vector<PostingListView>& lists,
-                       const std::vector<double>& probe_scores,
-                       const std::vector<RecordId>* id_offsets, double floor,
+                       const std::vector<double>& probe_scores, double floor,
                        FunctionRef<double(RecordId)> required,
                        FunctionRef<bool(RecordId)> filter,
                        MergeOptions options, MergeStats* stats,
                        const BitmapGate* gate) {
   SSJOIN_CHECK(lists.size() == probe_scores.size());
-  SSJOIN_CHECK(id_offsets == nullptr || id_offsets->size() == lists.size());
   floor_ = floor;
   required_ = required;
   filter_ = filter;
@@ -71,11 +69,9 @@ void ListMerger::Reset(const std::vector<PostingListView>& lists,
   });
   lists_.resize(lists.size());
   probe_scores_.resize(lists.size());
-  offsets_.resize(lists.size());
   for (uint32_t i = 0; i < order_.size(); ++i) {
     lists_[i] = lists[order_[i]];
     probe_scores_[i] = probe_scores[order_[i]];
-    offsets_[i] = id_offsets != nullptr ? (*id_offsets)[order_[i]] : 0;
   }
 
   // cumulativeWt(l_i) = sum_{j<=i} score(w_j, r) * score(w_j, I): the
@@ -136,12 +132,11 @@ void ListMerger::PushFrontier(uint32_t i) {
   bool filtering = options_.apply_filter && filter_ != nullptr;
   while (pos < list.size()) {
     const Posting& p = list[pos];
-    RecordId id = p.id + offsets_[i];  // chain-wide id (offset 0 otherwise)
-    if (filtering && !filter_(id)) {
+    if (filtering && !filter_(p.id)) {
       ++pos;  // step 7: apply filter(r, n) before pushing
       continue;
     }
-    heap_.push_back({id, i});
+    heap_.push_back({p.id, i});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
     return;
   }
@@ -161,14 +156,13 @@ bool ListMerger::Next(MergeCandidate* out) {
       heap_.pop_back();
       if (direct_[i]) continue;  // migrated by RaiseFloor; frontier kept
       const Posting& p = lists_[i][frontier_[i]];
-      SSJOIN_DCHECK(p.id + offsets_[i] == id);
+      SSJOIN_DCHECK(p.id == id);
       overlap += probe_scores_[i] * p.score;
       ++frontier_[i];
       if (stats_ != nullptr) ++stats_->heap_pops;
       PushFrontier(i);
-      // Each live pop is one distinct common token: probe tokens are
-      // strictly increasing, and in chain mode a token's per-segment
-      // lists cover disjoint id ranges, so at most one holds `id`.
+      // Each live pop is one distinct common token: every list belongs
+      // to a different probe token (tokens are strictly increasing).
       ++s_matched;
     }
     if (s_matched == 0) continue;
@@ -238,12 +232,10 @@ bool ListMerger::Next(MergeCandidate* out) {
         viable = false;
         break;
       }
-      if (id < offsets_[i]) continue;  // below this list's id range
-      RecordId target = id - offsets_[i];
       uint64_t* cost = stats_ != nullptr ? &stats_->gallop_probes : nullptr;
-      size_t pos = MergeLowerBound(lists_[i], target, search_pos_[i], cost);
+      size_t pos = MergeLowerBound(lists_[i], id, search_pos_[i], cost);
       search_pos_[i] = pos;  // candidates arrive in increasing id order
-      if (pos < lists_[i].size() && lists_[i][pos].id == target) {
+      if (pos < lists_[i].size() && lists_[i][pos].id == id) {
         overlap += probe_scores_[i] * lists_[i][pos].score;
       }
     }

@@ -67,9 +67,9 @@ struct BitmapCandidate {
 /// discards candidates the merge's own final bound check would discard,
 /// so candidate streams are bit-identical with and without it.
 ///
-/// `lookup` resolves a (chain-wide) candidate id to its bitmap and token
-/// count; like `required`/`filter` it is non-owning and must outlive the
-/// merge. `words` <= kTokenBitmapWords selects the bitmap prefix consulted
+/// `lookup` resolves a candidate id to its bitmap and token count; like
+/// `required`/`filter` it is non-owning and must outlive the merge.
+/// `words` <= kTokenBitmapWords selects the bitmap prefix consulted
 /// (fewer words: less memory traffic, weaker bound — any prefix is sound).
 struct BitmapGate {
   const uint64_t* probe_bits = nullptr;
@@ -141,23 +141,6 @@ class ListMerger {
              const std::vector<double>& probe_scores, double floor,
              FunctionRef<double(RecordId)> required,
              FunctionRef<bool(RecordId)> filter, MergeOptions options,
-             MergeStats* stats, const BitmapGate* gate = nullptr) {
-    Reset(lists, probe_scores, nullptr, floor, required, filter, options,
-          stats, gate);
-  }
-
-  /// Chained-index form: `id_offsets` (parallel to `lists`, may be null
-  /// for all-zero) is added to every id a list emits, so several indexes
-  /// over disjoint id ranges — the segment chain of the serving tier —
-  /// merge as one id space. A token may then contribute SEVERAL lists
-  /// (one per segment); a candidate still accumulates exactly the terms
-  /// of its own segment because segment id ranges are disjoint.
-  /// `required` and `filter` see adjusted (chain-wide) ids.
-  void Reset(const std::vector<PostingListView>& lists,
-             const std::vector<double>& probe_scores,
-             const std::vector<RecordId>* id_offsets, double floor,
-             FunctionRef<double(RecordId)> required,
-             FunctionRef<bool(RecordId)> filter, MergeOptions options,
              MergeStats* stats, const BitmapGate* gate = nullptr);
 
   /// Produces the next candidate; returns false when the merge is done.
@@ -182,7 +165,6 @@ class ListMerger {
 
   std::vector<PostingListView> lists_;      // decreasing length order
   std::vector<double> probe_scores_;        // parallel to lists_
-  std::vector<RecordId> offsets_;           // parallel to lists_
   std::vector<uint32_t> order_;             // sort scratch (reused)
   std::vector<double> cumulative_weight_;   // prefix sums of potential
   std::vector<size_t> frontier_;            // next unconsumed posting (S)

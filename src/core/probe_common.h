@@ -71,7 +71,6 @@ inline double ReducedThreshold(RecordView r, const StopwordPlan& plan) {
 struct ProbeScratch {
   std::vector<PostingListView> lists;
   std::vector<double> probe_scores;
-  std::vector<RecordId> id_offsets;  // chained probes only (ProbeChain)
   ListMerger merger;
 };
 
@@ -99,51 +98,6 @@ inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
   CollectProbeLists(index, probe, &scratch->lists, &scratch->probe_scores);
   scratch->merger.Reset(scratch->lists, scratch->probe_scores, floor,
                         required, filter, options, stats, gate);
-  MergeCandidate candidate;
-  while (scratch->merger.Next(&candidate)) emit(candidate);
-}
-
-/// One link of a segment-chained probe: an inverted index over a
-/// segment's local id space plus the offset that maps its local ids into
-/// the chain-wide id space. Chains are short (the serving tier's merge
-/// policy keeps them logarithmic in corpus size).
-struct ProbePart {
-  const InvertedIndex* index = nullptr;
-  RecordId id_offset = 0;
-};
-
-/// ProbeOne generalized to a chain of per-segment indexes over DISJOINT
-/// id ranges: each token contributes one posting list per segment that
-/// holds it, all merged as one id space via the ListMerger id-offset
-/// path. Candidates stream to `emit` in increasing chain-wide id order,
-/// exactly as if the segments had been concatenated into one index —
-/// a candidate's overlap accumulates only its own segment's lists, so
-/// the merged overlap equals the unsegmented one up to floating-point
-/// reassociation, which the PruneBound slack absorbs before exact
-/// verification. `required`/`filter` see chain-wide ids.
-inline void ProbeChain(const std::vector<ProbePart>& parts, RecordView probe,
-                       double floor, FunctionRef<double(RecordId)> required,
-                       FunctionRef<bool(RecordId)> filter,
-                       const MergeOptions& options, MergeStats* stats,
-                       ProbeScratch* scratch,
-                       FunctionRef<void(const MergeCandidate&)> emit,
-                       const BitmapGate* gate = nullptr) {
-  scratch->lists.clear();
-  scratch->probe_scores.clear();
-  scratch->id_offsets.clear();
-  for (size_t i = 0; i < probe.size(); ++i) {
-    for (const ProbePart& part : parts) {
-      if (probe.token(i) >= part.index->token_capacity()) continue;
-      PostingListView list = part.index->list(probe.token(i));
-      if (list.empty()) continue;
-      scratch->lists.push_back(list);
-      scratch->probe_scores.push_back(probe.score(i));
-      scratch->id_offsets.push_back(part.id_offset);
-    }
-  }
-  scratch->merger.Reset(scratch->lists, scratch->probe_scores,
-                        &scratch->id_offsets, floor, required, filter,
-                        options, stats, gate);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }

@@ -20,7 +20,6 @@ namespace {
 /// shard in the point-query fan-out.
 struct QueryContext {
   probe_internal::ProbeScratch scratch;
-  std::vector<probe_internal::ProbePart> parts;  // chain probe views
   MergeStats merge;
   // Per-shard attribution; sized lazily on first use.
   std::vector<uint64_t> shard_candidates;
@@ -46,81 +45,92 @@ size_t BitmapGateWords(const ServiceOptions& options, const Predicate& pred) {
   return std::min(options.bitmap_bits / 64, kTokenBitmapWords);
 }
 
-/// A chain-wide id mapped back to its owning link and part-local id.
-struct ChainPos {
-  size_t link;
-  RecordId part_local;
+/// One probe target inside a shard: one segment's part, or the shard's
+/// delta image. The index speaks local ids; `backing_ids` maps them into
+/// `backing` (null when local ids ARE backing ids, i.e. delta images)
+/// and `global_ids` maps them to corpus ids. A candidate is dropped
+/// before verification when its local id is in `dead` (the segment's
+/// mask of members deleted after it was built) or its global id is in
+/// `tombstones` (the shard's pending deletes) — exactly as if compaction
+/// had already removed its postings. Both lists are sorted and may be
+/// null; delta images need neither, they exclude tombstoned records at
+/// build time.
+template <typename IndexT>
+struct ShardTier {
+  const IndexT& index;
+  const RecordSet& backing;
+  const std::vector<RecordId>* backing_ids;
+  const std::vector<RecordId>& global_ids;
+  const std::vector<RecordId>& short_ids;
+  const std::vector<RecordId>* dead;
+  const std::vector<RecordId>* tombstones;
+
+  RecordId ToBacking(RecordId local) const {
+    return backing_ids != nullptr ? (*backing_ids)[local] : local;
+  }
+  bool Dropped(RecordId local) const {
+    return (dead != nullptr &&
+            std::binary_search(dead->begin(), dead->end(), local)) ||
+           (tombstones != nullptr &&
+            probe_internal::IsTombstoned(*tombstones, global_ids[local]));
+  }
 };
 
-/// The last link whose offset is at or below `chain_id`. Empty parts
-/// share their successor's offset, and a probed id always belongs to a
-/// non-empty part, so "last" resolves ties to the real owner.
-ChainPos ResolveChain(const ShardedBaseTier& tier, RecordId chain_id) {
-  size_t lo = 0;
-  size_t hi = tier.links.size();
-  while (hi - lo > 1) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (tier.links[mid].id_offset <= chain_id) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return {lo, chain_id - tier.links[lo].id_offset};
+/// Shard `shard`'s part of one segment. The shard's pending tombstones
+/// ride on its delta image.
+ShardTier<InvertedIndex> SegmentTier(const SegmentChainEntry& entry,
+                                     size_t shard, const DeltaShard& delta) {
+  const SegmentShardPart& part = entry.segment->shards[shard];
+  return {part.index,
+          *entry.segment->records,
+          &part.member_ids,
+          part.global_ids,
+          part.short_ids,
+          entry.dead[shard].get(),
+          delta.tombstones.empty() ? nullptr : &delta.tombstones};
 }
 
-/// Whether a part member was masked dead (deleted after its segment was
-/// built). Masked members keep their postings until a merge drops them
-/// physically, so every chain probe path must apply this to candidates
-/// BEFORE verification — same contract as the tombstone filter.
-bool IsMaskedDead(const ShardChainLink& link, RecordId part_local) {
-  return link.dead != nullptr &&
-         std::binary_search(link.dead->begin(), link.dead->end(), part_local);
+ShardTier<DynamicIndex> DeltaTier(const DeltaShard& delta) {
+  return {delta.index,
+          delta.records,
+          /*backing_ids=*/nullptr,
+          delta.global_ids,
+          delta.short_ids,
+          /*dead=*/nullptr,
+          /*tombstones=*/nullptr};
 }
 
 /// Probes one shard tier for `staged.record(q)` and appends every
-/// VERIFIED match as a global-id QueryMatch. The index speaks local ids;
-/// `backing_ids` maps them into `backing` (nullptr when local ids ARE
-/// backing ids, i.e. delta shards) and `global_ids` maps them to corpus
-/// ids. `tombstones` is the shard's pending-delete list (sorted global
-/// ids, may be null): a tombstoned candidate is dropped before
-/// verification, exactly as if compaction had already removed its
-/// postings — only base tiers need this, delta images exclude tombstoned
-/// records at build time. The probe mirrors the batch drivers
-/// bound-for-bound: floor = T(probe, minS of the shard tier) — a valid,
-/// per-shard-tighter lower bound, since every candidate bound
+/// VERIFIED match as a global-id QueryMatch. The probe mirrors the batch
+/// drivers bound-for-bound: floor = T(probe, minS of the tier) — a
+/// valid, per-tier-tighter lower bound, since every candidate bound
 /// T(probe, ||m||) dominates it — per candidate bound, optional norm
 /// range filter, then the predicate's canonical MatchesCross decision,
-/// so a sharded query accepts a pair exactly when the batch join (and
-/// the 1-shard service) would.
+/// so a sharded, segmented query accepts a pair exactly when the batch
+/// join (and the 1-shard, 1-segment service) would.
 template <typename IndexT>
 void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
-                    const IndexT& index, const RecordSet& backing,
-                    const std::vector<RecordId>* backing_ids,
-                    const std::vector<RecordId>& global_ids,
-                    const std::vector<RecordId>* tombstones,
-                    const RecordSet& staged, RecordId q, size_t shard,
-                    QueryContext* ctx, std::vector<QueryMatch>* out,
+                    const ShardTier<IndexT>& tier, const RecordSet& staged,
+                    RecordId q, size_t shard, QueryContext* ctx,
+                    std::vector<QueryMatch>* out,
                     std::unordered_set<RecordId>* matched_local) {
   const RecordView probe = staged.record(q);
-  if (index.num_entities() == 0 || probe.empty()) return;
-  auto to_backing = [&](RecordId local) {
-    return backing_ids != nullptr ? (*backing_ids)[local] : local;
-  };
-  double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
+  if (tier.index.num_entities() == 0 || probe.empty()) return;
+  double floor = pred.ThresholdForNorms(probe.norm(), tier.index.min_norm());
   auto required_fn = [&](RecordId m) {
-    return pred.ThresholdForNorms(probe.norm(),
-                                  backing.record(to_backing(m)).norm());
+    return pred.ThresholdForNorms(
+        probe.norm(), tier.backing.record(tier.ToBacking(m)).norm());
   };
   FunctionRef<double(RecordId)> required = required_fn;
   auto filter_fn = [&](RecordId m) {
     return pred.NormFilter(probe.norm(),
-                           backing.record(to_backing(m)).norm());
+                           tier.backing.record(tier.ToBacking(m)).norm());
   };
   FunctionRef<bool(RecordId)> filter;
   if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
   auto gate_lookup = [&](RecordId m) {
-    const TokenBitmapEntry& e = backing.token_bitmap_entry(to_backing(m));
+    const TokenBitmapEntry& e =
+        tier.backing.token_bitmap_entry(tier.ToBacking(m));
     return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
   };
   BitmapGate gate;
@@ -134,97 +144,16 @@ void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
     gate_ptr = &gate;
   }
   probe_internal::ProbeOne(
-      index, probe, floor, required, filter, options.merge, &ctx->merge,
+      tier.index, probe, floor, required, filter, options.merge, &ctx->merge,
       &ctx->scratch,
       [&](const MergeCandidate& candidate) {
-        if (tombstones != nullptr &&
-            probe_internal::IsTombstoned(*tombstones,
-                                         global_ids[candidate.id])) {
-          return;
-        }
+        if (tier.Dropped(candidate.id)) return;
         ++ctx->shard_candidates[shard];
-        const RecordId bid = to_backing(candidate.id);
-        if (pred.MatchesCross(backing, bid, staged, q)) {
+        const RecordId bid = tier.ToBacking(candidate.id);
+        if (pred.MatchesCross(tier.backing, bid, staged, q)) {
           if (matched_local != nullptr) matched_local->insert(candidate.id);
-          out->push_back({global_ids[candidate.id],
-                          backing.record(bid).OverlapWith(probe)});
-        }
-      },
-      gate_ptr);
-}
-
-/// ProbeShardTier's counterpart for the segment chain: each probe token
-/// contributes one posting-list view per segment part, all merged as ONE
-/// id space by the ListMerger id-offset path, so candidates stream in
-/// increasing chain-wide id order exactly as if the chain were a single
-/// concatenated index. Masked-dead members (ShardChainLink::dead) are
-/// dropped alongside tombstoned ones before verification; bounds resolve
-/// through the candidate's owning segment record, so the probe is
-/// bound-for-bound identical to the unsegmented tier.
-void ProbeShardChain(const Predicate& pred, const ServiceOptions& options,
-                     const ShardedBaseTier& tier,
-                     const std::vector<RecordId>* tombstones,
-                     const RecordSet& staged, RecordId q, size_t shard,
-                     QueryContext* ctx, std::vector<QueryMatch>* out,
-                     std::unordered_set<RecordId>* matched_chain) {
-  const RecordView probe = staged.record(q);
-  if (tier.num_entities == 0 || probe.empty()) return;
-  ctx->parts.clear();
-  for (const ShardChainLink& link : tier.links) {
-    ctx->parts.push_back({&link.part->index, link.id_offset});
-  }
-  auto member_norm = [&](RecordId chain_id) {
-    const ChainPos pos = ResolveChain(tier, chain_id);
-    const ShardChainLink& link = tier.links[pos.link];
-    return link.segment->records
-        ->record(link.part->member_ids[pos.part_local])
-        .norm();
-  };
-  double floor = pred.ThresholdForNorms(probe.norm(), tier.min_norm);
-  auto required_fn = [&](RecordId m) {
-    return pred.ThresholdForNorms(probe.norm(), member_norm(m));
-  };
-  FunctionRef<double(RecordId)> required = required_fn;
-  auto filter_fn = [&](RecordId m) {
-    return pred.NormFilter(probe.norm(), member_norm(m));
-  };
-  FunctionRef<bool(RecordId)> filter;
-  if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
-  auto gate_lookup = [&](RecordId chain_id) {
-    const ChainPos pos = ResolveChain(tier, chain_id);
-    const ShardChainLink& link = tier.links[pos.link];
-    const TokenBitmapEntry& e = link.segment->records->token_bitmap_entry(
-        link.part->member_ids[pos.part_local]);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = gate_lookup;
-  const BitmapGate* gate_ptr = nullptr;
-  if (const size_t gate_words = BitmapGateWords(options, pred);
-      gate_words > 0) {
-    gate.probe_bits = staged.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    gate_ptr = &gate;
-  }
-  probe_internal::ProbeChain(
-      ctx->parts, probe, floor, required, filter, options.merge, &ctx->merge,
-      &ctx->scratch,
-      [&](const MergeCandidate& candidate) {
-        const ChainPos pos = ResolveChain(tier, candidate.id);
-        const ShardChainLink& link = tier.links[pos.link];
-        if (IsMaskedDead(link, pos.part_local)) return;
-        const RecordId gid = link.part->global_ids[pos.part_local];
-        if (tombstones != nullptr &&
-            probe_internal::IsTombstoned(*tombstones, gid)) {
-          return;
-        }
-        ++ctx->shard_candidates[shard];
-        const RecordSet& backing = *link.segment->records;
-        const RecordId bid = link.part->member_ids[pos.part_local];
-        if (pred.MatchesCross(backing, bid, staged, q)) {
-          if (matched_chain != nullptr) matched_chain->insert(candidate.id);
-          out->push_back({gid, backing.record(bid).OverlapWith(probe)});
+          out->push_back({tier.global_ids[candidate.id],
+                          tier.backing.record(bid).OverlapWith(probe)});
         }
       },
       gate_ptr);
@@ -234,64 +163,29 @@ void ProbeShardChain(const Predicate& pred, const ServiceOptions& options,
 /// against every short tier record the index probe did not already
 /// accept (such pairs can match with no shared token, e.g. tiny strings
 /// under the edit-distance q-gram bound). Mirrors StreamingJoin::Add.
-/// Tombstoned pool members are skipped the same way as index candidates
-/// (`tombstones` null when the tier has none to filter).
-void ProbeShardShortPool(const Predicate& pred, const RecordSet& backing,
-                         const std::vector<RecordId>* backing_ids,
-                         const std::vector<RecordId>& global_ids,
-                         const std::vector<RecordId>* tombstones,
-                         const std::vector<RecordId>& short_ids,
+/// Dead and tombstoned pool members are skipped the same way as index
+/// candidates.
+template <typename IndexT>
+void ProbeShardShortPool(const Predicate& pred, const ShardTier<IndexT>& tier,
                          const RecordSet& staged, RecordId q, size_t shard,
                          QueryContext* ctx, std::vector<QueryMatch>* out,
                          const std::unordered_set<RecordId>& matched_local) {
   const RecordView probe = staged.record(q);
-  for (RecordId local : short_ids) {
-    if (matched_local.count(local) > 0) continue;
-    if (tombstones != nullptr &&
-        probe_internal::IsTombstoned(*tombstones, global_ids[local])) {
-      continue;
-    }
+  for (RecordId local : tier.short_ids) {
+    if (matched_local.count(local) > 0 || tier.Dropped(local)) continue;
     ++ctx->shard_candidates[shard];
-    const RecordId bid = backing_ids != nullptr ? (*backing_ids)[local] : local;
-    if (pred.MatchesCross(backing, bid, staged, q)) {
-      out->push_back(
-          {global_ids[local], backing.record(bid).OverlapWith(probe)});
-    }
-  }
-}
-
-/// The chain's short pool: link by link in chain order, which is global
-/// id order — segments hold disjoint increasing gid ranges — so the
-/// sweep order matches the unsegmented pool's. `matched_chain` holds
-/// chain-wide ids from ProbeShardChain.
-void ProbeChainShortPool(const Predicate& pred, const ShardedBaseTier& tier,
-                         const std::vector<RecordId>* tombstones,
-                         const RecordSet& staged, RecordId q, size_t shard,
-                         QueryContext* ctx, std::vector<QueryMatch>* out,
-                         const std::unordered_set<RecordId>& matched_chain) {
-  const RecordView probe = staged.record(q);
-  for (const ShardChainLink& link : tier.links) {
-    for (RecordId part_local : link.part->short_ids) {
-      if (matched_chain.count(link.id_offset + part_local) > 0) continue;
-      if (IsMaskedDead(link, part_local)) continue;
-      const RecordId gid = link.part->global_ids[part_local];
-      if (tombstones != nullptr &&
-          probe_internal::IsTombstoned(*tombstones, gid)) {
-        continue;
-      }
-      ++ctx->shard_candidates[shard];
-      const RecordSet& backing = *link.segment->records;
-      const RecordId bid = link.part->member_ids[part_local];
-      if (pred.MatchesCross(backing, bid, staged, q)) {
-        out->push_back({gid, backing.record(bid).OverlapWith(probe)});
-      }
+    const RecordId bid = tier.ToBacking(local);
+    if (pred.MatchesCross(tier.backing, bid, staged, q)) {
+      out->push_back({tier.global_ids[local],
+                      tier.backing.record(bid).OverlapWith(probe)});
     }
   }
 }
 
 /// Full thresholded lookup of staged.record(q) against ONE shard of the
-/// snapshot: the shard's chained base tier, then its delta tier, then
-/// id-sorted. Each record lives in exactly one shard, so per-shard
+/// snapshot: each segment's part of the shard, then its delta tier, then
+/// id-sorted. Every tier is probed on its own with its own floor; a
+/// record lives in exactly one shard and one tier, so the per-tier
 /// outputs are disjoint and the deterministic cross-shard merge
 /// reconstructs the single-index answer byte for byte.
 std::vector<QueryMatch> LookupShard(const Predicate& pred,
@@ -304,33 +198,20 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
   const RecordView probe = staged.record(q);
   double short_bound = pred.ShortRecordNormBound();
   bool probe_is_short = short_bound > 0 && probe.norm() < short_bound;
-  std::unordered_set<RecordId> matched;  // chain/local ids; only when short
-  std::unordered_set<RecordId>* matched_ptr =
-      probe_is_short ? &matched : nullptr;
-
-  // The shard's pending tombstones ride on its delta image; base-tier
-  // candidates are filtered against them here, delta images already
-  // exclude tombstoned records at build time.
-  const ShardedBaseTier& base = *snap.base[shard];
+  std::unordered_set<RecordId> matched;  // tier-local ids; only when short
+  auto probe_tier = [&](const auto& tier) {
+    ProbeShardTier(pred, options, tier, staged, q, shard, ctx, &out,
+                   probe_is_short ? &matched : nullptr);
+    if (probe_is_short) {
+      ProbeShardShortPool(pred, tier, staged, q, shard, ctx, &out, matched);
+      matched.clear();
+    }
+  };
   const DeltaShard& delta = *snap.delta[shard];
-  const std::vector<RecordId>* tombstones =
-      delta.tombstones.empty() ? nullptr : &delta.tombstones;
-  ProbeShardChain(pred, options, base, tombstones, staged, q, shard, ctx,
-                  &out, matched_ptr);
-  if (probe_is_short) {
-    ProbeChainShortPool(pred, base, tombstones, staged, q, shard, ctx, &out,
-                        matched);
-    matched.clear();
+  for (const SegmentChainEntry& entry : *snap.chain) {
+    probe_tier(SegmentTier(entry, shard, delta));
   }
-  ProbeShardTier(pred, options, delta.index, delta.records,
-                 /*backing_ids=*/nullptr, delta.global_ids,
-                 /*tombstones=*/nullptr, staged, q, shard, ctx, &out,
-                 matched_ptr);
-  if (probe_is_short) {
-    ProbeShardShortPool(pred, delta.records, /*backing_ids=*/nullptr,
-                        delta.global_ids, /*tombstones=*/nullptr,
-                        delta.short_ids, staged, q, shard, ctx, &out, matched);
-  }
+  probe_tier(DeltaTier(delta));
   std::sort(out.begin(), out.end(), IdLess);
   ctx->shard_results[shard] += out.size();
   return out;
@@ -365,39 +246,24 @@ void SweepShardOverlaps(const IndexSnapshot& snap, size_t shard,
                         std::vector<QueryMatch>* out) {
   ctx->EnsureShards(snap.num_shards());
   if (probe.empty()) return;
-  const ShardedBaseTier& base = *snap.base[shard];
-  const DeltaShard& delta = *snap.delta[shard];
-  if (base.num_entities > 0) {
-    ctx->parts.clear();
-    for (const ShardChainLink& link : base.links) {
-      ctx->parts.push_back({&link.part->index, link.id_offset});
-    }
-    probe_internal::ProbeChain(
-        ctx->parts, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
-        MergeOptions{}, &ctx->merge, &ctx->scratch,
-        [&](const MergeCandidate& candidate) {
-          const ChainPos pos = ResolveChain(base, candidate.id);
-          const ShardChainLink& link = base.links[pos.link];
-          if (IsMaskedDead(link, pos.part_local)) return;
-          const RecordId gid = link.part->global_ids[pos.part_local];
-          if (probe_internal::IsTombstoned(delta.tombstones, gid)) return;
-          ++ctx->shard_candidates[shard];
-          const RecordId bid = link.part->member_ids[pos.part_local];
-          out->push_back(
-              {gid, link.segment->records->record(bid).OverlapWith(probe)});
-        });
-  }
-  if (delta.index.num_entities() > 0) {
+  auto sweep_tier = [&](const auto& tier) {
+    if (tier.index.num_entities() == 0) return;
     probe_internal::ProbeOne(
-        delta.index, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
+        tier.index, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
         MergeOptions{}, &ctx->merge, &ctx->scratch,
         [&](const MergeCandidate& candidate) {
+          if (tier.Dropped(candidate.id)) return;
           ++ctx->shard_candidates[shard];
-          out->push_back(
-              {delta.global_ids[candidate.id],
-               delta.records.record(candidate.id).OverlapWith(probe)});
+          out->push_back({tier.global_ids[candidate.id],
+                          tier.backing.record(tier.ToBacking(candidate.id))
+                              .OverlapWith(probe)});
         });
+  };
+  const DeltaShard& delta = *snap.delta[shard];
+  for (const SegmentChainEntry& entry : *snap.chain) {
+    sweep_tier(SegmentTier(entry, shard, delta));
   }
+  sweep_tier(DeltaTier(delta));
 }
 
 uint64_t ElapsedMicros(const Timer& timer) {
@@ -512,24 +378,17 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
     stats_.gc_unlink_failures += checkpoint.gc.unlink_failures;
   }
 
-  // Re-publish the checkpointed snapshot at its recorded epoch: chain
-  // views come straight off the restored chain, deltas start empty
-  // (checkpoints are written at compaction points) apart from any
-  // carried tombstones.
-  const double short_bound = pred_.ShortRecordNormBound();
-  std::vector<std::shared_ptr<const ShardedBaseTier>> base(num_shards_);
-  std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    base[s] = BuildShardChainView(chain_, s);
-    delta[s] = BuildDeltaShard(RecordSet(), {}, short_bound, tombstones_[s]);
-  }
+  // Re-publish the checkpointed snapshot at its recorded epoch: the
+  // restored chain as is, deltas empty (checkpoints are written at
+  // compaction points) apart from any carried tombstones.
   auto snap = std::make_shared<IndexSnapshot>();
-  snap->segments.reserve(chain_.size());
-  for (const SegmentChainEntry& entry : chain_) {
-    snap->segments.push_back(entry.segment);
+  snap->chain = std::make_shared<const SegmentChain>(chain_);
+  snap->delta.resize(num_shards_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    snap->delta[s] = BuildDeltaShard(RecordSet(), {},
+                                     pred_.ShortRecordNormBound(),
+                                     tombstones_[s]);
   }
-  snap->base = std::move(base);
-  snap->delta = std::move(delta);
   snap->epoch = checkpoint.epoch;
   snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
   snap->pending_tombstones = tombstone_total_;
@@ -637,20 +496,8 @@ void SimilarityService::AdoptMappedSegmentsLocked() {
     // Republish in place at the CURRENT epoch: the mapped views answer
     // byte-identically, so the swap must be invisible to readers — no
     // epoch bump, delta images and counts carried over unchanged.
-    std::shared_ptr<const IndexSnapshot> prev = snapshot();
-    auto snap = std::make_shared<IndexSnapshot>();
-    snap->segments.reserve(chain_.size());
-    for (const SegmentChainEntry& entry : chain_) {
-      snap->segments.push_back(entry.segment);
-    }
-    snap->base.resize(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      snap->base[s] = BuildShardChainView(chain_, s);
-    }
-    snap->delta = prev->delta;
-    snap->epoch = prev->epoch;
-    snap->live_records = prev->live_records;
-    snap->pending_tombstones = prev->pending_tombstones;
+    auto snap = std::make_shared<IndexSnapshot>(*snapshot());
+    snap->chain = std::make_shared<const SegmentChain>(chain_);
     {
       std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
       snapshot_ = std::move(snap);
@@ -1004,14 +851,12 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
     ApplyResidencyAdviceLocked();
   }
 
-  // Rebuild every shard's chain view (cheap — one link per segment) and
-  // fresh empty deltas, then publish the lot as one snapshot. Merges
-  // above do NOT publish intermediates, so a compaction bumps the epoch
-  // exactly once regardless of how far the cascade ran.
-  std::vector<std::shared_ptr<const ShardedBaseTier>> base(num_shards_);
+  // Publish the new chain (cheap — one entry per segment) with fresh
+  // empty deltas as one snapshot. Merges above do NOT publish
+  // intermediates, so a compaction bumps the epoch exactly once
+  // regardless of how far the cascade ran.
   std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
-    base[s] = BuildShardChainView(chain_, s);
     memtables_[s] = RecordSet();
     memtable_ids_[s].clear();
     tombstones_[s].clear();
@@ -1019,7 +864,7 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   }
   memtable_total_ = 0;
   tombstone_total_ = 0;
-  Publish(std::move(base), std::move(delta));
+  Publish(std::make_shared<const SegmentChain>(chain_), std::move(delta));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     if (count_compaction) ++stats_.compactions;
@@ -1044,14 +889,10 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
 }
 
 void SimilarityService::Publish(
-    std::vector<std::shared_ptr<const ShardedBaseTier>> base,
+    std::shared_ptr<const SegmentChain> chain,
     std::vector<std::shared_ptr<const DeltaShard>> delta) {
   auto snap = std::make_shared<IndexSnapshot>();
-  snap->segments.reserve(chain_.size());
-  for (const SegmentChainEntry& entry : chain_) {
-    snap->segments.push_back(entry.segment);
-  }
-  snap->base = std::move(base);
+  snap->chain = std::move(chain);
   snap->delta = std::move(delta);
   snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
   snap->pending_tombstones = tombstone_total_;
@@ -1121,7 +962,7 @@ RecordId SimilarityService::InsertLocked(RecordView record, std::string text) {
   delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
                                  pred_.ShortRecordNormBound(),
                                  tombstones_[shard]);
-  Publish(snap->base, std::move(delta));
+  Publish(snap->chain, std::move(delta));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.inserts;
@@ -1168,7 +1009,7 @@ bool SimilarityService::DeleteLocked(RecordId id) {
   std::vector<std::shared_ptr<const DeltaShard>> delta = snap->delta;
   delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
                                  pred_.ShortRecordNormBound(), ts);
-  Publish(snap->base, std::move(delta));
+  Publish(snap->chain, std::move(delta));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.deletes;

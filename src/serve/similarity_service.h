@@ -56,10 +56,11 @@ struct ServiceOptions {
   /// `segment_merge_ratio` times the newer one's, cascading — chains stay
   /// logarithmic in corpus size while steady-state compaction stays
   /// O(delta). 0 collapses the whole chain into ONE segment at every
-  /// compaction (the pre-segmented behavior: compaction rewrites the
-  /// corpus, cost linear in its size; kept as the differential baseline).
-  /// Query/BatchQuery/QueryTopK answers are byte-identical for every
-  /// value — like num_shards, this is purely a cost knob.
+  /// compaction: the pre-segmented reference the differential tests and
+  /// benches compare against, whose compaction rewrites the corpus at a
+  /// cost linear in its size. Query/BatchQuery/QueryTopK answers are
+  /// byte-identical for every value — like num_shards, this is purely a
+  /// cost knob.
   size_t segment_merge_ratio = 2;
   /// When non-empty, the service is durable: a checkpoint of the base
   /// tier plus a write-ahead log of every Insert/Delete live under this
@@ -285,10 +286,10 @@ class SimilarityService {
   /// clears a latched durability error, failure latches one.
   void MaybeCheckpointLocked();
   void SetDurabilityErrorLocked(Status status);
-  /// Swaps in a new snapshot built from the current chain_ plus the given
-  /// tier views. Must be called with write_mutex_ held: the published
-  /// segment list and live/tombstone counts are read from writer state.
-  void Publish(std::vector<std::shared_ptr<const ShardedBaseTier>> base,
+  /// Swaps in a new snapshot over the given chain and delta images at the
+  /// next epoch. Must be called with write_mutex_ held: the live and
+  /// tombstone counts are read from writer state.
+  void Publish(std::shared_ptr<const SegmentChain> chain,
                std::vector<std::shared_ptr<const DeltaShard>> delta);
   /// Token-range shard of live record `id`: from the raw corpus when the
   /// predicate keeps one, otherwise from the record's prepared image in

@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "core/predicate.h"
@@ -103,27 +102,6 @@ uint64_t ComputeSegmentApproxBytes(const CorpusSegment& segment) {
     }
   }
   return bytes;
-}
-
-std::shared_ptr<const ShardedBaseTier> BuildShardChainView(
-    const SegmentChain& chain, size_t shard) {
-  auto tier = std::make_shared<ShardedBaseTier>();
-  tier->min_norm = std::numeric_limits<double>::infinity();
-  tier->links.reserve(chain.size());
-  RecordId offset = 0;
-  for (const SegmentChainEntry& entry : chain) {
-    const SegmentShardPart& part = entry.segment->shards[shard];
-    ShardChainLink link;
-    link.segment = entry.segment;
-    link.part = &part;
-    link.id_offset = offset;
-    link.dead = entry.dead[shard];
-    tier->links.push_back(std::move(link));
-    offset += static_cast<RecordId>(part.member_ids.size());
-    tier->num_entities += part.member_ids.size();
-    tier->min_norm = std::min(tier->min_norm, part.index.min_norm());
-  }
-  return tier;
 }
 
 std::shared_ptr<const DeltaShard> BuildDeltaShard(

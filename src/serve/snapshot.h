@@ -7,7 +7,6 @@
 
 #include "data/record_set.h"
 #include "data/record_view.h"
-#include "data/segmented_corpus.h"
 #include "index/dynamic_index.h"
 #include "index/inverted_index.h"
 #include "util/mmap_file.h"
@@ -19,8 +18,10 @@ class Predicate;
 /// One token-range shard's slice of ONE corpus segment: the segment
 /// members whose routing token falls in the shard's range, under
 /// part-local ids. The index is a complete CSR inverted index over just
-/// these members, carved by InvertedIndex::PlanFromRecordsSubset, so a
-/// shard probe walks one small index per segment instead of one big one.
+/// these members, carved by InvertedIndex::PlanFromRecordsSubset, and a
+/// shard probe merges each segment's part on its own: a candidate lives
+/// in exactly one segment, so its overlap only ever adds up from that
+/// segment's posting lists.
 struct SegmentShardPart {
   /// Segment-local positions of the part's members in the owning
   /// segment's records arena, strictly increasing. The index speaks
@@ -42,14 +43,14 @@ struct SegmentShardPart {
 /// token-range shard. Segments are built once, shared by shared_ptr
 /// across every later snapshot, and never mutated — compaction APPENDS a
 /// new segment instead of rewriting the corpus, which is what makes
-/// steady-state compaction O(delta). Deletes are masked per snapshot
-/// (ShardChainLink::dead), not carved out of the segment.
+/// steady-state compaction O(delta). Deletes are masked per chain entry
+/// (SegmentChainEntry::dead), not carved out of the segment.
 struct CorpusSegment {
   /// Durable identity: names the on-disk segment-<id>.sseg file and is
   /// unique across the lifetime of a service data directory.
   uint64_t id = 0;
   /// The prepared records (scores installed, texts retained). Shared so
-  /// snapshots, SegmentedCorpus views and checkpoints alias it.
+  /// snapshots and checkpoints alias it.
   std::shared_ptr<const RecordSet> records;  // never null
   /// Global corpus id per segment-local position, strictly increasing.
   /// Chain invariant: segments hold DISJOINT, increasing global-id
@@ -74,32 +75,18 @@ struct CorpusSegment {
   uint64_t mapped_bytes = 0;
 };
 
-/// One shard's view of one segment inside a published snapshot: the part
-/// to probe, the offset that places its part-local ids into the shard's
-/// chain-wide id space, and the copy-on-write mask of members deleted
-/// since the segment was built (sorted part-local ids; null when none).
-struct ShardChainLink {
+/// One link of the segment chain: the shared segment, its per-shard
+/// copy-on-write dead masks (sorted part-local ids of members deleted
+/// after the segment was built; null when none) and the surviving-member
+/// count that drives the merge policy. Masked members keep their
+/// postings until a merge drops them physically, so every probe drops
+/// them before verification.
+struct SegmentChainEntry {
   std::shared_ptr<const CorpusSegment> segment;
-  const SegmentShardPart* part = nullptr;  // &segment->shards[shard]
-  RecordId id_offset = 0;
-  std::shared_ptr<const std::vector<RecordId>> dead;  // may be null
+  std::vector<std::shared_ptr<const std::vector<RecordId>>> dead;  // per shard
+  size_t live = 0;
 };
-
-/// One token-range shard of the compacted tier: the ordered chain of
-/// per-segment parts this shard probes as one id space (ProbeChain).
-/// Immutable after construction and shared across snapshots until a
-/// compaction finds the shard's memtable or tombstone set dirty, appends
-/// a segment, or merges the chain.
-struct ShardedBaseTier {
-  std::vector<ShardChainLink> links;  // oldest segment first
-  /// Total part members across the chain (masked-dead ones included —
-  /// they still hold postings until a merge drops them physically).
-  size_t num_entities = 0;
-  /// Minimum record norm over every link's index (+inf when empty); the
-  /// probe floor bound T(r, I) of the whole chain. Masked-dead members
-  /// may hold the minimum — a lower floor is always a valid bound.
-  double min_norm = 0;
-};
+using SegmentChain = std::vector<SegmentChainEntry>;
 
 /// One shard's memtable image: records inserted since the last compaction
 /// whose routing token landed in this shard, scored against the base
@@ -121,58 +108,41 @@ struct DeltaShard {
   std::vector<RecordId> tombstones;
 };
 
-/// One epoch's immutable view of the service corpus: the shared segment
-/// chain, one per-shard chain view and one delta shard per token range,
-/// and the epoch number. Readers copy the owning shared_ptr under the
-/// service's snapshot mutex and then run entirely lock-free; writers
-/// publish a NEW snapshot instead of ever mutating one, so a query keeps
-/// a consistent view for as long as it holds the pointer, across any
-/// number of concurrent inserts and compactions.
+/// One epoch's immutable view of the service corpus: the segment chain
+/// as of the last compaction, one delta shard per token range, and the
+/// epoch number. Readers copy the owning shared_ptr under the service's
+/// snapshot mutex and then run entirely lock-free; writers publish a NEW
+/// snapshot instead of ever mutating one, so a query keeps a consistent
+/// view for as long as it holds the pointer, across any number of
+/// concurrent inserts and compactions.
 struct IndexSnapshot {
   /// The segment chain, oldest first; never empty (construction folds
-  /// the initial corpus into segment 0, possibly zero-record).
-  std::vector<std::shared_ptr<const CorpusSegment>> segments;
-  std::vector<std::shared_ptr<const ShardedBaseTier>> base;  // per shard
-  std::vector<std::shared_ptr<const DeltaShard>> delta;      // per shard
+  /// the initial corpus into segment 0, possibly zero-record). Inserts
+  /// and deletes republish the same chain; only compactions replace it.
+  std::shared_ptr<const SegmentChain> chain;
+  std::vector<std::shared_ptr<const DeltaShard>> delta;  // per shard
   uint64_t epoch = 0;
   /// Surviving (non-deleted) records visible to queries, base + delta.
   size_t live_records = 0;
   /// Tombstones awaiting their fold into segment dead masks.
   size_t pending_tombstones = 0;
 
-  size_t num_shards() const { return base.size(); }
+  size_t num_shards() const { return delta.size(); }
 
   /// The statistics reference for PrepareIncremental staging. Corpus-
   /// statistics predicates (TF-IDF cosine) full-rebuild at every
   /// compaction, so their chain has exactly one segment and this IS the
   /// whole prepared corpus; every other predicate ignores the reference.
   const RecordSet& stats_reference() const {
-    return *segments.front()->records;
-  }
-
-  /// Non-copying concatenated view of the chain's record arenas.
-  SegmentedCorpus base_corpus() const {
-    SegmentedCorpus view;
-    for (const std::shared_ptr<const CorpusSegment>& s : segments) {
-      view.Append(s->records);
-    }
-    return view;
+    return *chain->front().segment->records;
   }
 
   /// Backing-arena records across the chain; >= live base records
   /// (masked-dead members linger in their segment until a merge).
   size_t base_size() const {
     size_t n = 0;
-    for (const std::shared_ptr<const CorpusSegment>& s : segments) {
-      n += s->records->size();
-    }
-    return n;
-  }
-  /// Approximate bytes held by the segment chain.
-  uint64_t segment_bytes() const {
-    uint64_t n = 0;
-    for (const std::shared_ptr<const CorpusSegment>& s : segments) {
-      n += s->approx_bytes;
+    for (const SegmentChainEntry& entry : *chain) {
+      n += entry.segment->records->size();
     }
     return n;
   }
@@ -188,16 +158,6 @@ struct IndexSnapshot {
   /// Records a query can answer with: live base + live delta records.
   size_t size() const { return live_records; }
 };
-
-/// Writer-side bookkeeping for one chain entry: the shared segment, its
-/// per-shard copy-on-write dead masks (sorted part-local ids; null when
-/// clean) and the surviving-member count that drives the merge policy.
-struct SegmentChainEntry {
-  std::shared_ptr<const CorpusSegment> segment;
-  std::vector<std::shared_ptr<const std::vector<RecordId>>> dead;  // per shard
-  size_t live = 0;
-};
-using SegmentChain = std::vector<SegmentChainEntry>;
 
 /// Carves the vocabulary into `num_shards` contiguous token ranges
 /// balanced by the given per-token mass, returning the num_shards - 1
@@ -240,12 +200,6 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
     uint64_t id, RecordSet records, std::vector<RecordId> global_ids,
     const std::vector<TokenId>& shard_bounds, size_t num_shards,
     double short_norm_bound);
-
-/// Builds shard `shard`'s chain view over `chain`: one link per segment
-/// (empty parts included — their probes are free and offsets stay
-/// aligned), with chain-local id offsets assigned in chain order.
-std::shared_ptr<const ShardedBaseTier> BuildShardChainView(
-    const SegmentChain& chain, size_t shard);
 
 /// Builds one shard's delta image over already-prepared memtable records.
 /// `short_norm_bound` is the predicate's ShortRecordNormBound (0 for

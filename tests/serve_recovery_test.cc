@@ -49,11 +49,12 @@ namespace ssjoin {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::ProcessTempDir() + "/" + name;
 }
 
-/// A scrubbed service data directory (stale files from a previous test
-/// run would otherwise restore into the new service).
+/// A scrubbed service data directory (stale files from an earlier test
+/// in this process, e.g. under --gtest_repeat, would otherwise restore
+/// into the new service).
 std::string FreshDataDir(const std::string& name) {
   std::string dir = TempPath(name);
   EXPECT_TRUE(EnsureDataDir(dir).ok());

@@ -39,9 +39,10 @@ namespace ssjoin {
 namespace {
 
 /// A scrubbed data directory for the out-of-core rider (stale files from
-/// a previous run would otherwise leak into the fresh service's GC).
+/// an earlier test in this process, e.g. under --gtest_repeat, would
+/// otherwise leak into the fresh service's GC).
 std::string FreshDataDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
+  std::string dir = testing_util::ProcessTempDir() + "/" + name;
   EXPECT_TRUE(EnsureDataDir(dir).ok());
   for (const std::string& file :
        {CheckpointFilePath(dir), CheckpointFilePath(dir) + ".tmp",
@@ -607,13 +608,14 @@ TEST(ShardConcurrencyTest, ConcurrentShardedReadersAndWriter) {
   SimilarityService service(corpus, pred,
                             ShardOptions(5, /*memtable_limit=*/16));
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> answered{0};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(1000 + t);
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (; !stop.load(std::memory_order_relaxed); ++requests) {
         RecordId r = rng.UniformU32(static_cast<uint32_t>(corpus.size()));
         uint32_t mode = rng.UniformU32(3);
         if (mode == 0) {
@@ -656,10 +658,16 @@ TEST(ShardConcurrencyTest, ConcurrentShardedReadersAndWriter) {
       if (i % 37 == 36) service.Compact();
     }
     service.Compact();
-    stop.store(true, std::memory_order_relaxed);
   });
 
   writer.join();
+  // Let the readers query the final state too: on a loaded machine the
+  // writer can finish before a reader has run at all.
+  const uint64_t before_stop = requests.load();
+  while (requests.load(std::memory_order_relaxed) < before_stop + 30) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(service.size(),
             corpus.size() + 120 - writer_deleted.size());

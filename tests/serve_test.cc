@@ -624,6 +624,35 @@ TEST(SimilarityServiceTest, SegmentCountersTrackChainAndMerges) {
   EXPECT_EQ(stats.last_compact_delta_records, 10u);
 }
 
+// Each segment is merged on its own: a candidate lives in exactly one
+// segment, so no merge may take more than one posting list per probe
+// token. (Feeding every segment's copy of a token's list into one merge
+// spends the MergeOpt direct-search budget on duplicates.)
+TEST(SimilarityServiceTest, SegmentsAreMergedSeparately) {
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 160, .vocabulary = 80}, 37);
+  JaccardPredicate pred(0.5);
+  ServiceOptions options = MakeOptions(0);
+  options.segment_merge_ratio = 2;
+  SimilarityService service(Slice(corpus, 0, 100), pred, options);
+  RecordId next = 100;
+  for (size_t n : {30, 10}) {
+    for (size_t i = 0; i < n; ++i) service.Insert(corpus.record(next++));
+    service.Compact();
+  }
+  ASSERT_EQ(service.stats().segments, 3u);
+
+  for (RecordId r = 0; r < corpus.size(); ++r) {
+    const MergeStats before = service.stats().merge;
+    service.Query(corpus.record(r), corpus.text(r));
+    const MergeStats after = service.stats().merge;
+    const uint64_t lists = (after.lists_direct + after.lists_merged) -
+                           (before.lists_direct + before.lists_merged);
+    EXPECT_LE(lists, corpus.record(r).size() * (after.merges - before.merges))
+        << "record " << r;
+  }
+}
+
 TEST(SimilarityServiceTest, LatencyHistogramQuantiles) {
   LatencyHistogram h;
   EXPECT_EQ(h.QuantileUpperBound(0.5), 0u);

@@ -1,16 +1,46 @@
 #ifndef SSJOIN_TESTS_TEST_UTIL_H_
 #define SSJOIN_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "data/record_set.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace ssjoin {
 namespace testing_util {
+
+/// This test process's private temporary directory, created by mkdtemp
+/// under ::testing::TempDir() on first use and removed at exit. ctest -j
+/// runs a suite and its `_mapped` leg as concurrent processes; with
+/// fixed paths under the shared temp dir, one would delete the other's
+/// files mid-test.
+inline const std::string& ProcessTempDir() {
+  struct Root {
+    std::string path = ::testing::TempDir() + "/ssjoin_test_XXXXXX";
+    Root() {
+      SSJOIN_CHECK(::mkdtemp(path.data()) != nullptr)
+          << "cannot create a test directory from " << path;
+    }
+    ~Root() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+    Root(const Root&) = delete;
+    Root& operator=(const Root&) = delete;
+  };
+  static const Root root;
+  return root.path;
+}
 
 /// Shape knobs for random synthetic record sets used across tests.
 struct RandomSetOptions {

@@ -4,11 +4,11 @@
 # golden-output equivalence suite, which together walk every probe loop
 # over the CSR corpus arena and the flat postings buffer, and the
 # durability suites (index_io, WAL framing, checkpoint codec, crash
-# recovery — including the segmented-corpus suite: multi-segment chain
-# restore, orphan segment GC and corrupt segment files), whose
-# byte-level decoders parse attacker-shaped torn and corrupted files,
-# and the network layer (protocol parser + wire framing + the loopback
-# server), whose framers chew on byte-split and oversized input. The
+# recovery — including multi-segment chain restore, orphan segment GC
+# and corrupt segment files), whose byte-level decoders parse
+# attacker-shaped torn and corrupted files, and the network layer
+# (protocol parser + wire framing + the loopback server), whose framers
+# chew on byte-split and oversized input. The
 # bitmap differential rig rides along: its gather-based AVX2 lower-bound
 # searches and bitmap-arena reads are exactly the pointer arithmetic
 # ASan/UBSan exist to check. The serve_recovery_test_mapped leg (ctest
@@ -28,11 +28,10 @@ build_dir=${1:-"$repo_root/build-asan"}
 cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j --target \
-      record_view_test corpus_test segmented_corpus_test index_test \
-      merge_opt_test bitmap_filter_test arena_equivalence_test \
-      differential_test index_io_test serve_recovery_test protocol_test \
-      net_loopback_test
+      record_view_test corpus_test index_test merge_opt_test \
+      bitmap_filter_test arena_equivalence_test differential_test \
+      index_io_test serve_recovery_test protocol_test net_loopback_test
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ctest --test-dir "$build_dir" \
-      -R '^(record_view|corpus|segmented_corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|index_io|serve_recovery|protocol|net_loopback)' \
+      -R '^(record_view|corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|index_io|serve_recovery|protocol|net_loopback)' \
       --output-on-failure
