@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/varint.h"
 
@@ -11,21 +12,6 @@ namespace ssjoin {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'S', 'J', 'R'};
-
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  out->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
-}
-
-bool GetDouble(const std::string& data, size_t* offset, double* v) {
-  if (*offset + sizeof(uint64_t) > data.size()) return false;
-  uint64_t bits;
-  std::memcpy(&bits, data.data() + *offset, sizeof(bits));
-  *offset += sizeof(bits);
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
 
 }  // namespace
 

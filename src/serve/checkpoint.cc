@@ -12,7 +12,7 @@
 #include <memory>
 #include <utility>
 
-#include "index/index_io.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/mmap_file.h"
 #include "util/varint.h"
@@ -22,7 +22,9 @@ namespace ssjoin {
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
-constexpr uint32_t kCheckpointVersion = 2;  // v2: segment-chain manifest
+// v3: the v2 segment-chain manifest without the raw-corpus flag and
+// section. v2 manifests are rejected with "unsupported checkpoint version".
+constexpr uint32_t kCheckpointVersion = 3;
 constexpr char kCheckpointFile[] = "checkpoint.ssc";
 constexpr char kWalFile[] = "wal.log";
 
@@ -97,8 +99,10 @@ bool GetBitVector(const std::string& data, size_t* offset,
                   std::vector<bool>* bits) {
   uint64_t count = 0;
   if (!GetVarint64(data, offset, &count)) return false;
+  // Bound the count by the bytes left before sizing anything: (count + 7)
+  // / 8 wraps to 0 for counts near 2^64.
+  if (count > 8 * static_cast<uint64_t>(data.size() - *offset)) return false;
   const size_t bytes = static_cast<size_t>((count + 7) / 8);
-  if (*offset + bytes > data.size()) return false;
   bits->assign(count, false);
   for (uint64_t i = 0; i < count; ++i) {
     const uint8_t byte =
@@ -181,94 +185,14 @@ bool CheckpointExists(const std::string& data_dir) {
   return ::access(CheckpointFilePath(data_dir).c_str(), F_OK) == 0;
 }
 
-void EncodeRecordSet(const RecordSet& records, std::string* out) {
-  PutVarint64(out, records.size());
-  for (RecordId id = 0; id < records.size(); ++id) {
-    const RecordView record = records.record(id);
-    PutVarint32(out, static_cast<uint32_t>(record.size()));
-    TokenId prev = 0;
-    for (size_t i = 0; i < record.size(); ++i) {
-      PutVarint32(out, record.token(i) - prev);
-      prev = record.token(i);
-    }
-    for (size_t i = 0; i < record.size(); ++i) {
-      PutDouble(out, record.score(i));
-    }
-    PutDouble(out, record.norm());
-    PutVarint32(out, record.text_length());
-    const std::string& text = records.text(id);
-    PutVarint64(out, text.size());
-    out->append(text);
-  }
-}
-
-Result<RecordSet> DecodeRecordSet(const std::string& data, size_t* offset) {
-  uint64_t count = 0;
-  if (!GetVarint64(data, offset, &count)) {
-    return Status::IOError("truncated record-set count");
-  }
-  if (count > data.size()) {
-    return Status::IOError("implausible record-set count");
-  }
-  RecordSet records;
-  std::vector<TokenId> tokens;
-  std::vector<double> scores;
-  for (uint64_t r = 0; r < count; ++r) {
-    uint32_t num_tokens = 0;
-    if (!GetVarint32(data, offset, &num_tokens) ||
-        num_tokens > data.size()) {
-      return Status::IOError("truncated record header");
-    }
-    tokens.assign(num_tokens, 0);
-    scores.assign(num_tokens, 0);
-    TokenId prev = 0;
-    for (uint32_t i = 0; i < num_tokens; ++i) {
-      uint32_t delta = 0;
-      if (!GetVarint32(data, offset, &delta)) {
-        return Status::IOError("truncated record tokens");
-      }
-      if (i > 0 && delta == 0) {
-        return Status::IOError("non-monotone record tokens");
-      }
-      prev = i == 0 ? delta : prev + delta;
-      tokens[i] = prev;
-    }
-    for (uint32_t i = 0; i < num_tokens; ++i) {
-      if (!GetDouble(data, offset, &scores[i])) {
-        return Status::IOError("truncated record scores");
-      }
-    }
-    double norm = 0;
-    uint32_t text_length = 0;
-    uint64_t text_size = 0;
-    if (!GetDouble(data, offset, &norm) ||
-        !GetVarint32(data, offset, &text_length) ||
-        !GetVarint64(data, offset, &text_size)) {
-      return Status::IOError("truncated record trailer");
-    }
-    if (*offset + text_size > data.size()) {
-      return Status::IOError("truncated record text");
-    }
-    std::string text(data, *offset, text_size);
-    *offset += text_size;
-    // Add() recounts doc/term frequencies exactly as the live insertion
-    // did, so the decoded set's statistics match the encoded one's.
-    records.Add(RecordView(tokens.data(), scores.data(), num_tokens, norm,
-                           text_length),
-                std::move(text));
-  }
-  return records;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------
 // v3 segment files. One deterministic layout walk (ComputeSegmentLayout)
-// is shared by the writer, the materialized loader and the mapped opener,
-// so the three can never disagree about where a section lives. All
-// multi-byte fields are host-endian raw bytes, exactly as the in-memory
-// structures hold them — that equivalence is what makes mmap'ing the
-// body equivalent to decoding it.
+// is shared by the writer and the opener, so the two can never disagree
+// about where a section lives. All multi-byte fields are host-endian raw
+// bytes, exactly as the in-memory structures hold them — that
+// equivalence is what makes mmap'ing the body equivalent to decoding it.
 
 constexpr uint64_t kSegmentAlign = 64;
 // magic(4) + version(4) + segment_id, num_records, num_shards, vocab,
@@ -375,7 +299,7 @@ double LoadF64(const char* base, uint64_t off) {
 }
 
 /// Parses and verifies the v3 header of the byte range [data, data +
-/// size) — the common front half of the materialized and mapped paths.
+/// size) — the common front half of materialized and mapped opens.
 /// The version gate runs BEFORE the header checksum: a v1/v2 file has
 /// payload bytes where v3's header fields live, and its error must read
 /// "old format", not "corrupt". Every count is bounded against the real
@@ -461,7 +385,7 @@ Result<SegmentLayout> ParseSegmentHeader(const char* data, uint64_t size,
 }
 
 /// Copies `count` elements of a mapped section into a fresh vector (the
-/// heap-resident tables of the mapped path).
+/// heap-resident gating tables).
 template <typename T>
 std::vector<T> CopySection(const char* base, uint64_t off, uint64_t count) {
   std::vector<T> out(static_cast<size_t>(count));
@@ -626,185 +550,95 @@ Status WriteSegmentFile(const std::string& data_dir,
 
 namespace {
 
-/// The materialized (resident_budget_bytes == 0) loader: verifies the
-/// whole-file CRC, re-Adds every record (rebuilding frequency tables and
-/// bitmaps exactly as live insertion did), cross-checks the stored
-/// bitmap block word for word against the rebuilt arena, and rebuilds
-/// every shard index through Plan/AppendPosting with full structural
-/// validation against the stored extent tables. Everything a mapped open
-/// trusts, this path proves.
-Result<std::shared_ptr<const CorpusSegment>> LoadSegmentFile(
-    const std::string& data_dir, uint64_t expected_id, uint64_t num_shards) {
-  const std::string path = SegmentFilePath(data_dir, expected_id);
-  Result<std::string> read = ReadFileToString(path);
-  if (!read.ok()) return read.status();
-  const std::string data = std::move(read).value();
-  const char* base = data.data();
-  Result<SegmentLayout> parsed =
-      ParseSegmentHeader(base, data.size(), expected_id, num_shards, path);
-  if (!parsed.ok()) return parsed.status();
-  const SegmentLayout layout = std::move(parsed).value();
-  if (LoadU32(base, layout.file_size - sizeof(uint32_t)) !=
-      Crc32(base, layout.file_size - sizeof(uint32_t))) {
-    return Corrupt("segment checksum mismatch", path);
-  }
-  const uint64_t n = layout.num_records;
-
-  auto segment = std::make_shared<CorpusSegment>();
-  segment->id = layout.segment_id;
-
+/// Materialized opens only: proves token order and range, re-Adds every
+/// record (rebuilding frequency tables and bitmaps exactly as live
+/// insertion did — TF-IDF cosine weighs staged records against those
+/// tables) and requires the stored bitmap block to match the rebuilt
+/// entries byte for byte, pads included, so arena and block agree about
+/// every token set. `spec` holds the validated gating tables.
+Result<std::shared_ptr<const RecordSet>> CopyOutRecords(
+    const char* base, const SegmentLayout& layout,
+    const RecordSet::ViewSpec& spec, const std::string& path) {
+  const TokenId* tokens =
+      reinterpret_cast<const TokenId*>(base + layout.tokens_off);
+  const double* scores =
+      reinterpret_cast<const double*>(base + layout.scores_off);
+  const uint64_t* text_offsets =
+      reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
   auto owned = std::make_shared<RecordSet>();
-  if (LoadU64(base, layout.offsets_off) != 0 ||
-      LoadU64(base, layout.text_offsets_off) != 0) {
-    return Corrupt("bad segment record offsets", path);
-  }
-  uint64_t prev_end = 0;
-  uint64_t prev_text = 0;
-  for (RecordId id = 0; id < n; ++id) {
-    const uint64_t end =
-        LoadU64(base, layout.offsets_off + (id + 1) * sizeof(uint64_t));
-    if (end < prev_end || end > layout.total_occurrences) {
-      return Corrupt("bad segment record offsets", path);
-    }
-    const uint32_t count = static_cast<uint32_t>(end - prev_end);
-    const TokenId* tokens =
-        reinterpret_cast<const TokenId*>(base + layout.tokens_off) + prev_end;
-    const double* scores =
-        reinterpret_cast<const double*>(base + layout.scores_off) + prev_end;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (i > 0 && tokens[i] <= tokens[i - 1]) {
+  for (RecordId id = 0; id < layout.num_records; ++id) {
+    const size_t begin = spec.offsets[id];
+    const uint32_t count = static_cast<uint32_t>(spec.offsets[id + 1] - begin);
+    for (size_t i = begin; i < begin + count; ++i) {
+      if (i > begin && tokens[i] <= tokens[i - 1]) {
         return Corrupt("non-monotone record tokens [segment arena]", path);
       }
       if (tokens[i] >= layout.vocab) {
         return Corrupt("segment token out of range", path);
       }
     }
-    const double norm = LoadF64(base, layout.norms_off + id * sizeof(double));
-    const uint32_t text_length =
-        LoadU32(base, layout.text_lengths_off + id * sizeof(uint32_t));
-    const uint64_t text_end =
-        LoadU64(base, layout.text_offsets_off + (id + 1) * sizeof(uint64_t));
-    if (text_end < prev_text || text_end > layout.text_blob_bytes) {
-      return Corrupt("bad segment text offsets", path);
-    }
-    std::string text(base + layout.text_blob_off + prev_text,
-                     static_cast<size_t>(text_end - prev_text));
-    owned->Add(RecordView(tokens, scores, count, norm, text_length),
+    std::string text(base + layout.text_blob_off + text_offsets[id],
+                     static_cast<size_t>(text_offsets[id + 1] -
+                                         text_offsets[id]));
+    owned->Add(RecordView(tokens + begin, scores + begin, count,
+                          spec.norms[id], spec.text_lengths[id]),
                std::move(text));
-    prev_end = end;
-    prev_text = text_end;
-  }
-  if (prev_end != layout.total_occurrences ||
-      prev_text != layout.text_blob_bytes) {
-    return Corrupt("segment arena size disagrees with header", path);
-  }
-  segment->records = owned;
-
-  // Bitmap block: re-Adding rebuilt every bitmap from the arena; the
-  // stored block (bits, token count, zero pads — the full cache-line
-  // entry) must agree word for word or the arena and the block disagree
-  // about the token sets.
-  constexpr size_t kEntryWords = sizeof(TokenBitmapEntry) / sizeof(uint64_t);
-  for (RecordId id = 0; id < n; ++id) {
-    const uint64_t* rebuilt = owned->token_bitmap(id);
-    const uint64_t bm = layout.bitmaps_off + id * sizeof(TokenBitmapEntry);
-    for (size_t w = 0; w < kEntryWords; ++w) {
-      uint64_t expect;
-      if (w < kTokenBitmapWords) {
-        expect = rebuilt[w];
-      } else if (w == kTokenBitmapWords) {
-        expect = owned->record_size(id);
-      } else {
-        expect = 0;
-      }
-      if (LoadU64(base, bm + w * sizeof(uint64_t)) != expect) {
-        return Corrupt("segment bitmap disagrees with arena", path);
-      }
+    if (std::memcmp(&owned->token_bitmap_entry(id), &spec.bitmaps[id],
+                    sizeof(TokenBitmapEntry)) != 0) {
+      return Corrupt("segment bitmap disagrees with arena", path);
     }
   }
+  return std::shared_ptr<const RecordSet>(std::move(owned));
+}
 
-  segment->global_ids =
-      CopySection<RecordId>(base, layout.global_ids_off, n);
-  if (!StrictlyIncreasing(segment->global_ids)) {
-    return Corrupt("bad segment global ids", path);
-  }
-
-  segment->shards.resize(num_shards);
-  size_t members_total = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const ShardLayout& sh = layout.shards[s];
-    SegmentShardPart& part = segment->shards[s];
-    part.member_ids =
-        CopySection<RecordId>(base, sh.member_ids_off, sh.members);
-    part.short_ids = CopySection<RecordId>(base, sh.short_ids_off, sh.shorts);
-    if (!StrictlyIncreasing(part.member_ids) ||
-        (!part.member_ids.empty() && part.member_ids.back() >= n)) {
-      return Corrupt("segment member out of range", path);
-    }
-    if (!StrictlyIncreasing(part.short_ids) ||
-        (!part.short_ids.empty() &&
-         part.short_ids.back() >= part.member_ids.size())) {
-      return Corrupt("segment short id out of range", path);
-    }
-    const uint64_t* begin =
-        reinterpret_cast<const uint64_t*>(base + sh.begin_off);
-    const uint32_t* live =
-        reinterpret_cast<const uint32_t*>(base + sh.size_off);
-    const double* max_score =
-        reinterpret_cast<const double*>(base + sh.max_score_off);
-    if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
+/// Materialized opens only: proves one shard part's extent tables,
+/// postings and max scores against each other and the header, and
+/// rebuilds its index through Plan/AppendPosting.
+Result<InvertedIndex> CopyOutShardIndex(const char* base,
+                                        const SegmentLayout& layout,
+                                        const ShardLayout& sh,
+                                        const std::string& path) {
+  const uint64_t* begin =
+      reinterpret_cast<const uint64_t*>(base + sh.begin_off);
+  const uint32_t* live = reinterpret_cast<const uint32_t*>(base + sh.size_off);
+  const double* max_score =
+      reinterpret_cast<const double*>(base + sh.max_score_off);
+  std::vector<uint64_t> counts(static_cast<size_t>(layout.vocab), 0);
+  uint64_t total = 0;
+  uint64_t nonempty = 0;
+  for (uint64_t t = 0; t < layout.vocab; ++t) {
+    if (begin[t + 1] < begin[t] || live[t] > begin[t + 1] - begin[t] ||
+        live[t] > sh.members) {
       return Corrupt("bad segment extent table", path);
     }
-    std::vector<uint64_t> counts(static_cast<size_t>(layout.vocab), 0);
-    uint64_t total = 0;
-    uint64_t nonempty = 0;
-    for (uint64_t t = 0; t < layout.vocab; ++t) {
-      if (begin[t + 1] < begin[t] || live[t] > begin[t + 1] - begin[t] ||
-          live[t] > sh.members) {
-        return Corrupt("bad segment extent table", path);
+    counts[t] = live[t];
+    total += live[t];
+    if (live[t] > 0) ++nonempty;
+  }
+  if (total != sh.total_postings || nonempty != sh.num_nonempty) {
+    return Corrupt("segment extent table disagrees with header", path);
+  }
+  InvertedIndex index;
+  index.Plan(counts);
+  const Posting* postings =
+      reinterpret_cast<const Posting*>(base + sh.postings_off);
+  for (uint64_t t = 0; t < layout.vocab; ++t) {
+    double seen_max = 0.0;
+    for (uint32_t i = 0; i < live[t]; ++i) {
+      const Posting& p = postings[begin[t] + i];
+      if ((i > 0 && p.id <= postings[begin[t] + i - 1].id) ||
+          p.id >= sh.members || !std::isfinite(p.score)) {
+        return Corrupt("bad segment shard index", path);
       }
-      counts[t] = live[t];
-      total += live[t];
-      if (live[t] > 0) ++nonempty;
+      index.AppendPosting(static_cast<TokenId>(t), p.id, p.score);
+      seen_max = std::max(seen_max, p.score);
     }
-    if (total != sh.total_postings || nonempty != sh.num_nonempty) {
+    if (max_score[t] != (live[t] > 0 ? seen_max : 0.0)) {
       return Corrupt("segment extent table disagrees with header", path);
     }
-    InvertedIndex index;
-    index.Plan(counts);
-    const Posting* postings =
-        reinterpret_cast<const Posting*>(base + sh.postings_off);
-    for (uint64_t t = 0; t < layout.vocab; ++t) {
-      double seen_max = 0.0;
-      for (uint32_t i = 0; i < live[t]; ++i) {
-        const Posting& p = postings[begin[t] + i];
-        if ((i > 0 && p.id <= postings[begin[t] + i - 1].id) ||
-            p.id >= sh.members || !std::isfinite(p.score)) {
-          return Corrupt("bad segment shard index", path);
-        }
-        index.AppendPosting(static_cast<TokenId>(t), p.id, p.score);
-        seen_max = std::max(seen_max, p.score);
-      }
-      if (max_score[t] != (live[t] > 0 ? seen_max : 0.0)) {
-        return Corrupt("segment extent table disagrees with header", path);
-      }
-    }
-    index.RestoreStats(sh.members, sh.min_norm);
-    part.index = std::move(index);
-    part.global_ids.reserve(part.member_ids.size());
-    for (RecordId local : part.member_ids) {
-      part.global_ids.push_back(segment->global_ids[local]);
-    }
-    members_total += sh.members;
   }
-  // Shard parts must partition the segment's records (each member id is
-  // in range and strictly increasing per shard; equal total forces the
-  // partition).
-  if (members_total != n) {
-    return Corrupt("segment shard parts do not partition records", path);
-  }
-  segment->approx_bytes = ComputeSegmentApproxBytes(*segment);
-  return std::shared_ptr<const CorpusSegment>(std::move(segment));
+  index.RestoreStats(sh.members, sh.min_norm);
+  return index;
 }
 
 /// Unlinks every segment file in `data_dir` not in `referenced` and
@@ -839,8 +673,9 @@ GcStats CollectSegmentGarbage(const std::string& data_dir,
 
 }  // namespace
 
-Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
-    const std::string& data_dir, uint64_t segment_id, uint64_t num_shards) {
+Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
+    const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
+    bool materialize) {
   const std::string path = SegmentFilePath(data_dir, segment_id);
   Result<MappedFile> opened = MappedFile::Open(path);
   if (!opened.ok()) return opened.status();
@@ -851,73 +686,81 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
       base, mapping->size(), segment_id, num_shards, path);
   if (!parsed.ok()) return parsed.status();
   const SegmentLayout layout = std::move(parsed).value();
-  // No whole-file CRC pass here: verifying it would fault in every page,
-  // which is exactly what mapping exists to avoid. The header CRC covers
-  // every count the layout derives from; the tables copied to the heap
-  // below are validated structurally; segment files are written once
-  // (tmp + fsync + rename) and never modified afterwards. The
-  // materialized path still proves the whole file — point
-  // `--resident-budget=0` at a directory to audit it end to end.
+  // Only a materialized open checks the whole-file CRC: on a mapped open
+  // it would fault in every page, which is exactly what mapping exists to
+  // avoid. There the header CRC covers every count the layout derives
+  // from, the tables copied to the heap below are validated structurally,
+  // and segment files are written once (tmp + fsync + rename) and never
+  // modified afterwards. Point `--resident-budget=0` at a directory to
+  // audit it end to end.
+  if (materialize && LoadU32(base, layout.file_size - sizeof(uint32_t)) !=
+                         Crc32(base, layout.file_size - sizeof(uint32_t))) {
+    return Corrupt("segment checksum mismatch", path);
+  }
   const uint64_t n = layout.num_records;
 
-  // Heap-resident copies: everything candidate gating, norm filters and
-  // chain resolution touch per candidate, so the gating path never
-  // faults a cold page. The CSR arenas, text table/blob and posting
-  // extents stay in the mapping and page in on demand.
+  // The gating tables, validated and heap-copied in both modes: everything
+  // candidate gating, norm filters and id resolution touch per candidate,
+  // so a mapped segment's gating path never faults a cold page.
+  if (LoadU64(base, layout.offsets_off) != 0 ||
+      LoadU64(base, layout.text_offsets_off) != 0) {
+    return Corrupt("bad segment record offsets", path);
+  }
   RecordSet::ViewSpec spec;
-  spec.offsets.resize(static_cast<size_t>(n) + 1);
+  spec.offsets.assign(static_cast<size_t>(n) + 1, 0);
   uint64_t prev_end = 0;
-  for (uint64_t i = 0; i <= n; ++i) {
+  uint64_t prev_text = 0;
+  for (uint64_t i = 1; i <= n; ++i) {
     const uint64_t end =
         LoadU64(base, layout.offsets_off + i * sizeof(uint64_t));
-    if ((i == 0 && end != 0) || end < prev_end ||
-        end > layout.total_occurrences) {
+    if (end < prev_end || end > layout.total_occurrences) {
       return Corrupt("bad segment record offsets", path);
+    }
+    const uint64_t text_end =
+        LoadU64(base, layout.text_offsets_off + i * sizeof(uint64_t));
+    if (text_end < prev_text || text_end > layout.text_blob_bytes) {
+      return Corrupt("bad segment text offsets", path);
     }
     spec.offsets[i] = static_cast<size_t>(end);
     prev_end = end;
+    prev_text = text_end;
   }
-  if (prev_end != layout.total_occurrences) {
-    return Corrupt("segment arena size disagrees with header", path);
-  }
-  uint64_t prev_text = 0;
-  for (uint64_t i = 0; i <= n; ++i) {
-    const uint64_t end =
-        LoadU64(base, layout.text_offsets_off + i * sizeof(uint64_t));
-    if ((i == 0 && end != 0) || end < prev_text ||
-        end > layout.text_blob_bytes) {
-      return Corrupt("bad segment text offsets", path);
-    }
-    prev_text = end;
-  }
-  if (prev_text != layout.text_blob_bytes) {
+  if (prev_end != layout.total_occurrences ||
+      prev_text != layout.text_blob_bytes) {
     return Corrupt("segment arena size disagrees with header", path);
   }
   spec.norms = CopySection<double>(base, layout.norms_off, n);
   spec.text_lengths = CopySection<uint32_t>(base, layout.text_lengths_off, n);
-  spec.bitmaps =
-      CopySection<TokenBitmapEntry>(base, layout.bitmaps_off, n);
+  spec.bitmaps = CopySection<TokenBitmapEntry>(base, layout.bitmaps_off, n);
   for (uint64_t id = 0; id < n; ++id) {
-    // Cheap consistency tie between the bitmap block and the offsets
-    // table (the full bits-vs-arena check is the materialized path's).
-    if (spec.bitmaps[id].tokens !=
-        spec.offsets[id + 1] - spec.offsets[id]) {
+    // Cheap tie between the bitmap block and the offsets table (the full
+    // bits-vs-arena check is CopyOutRecords').
+    if (spec.bitmaps[id].tokens != spec.offsets[id + 1] - spec.offsets[id]) {
       return Corrupt("segment bitmap disagrees with arena", path);
     }
   }
-  spec.tokens = reinterpret_cast<const TokenId*>(base + layout.tokens_off);
-  spec.scores = reinterpret_cast<const double*>(base + layout.scores_off);
-  spec.text_offsets =
-      reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
-  spec.text_blob = base + layout.text_blob_off;
-  spec.vocabulary_size = layout.vocab;
-  spec.total_occurrences = layout.total_occurrences;
-  spec.backing = mapping;
 
   auto segment = std::make_shared<CorpusSegment>();
   segment->id = segment_id;
-  segment->records =
-      std::make_shared<RecordSet>(RecordSet::MakeView(std::move(spec)));
+  if (materialize) {
+    Result<std::shared_ptr<const RecordSet>> records =
+        CopyOutRecords(base, layout, spec, path);
+    if (!records.ok()) return records.status();
+    segment->records = std::move(records).value();
+  } else {
+    // The CSR arenas, text table/blob and posting extents stay in the
+    // mapping and page in on demand.
+    spec.tokens = reinterpret_cast<const TokenId*>(base + layout.tokens_off);
+    spec.scores = reinterpret_cast<const double*>(base + layout.scores_off);
+    spec.text_offsets =
+        reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
+    spec.text_blob = base + layout.text_blob_off;
+    spec.vocabulary_size = layout.vocab;
+    spec.total_occurrences = layout.total_occurrences;
+    spec.backing = mapping;
+    segment->records =
+        std::make_shared<RecordSet>(RecordSet::MakeView(std::move(spec)));
+  }
   segment->global_ids = CopySection<RecordId>(base, layout.global_ids_off, n);
   if (!StrictlyIncreasing(segment->global_ids)) {
     return Corrupt("bad segment global ids", path);
@@ -944,29 +787,42 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
     if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
       return Corrupt("bad segment extent table", path);
     }
-    InvertedIndex::ViewSpec ispec;
-    ispec.postings = reinterpret_cast<const Posting*>(base + sh.postings_off);
-    ispec.begin = begin;
-    ispec.size = reinterpret_cast<const uint32_t*>(base + sh.size_off);
-    ispec.max_score = reinterpret_cast<const double*>(base + sh.max_score_off);
-    ispec.vocabulary_size = layout.vocab;
-    ispec.num_nonempty_tokens = sh.num_nonempty;
-    ispec.num_entities = sh.members;
-    ispec.min_norm = sh.min_norm;
-    ispec.total_postings = sh.total_postings;
-    ispec.backing = mapping;
-    part.index = InvertedIndex::MakeView(std::move(ispec));
+    if (materialize) {
+      Result<InvertedIndex> index = CopyOutShardIndex(base, layout, sh, path);
+      if (!index.ok()) return index.status();
+      part.index = std::move(index).value();
+    } else {
+      InvertedIndex::ViewSpec ispec;
+      ispec.postings =
+          reinterpret_cast<const Posting*>(base + sh.postings_off);
+      ispec.begin = begin;
+      ispec.size = reinterpret_cast<const uint32_t*>(base + sh.size_off);
+      ispec.max_score =
+          reinterpret_cast<const double*>(base + sh.max_score_off);
+      ispec.vocabulary_size = layout.vocab;
+      ispec.num_nonempty_tokens = sh.num_nonempty;
+      ispec.num_entities = sh.members;
+      ispec.min_norm = sh.min_norm;
+      ispec.total_postings = sh.total_postings;
+      ispec.backing = mapping;
+      part.index = InvertedIndex::MakeView(std::move(ispec));
+    }
     part.global_ids.reserve(part.member_ids.size());
     for (RecordId local : part.member_ids) {
       part.global_ids.push_back(segment->global_ids[local]);
     }
     members_total += sh.members;
   }
+  // Shard parts must partition the segment's records (each member id is
+  // in range and strictly increasing per shard; equal total forces the
+  // partition).
   if (members_total != n) {
     return Corrupt("segment shard parts do not partition records", path);
   }
-  segment->mapping = mapping;
-  segment->mapped_bytes = mapping->size();
+  if (!materialize) {
+    segment->mapping = mapping;
+    segment->mapped_bytes = mapping->size();
+  }
   segment->approx_bytes = ComputeSegmentApproxBytes(*segment);
   return std::shared_ptr<const CorpusSegment>(std::move(segment));
 }
@@ -1011,10 +867,6 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
   PutVarint64(&buffer, state.next_id);
   PutVarint64(&buffer, state.next_segment_id);
   PutBitVector(&buffer, *state.deleted);
-  buffer.push_back(state.raw_corpus != nullptr ? 1 : 0);
-  if (state.raw_corpus != nullptr) {
-    EncodeRecordSet(*state.raw_corpus, &buffer);
-  }
   PutVarint64(&buffer, state.segments.size());
   for (const CheckpointState::SegmentRef& ref : state.segments) {
     PutVarint64(&buffer, ref.segment->id);
@@ -1099,24 +951,6 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
       cp.deleted.size() != cp.next_id) {
     return Corrupt("bad deleted bitmap", path);
   }
-  if (offset >= body.size()) {
-    return Corrupt("truncated raw-corpus flag", path);
-  }
-  const uint8_t has_raw = static_cast<uint8_t>(body[offset++]);
-  if (has_raw > 1) {
-    return Corrupt("bad raw-corpus flag", path);
-  }
-  cp.has_raw_corpus = has_raw == 1;
-  if (cp.has_raw_corpus) {
-    Result<RecordSet> corpus = DecodeRecordSet(body, &offset);
-    if (!corpus.ok()) {
-      return Corrupt(corpus.status().message() + " [raw corpus]", path);
-    }
-    cp.raw_corpus = std::move(corpus).value();
-    if (cp.raw_corpus.size() != cp.next_id) {
-      return Corrupt("raw corpus disagrees with id counter", path);
-    }
-  }
 
   uint64_t num_segments = 0;
   if (!GetVarint64(body, &offset, &num_segments) || num_segments == 0 ||
@@ -1154,11 +988,9 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
 
   // The manifest is whole; now load every referenced segment file and
   // cross-validate masks, live counts and the chain's global-id order.
-  // With a resident budget, segment bodies are mapped instead of decoded
-  // — except when the checkpoint carries a raw corpus (TF-IDF cosine),
-  // whose full-rebuild path re-Prepares owned record sets anyway.
-  const bool map_segments =
-      options.resident_budget_bytes > 0 && !cp.has_raw_corpus;
+  // With a resident budget, segment bodies are served from their mappings
+  // instead of copied out.
+  const bool materialize = options.resident_budget_bytes == 0;
   std::set<uint64_t> referenced;
   RecordId prev_last_gid = 0;
   bool any_gid = false;
@@ -1167,8 +999,7 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
     const uint64_t segment_id = segment_ids[i];
     referenced.insert(segment_id);
     Result<std::shared_ptr<const CorpusSegment>> loaded =
-        map_segments ? MapSegmentFile(data_dir, segment_id, num_shards)
-                     : LoadSegmentFile(data_dir, segment_id, num_shards);
+        OpenSegmentFile(data_dir, segment_id, num_shards, materialize);
     if (!loaded.ok()) return loaded.status();
     entry.segment = std::move(loaded).value();
     const CorpusSegment& segment = *entry.segment;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "data/record_set.h"
 #include "serve/snapshot.h"
 #include "util/status.h"
 
@@ -26,9 +25,9 @@ namespace ssjoin {
 ///   * The manifest holds everything that still changes: epoch, WAL
 ///     fence, shard bounds, the deleted bitmap, per-segment dead masks
 ///     and live counts, pending tombstones, and the ordered list of
-///     segment file ids it depends on. For corpus-statistics predicates
-///     (TF-IDF cosine) it also carries the raw corpus — the documented
-///     full-rebuild exception, whose chain is always one segment anyway.
+///     segment file ids it depends on. Nothing else: even TF-IDF cosine
+///     needs no raw records, since its weights depend only on token sets
+///     and document frequencies, which the prepared segments hold.
 ///
 /// Both file kinds are CRC32-trailered and written tmp-then-rename, so
 /// each is individually whole; the manifest rename is the commit point
@@ -41,17 +40,13 @@ namespace ssjoin {
 /// Segment files are v3: every arena the probe path streams (record
 /// offsets, token/score CSR arenas, text blob, per-shard posting extents
 /// and the token-bitmap block) is written 64-byte-aligned and byte-
-/// layout-identical to its in-memory form, so Open can either
-/// materialize a segment (decode + revalidate everything, the
-/// `resident_budget_bytes == 0` path) or `mmap` the body read-only and
-/// serve straight from the page cache (MapSegmentFile; see DESIGN.md
-/// "Out-of-core segments").
-///
-/// Unlike SaveIndex (which quantizes posting scores to float32 — fine
-/// for batch candidate generation, where verification recomputes on full
-/// records), checkpointed shard indexes keep full double scores: the
-/// recovery contract is BYTE-identical query answers, and probe pruning
-/// reads posting scores directly.
+/// layout-identical to its in-memory form, so one opener
+/// (OpenSegmentFile) maps every file and either copies it out, fully
+/// verified (the `resident_budget_bytes == 0` path), or serves the body
+/// straight from the page cache (see DESIGN.md "Out-of-core segments").
+/// Shard indexes keep full double posting scores: the recovery contract
+/// is BYTE-identical query answers, and probe pruning reads posting
+/// scores directly.
 
 /// Paths of the durable artifacts inside a service data directory.
 std::string CheckpointFilePath(const std::string& data_dir);
@@ -91,10 +86,6 @@ struct CheckpointState {
   uint64_t next_segment_id = 0;
   /// Per-global-id deleted bitmap, size next_id.
   const std::vector<bool>* deleted = nullptr;
-  /// Raw (unprepared) corpus; REQUIRED for corpus-statistics predicates
-  /// (their full rebuild re-Prepares from raw), null for the rest —
-  /// prepared segment records carry everything else recovery needs.
-  const RecordSet* raw_corpus = nullptr;
   struct SegmentRef {
     const CorpusSegment* segment = nullptr;
     /// Per-shard dead masks (sorted part-local ids); null entries = none.
@@ -115,11 +106,10 @@ struct GcStats {
 
 /// How LoadCheckpoint materializes segment bodies.
 struct CheckpointLoadOptions {
-  /// 0 (default): decode every segment into heap memory, fully verified
-  /// — the historical behavior. >0: mmap segment bodies read-only and
-  /// serve from views (unless the checkpoint carries a raw corpus, whose
-  /// full-rebuild path needs owned sets); the budget value itself only
-  /// steers residency advice, applied by the service after load.
+  /// 0 (default): copy every segment into heap memory, fully verified
+  /// — the historical behavior. >0: serve segment bodies from read-only
+  /// mappings; the budget value itself only steers residency advice,
+  /// applied by the service after load.
   uint64_t resident_budget_bytes = 0;
 };
 
@@ -132,8 +122,6 @@ struct ServiceCheckpoint {
   uint64_t next_id = 0;
   uint64_t next_segment_id = 0;
   std::vector<bool> deleted;
-  bool has_raw_corpus = false;
-  RecordSet raw_corpus;  // meaningful only when has_raw_corpus
   struct Segment {
     std::shared_ptr<const CorpusSegment> segment;
     std::vector<std::vector<RecordId>> dead;  // per shard; may be empty lists
@@ -175,26 +163,19 @@ Result<ServiceCheckpoint> LoadCheckpoint(
 Status WriteSegmentFile(const std::string& data_dir,
                         const CorpusSegment& segment);
 
-/// Maps segment-<id>.sseg read-only and builds a view-mode CorpusSegment
-/// over it: arenas and posting extents point into the mapping; the
-/// tables candidate gating reads (record offsets, norms, text lengths,
-/// token bitmaps, id tables) are small heap copies, validated against
-/// the CRC-protected header. Truncated or foreign files surface as a
-/// Status — the mapping is never dereferenced past its validated size.
-Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
-    const std::string& data_dir, uint64_t segment_id, uint64_t num_shards);
-
-// ---------------------------------------------------------------------
-// Encoding primitives, exposed for the round-trip property tests.
-
-/// Appends `records` — tokens (delta varints), full double scores, norm,
-/// text length, text, per record — to `out`. Statistics are NOT encoded:
-/// decoding re-Adds each record, which rebuilds doc/term frequencies
-/// identically (Add counts each distinct token once, exactly as the
-/// original insertion did).
-void EncodeRecordSet(const RecordSet& records, std::string* out);
-/// Decodes at data[*offset]; advances *offset past the record set.
-Result<RecordSet> DecodeRecordSet(const std::string& data, size_t* offset);
+/// Opens segment-<id>.sseg. The file is mapped read-only and its
+/// CRC-protected header parsed; the tables candidate gating reads
+/// (record and text offsets, norms, text lengths, token bitmaps, id
+/// tables, extent bounds) are validated and copied to the heap.
+/// `materialize` then also verifies the whole-file CRC and copies out
+/// everything else — arena, extent tables, postings — proving each
+/// structurally, and drops the mapping; otherwise arenas and posting
+/// extents stay views into the mapping. Truncated or foreign files
+/// surface as a Status — the mapping is never dereferenced past its
+/// validated size.
+Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
+    const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
+    bool materialize);
 
 }  // namespace ssjoin
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -274,7 +275,12 @@ uint64_t ElapsedMicros(const Timer& timer) {
 /// SSJOIN_RESIDENT_BUDGET environment variable when the option is 0 (the
 /// test/CI hook — lets existing harnesses exercise the mapped path
 /// without plumbing a flag everywhere). Unparsable values read as 0.
-uint64_t EffectiveResidentBudget(const ServiceOptions& options) {
+/// Always 0 for corpus-statistics predicates (TF-IDF cosine): staging
+/// weighs records against the front segment's frequency tables
+/// (IndexSnapshot::stats_reference), and a mapped view carries none.
+uint64_t EffectiveResidentBudget(const ServiceOptions& options,
+                                 const Predicate& pred) {
+  if (!pred.corpus_independent_scores()) return 0;
   if (options.resident_budget_bytes > 0) return options.resident_budget_bytes;
   const char* env = std::getenv("SSJOIN_RESIDENT_BUDGET");
   if (env == nullptr || *env == '\0') return 0;
@@ -290,16 +296,14 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
     : pred_(pred),
       options_(options),
       num_shards_(options.num_shards > 1 ? options.num_shards : 1),
-      resident_budget_(EffectiveResidentBudget(options_)),
+      resident_budget_(EffectiveResidentBudget(options_, pred)),
       pool_(std::make_unique<ThreadPool>(
           options.num_threads > 0 ? options.num_threads
-                                  : ThreadPool::DefaultNumThreads())),
-      keep_raw_(!pred.corpus_independent_scores()),
-      corpus_(std::move(corpus)) {
+                                  : ThreadPool::DefaultNumThreads())) {
   std::lock_guard<std::mutex> lock(write_mutex_);
-  shard_bounds_ = ComputeShardBounds(RoutingMassHistogram(corpus_), num_shards_);
-  next_id_ = corpus_.size();
-  deleted_.assign(corpus_.size(), false);
+  shard_bounds_ = ComputeShardBounds(RoutingMassHistogram(corpus), num_shards_);
+  next_id_ = corpus.size();
+  deleted_.assign(corpus.size(), false);
   memtables_.resize(num_shards_);
   memtable_ids_.resize(num_shards_);
   tombstones_.resize(num_shards_);
@@ -307,13 +311,15 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.EnsureShards(num_shards_);
   }
-  CompactLocked(/*count_compaction=*/false);
-  // The raw corpus is only ever the full-rebuild input. Predicates with
-  // corpus-independent scores full-rebuild exactly once — right above,
-  // folding the initial corpus into segment 0 — so their raw bytes are
-  // dead weight from here on and the prepared segments carry everything
-  // later compactions need.
-  if (!keep_raw_) corpus_ = RecordSet();
+  // Segment 0 is the corpus itself, prepared in place; every shard counts
+  // it as one rebuild.
+  pred_.Prepare(&corpus);
+  std::vector<RecordId> gids(corpus.size());
+  std::iota(gids.begin(), gids.end(), RecordId{0});
+  AppendSegmentLocked(std::move(corpus), std::move(gids));
+  FinishCompactionLocked(std::vector<bool>(num_shards_, true),
+                         /*merged_count=*/0, /*delta_records=*/0,
+                         /*count_compaction=*/false);
   if (!options_.data_dir.empty()) InitDurabilityLocked();
   // The initial checkpoint just wrote segment 0; in out-of-core mode,
   // serve it mapped from the start instead of keeping the heap copy.
@@ -327,12 +333,10 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
     : pred_(pred),
       options_(std::move(options)),
       num_shards_(checkpoint.num_shards()),
-      resident_budget_(EffectiveResidentBudget(options_)),
+      resident_budget_(EffectiveResidentBudget(options_, pred)),
       pool_(std::make_unique<ThreadPool>(
           options_.num_threads > 0 ? options_.num_threads
-                                   : ThreadPool::DefaultNumThreads())),
-      keep_raw_(!pred.corpus_independent_scores()),
-      corpus_(std::move(checkpoint.raw_corpus)) {
+                                   : ThreadPool::DefaultNumThreads())) {
   std::lock_guard<std::mutex> lock(write_mutex_);
   shard_bounds_ = std::move(checkpoint.shard_bounds);
   next_id_ = checkpoint.next_id;
@@ -436,7 +440,7 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
     return Status::InvalidArgument("Open requires ServiceOptions::data_dir");
   }
   CheckpointLoadOptions load_options;
-  load_options.resident_budget_bytes = EffectiveResidentBudget(options);
+  load_options.resident_budget_bytes = EffectiveResidentBudget(options, pred);
   Result<ServiceCheckpoint> loaded =
       LoadCheckpoint(options.data_dir, load_options);
   if (!loaded.ok()) return loaded.status();
@@ -475,13 +479,14 @@ void SimilarityService::InitDurabilityLocked() {
 }
 
 void SimilarityService::AdoptMappedSegmentsLocked() {
-  if (wal_ == nullptr || resident_budget_ == 0 || keep_raw_) return;
+  if (wal_ == nullptr || resident_budget_ == 0) return;
   bool swapped = false;
   for (SegmentChainEntry& entry : chain_) {
     if (entry.segment->mapping != nullptr) continue;
     if (persisted_segments_.count(entry.segment->id) == 0) continue;
-    Result<std::shared_ptr<const CorpusSegment>> mapped =
-        MapSegmentFile(options_.data_dir, entry.segment->id, num_shards_);
+    Result<std::shared_ptr<const CorpusSegment>> mapped = OpenSegmentFile(
+        options_.data_dir, entry.segment->id, num_shards_,
+        /*materialize=*/false);
     if (!mapped.ok()) {
       // Mapping is an optimization: the owned segment keeps serving.
       SSJOIN_LOG_WARNING << "cannot map segment " << entry.segment->id
@@ -551,7 +556,6 @@ Status SimilarityService::SaveCheckpointLocked() {
   state.next_id = next_id_;
   state.next_segment_id = next_segment_id_;
   state.deleted = &deleted_;
-  state.raw_corpus = keep_raw_ ? &corpus_ : nullptr;
   state.segments.reserve(chain_.size());
   for (const SegmentChainEntry& entry : chain_) {
     CheckpointState::SegmentRef ref;
@@ -610,24 +614,37 @@ uint64_t SimilarityService::wal_sequence() {
   return wal_ ? wal_next_seq_ : 0;
 }
 
+void SimilarityService::AppendSegmentLocked(RecordSet records,
+                                            std::vector<RecordId> global_ids) {
+  SegmentChainEntry entry;
+  entry.segment = BuildCorpusSegment(
+      next_segment_id_++, std::move(records), std::move(global_ids),
+      shard_bounds_, num_shards_, pred_.ShortRecordNormBound());
+  entry.dead.assign(num_shards_, nullptr);
+  entry.live = entry.segment->records->size();
+  chain_.push_back(std::move(entry));
+}
+
 bool SimilarityService::CompactLocked(bool count_compaction) {
-  std::shared_ptr<const IndexSnapshot> prev = snapshot();  // null first time
   // A compaction with nothing pending — no memtable records, no
   // tombstones — is a counted no-op: the published snapshot already IS
   // the compacted state, so no shard is rebuilt and no snapshot is
-  // published (in particular, cosine skips its full re-Prepare).
-  if (prev != nullptr && memtable_total_ == 0 && tombstone_total_ == 0) {
+  // published (in particular, cosine skips its re-Prepare).
+  if (memtable_total_ == 0 && tombstone_total_ == 0) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     if (count_compaction) ++stats_.compactions;
     return false;
   }
-  const bool full_rebuild =
-      prev == nullptr || !pred_.corpus_independent_scores();
-  const double short_bound = pred_.ShortRecordNormBound();
+  // Corpus-statistics predicates (TF-IDF cosine): every record's scores
+  // change when the statistics do, so every shard is rebuilt and the
+  // whole chain collapses below.
+  const bool corpus_stats = !pred_.corpus_independent_scores();
   const uint64_t delta_records =
       static_cast<uint64_t>(memtable_total_ + tombstone_total_);
-
-  std::vector<bool> dirty(num_shards_, false);
+  std::vector<bool> dirty(num_shards_, corpus_stats);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    if (!memtable_ids_[s].empty() || !tombstones_[s].empty()) dirty[s] = true;
+  }
   uint64_t merged_count = 0;
 
   // Replaces the `count` newest chain entries with ONE freshly built
@@ -657,167 +674,130 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
         gids.push_back(seg.global_ids[local]);
       }
     }
-    SegmentChainEntry entry;
-    entry.segment =
-        BuildCorpusSegment(next_segment_id_++, std::move(merged),
-                           std::move(gids), shard_bounds_, num_shards_,
-                           short_bound);
-    entry.dead.assign(num_shards_, nullptr);
-    entry.live = entry.segment->records->size();
+    // Re-weigh the survivors against their own statistics, so IDF
+    // excludes deleted records and the answers coincide with a fresh
+    // batch self-join over the survivors. Preparation reads only token
+    // sets and document frequencies (tf = 1), never the old scores, so
+    // prepared records are as good an input as raw ones.
+    if (corpus_stats) pred_.Prepare(&merged);
     if (count > 1) merged_count += count;
     chain_.resize(chain_.size() - count);
-    chain_.push_back(std::move(entry));
+    AppendSegmentLocked(std::move(merged), std::move(gids));
   };
 
-  if (full_rebuild) {
-    // Corpus-statistics predicates (TF-IDF cosine) must re-Prepare from
-    // the RAW corpus — every record's scores change when the statistics
-    // do — over a dense arena of the survivors only, so IDF excludes
-    // deleted records and post-compaction answers coincide with a fresh
-    // batch self-join over the survivors. The result is a chain of
-    // exactly ONE segment: the documented full-rebuild exception.
-    // (Construction takes this path for every predicate, folding the
-    // initial corpus into segment 0.)
-    RecordSet prepared;
-    std::vector<RecordId> gids;
-    gids.reserve(static_cast<size_t>(next_id_) - deleted_total_);
-    for (RecordId id = 0; id < static_cast<RecordId>(next_id_); ++id) {
-      if (!deleted_[id]) {
-        prepared.Add(corpus_.record(id), corpus_.text(id));
-        gids.push_back(id);
+  // (a) Fold tombstones into per-segment copy-on-write dead masks. A
+  // tombstoned gid is either chain-resident — locate its segment by gid
+  // range (ranges are disjoint), its arena slot by gid, its part slot by
+  // shard membership — or still memtable-resident, in which case the
+  // survivor fold below simply drops it.
+  std::vector<std::vector<std::vector<RecordId>>> fold(
+      chain_.size(), std::vector<std::vector<RecordId>>(num_shards_));
+  for (size_t s = 0; s < num_shards_; ++s) {
+    for (RecordId gid : tombstones_[s]) {
+      size_t ci = chain_.size();
+      for (size_t i = 0; i < chain_.size(); ++i) {
+        const std::vector<RecordId>& sgids = chain_[i].segment->global_ids;
+        if (!sgids.empty() && sgids.front() <= gid && gid <= sgids.back()) {
+          ci = i;
+          break;
+        }
       }
+      if (ci == chain_.size()) continue;  // memtable-resident
+      const CorpusSegment& seg = *chain_[ci].segment;
+      auto git = std::lower_bound(seg.global_ids.begin(),
+                                  seg.global_ids.end(), gid);
+      SSJOIN_CHECK(git != seg.global_ids.end() && *git == gid);
+      const RecordId local =
+          static_cast<RecordId>(git - seg.global_ids.begin());
+      const SegmentShardPart& part = seg.shards[s];
+      auto mit = std::lower_bound(part.member_ids.begin(),
+                                  part.member_ids.end(), local);
+      SSJOIN_CHECK(mit != part.member_ids.end() && *mit == local);
+      fold[ci][s].push_back(
+          static_cast<RecordId>(mit - part.member_ids.begin()));
     }
-    pred_.Prepare(&prepared);
-    chain_.clear();
-    SegmentChainEntry entry;
-    entry.segment =
-        BuildCorpusSegment(next_segment_id_++, std::move(prepared),
-                           std::move(gids), shard_bounds_, num_shards_,
-                           short_bound);
-    entry.dead.assign(num_shards_, nullptr);
-    entry.live = entry.segment->records->size();
-    chain_.push_back(std::move(entry));
-    dirty.assign(num_shards_, true);
-  } else {
-    // The O(delta) incremental path: old segments are never rewritten.
+  }
+  for (size_t i = 0; i < chain_.size(); ++i) {
     for (size_t s = 0; s < num_shards_; ++s) {
-      if (!memtable_ids_[s].empty() || !tombstones_[s].empty()) {
-        dirty[s] = true;
+      std::vector<RecordId>& add = fold[i][s];
+      if (add.empty()) continue;
+      // tombstones_[s] is gid-sorted and gid order within one segment
+      // implies part-local order, so `add` is already sorted.
+      auto mask = std::make_shared<std::vector<RecordId>>();
+      if (chain_[i].dead[s] != nullptr) {
+        const std::vector<RecordId>& old = *chain_[i].dead[s];
+        mask->resize(old.size() + add.size());
+        std::merge(old.begin(), old.end(), add.begin(), add.end(),
+                   mask->begin());
+      } else {
+        *mask = add;
       }
-    }
-    // (a) Fold tombstones into per-segment copy-on-write dead masks.
-    // A tombstoned gid is either chain-resident — locate its segment by
-    // gid range (ranges are disjoint), its arena slot by gid, its part
-    // slot by shard membership — or still memtable-resident, in which
-    // case the survivor fold below simply drops it.
-    std::vector<std::vector<std::vector<RecordId>>> fold(
-        chain_.size(), std::vector<std::vector<RecordId>>(num_shards_));
-    for (size_t s = 0; s < num_shards_; ++s) {
-      for (RecordId gid : tombstones_[s]) {
-        size_t ci = chain_.size();
-        for (size_t i = 0; i < chain_.size(); ++i) {
-          const std::vector<RecordId>& sgids = chain_[i].segment->global_ids;
-          if (!sgids.empty() && sgids.front() <= gid && gid <= sgids.back()) {
-            ci = i;
-            break;
-          }
-        }
-        if (ci == chain_.size()) continue;  // memtable-resident
-        const CorpusSegment& seg = *chain_[ci].segment;
-        auto git = std::lower_bound(seg.global_ids.begin(),
-                                    seg.global_ids.end(), gid);
-        SSJOIN_CHECK(git != seg.global_ids.end() && *git == gid);
-        const RecordId local =
-            static_cast<RecordId>(git - seg.global_ids.begin());
-        const SegmentShardPart& part = seg.shards[s];
-        auto mit = std::lower_bound(part.member_ids.begin(),
-                                    part.member_ids.end(), local);
-        SSJOIN_CHECK(mit != part.member_ids.end() && *mit == local);
-        fold[ci][s].push_back(
-            static_cast<RecordId>(mit - part.member_ids.begin()));
-      }
-    }
-    for (size_t i = 0; i < chain_.size(); ++i) {
-      for (size_t s = 0; s < num_shards_; ++s) {
-        std::vector<RecordId>& add = fold[i][s];
-        if (add.empty()) continue;
-        // tombstones_[s] is gid-sorted and gid order within one segment
-        // implies part-local order, so `add` is already sorted.
-        auto mask = std::make_shared<std::vector<RecordId>>();
-        if (chain_[i].dead[s] != nullptr) {
-          const std::vector<RecordId>& old = *chain_[i].dead[s];
-          mask->resize(old.size() + add.size());
-          std::merge(old.begin(), old.end(), add.begin(), add.end(),
-                     mask->begin());
-        } else {
-          *mask = add;
-        }
-        chain_[i].dead[s] = std::move(mask);
-        chain_[i].live -= add.size();
-      }
-    }
-
-    // (b) Fold the memtable survivors — across all shards, in global id
-    // order, preserving the chain's disjoint increasing gid ranges —
-    // into ONE new delta-sized segment.
-    struct Pending {
-      RecordId id;
-      size_t shard;
-      size_t local;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(memtable_total_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      for (size_t j = 0; j < memtable_ids_[s].size(); ++j) {
-        if (!deleted_[memtable_ids_[s][j]]) {
-          pending.push_back({memtable_ids_[s][j], s, j});
-        }
-      }
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const Pending& a, const Pending& b) { return a.id < b.id; });
-    if (!pending.empty()) {
-      RecordSet folded;
-      std::vector<RecordId> gids;
-      gids.reserve(pending.size());
-      for (const Pending& p : pending) {
-        folded.Add(memtables_[p.shard].record(static_cast<RecordId>(p.local)),
-                   memtables_[p.shard].text(static_cast<RecordId>(p.local)));
-        gids.push_back(p.id);
-      }
-      SegmentChainEntry entry;
-      entry.segment =
-          BuildCorpusSegment(next_segment_id_++, std::move(folded),
-                             std::move(gids), shard_bounds_, num_shards_,
-                             short_bound);
-      entry.dead.assign(num_shards_, nullptr);
-      entry.live = entry.segment->records->size();
-      chain_.push_back(std::move(entry));
-    }
-
-    // (c) Size-tiered merge cascade: merge the two newest segments while
-    // the older one is no bigger than ratio times the newer, so chains
-    // stay logarithmic in corpus size and merge cost amortizes to
-    // O(corpus / ratio^depth). Ratio 0 collapses the whole chain to one
-    // segment — and purges masked-dead bytes — every compaction: the
-    // pre-segmented baseline.
-    if (options_.segment_merge_ratio == 0) {
-      bool masked = false;
-      for (const SegmentChainEntry& e : chain_) {
-        for (const std::shared_ptr<const std::vector<RecordId>>& d : e.dead) {
-          masked = masked || d != nullptr;
-        }
-      }
-      if (chain_.size() > 1 || masked) merge_trailing(chain_.size());
-    } else {
-      while (chain_.size() >= 2 &&
-             chain_[chain_.size() - 2].live <=
-                 options_.segment_merge_ratio * chain_.back().live) {
-        merge_trailing(2);
-      }
+      chain_[i].dead[s] = std::move(mask);
+      chain_[i].live -= add.size();
     }
   }
 
+  // (b) Fold the memtable survivors — across all shards, in global id
+  // order, preserving the chain's disjoint increasing gid ranges — into
+  // ONE new delta-sized segment.
+  struct Pending {
+    RecordId id;
+    size_t shard;
+    size_t local;
+  };
+  std::vector<Pending> pending;
+  pending.reserve(memtable_total_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    for (size_t j = 0; j < memtable_ids_[s].size(); ++j) {
+      if (!deleted_[memtable_ids_[s][j]]) {
+        pending.push_back({memtable_ids_[s][j], s, j});
+      }
+    }
+  }
+  std::sort(pending.begin(), pending.end(),
+            [](const Pending& a, const Pending& b) { return a.id < b.id; });
+  if (!pending.empty()) {
+    RecordSet folded;
+    std::vector<RecordId> gids;
+    gids.reserve(pending.size());
+    for (const Pending& p : pending) {
+      folded.Add(memtables_[p.shard].record(static_cast<RecordId>(p.local)),
+                 memtables_[p.shard].text(static_cast<RecordId>(p.local)));
+      gids.push_back(p.id);
+    }
+    AppendSegmentLocked(std::move(folded), std::move(gids));
+  }
+
+  // (c) Size-tiered merge cascade: merge the two newest segments while
+  // the older one is no bigger than ratio times the newer, so chains
+  // stay logarithmic in corpus size and merge cost amortizes to
+  // O(corpus / ratio^depth). Ratio 0 — and every corpus-statistics
+  // predicate — collapses the whole chain to one segment and purges
+  // masked-dead bytes at every compaction: the pre-segmented baseline.
+  if (options_.segment_merge_ratio == 0 || corpus_stats) {
+    bool masked = false;
+    for (const SegmentChainEntry& e : chain_) {
+      for (const std::shared_ptr<const std::vector<RecordId>>& d : e.dead) {
+        masked = masked || d != nullptr;
+      }
+    }
+    if (chain_.size() > 1 || masked) merge_trailing(chain_.size());
+  } else {
+    while (chain_.size() >= 2 &&
+           chain_[chain_.size() - 2].live <=
+               options_.segment_merge_ratio * chain_.back().live) {
+      merge_trailing(2);
+    }
+  }
+  FinishCompactionLocked(dirty, merged_count, delta_records,
+                         count_compaction);
+  return true;
+}
+
+void SimilarityService::FinishCompactionLocked(const std::vector<bool>& dirty,
+                                               uint64_t merged_count,
+                                               uint64_t delta_records,
+                                               bool count_compaction) {
   // Out-of-core mode: spill the segments this compaction built to disk
   // and map them straight back, so the merged arenas leave the heap
   // before the snapshot is published — peak RSS stays O(delta) plus the
@@ -825,7 +805,7 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   // immediately (the upcoming checkpoint references them without
   // rewriting; a crash before it leaves orphans the next load GCs).
   // Either step failing just keeps the owned segment serving.
-  if (wal_ != nullptr && resident_budget_ > 0 && !keep_raw_) {
+  if (wal_ != nullptr && resident_budget_ > 0) {
     for (SegmentChainEntry& entry : chain_) {
       if (entry.segment->mapping != nullptr) continue;
       const uint64_t segment_id = entry.segment->id;
@@ -838,8 +818,8 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
         }
         persisted_segments_.insert(segment_id);
       }
-      Result<std::shared_ptr<const CorpusSegment>> mapped =
-          MapSegmentFile(options_.data_dir, segment_id, num_shards_);
+      Result<std::shared_ptr<const CorpusSegment>> mapped = OpenSegmentFile(
+          options_.data_dir, segment_id, num_shards_, /*materialize=*/false);
       if (!mapped.ok()) {
         SSJOIN_LOG_WARNING << "cannot map segment " << segment_id
                            << ", serving from heap: "
@@ -852,9 +832,10 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   }
 
   // Publish the new chain (cheap — one entry per segment) with fresh
-  // empty deltas as one snapshot. Merges above do NOT publish
-  // intermediates, so a compaction bumps the epoch exactly once
-  // regardless of how far the cascade ran.
+  // empty deltas as one snapshot. Merges do NOT publish intermediates,
+  // so a compaction bumps the epoch exactly once regardless of how far
+  // the cascade ran.
+  const double short_bound = pred_.ShortRecordNormBound();
   std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
     memtables_[s] = RecordSet();
@@ -882,10 +863,9 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   // are empty — which is the only state a checkpoint is taken in: WAL
   // replay from it through the normal op paths is then deterministic.
   // Suppressed during replay (the WAL being replayed must not be reset
-  // under our feet) and while the initial compaction runs before the
-  // durability layer exists.
+  // under our feet) and while construction runs before the durability
+  // layer exists.
   if (wal_ != nullptr && !replaying_) MaybeCheckpointLocked();
-  return true;
 }
 
 void SimilarityService::Publish(
@@ -947,10 +927,9 @@ RecordId SimilarityService::InsertLocked(RecordView record, std::string text) {
   // The segment chain and the other shards' deltas are shared, not
   // copied.
   RecordSet staging;
-  staging.Add(record, text);
+  staging.Add(record, std::move(text));
   pred_.PrepareIncremental(snap->stats_reference(), &staging);
   const RecordId id = static_cast<RecordId>(next_id_++);
-  if (keep_raw_) corpus_.Add(record, std::move(text));
   deleted_.push_back(false);
   const size_t shard = RouteToShard(staging.record(0), shard_bounds_);
   memtables_[shard].Add(staging.record(0), staging.text(0));
@@ -1025,10 +1004,8 @@ bool SimilarityService::DeleteLocked(RecordId id) {
 size_t SimilarityService::RouteOfRecordLocked(RecordId id) const {
   // Preparation assigns scores but never adds, drops or reorders tokens,
   // so the largest token — and hence the owning shard — of a record's
-  // prepared image equals the raw record's, and routing may use
-  // whichever image is at hand. Empty records route to shard 0 on every
-  // path, same as Insert.
-  if (keep_raw_) return RouteToShard(corpus_.record(id), shard_bounds_);
+  // prepared image equals the raw record's. Empty records route to shard
+  // 0 on every path, same as Insert.
   for (size_t s = 0; s < num_shards_; ++s) {
     const std::vector<RecordId>& ids = memtable_ids_[s];
     if (std::binary_search(ids.begin(), ids.end(), id)) return s;

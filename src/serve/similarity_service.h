@@ -90,10 +90,12 @@ struct ServiceOptions {
   /// newest segments fitting under the budget are marked MADV_WILLNEED,
   /// the rest MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their
   /// clean pages first. Query/BatchQuery/QueryTopK answers are
-  /// byte-identical for every value. Ignored for corpus-statistics
-  /// predicates (their full-rebuild path needs owned arenas) and for
-  /// memory-only services. The SSJOIN_RESIDENT_BUDGET environment
-  /// variable overrides a zero value (test/CI hook).
+  /// byte-identical for every value. Ignored for memory-only services
+  /// and for corpus-statistics predicates: staging weighs new records
+  /// and queries against the front segment's frequency tables
+  /// (IndexSnapshot::stats_reference), and a mapped segment carries
+  /// none. The SSJOIN_RESIDENT_BUDGET environment variable overrides a
+  /// zero value (test/CI hook).
   uint64_t resident_budget_bytes = 0;
 };
 
@@ -110,9 +112,9 @@ struct ServiceOptions {
 /// a size-tiered trigger (ServiceOptions::segment_merge_ratio) merges
 /// small segments so chains stay short. Each shard has its own memtable
 /// image and tombstone set, so Insert/Delete touch one shard.
-/// Corpus-statistics predicates force a full rebuild into a single fresh
-/// segment — their scores change globally, and the re-Prepare runs over
-/// survivors only.
+/// Corpus-statistics predicates collapse the chain into one segment at
+/// every compaction and re-Prepare its survivors — their scores change
+/// globally.
 ///
 /// Concurrency model (lock order: write -> batch -> snapshot; stats is a
 /// leaf):
@@ -196,9 +198,10 @@ class SimilarityService {
   /// Folds the memtables into the base shards, drops tombstoned members,
   /// and empties both. Only dirty shards — non-empty memtable OR
   /// non-empty tombstone set — are rebuilt (all shards, when the
-  /// predicate's scores depend on corpus statistics: the full re-Prepare
-  /// recomputes them over the SURVIVING records only, so post-compaction
-  /// answers coincide with a fresh batch self-join over the survivors).
+  /// predicate's scores depend on corpus statistics: the chain collapses
+  /// and its re-Prepare recomputes them over the SURVIVING records only,
+  /// so post-compaction answers coincide with a fresh batch self-join
+  /// over the survivors).
   /// A call with nothing pending is a no-op that rebuilds no shard.
   /// Queries keep running against the previous snapshot until the new
   /// one is published.
@@ -238,7 +241,8 @@ class SimilarityService {
   void ApplyResidencyAdvice();
 
   /// The effective resident budget: the option, or the
-  /// SSJOIN_RESIDENT_BUDGET environment override when the option is 0.
+  /// SSJOIN_RESIDENT_BUDGET environment override when the option is 0;
+  /// always 0 for corpus-statistics predicates.
   uint64_t resident_budget_bytes() const { return resident_budget_; }
 
   /// Copy of the aggregate serving counters.
@@ -263,6 +267,15 @@ class SimilarityService {
   /// Returns true when a new snapshot was published (false for the
   /// nothing-pending no-op).
   bool CompactLocked(bool count_compaction);
+  /// Appends a clean segment over already-prepared `records` (global ids
+  /// strictly increasing, above every id already in the chain).
+  void AppendSegmentLocked(RecordSet records, std::vector<RecordId> global_ids);
+  /// Publishes chain_ as a compaction point — memtables and tombstones
+  /// emptied, the shards marked `dirty` counted as rebuilt — after the
+  /// out-of-core spill, and checkpoints it when durable.
+  void FinishCompactionLocked(const std::vector<bool>& dirty,
+                              uint64_t merged_count, uint64_t delta_records,
+                              bool count_compaction);
 
   /// Fresh-construction durability setup: data dir, empty WAL, initial
   /// checkpoint. Failures latch durability_status().
@@ -291,10 +304,9 @@ class SimilarityService {
   /// tombstone counts are read from writer state.
   void Publish(std::shared_ptr<const SegmentChain> chain,
                std::vector<std::shared_ptr<const DeltaShard>> delta);
-  /// Token-range shard of live record `id`: from the raw corpus when the
-  /// predicate keeps one, otherwise from the record's prepared image in
-  /// the memtable or segment chain (preparation never changes token sets,
-  /// so prepared routing equals raw routing).
+  /// Token-range shard of live record `id`, from the record's prepared
+  /// image in the memtable or segment chain (preparation never changes
+  /// token sets, so prepared routing equals raw routing).
   size_t RouteOfRecordLocked(RecordId id) const;
   /// Runs fn(shard) for every shard — on the worker pool when it is free
   /// and the fan-out is worth it, serially otherwise. Output written to
@@ -304,22 +316,18 @@ class SimilarityService {
   const Predicate& pred_;
   const ServiceOptions options_;
   const size_t num_shards_;
-  /// Effective out-of-core budget (option or env override), fixed at
-  /// construction; 0 = materialized mode.
+  /// Effective out-of-core budget (see resident_budget_bytes()), fixed
+  /// at construction; 0 = materialized mode.
   const uint64_t resident_budget_;
   std::unique_ptr<ThreadPool> pool_;
 
   // Writer-owned authoritative state, guarded by write_mutex_: the id
   // counter, the deleted bitmap (sticky — ids are never reused), the
   // fixed token-range bounds, the segment chain with its per-shard dead
-  // masks, per-shard memtables and per-shard pending tombstones. The raw
-  // corpus is retained ONLY for corpus-statistics predicates (keep_raw_),
-  // whose full rebuild re-Prepares from raw text frequencies; every other
-  // predicate drops it after the construction-time fold — the prepared
-  // segments carry everything later compactions need.
+  // masks, per-shard memtables and per-shard pending tombstones. The
+  // prepared segments and memtables carry everything later compactions
+  // need, corpus-statistics re-Prepares included.
   std::mutex write_mutex_;
-  const bool keep_raw_;
-  RecordSet corpus_;           // raw; empty unless keep_raw_
   std::vector<bool> deleted_;  // per corpus id, sticky once set
   size_t deleted_total_ = 0;
   uint64_t next_id_ = 0;  // ids ever assigned; live = next_id_ - deleted

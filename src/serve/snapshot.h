@@ -129,10 +129,13 @@ struct IndexSnapshot {
 
   size_t num_shards() const { return delta.size(); }
 
-  /// The statistics reference for PrepareIncremental staging. Corpus-
-  /// statistics predicates (TF-IDF cosine) full-rebuild at every
-  /// compaction, so their chain has exactly one segment and this IS the
-  /// whole prepared corpus; every other predicate ignores the reference.
+  /// The statistics reference for PrepareIncremental staging: the front
+  /// segment's records and their frequency tables. Corpus-statistics
+  /// predicates (TF-IDF cosine) collapse the chain at every compaction,
+  /// so their chain has exactly one segment and this IS the whole
+  /// prepared corpus; it is always materialized, because a mapped view
+  /// carries no frequency tables. Every other predicate ignores the
+  /// reference.
   const RecordSet& stats_reference() const {
     return *chain->front().segment->records;
   }

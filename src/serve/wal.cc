@@ -7,7 +7,7 @@
 #include <cstring>
 #include <utility>
 
-#include "index/index_io.h"
+#include "util/file_io.h"
 #include "util/varint.h"
 
 namespace ssjoin {
@@ -39,6 +39,9 @@ bool DecodePayload(const std::string& payload, WalRecord* out) {
       out->kind = WalRecord::kInsert;
       uint32_t num_tokens = 0;
       if (!GetVarint32(payload, &offset, &num_tokens)) return false;
+      // Each token delta takes at least one byte: a count beyond the
+      // remaining payload is a format error, not an allocation request.
+      if (num_tokens > payload.size() - offset) return false;
       out->tokens.resize(num_tokens);
       out->scores.resize(num_tokens);
       // Tokens are strictly increasing within a record (RecordView

@@ -62,7 +62,7 @@ struct WalRecord {
 /// File layout: 4-byte magic "SSWL", fixed32 version, then frames. Each
 /// frame is fixed32 payload length + fixed32 CRC32(payload) + payload;
 /// the payload is varint64 seq, one kind byte, then the kind-specific
-/// fields (index_io framing helpers throughout). A crash mid-append
+/// fields (util/file_io and util/varint codecs). A crash mid-append
 /// leaves a torn final frame whose length or CRC cannot check out; Open
 /// detects it, truncates the file back to the last whole frame and
 /// reports only the intact prefix — a torn record is dropped, never

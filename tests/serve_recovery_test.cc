@@ -12,11 +12,12 @@
 // survivors. SSJOIN_RECOVERY_SEEDS widens the sweep in nightly CI;
 // SSJOIN_DIFF_PREDICATES filters predicates for matrix jobs.
 //
-// Around the harness: checkpoint/WAL codec round-trip property tests
-// (zero-record, single-token, all-tombstoned, post-compaction states),
-// WAL torn-tail truncation at every byte boundary of the final frame,
-// checkpoint atomicity under injected write failure, and corrupted /
-// mismatched checkpoint rejection.
+// Around the harness: checkpoint round-trip property tests (zero-record,
+// single-token, all-tombstoned, post-compaction states), WAL torn-tail
+// truncation at every byte boundary of the final frame, checkpoint
+// atomicity under injected write failure, corrupted / crafted /
+// mismatched checkpoint rejection, and a deterministic mutation fuzz of
+// the segment-file and manifest decoders.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -38,12 +39,13 @@
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_predicate.h"
-#include "index/index_io.h"
 #include "serve/checkpoint.h"
 #include "serve/similarity_service.h"
 #include "serve/wal.h"
 #include "test_util.h"
+#include "util/file_io.h"
 #include "util/rng.h"
+#include "util/varint.h"
 
 namespace ssjoin {
 namespace {
@@ -143,6 +145,18 @@ void WriteAll(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
+// Returns `bytes` with a freshly computed trailing CRC (segment files and
+// manifests both end in a CRC32 of everything before it), so tests can
+// tamper with specific fields and still reach the checks BEHIND the
+// whole-file checksum.
+std::string Reseal(std::string bytes) {
+  const uint32_t crc =
+      Crc32(bytes.data(), bytes.size() - sizeof(uint32_t));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(uint32_t), &crc,
+              sizeof(crc));
+  return bytes;
+}
+
 void ExpectSameMatches(const std::vector<QueryMatch>& expected,
                        const std::vector<QueryMatch>& actual,
                        const std::string& context) {
@@ -193,74 +207,6 @@ bool PredicateEnabled(const std::string& name) {
   const char* env = std::getenv("SSJOIN_DIFF_PREDICATES");
   if (env == nullptr) return true;
   return std::string(env).find(name) != std::string::npos;
-}
-
-// ---------------------------------------------------------------------
-// Record-set codec: the property every other durability guarantee leans
-// on — decode(encode(rs)) reproduces records, texts AND corpus
-// statistics (doc/term frequencies drive TF-IDF) exactly.
-
-void ExpectSameRecordSet(const RecordSet& expected, const RecordSet& actual,
-                         const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size()) << context;
-  for (RecordId id = 0; id < expected.size(); ++id) {
-    const RecordView e = expected.record(id);
-    const RecordView a = actual.record(id);
-    ASSERT_EQ(e.size(), a.size()) << context << " record " << id;
-    for (size_t i = 0; i < e.size(); ++i) {
-      EXPECT_EQ(e.token(i), a.token(i)) << context << " record " << id;
-      EXPECT_EQ(e.score(i), a.score(i)) << context << " record " << id;
-    }
-    EXPECT_EQ(e.norm(), a.norm()) << context << " record " << id;
-    EXPECT_EQ(e.text_length(), a.text_length()) << context << " record " << id;
-    EXPECT_EQ(expected.text(id), actual.text(id)) << context << " record "
-                                                  << id;
-  }
-  EXPECT_EQ(expected.doc_frequencies(), actual.doc_frequencies()) << context;
-  EXPECT_EQ(expected.term_frequencies(), actual.term_frequencies()) << context;
-  EXPECT_EQ(expected.total_token_occurrences(),
-            actual.total_token_occurrences())
-      << context;
-}
-
-TEST(CheckpointCodecTest, RecordSetRoundTripsExactly) {
-  CosinePredicate cosine(0.6);  // irrational weights stress bit-exactness
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    RecordSet records = testing_util::MakeRandomRecordSet(
-        {.num_records = 40, .vocabulary = 30}, seed * 11 + 1);
-    if (seed % 2 == 1) cosine.Prepare(&records);
-    std::string encoded;
-    EncodeRecordSet(records, &encoded);
-    size_t offset = 0;
-    Result<RecordSet> decoded = DecodeRecordSet(encoded, &offset);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(offset, encoded.size());
-    ExpectSameRecordSet(records, decoded.value(),
-                        "seed " + std::to_string(seed));
-  }
-}
-
-TEST(CheckpointCodecTest, DegenerateRecordSetsRoundTrip) {
-  // Zero records.
-  RecordSet empty;
-  std::string encoded;
-  EncodeRecordSet(empty, &encoded);
-  size_t offset = 0;
-  Result<RecordSet> decoded = DecodeRecordSet(encoded, &offset);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().size(), 0u);
-
-  // Single-token records, including a token-less (empty) record.
-  RecordSet tiny;
-  tiny.Add(Record::FromTokens({7}), "w7");
-  tiny.Add(Record::FromTokens({0}), "w0");
-  tiny.Add(Record::FromTokens(std::vector<TokenId>{}), "");
-  encoded.clear();
-  EncodeRecordSet(tiny, &encoded);
-  offset = 0;
-  decoded = DecodeRecordSet(encoded, &offset);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectSameRecordSet(tiny, decoded.value(), "single-token");
 }
 
 // ---------------------------------------------------------------------
@@ -778,6 +724,31 @@ TEST(WalTest, ResetEmptiesTheLog) {
   EXPECT_EQ(replay[0].id, 6u);
 }
 
+TEST(WalTest, CraftedTokenCountIsRejected) {
+  // One insert frame with a valid CRC whose token count (2^32 - 1) far
+  // exceeds its payload: the decoder must refuse it before sizing the
+  // token and score vectors, not abort on the allocation.
+  std::string payload;
+  PutVarint64(&payload, 1);  // seq
+  payload.push_back(static_cast<char>(WalRecord::kInsert));
+  PutVarint32(&payload, 0xFFFFFFFFu);  // num_tokens
+  std::string bytes("SSWL", 4);
+  PutFixed32(&bytes, 1);  // wal version
+  PutFixed32(&bytes, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&bytes, Crc32(payload.data(), payload.size()));
+  bytes += payload;
+  ASSERT_EQ(bytes.size(), 23u);
+  const std::string path = TempPath("wal_crafted_tokens.log");
+  WriteAll(path, bytes);
+  std::vector<WalRecord> replay;
+  Result<WriteAheadLog> wal =
+      WriteAheadLog::Open(path, WalSyncPolicy::kNever, &replay);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_NE(wal.status().message().find("undecodable wal record"),
+            std::string::npos)
+      << wal.status().ToString();
+}
+
 // ---------------------------------------------------------------------
 // Double-apply guard: a crash between checkpoint rename and WAL reset
 // leaves frames the checkpoint already covers; their seqs are at or
@@ -904,6 +875,111 @@ TEST(CrashRecoveryTest, CorruptedCheckpointIsRejected) {
   // the format.
   WriteAll(path, bytes);
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
+TEST(CrashRecoveryTest, CraftedDeletedBitmapCountIsRejected) {
+  // A CRC-valid manifest whose deleted-bitmap count is 2^64 - 1: its
+  // byte size (count + 7) / 8 wraps to 0, so only a count bounded by the
+  // bytes left keeps the decoder from sizing a bitmap it cannot hold.
+  std::string bytes("SSCP", 4);
+  PutFixed32(&bytes, 3);  // manifest version
+  PutVarint64(&bytes, 0);  // epoch
+  PutVarint64(&bytes, 0);  // wal seq
+  const std::string predicate = "overlap";
+  PutVarint64(&bytes, predicate.size());
+  bytes += predicate;
+  PutVarint64(&bytes, 1);  // shards
+  PutVarint64(&bytes, 0);  // shard bounds (none for one shard)
+  PutVarint64(&bytes, 0);  // next id
+  PutVarint64(&bytes, 0);  // next segment id
+  PutVarint64(&bytes, ~uint64_t{0});  // deleted-bitmap count
+  bytes.append(sizeof(uint32_t), '\0');
+  bytes = Reseal(std::move(bytes));
+  ASSERT_EQ(bytes.size(), 36u);
+
+  OverlapPredicate pred(3);
+  ServiceOptions options;
+  options.data_dir = FreshDataDir("cp_crafted_bitmap");
+  WriteAll(CheckpointFilePath(options.data_dir), bytes);
+  Result<std::unique_ptr<SimilarityService>> restored =
+      SimilarityService::Open(pred, options);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kIOError);
+  EXPECT_NE(restored.status().message().find("bad deleted bitmap"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
+TEST(CrashRecoveryTest, OldVersionManifestIsRejectedWithClearError) {
+  OverlapPredicate pred(3);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 20, .vocabulary = 15}, 109);
+  ServiceOptions options;
+  options.data_dir = FreshDataDir("cp_old_version");
+  options.wal_sync = WalSyncPolicy::kNever;
+  { SimilarityService service(corpus, pred, options); }
+  const std::string path = CheckpointFilePath(options.data_dir);
+  const std::string bytes = ReadAll(path);
+
+  // v2 manifests carried a raw-corpus flag (and, for cosine, the raw
+  // corpus). Rewind the version field (fixed32 right after the 4-byte
+  // magic) and reseal: the rejection must name the version, not report
+  // generic corruption.
+  std::string old_version = bytes;
+  const uint32_t version = 2;
+  std::memcpy(old_version.data() + 4, &version, sizeof(version));
+  WriteAll(path, Reseal(std::move(old_version)));
+  Result<std::unique_ptr<SimilarityService>> restored =
+      SimilarityService::Open(pred, options);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(
+      restored.status().message().find("unsupported checkpoint version"),
+      std::string::npos)
+      << restored.status().ToString();
+
+  WriteAll(path, bytes);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
+TEST(CrashRecoveryTest, CosineCheckpointCarriesNoRawCorpus) {
+  // TF-IDF weights depend only on token sets and document frequencies,
+  // which the prepared segments hold, so the same history checkpoints
+  // no bigger under cosine than under jaccard (the predicate names in
+  // the manifest differ by one byte). Corpus-statistics predicates are
+  // never mapped: the mapped path is forced on to show it is ignored.
+  ScopedMapped mapped(1);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 200, .vocabulary = 80}, 113);
+  CosinePredicate cosine(0.6);
+  JaccardPredicate jaccard(0.5);
+  std::map<std::string, size_t> manifest_bytes;
+  for (const Predicate* pred :
+       std::initializer_list<const Predicate*>{&cosine, &jaccard}) {
+    ServiceOptions options;
+    options.num_shards = 3;
+    options.memtable_limit = 0;
+    options.data_dir = FreshDataDir("cp_no_raw_" + pred->name());
+    options.wal_sync = WalSyncPolicy::kNever;
+    SimilarityService service(Slice(corpus, 0, 180), *pred, options);
+    for (RecordId id = 180; id < 200; ++id) {
+      service.Insert(corpus.record(id), corpus.text(id));
+    }
+    for (RecordId id = 0; id < 200; id += 17) ASSERT_TRUE(service.Delete(id));
+    service.Compact();
+    ASSERT_TRUE(service.durability_status().ok())
+        << service.durability_status().ToString();
+    manifest_bytes[pred->name()] =
+        FileSize(CheckpointFilePath(options.data_dir));
+    if (pred != &cosine) continue;
+    EXPECT_EQ(service.resident_budget_bytes(), 0u);
+    EXPECT_EQ(service.stats().mapped_segments, 0u);
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(cosine, options);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value()->resident_budget_bytes(), 0u);
+    EXPECT_EQ(restored.value()->stats().mapped_segments, 0u);
+  }
+  EXPECT_LE(manifest_bytes["cosine"], manifest_bytes["jaccard"] + 8);
 }
 
 // ---------------------------------------------------------------------
@@ -1111,17 +1187,6 @@ TEST(SegmentFileTest, CorruptSegmentFileIsRejected) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
-// Writes `bytes` back with a freshly computed trailing CRC, so tests can
-// tamper with specific fields and still reach the checks BEHIND the
-// whole-file checksum.
-std::string ResealSegment(std::string bytes) {
-  const uint32_t crc =
-      Crc32(bytes.data(), bytes.size() - sizeof(uint32_t));
-  std::memcpy(bytes.data() + bytes.size() - sizeof(uint32_t), &crc,
-              sizeof(crc));
-  return bytes;
-}
-
 TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
   OverlapPredicate pred(3);
   RecordSet corpus = testing_util::MakeRandomRecordSet(
@@ -1145,7 +1210,7 @@ TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
   for (const uint32_t version : {uint32_t{1}, uint32_t{2}}) {
     std::string old_version = bytes;
     std::memcpy(old_version.data() + 4, &version, sizeof(version));
-    WriteAll(path, ResealSegment(std::move(old_version)));
+    WriteAll(path, Reseal(std::move(old_version)));
     for (const bool mapped : {false, true}) {
       std::unique_ptr<ScopedMaterialized> pin_materialized;
       std::unique_ptr<ScopedMapped> pin_mapped;
@@ -1222,7 +1287,7 @@ TEST(SegmentFileTest, TamperedBitmapBlockIsRejected) {
   // rebuilt bitmap comparison is what must catch the damage.
   std::string tampered = bytes;
   tampered[tampered.size() - sizeof(uint32_t) - 1] ^= 0x01;
-  WriteAll(path, ResealSegment(std::move(tampered)));
+  WriteAll(path, Reseal(std::move(tampered)));
   Result<std::unique_ptr<SimilarityService>> restored =
       SimilarityService::Open(pred, options);
   ASSERT_FALSE(restored.ok());
@@ -1308,6 +1373,134 @@ TEST(CrashRecoveryTest, OpenWithoutDataDirOrCheckpointFails) {
       SimilarityService::Open(pred, options);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kIOError);
+}
+
+// ---------------------------------------------------------------------
+// Mutation fuzz of the segment-file and manifest decoders. Each input
+// overwrites 1-4 bytes (deterministic PCG32 draws) and reseals the
+// trailing CRC, so the structural checks behind the checksum are what
+// must reject it. Every input must give a Status or a service that
+// answers queries — never a crash (this suite runs under ASan/UBSan).
+
+/// Overwrites 1-4 bytes before the trailing CRC with different values,
+/// then reseals the CRC.
+std::string Mutate(std::string bytes, Rng& rng) {
+  const int count = rng.UniformInt(1, 4);
+  for (int i = 0; i < count; ++i) {
+    const size_t pos = rng.UniformU32(
+        static_cast<uint32_t>(bytes.size() - sizeof(uint32_t)));
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.UniformU32(255)));
+  }
+  return Reseal(std::move(bytes));
+}
+
+/// Runs every record of `corpus` as a thresholded and a top-k lookup.
+void QueryAll(const SimilarityService& service, const RecordSet& corpus) {
+  for (RecordId r = 0; r < corpus.size(); ++r) {
+    service.Query(corpus.record(r), corpus.text(r));
+    service.QueryTopK(corpus.record(r), 5, corpus.text(r));
+  }
+}
+
+TEST(DecoderFuzzTest, MutatedSegmentFileGivesStatusOrWorkingService) {
+  JaccardPredicate pred(0.5);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 60, .vocabulary = 40}, 127);
+  ServiceOptions options;
+  options.num_shards = 3;
+  options.data_dir = FreshDataDir("fuzz_segment");
+  options.wal_sync = WalSyncPolicy::kNever;
+  { SimilarityService service(corpus, pred, options); }
+  const std::set<uint64_t> files = ListSegmentFiles(options.data_dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = SegmentFilePath(options.data_dir, *files.begin());
+  const std::string bytes = ReadAll(path);
+
+  Rng rng(0x5e6f);
+  int accepted = 0;
+  for (int i = 0; i < 400; ++i) {
+    WriteAll(path, Mutate(bytes, rng));
+    {
+      // A materialized open proves the whole file, so whatever it
+      // accepts must be safe to query.
+      ScopedMaterialized materialized;
+      Result<std::unique_ptr<SimilarityService>> opened =
+          SimilarityService::Open(pred, options);
+      if (opened.ok()) {
+        ++accepted;
+        QueryAll(*opened.value(), corpus);
+      }
+    }
+    // A mapped open trusts the body by design: it must still end in a
+    // Status or a service, but querying a mutated body is out of scope.
+    ScopedMapped mapped(1);
+    Result<std::unique_ptr<SimilarityService>> opened =
+        SimilarityService::Open(pred, options);
+    EXPECT_TRUE(opened.ok() || opened.status().code() == StatusCode::kIOError)
+        << "mutation " << i << ": " << opened.status().ToString();
+  }
+  // Some mutations land where nothing can check them (scores, texts,
+  // padding); most must be caught.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 200);
+  WriteAll(path, bytes);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
+TEST(DecoderFuzzTest, MutatedManifestGivesStatusOrWorkingService) {
+  JaccardPredicate pred(0.5);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 78, .vocabulary = 40}, 131);
+  ServiceOptions options;
+  options.num_shards = 3;
+  options.memtable_limit = 0;
+  options.data_dir = FreshDataDir("fuzz_manifest");
+  options.wal_sync = WalSyncPolicy::kNever;
+  {
+    // Descending batches stack a four-segment chain; the deletes then
+    // fold into dead masks across it.
+    SimilarityService service(Slice(corpus, 0, 50), pred, options);
+    RecordId next = 50;
+    for (size_t batch : {size_t{20}, size_t{6}, size_t{2}}) {
+      for (size_t i = 0; i < batch; ++i, ++next) {
+        service.Insert(corpus.record(next), corpus.text(next));
+      }
+      service.Compact();
+    }
+    for (RecordId id = 3; id < corpus.size(); id += 11) {
+      ASSERT_TRUE(service.Delete(id));
+    }
+    service.Compact();
+    ASSERT_TRUE(service.durability_status().ok())
+        << service.durability_status().ToString();
+    ASSERT_EQ(service.stats().segments, 4u);
+  }
+  const std::string manifest = CheckpointFilePath(options.data_dir);
+  std::map<std::string, std::string> pristine;
+  pristine[manifest] = ReadAll(manifest);
+  pristine[WalFilePath(options.data_dir)] =
+      ReadAll(WalFilePath(options.data_dir));
+  for (uint64_t id : ListSegmentFiles(options.data_dir)) {
+    const std::string path = SegmentFilePath(options.data_dir, id);
+    pristine[path] = ReadAll(path);
+  }
+
+  Rng rng(0x3a11);
+  int accepted = 0;
+  for (int i = 0; i < 400; ++i) {
+    for (const auto& [path, bytes] : pristine) WriteAll(path, bytes);
+    WriteAll(manifest, Mutate(pristine[manifest], rng));
+    Result<std::unique_ptr<SimilarityService>> opened =
+        SimilarityService::Open(pred, options);
+    if (opened.ok()) {
+      ++accepted;
+      QueryAll(*opened.value(), corpus);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 200);
+  for (const auto& [path, bytes] : pristine) WriteAll(path, bytes);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
 }  // namespace

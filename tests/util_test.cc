@@ -1,9 +1,16 @@
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -273,6 +280,59 @@ TEST(StringUtilTest, JoinStrings) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
+}
+
+std::string TempPath(const std::string& name) {
+  return testing_util::ProcessTempDir() + "/" + name;
+}
+
+TEST(FileIoTest, Crc32KnownAnswer) {
+  // The IEEE 802.3 check value.
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  // A chained seed continues the running checksum.
+  const uint32_t head = Crc32(check.data(), 4);
+  EXPECT_EQ(Crc32(check.data() + 4, check.size() - 4, head), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check.data(), 0), 0u);
+}
+
+TEST(FileIoTest, FailedAtomicWriteLeavesPreviousFile) {
+  const std::string path = TempPath("atomic.bin");
+  ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
+
+  // Force the rewrite to fail: a directory squats on the tmp path, so
+  // the open of `<path>.tmp` errors out. The previous file must be
+  // untouched — the point of tmp-then-rename over truncating `path`.
+  ASSERT_EQ(::mkdir((path + ".tmp").c_str(), 0755), 0);
+  EXPECT_FALSE(WriteFileAtomic(path, "second, longer").ok());
+  ASSERT_EQ(::rmdir((path + ".tmp").c_str()), 0);
+
+  Result<std::string> survivor = ReadFileToString(path);
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  EXPECT_EQ(survivor.value(), "first");
+
+  ASSERT_TRUE(WriteFileAtomic(path, "second, longer").ok());
+  EXPECT_EQ(ReadFileToString(path).value(), "second, longer");
+}
+
+TEST(FileIoTest, ErrorsCarryErrnoContext) {
+  // Operators need to tell ENOSPC from EACCES from ENOENT: I/O statuses
+  // must embed strerror(errno), not just the path.
+  Result<std::string> missing = ReadFileToString(TempPath("enoent.bin"));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+  EXPECT_NE(missing.status().message().find(std::strerror(ENOENT)),
+            std::string::npos)
+      << missing.status().ToString();
+
+  const std::string blocked = TempPath("blocked.bin");
+  ASSERT_EQ(::mkdir((blocked + ".tmp").c_str(), 0755), 0);
+  Status write = WriteFileAtomic(blocked, "bytes");
+  ASSERT_FALSE(write.ok());
+  // open(O_WRONLY) on a directory fails EISDIR on Linux.
+  EXPECT_NE(write.message().find(std::strerror(EISDIR)), std::string::npos)
+      << write.ToString();
+  ASSERT_EQ(::rmdir((blocked + ".tmp").c_str()), 0);
 }
 
 }  // namespace

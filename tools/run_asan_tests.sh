@@ -3,10 +3,12 @@
 # layout test suite under it: the arena/view/index unit tests plus the
 # golden-output equivalence suite, which together walk every probe loop
 # over the CSR corpus arena and the flat postings buffer, and the
-# durability suites (index_io, WAL framing, checkpoint codec, crash
-# recovery — including multi-segment chain restore, orphan segment GC
-# and corrupt segment files), whose byte-level decoders parse
-# attacker-shaped torn and corrupted files, and the network layer
+# durability suites (util's durable-file helpers — CRC32, atomic
+# write, errno context — plus WAL framing and crash recovery, including
+# multi-segment chain restore, orphan segment GC, corrupt and crafted
+# files, and the mutation fuzz of the segment-file and manifest
+# decoders), whose byte-level decoders parse attacker-shaped torn and
+# corrupted files, and the network layer
 # (protocol parser + wire framing + the loopback server), whose framers
 # chew on byte-split and oversized input. The
 # bitmap differential rig rides along: its gather-based AVX2 lower-bound
@@ -28,10 +30,10 @@ build_dir=${1:-"$repo_root/build-asan"}
 cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j --target \
-      record_view_test corpus_test index_test merge_opt_test \
+      util_test record_view_test corpus_test index_test merge_opt_test \
       bitmap_filter_test arena_equivalence_test differential_test \
-      index_io_test serve_recovery_test protocol_test net_loopback_test
+      serve_recovery_test protocol_test net_loopback_test
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ctest --test-dir "$build_dir" \
-      -R '^(record_view|corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|index_io|serve_recovery|protocol|net_loopback)' \
+      -R '^(util_test|record_view|corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|serve_recovery|protocol|net_loopback)' \
       --output-on-failure
