@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/join.h"
@@ -62,16 +63,21 @@ struct RunResult {
 
 /// Copies the corpus (outside the timed region), runs the join and times
 /// it end to end (Prepare + algorithm), like the paper's wall-clock
-/// measurements.
-inline RunResult TimeJoin(const RecordSet& base, const Predicate& pred,
-                          JoinAlgorithm algorithm,
-                          JoinOptions options = {}) {
+/// measurements. When `pairs` is given, the emitted pairs land there in
+/// emission order.
+inline RunResult TimeJoin(
+    const RecordSet& base, const Predicate& pred, JoinAlgorithm algorithm,
+    JoinOptions options = {},
+    std::vector<std::pair<RecordId, RecordId>>* pairs = nullptr) {
   RecordSet working = base;
   RunResult result;
   Timer timer;
   Result<JoinStats> stats =
       RunJoin(&working, pred, algorithm, options,
-              [&result](RecordId, RecordId) { ++result.pairs; });
+              [&result, pairs](RecordId a, RecordId b) {
+                ++result.pairs;
+                if (pairs != nullptr) pairs->emplace_back(a, b);
+              });
   result.seconds = timer.ElapsedSeconds();
   if (!stats.ok()) return result;  // completed stays false
   result.completed = true;

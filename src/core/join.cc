@@ -123,12 +123,8 @@ Result<JoinStats> RunJoin(RecordSet* records, const Predicate& pred,
       probe.online = algorithm == JoinAlgorithm::kProbeOnline ||
                      algorithm == JoinAlgorithm::kProbeSort;
       probe.presort = algorithm == JoinAlgorithm::kProbeSort;
-      if (options.num_threads > 1) {
-        result = ParallelProbeJoin(*records, pred, probe,
-                                   options.num_threads, wrapped_sink);
-      } else {
-        result = ProbeJoin(*records, pred, probe, wrapped_sink);
-      }
+      result = ProbeJoin(*records, pred, probe, wrapped_sink,
+                         options.num_threads);
       break;
     }
     case JoinAlgorithm::kProbeCluster: {

@@ -7,21 +7,11 @@
 #include <vector>
 
 #include "core/merge_opt.h"
-#include "core/probe_common.h"
-#include "index/inverted_index.h"
-#include "util/function_ref.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin {
 
 namespace {
-
-using probe_internal::BuildStopwordPlan;
-using probe_internal::ProbeOne;
-using probe_internal::ProbeScratch;
-using probe_internal::ReducedThreshold;
-using probe_internal::StopwordPlan;
 
 /// Positions per work chunk: small enough to balance skewed probe costs,
 /// large enough to amortize the chunk-claim atomic.
@@ -73,108 +63,6 @@ JoinStats ParallelProbeDriver::Run(size_t n, int num_threads,
   }
   std::sort(merged.begin(), merged.end());
   for (const auto& [a, b] : merged) sink(a, b);
-  return stats;
-}
-
-Result<JoinStats> ParallelProbeJoin(const RecordSet& records,
-                                    const Predicate& pred,
-                                    const ProbeJoinOptions& options,
-                                    int num_threads, const PairSink& sink) {
-  const size_t n = records.size();
-
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = records.IdsByDecreasingNorm();
-  } else {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-  }
-
-  StopwordPlan stop_plan;
-  if (options.stopwords) {
-    std::optional<double> constant = pred.ConstantThreshold();
-    if (!constant.has_value()) {
-      return Status::InvalidArgument(
-          "Probe-stopWords requires a constant-threshold predicate; '" +
-          pred.name() + "' has a pair-dependent threshold");
-    }
-    stop_plan = BuildStopwordPlan(records, *constant);
-  }
-  const std::vector<bool>* skip =
-      options.stopwords ? &stop_plan.is_stop : nullptr;
-
-  // Freeze the full index before any probing; from here on every worker
-  // only reads it (InvertedIndex::list, PostingListView searches and
-  // CollectProbeLists are const and touch no shared mutable state).
-  InvertedIndex index;
-  index.PlanFromRecords(records);
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    index.Insert(pos, records.record(order[pos]), skip);
-  }
-
-  MergeOptions merge_options;
-  merge_options.split_lists = options.optimized_merge;
-  merge_options.apply_filter = options.apply_filter;
-
-  // Per-worker probe scratch, allocated once: no per-record heap
-  // allocations inside the probe loop.
-  int requested = std::max(1, num_threads);
-  std::vector<ProbeScratch> scratch(requested);
-
-  auto probe_one = [&](uint32_t pos, int worker, JoinStats* stats,
-                       const PairSink& emit) {
-    RecordId probe_id = order[pos];
-    const RecordView probe = records.record(probe_id);
-
-    auto verify_and_emit = [&](RecordId a, RecordId b) {
-      ++stats->candidates_verified;
-      if (pred.Matches(records, a, b)) {
-        ++stats->pairs;
-        emit(std::min(a, b), std::max(a, b));
-      }
-    };
-
-    double floor;
-    auto required_fn = [&](RecordId m) {
-      return pred.ThresholdForNorms(probe.norm(),
-                                    records.record(order[m]).norm());
-    };
-    FunctionRef<double(RecordId)> required;
-    if (options.stopwords) {
-      double reduced = ReducedThreshold(probe, stop_plan);
-      if (reduced <= 0) {
-        // Degenerate probe: its own stopwords could carry the whole
-        // threshold, so every earlier record is a candidate.
-        for (uint32_t m = 0; m < pos; ++m) {
-          verify_and_emit(order[m], probe_id);
-        }
-        return;
-      }
-      floor = reduced;
-    } else {
-      floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-      required = required_fn;
-    }
-    auto filter_fn = [&](RecordId m) {
-      return pred.NormFilter(probe.norm(), records.record(order[m]).norm());
-    };
-    FunctionRef<bool(RecordId)> filter;
-    if (options.apply_filter && pred.has_norm_filter()) {
-      filter = filter_fn;
-    }
-    ProbeOne(index, probe, floor, required, filter, merge_options,
-             &stats->merge, &scratch[worker],
-             [&](const MergeCandidate& candidate) {
-               // Every record is indexed: skip self matches and emit each
-               // unordered pair from its later endpoint only.
-               if (candidate.id >= pos) return;
-               verify_and_emit(order[candidate.id], probe_id);
-             });
-  };
-
-  JoinStats stats =
-      ParallelProbeDriver::Run(n, num_threads, probe_one, sink);
-  stats.index_postings = index.total_postings();
   return stats;
 }
 

@@ -7,7 +7,6 @@
 #include "core/join_common.h"
 #include "core/predicate.h"
 #include "core/prefix_filter_join.h"
-#include "core/probe_join.h"
 #include "data/record_set.h"
 #include "util/status.h"
 
@@ -26,12 +25,14 @@ namespace ssjoin {
 /// JoinStats::MergePartition (every counter a scheduling-independent sum)
 /// and sorts the union of the pair buffers before emitting, so the
 /// output pair sequence and the merged stats are byte-identical across
-/// runs and thread counts — and identical to the serial two-pass path.
+/// runs and thread counts.
 ///
-/// Algorithms that mutate shared state between probes stay sequential:
-/// Probe-Cluster and ClusterMem phase 1 grow the ClusterSet with every
-/// record, ProbeCount-online/-sort interleave index growth with probing
-/// (parallel runs use the equivalent frozen-index two-pass form), and
+/// The Probe-Count family (ProbeJoin with num_threads > 1) runs its
+/// serial per-position probe body here; an online or presorted probe
+/// sees only the index prefix below its own position, exactly what the
+/// serial online loop had indexed when it got there. Algorithms that
+/// mutate shared state between probes stay sequential: Probe-Cluster and
+/// ClusterMem phase 1 grow the ClusterSet with every record, and
 /// Pair-Count / Word-Groups are whole-index aggregations, not probe
 /// loops. See DESIGN.md "Threading model".
 class ParallelProbeDriver {
@@ -48,16 +49,6 @@ class ParallelProbeDriver {
   static JoinStats Run(size_t n, int num_threads, const ProbeFn& probe,
                        const PairSink& sink);
 };
-
-/// Parallel Probe-Count family. Equivalent to the serial ProbeJoin with
-/// `options.online` forced off (the two-pass frozen-index form — the
-/// online single-pass optimization is inherently sequential); all other
-/// flags (optimized_merge, stopwords, presort, apply_filter) behave as
-/// in the serial path. Emits pairs in sorted order.
-Result<JoinStats> ParallelProbeJoin(const RecordSet& records,
-                                    const Predicate& pred,
-                                    const ProbeJoinOptions& options,
-                                    int num_threads, const PairSink& sink);
 
 /// Parallel prefix-filter join: builds the full prefix index up front,
 /// then probes records in parallel, restricting candidates to earlier

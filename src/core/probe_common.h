@@ -15,9 +15,9 @@
 namespace ssjoin {
 namespace probe_internal {
 
-/// Shared plumbing of the Probe-Count family, used by the serial
-/// ProbeJoin, the parallel probe driver, the streaming join and the
-/// serving layer, so the probe paths cannot drift.
+/// Shared plumbing of the Probe-Count family, used by ProbeJoin (serial
+/// and parallel), the streaming join and the serving layer, so the probe
+/// paths cannot drift.
 
 struct StopwordPlan {
   std::vector<bool> is_stop;       // per token

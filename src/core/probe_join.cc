@@ -1,14 +1,18 @@
 #include "core/probe_join.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
+#include "core/parallel_probe.h"
 #include "core/probe_common.h"
 #include "util/function_ref.h"
-#include "util/logging.h"
 
 namespace ssjoin {
+
+namespace {
 
 using probe_internal::BuildStopwordPlan;
 using probe_internal::ProbeOne;
@@ -16,21 +20,188 @@ using probe_internal::ProbeScratch;
 using probe_internal::ReducedThreshold;
 using probe_internal::StopwordPlan;
 
-Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
-                            const ProbeJoinOptions& options,
-                            const PairSink& sink) {
-  JoinStats stats;
-  const size_t n = records.size();
+/// The postings of `index` at positions below `limit`: what the serial
+/// online probe at position `limit` sees of a frozen index.
+struct IndexPrefix {
+  const InvertedIndex& index;
+  RecordId limit;
+};
 
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = records.IdsByDecreasingNorm();
-  } else {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
+/// The CollectProbeLists overload ProbeOne picks for an IndexPrefix:
+/// each list is trimmed to its postings below the limit, and lists left
+/// empty are dropped, exactly as the growing index would not yet hold
+/// them. A trimmed list keeps the whole list's max score, which still
+/// bounds every posting it keeps.
+void CollectProbeLists(const IndexPrefix& prefix, RecordView probe,
+                       std::vector<PostingListView>* lists,
+                       std::vector<double>* probe_scores) {
+  // The serial loops' index holds no position at or past the limit, so
+  // nothing needs trimming (and no list's last posting needs reading).
+  if (prefix.index.num_entities() <= prefix.limit) {
+    ssjoin::CollectProbeLists(prefix.index, probe, lists, probe_scores);
+    return;
+  }
+  lists->clear();
+  probe_scores->clear();
+  for (size_t i = 0; i < probe.size(); ++i) {
+    PostingListView list = prefix.index.list(probe.token(i));
+    if (list.empty()) continue;
+    if (list[list.size() - 1].id >= prefix.limit) {
+      const size_t kept = list.LowerBound(prefix.limit);
+      if (kept == 0) continue;
+      list = PostingListView(&list[0], kept, list.max_score());
+    }
+    lists->push_back(list);
+    probe_scores->push_back(probe.score(i));
+  }
+}
+
+/// What every probe position reads and no probe writes: built once per
+/// join, shared by all workers.
+struct ProbePlan {
+  const RecordSet& records;
+  const Predicate& pred;
+  const ProbeJoinOptions& options;
+  std::vector<RecordId> order = {};  // processing position -> RecordId
+  StopwordPlan stop_plan = {};
+  /// prefix_min_norm[k] is the minimum norm over positions < k (+inf for
+  /// k = 0): the min_norm() of an index holding the first k positions.
+  std::vector<double> prefix_min_norm = {};
+  MergeOptions merge_options = {};
+  bool use_bitmaps = false;
+  /// Emit-level gate, stopword mode only (see ProbePosition).
+  bool emit_gated = false;
+
+  BitmapCandidate BitmapAt(uint32_t pos) const {
+    const TokenBitmapEntry& e = records.token_bitmap_entry(order[pos]);
+    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
+  }
+};
+
+/// One worker's mutable probe state: merge scratch, allocated once and
+/// reused (no per-record heap allocations), and the probe side of the
+/// bitmap gate, re-pointed per probe.
+struct ProbeWorker {
+  ProbeScratch scratch;
+  BitmapGate gate;
+};
+
+/// The per-position probe shared by the serial and the parallel driver:
+/// probes position `pos` against the postings of positions < `limit` in
+/// `index`, verifies every candidate at an earlier position and emits the
+/// matches. `limit` is `pos` for the online variants (the index the
+/// serial online loop has grown so far) and n for the two-pass variants.
+void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
+                   uint32_t pos, uint32_t limit, ProbeWorker* worker,
+                   JoinStats* stats, const PairSink& emit) {
+  if (limit == 0) return;  // nothing is indexed before the first position
+  const RecordSet& records = plan.records;
+  const Predicate& pred = plan.pred;
+  const RecordId probe_id = plan.order[pos];
+  const RecordView probe = records.record(probe_id);
+  BitmapGate& gate = worker->gate;
+  if (plan.use_bitmaps) {
+    gate.probe_bits = records.token_bitmap(probe_id);
+    gate.probe_tokens = static_cast<uint32_t>(probe.size());
   }
 
-  StopwordPlan stop_plan;
+  auto verify_and_emit = [&](RecordId other) {
+    ++stats->candidates_verified;
+    if (pred.Matches(records, other, probe_id)) {
+      ++stats->pairs;
+      emit(std::min(other, probe_id), std::max(other, probe_id));
+    }
+  };
+
+  // Emit-level gate, stopword mode only: there the merger holds
+  // candidates to the REDUCED threshold while verification runs the full
+  // constant threshold, so the bitmap bound gets a second cut at the gap.
+  // Each common token contributes at most probe-score times
+  // corpus-max-score, so ub * probe_pair_max bounds the pair's exact
+  // overlap; below the full threshold, Matches() must fail, and the
+  // verification is skipped without changing the emitted pairs. (The
+  // non-stopword paths need no emit gate: their merger already holds
+  // candidates to the exact per-pair threshold.)
+  const StopwordPlan& stop_plan = plan.stop_plan;
+  double probe_pair_max = 0;
+  if (plan.emit_gated) {
+    for (size_t i = 0; i < probe.size(); ++i) {
+      probe_pair_max =
+          std::max(probe_pair_max,
+                   probe.score(i) * stop_plan.max_score[probe.token(i)]);
+    }
+  }
+  auto emit_gate_prunes = [&](uint32_t m) {
+    const BitmapCandidate cand = plan.BitmapAt(m);
+    ++stats->merge.bitmap_checked;
+    const uint32_t ub =
+        TokenBitmapOverlapBound(gate.probe_bits, gate.probe_tokens,
+                                cand.bits, cand.tokens, gate.words);
+    if (static_cast<double>(ub) * probe_pair_max <
+        PruneBound(stop_plan.threshold)) {
+      ++stats->merge.bitmap_pruned;
+      return true;
+    }
+    return false;
+  };
+
+  double floor;
+  auto required_fn = [&](RecordId m) {
+    return pred.ThresholdForNorms(probe.norm(),
+                                  records.record(plan.order[m]).norm());
+  };
+  FunctionRef<double(RecordId)> required;
+  if (plan.options.stopwords) {
+    const double reduced = ReducedThreshold(probe, stop_plan);
+    if (reduced <= 0) {
+      // Degenerate probe: its own stopwords could carry the whole
+      // threshold, so every earlier record is a candidate.
+      for (uint32_t m = 0; m < pos; ++m) {
+        if (plan.emit_gated && emit_gate_prunes(m)) continue;
+        verify_and_emit(plan.order[m]);
+      }
+      return;
+    }
+    floor = reduced;
+  } else {
+    floor = pred.ThresholdForNorms(probe.norm(), plan.prefix_min_norm[limit]);
+    required = required_fn;
+  }
+  auto filter_fn = [&](RecordId m) {
+    return pred.NormFilter(probe.norm(), records.record(plan.order[m]).norm());
+  };
+  FunctionRef<bool(RecordId)> filter;
+  if (plan.options.apply_filter && pred.has_norm_filter()) {
+    filter = filter_fn;
+  }
+  ProbeOne(
+      IndexPrefix{index, limit}, probe, floor, required, filter,
+      plan.merge_options, &stats->merge, &worker->scratch,
+      [&](const MergeCandidate& candidate) {
+        // A two-pass probe sees every record: skip self matches and emit
+        // each unordered pair from its later endpoint only.
+        if (candidate.id >= pos) return;
+        if (plan.emit_gated && emit_gate_prunes(candidate.id)) return;
+        verify_and_emit(plan.order[candidate.id]);
+      },
+      plan.use_bitmaps ? &gate : nullptr);
+}
+
+}  // namespace
+
+Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
+                            const ProbeJoinOptions& options,
+                            const PairSink& sink, int num_threads) {
+  const size_t n = records.size();
+  ProbePlan plan{.records = records, .pred = pred, .options = options};
+
+  if (options.presort) {
+    plan.order = records.IdsByDecreasingNorm();
+  } else {
+    plan.order.resize(n);
+    std::iota(plan.order.begin(), plan.order.end(), 0);
+  }
+
   if (options.stopwords) {
     std::optional<double> constant = pred.ConstantThreshold();
     if (!constant.has_value()) {
@@ -38,145 +209,67 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
           "Probe-stopWords requires a constant-threshold predicate; '" +
           pred.name() + "' has a pair-dependent threshold");
     }
-    stop_plan = BuildStopwordPlan(records, *constant);
+    plan.stop_plan = BuildStopwordPlan(records, *constant);
   }
   const std::vector<bool>* skip =
-      options.stopwords ? &stop_plan.is_stop : nullptr;
+      options.stopwords ? &plan.stop_plan.is_stop : nullptr;
 
-  // The index is keyed by processing position so posting ids stay strictly
-  // increasing under any processing order; `order` maps back to RecordIds.
-  // Every record is inserted exactly once in both two-pass and online
-  // mode, so the corpus document frequencies bound each token's extent.
+  plan.prefix_min_norm.resize(n + 1);
+  plan.prefix_min_norm[0] = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < n; ++k) {
+    plan.prefix_min_norm[k + 1] = std::min(
+        plan.prefix_min_norm[k], records.record(plan.order[k]).norm());
+  }
+
+  plan.merge_options.split_lists = options.optimized_merge;
+  plan.merge_options.apply_filter = options.apply_filter;
+  plan.use_bitmaps = options.bitmap_filter && pred.supports_bitmap_pruning();
+  plan.emit_gated = plan.use_bitmaps && options.stopwords;
+  auto bitmap_lookup = [&plan](RecordId m) { return plan.BitmapAt(m); };
+
+  // The index is keyed by processing position so posting ids stay
+  // strictly increasing under any processing order; `order` maps back to
+  // RecordIds. Every record is inserted exactly once in every mode, so
+  // the corpus document frequencies bound each token's extent. The serial
+  // online loop grows it one record behind the probe; two-pass variants
+  // and parallel runs freeze it whole before the first probe, and an
+  // online probe then sees only the prefix below its own position.
   InvertedIndex index;
   index.PlanFromRecords(records);
-
-  if (!options.online) {
+  const bool grow_online = options.online && num_threads <= 1;
+  if (!grow_online) {
     for (uint32_t pos = 0; pos < n; ++pos) {
-      index.Insert(pos, records.record(order[pos]), skip);
+      index.Insert(pos, records.record(plan.order[pos]), skip);
     }
   }
-
-  auto verify_and_emit = [&](RecordId a, RecordId b) {
-    ++stats.candidates_verified;
-    if (pred.Matches(records, a, b)) {
-      ++stats.pairs;
-      sink(std::min(a, b), std::max(a, b));
-    }
+  auto limit_of = [&](uint32_t pos) {
+    return options.online ? pos : static_cast<uint32_t>(n);
   };
 
-  MergeOptions merge_options;
-  merge_options.split_lists = options.optimized_merge;
-  merge_options.apply_filter = options.apply_filter;
-
-  // Bitmap prefilter plumbing: the candidate lookup maps a processing
-  // position back through `order` to its record's bitmap; the probe side
-  // of the gate is re-pointed per probe below.
-  const bool use_bitmaps =
-      options.bitmap_filter && pred.supports_bitmap_pruning();
-  auto bitmap_lookup = [&](RecordId m) {
-    const TokenBitmapEntry& e = records.token_bitmap_entry(order[m]);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = bitmap_lookup;
-
-  // Probe-loop scratch, allocated once and reused: no per-record heap
-  // allocations inside the loop.
-  ProbeScratch scratch;
-
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    RecordId probe_id = order[pos];
-    const RecordView probe = records.record(probe_id);
-    if (use_bitmaps) {
-      gate.probe_bits = records.token_bitmap(probe_id);
-      gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    }
-
-    // Emit-level gate, stopword mode only: there the merger holds
-    // candidates to the REDUCED threshold while verification runs the
-    // full constant threshold, so the bitmap bound gets a second cut at
-    // the gap. Each common token contributes at most probe-score times
-    // corpus-max-score, so ub * probe_pair_max bounds the pair's exact
-    // overlap; below the full threshold, Matches() must fail, and the
-    // verification is skipped without changing the emitted pairs. (The
-    // non-stopword paths need no emit gate: their merger already holds
-    // candidates to the exact per-pair threshold.)
-    const bool emit_gated = use_bitmaps && options.stopwords;
-    double probe_pair_max = 0;
-    if (emit_gated) {
-      for (size_t i = 0; i < probe.size(); ++i) {
-        probe_pair_max =
-            std::max(probe_pair_max,
-                     probe.score(i) * stop_plan.max_score[probe.token(i)]);
+  JoinStats stats;
+  if (num_threads <= 1) {
+    ProbeWorker worker;
+    worker.gate.lookup = bitmap_lookup;
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      ProbePosition(plan, index, pos, limit_of(pos), &worker, &stats, sink);
+      if (grow_online) {
+        index.Insert(pos, records.record(plan.order[pos]), skip);
       }
     }
-    auto emit_gate_prunes = [&](uint32_t m) {
-      const BitmapCandidate cand = bitmap_lookup(m);
-      ++stats.merge.bitmap_checked;
-      const uint32_t ub =
-          TokenBitmapOverlapBound(gate.probe_bits, gate.probe_tokens,
-                                  cand.bits, cand.tokens, gate.words);
-      if (static_cast<double>(ub) * probe_pair_max <
-          PruneBound(stop_plan.threshold)) {
-        ++stats.merge.bitmap_pruned;
-        return true;
-      }
-      return false;
-    };
-
-    if (index.num_entities() > 0) {
-      double floor;
-      auto required_fn = [&](RecordId m) {
-        return pred.ThresholdForNorms(probe.norm(),
-                                      records.record(order[m]).norm());
-      };
-      FunctionRef<double(RecordId)> required;
-      if (options.stopwords) {
-        double reduced = ReducedThreshold(probe, stop_plan);
-        if (reduced <= 0) {
-          // Degenerate probe: its own stopwords could carry the whole
-          // threshold, so every indexed record is a candidate.
-          uint32_t limit = options.online ? pos : static_cast<uint32_t>(n);
-          for (uint32_t m = 0; m < limit; ++m) {
-            if (!options.online && m >= pos) break;
-            if (emit_gated && emit_gate_prunes(m)) continue;
-            verify_and_emit(order[m], probe_id);
-          }
-          if (options.online) index.Insert(pos, probe, skip);
-          continue;
-        }
-        floor = reduced;
-      } else {
-        floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-        required = required_fn;
-      }
-      auto filter_fn = [&](RecordId m) {
-        return pred.NormFilter(probe.norm(),
-                               records.record(order[m]).norm());
-      };
-      FunctionRef<bool(RecordId)> filter;
-      if (options.apply_filter && pred.has_norm_filter()) {
-        filter = filter_fn;
-      }
-      ProbeOne(
-          index, probe, floor, required, filter, merge_options, &stats.merge,
-          &scratch,
-          [&](const MergeCandidate& candidate) {
-            if (!options.online && candidate.id >= pos) {
-              // Two-pass mode indexes every record: skip self matches
-              // and emit each unordered pair from its later endpoint
-              // only.
-              return;
-            }
-            if (emit_gated && emit_gate_prunes(candidate.id)) return;
-            verify_and_emit(order[candidate.id], probe_id);
-          },
-          use_bitmaps ? &gate : nullptr);
-    }
-
-    if (options.online) index.Insert(pos, probe, skip);
+  } else {
+    // The frozen index is read-only from here on; scratch and gate state
+    // are per worker.
+    std::vector<ProbeWorker> workers(num_threads);
+    for (ProbeWorker& worker : workers) worker.gate.lookup = bitmap_lookup;
+    stats = ParallelProbeDriver::Run(
+        n, num_threads,
+        [&](uint32_t pos, int worker, JoinStats* worker_stats,
+            const PairSink& emit) {
+          ProbePosition(plan, index, pos, limit_of(pos), &workers[worker],
+                        worker_stats, emit);
+        },
+        sink);
   }
-
   stats.index_postings = index.total_postings();
   return stats;
 }

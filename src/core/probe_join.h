@@ -43,17 +43,27 @@ struct ProbeJoinOptions {
   /// Arm the token-bitmap candidate prefilter (data/token_bitmap.h) for
   /// predicates that opt in via supports_bitmap_pruning(). Answers are
   /// byte-identical either way; the filter only skips merge/verify work.
-  /// Off by default so the serial join remains the instrumentation
-  /// baseline the parallel driver's stats are compared against.
+  /// Off by default so the join's counters measure the paper's algorithms
+  /// without the gate (serial and parallel runs honour it alike).
   bool bitmap_filter = false;
 };
 
 /// Runs the configured Probe-Count variant. `records` must already be
 /// Prepare()d by `pred` (the RunJoin driver does this). Emits each
 /// matching pair exactly once with the smaller id first.
+///
+/// With `num_threads` > 1 the index is built whole before probing and
+/// the probes fan out across a ThreadPool (ParallelProbeDriver). Every
+/// probe runs the same per-position body as the serial loop and sees the
+/// same index: an online/presorted probe only the positions before its
+/// own, a two-pass probe all of them. Pairs are identical at every thread
+/// count and arrive sorted. Counters match the serial run whenever a
+/// token scores the same in every record (overlap, jaccard); otherwise
+/// an online probe's lists keep their whole-list max scores, which
+/// changes the merge counters but not the candidates verified.
 Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
                             const ProbeJoinOptions& options,
-                            const PairSink& sink);
+                            const PairSink& sink, int num_threads = 1);
 
 }  // namespace ssjoin
 

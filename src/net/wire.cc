@@ -99,6 +99,9 @@ bool ResponseReader::Feed(std::string_view data,
     }
     buffer_.append(data.substr(begin, newline - begin));
     begin = newline + 1;
+    // The same bound as for an unterminated header, so the outcome never
+    // depends on where the stream was split.
+    if (buffer_.size() > max_payload_bytes_) return false;
     std::string header;
     header.swap(buffer_);
     if (header.rfind("ERR ", 0) == 0) {

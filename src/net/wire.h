@@ -66,8 +66,9 @@ struct WireResponse {
 /// Incremental client-side decoder for the response framing; used by the
 /// load generator and the loopback tests. Feed bytes as they arrive;
 /// completed responses append to out, in order. Returns false on a
-/// malformed header (not "OK <n>" / "ERR ...", or an OK length above
-/// `max_payload_bytes`), after which the stream is unrecoverable.
+/// malformed header (not "OK <n>" / "ERR ...", longer than
+/// `max_payload_bytes`, or an OK length above it), after which the
+/// stream is unrecoverable.
 class ResponseReader {
  public:
   explicit ResponseReader(size_t max_payload_bytes = size_t{1} << 30)

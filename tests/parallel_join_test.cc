@@ -34,9 +34,9 @@ struct RunResult {
 };
 
 RunResult RunWithThreads(const RecordSet& base, const Predicate& pred,
-                         JoinAlgorithm algorithm, int num_threads) {
+                         JoinAlgorithm algorithm, int num_threads,
+                         JoinOptions options = {}) {
   RecordSet working = base;
-  JoinOptions options;
   options.num_threads = num_threads;
   RunResult out;
   Result<JoinStats> result = RunJoin(
@@ -102,22 +102,85 @@ TEST(ParallelProbeTest, OfflineVariantsMatchSerialExactly) {
   }
 }
 
-// Online and presorted variants probe against a partially built index in
-// serial mode; the parallel driver always probes the full index, which
-// changes counters but never the result pairs.
-TEST(ParallelProbeTest, OnlineVariantsMatchSerialPairs) {
+// Online and presorted variants probe the index of the records before
+// them. A parallel probe sees the frozen index clipped to exactly that
+// prefix, under the prefix's minimum norm, so with token-uniform scores
+// (overlap, jaccard) the merge work is the serial run's, counter for
+// counter. Cosine weights differ per record: a clipped list keeps its
+// whole-list max score, which moves the L/S split (merge counters) but
+// never the candidates verified.
+TEST(ParallelProbeTest, OnlineVariantsMatchSerial) {
   RecordSet base = MakeCorpus(502);
-  JaccardPredicate pred(0.55);
+  JaccardPredicate jaccard(0.55);
+  OverlapPredicate overlap(3.0);
+  CosinePredicate cosine(0.5);
   for (JoinAlgorithm algorithm :
        {JoinAlgorithm::kProbeOnline, JoinAlgorithm::kProbeSort}) {
-    RunResult serial = RunWithThreads(base, pred, algorithm, 1);
-    RunResult two = RunWithThreads(base, pred, algorithm, 2);
-    RunResult eight = RunWithThreads(base, pred, algorithm, 8);
-    EXPECT_EQ(testing_util::SortedPairs(two.emitted),
-              testing_util::SortedPairs(serial.emitted))
-        << JoinAlgorithmName(algorithm);
-    EXPECT_EQ(two.emitted, eight.emitted) << JoinAlgorithmName(algorithm);
-    ExpectStatsEq(two.stats, eight.stats, JoinAlgorithmName(algorithm));
+    for (const Predicate* pred :
+         {static_cast<const Predicate*>(&jaccard),
+          static_cast<const Predicate*>(&overlap),
+          static_cast<const Predicate*>(&cosine)}) {
+      RunResult serial = RunWithThreads(base, *pred, algorithm, 1);
+      for (int threads : {2, 8}) {
+        RunResult parallel = RunWithThreads(base, *pred, algorithm, threads);
+        std::string label = std::string(JoinAlgorithmName(algorithm)) + "/" +
+                            pred->name() + "/t" + std::to_string(threads);
+        EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
+                  testing_util::SortedPairs(serial.emitted))
+            << label;
+        if (pred == &cosine) {
+          EXPECT_EQ(parallel.stats.pairs, serial.stats.pairs) << label;
+          EXPECT_EQ(parallel.stats.candidates_verified,
+                    serial.stats.candidates_verified)
+              << label;
+        } else {
+          ExpectStatsEq(parallel.stats, serial.stats, label);
+        }
+      }
+      RunResult two = RunWithThreads(base, *pred, algorithm, 2);
+      RunResult eight = RunWithThreads(base, *pred, algorithm, 8);
+      EXPECT_EQ(two.emitted, eight.emitted) << JoinAlgorithmName(algorithm);
+      ExpectStatsEq(two.stats, eight.stats, JoinAlgorithmName(algorithm));
+    }
+  }
+}
+
+// The bitmap gates (the merger's candidate gate and the stopword emit
+// gate) run in the shared per-position probe, so a parallel run gates
+// exactly the candidates the serial run gates.
+TEST(ParallelProbeTest, BitmapFilterMatchesSerial) {
+  RecordSet base = MakeCorpus(510);
+  JaccardPredicate jaccard(0.6);
+  OverlapPredicate overlap(4.0);  // constant threshold, as stopwords requires
+  struct Case {
+    JoinAlgorithm algorithm;
+    const Predicate* pred;
+  };
+  JoinOptions options;
+  options.probe.bitmap_filter = true;
+  for (const Case& c : {Case{JoinAlgorithm::kProbeSort, &jaccard},
+                        Case{JoinAlgorithm::kProbeStopwords, &overlap}}) {
+    RunResult serial = RunWithThreads(base, *c.pred, c.algorithm, 1, options);
+    std::string name = std::string(JoinAlgorithmName(c.algorithm)) + "/" +
+                       c.pred->name();
+    ASSERT_GT(serial.stats.merge.bitmap_checked, 0u) << name;
+    for (int threads : {2, 8}) {
+      RunResult parallel =
+          RunWithThreads(base, *c.pred, c.algorithm, threads, options);
+      std::string label = name + "/t" + std::to_string(threads);
+      EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
+                testing_util::SortedPairs(serial.emitted))
+          << label;
+      EXPECT_EQ(parallel.stats.candidates_verified,
+                serial.stats.candidates_verified)
+          << label;
+      EXPECT_EQ(parallel.stats.merge.bitmap_checked,
+                serial.stats.merge.bitmap_checked)
+          << label;
+      EXPECT_EQ(parallel.stats.merge.bitmap_pruned,
+                serial.stats.merge.bitmap_pruned)
+          << label;
+    }
   }
 }
 

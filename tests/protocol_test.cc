@@ -8,6 +8,7 @@
 #include "serve/protocol.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "net/wire.h"
 #include "serve/similarity_service.h"
 #include "text/token_dictionary.h"
+#include "util/rng.h"
 
 namespace ssjoin {
 namespace {
@@ -372,6 +374,144 @@ TEST(ResponseReaderTest, BoundsThePayload) {
   net::ResponseReader reader(/*max_payload_bytes=*/16);
   std::vector<net::WireResponse> responses;
   EXPECT_FALSE(reader.Feed("OK 17\n", &responses));
+}
+
+// A header over the bound is refused whether it arrives whole or split:
+// the unterminated-header guard must not make the outcome depend on the
+// split point.
+TEST(ResponseReaderTest, BoundsTheHeaderWholeOrSplit) {
+  const std::string stream = "ERR " + std::string(20, 'x') + "\n";
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    net::ResponseReader reader(/*max_payload_bytes=*/16);
+    std::vector<net::WireResponse> responses;
+    const bool ok = reader.Feed(stream.substr(0, split), &responses) &&
+                    reader.Feed(stream.substr(split), &responses);
+    EXPECT_FALSE(ok) << "split at byte " << split;
+    EXPECT_TRUE(responses.empty()) << "split at byte " << split;
+  }
+}
+
+// -------------------------------------------------------------------
+// Mutation fuzz of both wire codecs: valid streams with 1-4 bytes
+// overwritten (deterministic PCG32 draws), fed in two chunks split at a
+// random byte. The decoder must yield frames, or refuse (false, or a
+// poisoned framer), exactly as it does for the same bytes in one chunk
+// — and never crash or read past the input (this suite runs under
+// ASan/UBSan).
+
+std::string MutateBytes(std::string bytes, Rng& rng) {
+  const int count = rng.UniformInt(1, 4);
+  for (int i = 0; i < count; ++i) {
+    const size_t pos = rng.UniformU32(static_cast<uint32_t>(bytes.size()));
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.UniformU32(255)));
+  }
+  return bytes;
+}
+
+struct FramedLines {
+  std::vector<std::string> lines;
+  bool ok = true;
+  bool poisoned = false;
+  size_t pending = 0;
+};
+
+FramedLines FrameChunks(const std::vector<std::string_view>& chunks,
+                        size_t max_line_bytes) {
+  net::LineFramer framer(max_line_bytes);
+  FramedLines out;
+  for (std::string_view chunk : chunks) {
+    out.ok = framer.Feed(chunk, [&out](std::string_view line) {
+      out.lines.emplace_back(line);
+    });
+    if (!out.ok) break;
+  }
+  out.poisoned = framer.poisoned();
+  out.pending = framer.pending_bytes();
+  return out;
+}
+
+TEST(WireFuzzTest, MutatedRequestStreamsFrameOrPoison) {
+  const std::string stream =
+      "+ a record\r\n- 12\n\n? stats\nquery text\n!\ntopk 3 x\n";
+  const size_t kMaxLine = 12;
+  Rng rng(0x11e5);
+  int poisoned = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string mutated = MutateBytes(stream, rng);
+    const size_t split =
+        rng.UniformU32(static_cast<uint32_t>(mutated.size() + 1));
+    const std::string_view bytes(mutated);
+    FramedLines whole = FrameChunks({bytes}, kMaxLine);
+    FramedLines halves =
+        FrameChunks({bytes.substr(0, split), bytes.substr(split)}, kMaxLine);
+    EXPECT_EQ(halves.lines, whole.lines) << "mutation " << i;
+    EXPECT_EQ(halves.ok, whole.ok) << "mutation " << i;
+    EXPECT_EQ(halves.poisoned, whole.poisoned) << "mutation " << i;
+    EXPECT_EQ(halves.pending, whole.pending) << "mutation " << i;
+    EXPECT_EQ(whole.ok, !whole.poisoned) << "mutation " << i;
+    for (const std::string& line : whole.lines) {
+      EXPECT_EQ(line.find('\n'), std::string::npos) << "mutation " << i;
+      EXPECT_LE(line.size(), kMaxLine) << "mutation " << i;
+    }
+    if (whole.poisoned) ++poisoned;
+  }
+  // Fusing two lines by overwriting a newline trips the size guard.
+  EXPECT_GT(poisoned, 0);
+  EXPECT_LT(poisoned, 400);
+}
+
+struct DecodedResponses {
+  std::vector<net::WireResponse> responses;
+  bool ok = true;
+};
+
+DecodedResponses DecodeChunks(const std::vector<std::string_view>& chunks,
+                              size_t max_payload_bytes) {
+  net::ResponseReader reader(max_payload_bytes);
+  DecodedResponses out;
+  for (std::string_view chunk : chunks) {
+    out.ok = reader.Feed(chunk, &out.responses);
+    if (!out.ok) break;  // the stream is unrecoverable
+  }
+  return out;
+}
+
+TEST(WireFuzzTest, MutatedResponseStreamsDecodeOrFail) {
+  const std::string stream = net::OkFrame("0\t1\n3\t0.75\n") +
+                             net::ErrFrame("unknown id 12") +
+                             net::OkFrame("") + net::OkFrame("compacted\n");
+  const size_t kMaxPayload = 24;
+  Rng rng(0x7e5d);
+  int refused = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string mutated = MutateBytes(stream, rng);
+    const size_t split =
+        rng.UniformU32(static_cast<uint32_t>(mutated.size() + 1));
+    const std::string_view bytes(mutated);
+    DecodedResponses whole = DecodeChunks({bytes}, kMaxPayload);
+    DecodedResponses halves =
+        DecodeChunks({bytes.substr(0, split), bytes.substr(split)},
+                     kMaxPayload);
+    EXPECT_EQ(halves.ok, whole.ok) << "mutation " << i;
+    ASSERT_EQ(halves.responses.size(), whole.responses.size())
+        << "mutation " << i;
+    size_t payload_bytes = 0;
+    for (size_t r = 0; r < whole.responses.size(); ++r) {
+      EXPECT_EQ(halves.responses[r].ok, whole.responses[r].ok)
+          << "mutation " << i;
+      EXPECT_EQ(halves.responses[r].payload, whole.responses[r].payload)
+          << "mutation " << i;
+      if (whole.responses[r].ok) {
+        EXPECT_LE(whole.responses[r].payload.size(), kMaxPayload)
+            << "mutation " << i;
+      }
+      payload_bytes += whole.responses[r].payload.size();
+    }
+    EXPECT_LE(payload_bytes, mutated.size()) << "mutation " << i;
+    if (!whole.ok) ++refused;
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_LT(refused, 400);
 }
 
 }  // namespace

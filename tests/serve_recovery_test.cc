@@ -1503,5 +1503,109 @@ TEST(DecoderFuzzTest, MutatedManifestGivesStatusOrWorkingService) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
+/// Byte extents [begin, end) of every frame payload in a WAL file: the
+/// 8-byte header, then per frame a fixed32 length, a fixed32 CRC and the
+/// payload.
+std::vector<std::pair<size_t, size_t>> WalPayloads(const std::string& wal) {
+  std::vector<std::pair<size_t, size_t>> payloads;
+  size_t offset = 8;
+  uint32_t length = 0;
+  while (GetFixed32(wal, &offset, &length)) {
+    const size_t begin = offset + sizeof(uint32_t);
+    payloads.emplace_back(begin, begin + length);
+    offset = begin + length;
+  }
+  return payloads;
+}
+
+// WAL frames: the CRC guards against torn writes, not against a frame
+// that checks out and still says nonsense. Each input overwrites 1-4
+// bytes inside one frame's payload and reseals that frame's CRC, so the
+// payload decoder and the replay behind it are what must cope.
+TEST(DecoderFuzzTest, MutatedWalFrameGivesStatusOrWorkingService) {
+  JaccardPredicate pred(0.5);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 60, .vocabulary = 40}, 137);
+  ServiceOptions options;
+  options.num_shards = 3;
+  options.memtable_limit = 0;
+  options.data_dir = FreshDataDir("fuzz_wal");
+  options.wal_sync = WalSyncPolicy::kNever;
+  {
+    // Every op after the constructor's checkpoint stays in the WAL tail.
+    SimilarityService service(Slice(corpus, 0, 40), pred, options);
+    for (RecordId id = 40; id < 52; ++id) {
+      service.Insert(corpus.record(id), corpus.text(id));
+    }
+    for (RecordId id = 5; id < 52; id += 9) ASSERT_TRUE(service.Delete(id));
+    ASSERT_TRUE(service.durability_status().ok())
+        << service.durability_status().ToString();
+  }
+  {
+    // A compact marker (what a compaction whose checkpoint failed leaves
+    // behind) with more inserts and a delete after it.
+    const std::string path = WalFilePath(options.data_dir);
+    Result<WriteAheadLog> wal =
+        WriteAheadLog::Open(path, WalSyncPolicy::kNever, nullptr);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    uint64_t seq = wal.value().last_seq();
+    ASSERT_TRUE(wal.value().AppendCompact(++seq).ok());
+    for (RecordId id = 52; id < 60; ++id) {
+      ASSERT_TRUE(
+          wal.value().AppendInsert(++seq, corpus.record(id), corpus.text(id))
+              .ok());
+    }
+    ASSERT_TRUE(wal.value().AppendDelete(++seq, 42).ok());
+  }
+  std::map<std::string, std::string> pristine;
+  pristine[CheckpointFilePath(options.data_dir)] =
+      ReadAll(CheckpointFilePath(options.data_dir));
+  for (uint64_t id : ListSegmentFiles(options.data_dir)) {
+    const std::string path = SegmentFilePath(options.data_dir, id);
+    pristine[path] = ReadAll(path);
+  }
+  const std::string wal_path = WalFilePath(options.data_dir);
+  const std::string wal = ReadAll(wal_path);
+  const std::vector<std::pair<size_t, size_t>> payloads = WalPayloads(wal);
+  ASSERT_EQ(payloads.size(), 12u + 6u + 1u + 8u + 1u);
+  {
+    Result<std::unique_ptr<SimilarityService>> opened =
+        SimilarityService::Open(pred, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_EQ(opened.value()->size(), 60u - 6u - 1u);
+  }
+
+  Rng rng(0x3a1f);
+  int accepted = 0;
+  for (int i = 0; i < 400; ++i) {
+    for (const auto& [path, bytes] : pristine) WriteAll(path, bytes);
+    std::string mutated = wal;
+    const auto [begin, end] =
+        payloads[rng.UniformU32(static_cast<uint32_t>(payloads.size()))];
+    const int count = rng.UniformInt(1, 4);
+    for (int m = 0; m < count; ++m) {
+      const size_t pos =
+          begin + rng.UniformU32(static_cast<uint32_t>(end - begin));
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 + rng.UniformU32(255)));
+    }
+    const uint32_t crc = Crc32(mutated.data() + begin, end - begin);
+    std::memcpy(mutated.data() + begin - sizeof(uint32_t), &crc, sizeof(crc));
+    WriteAll(wal_path, mutated);
+    Result<std::unique_ptr<SimilarityService>> opened =
+        SimilarityService::Open(pred, options);
+    if (opened.ok()) {
+      ++accepted;
+      QueryAll(*opened.value(), corpus);
+    }
+  }
+  // Scores, texts and many ids decode to other valid operations; kinds,
+  // lengths and varint structure mostly do not.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 400);
+  for (const auto& [path, bytes] : pristine) WriteAll(path, bytes);
+  WriteAll(wal_path, wal);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
 }  // namespace
 }  // namespace ssjoin

@@ -6,11 +6,11 @@
 # durability suites (util's durable-file helpers — CRC32, atomic
 # write, errno context — plus WAL framing and crash recovery, including
 # multi-segment chain restore, orphan segment GC, corrupt and crafted
-# files, and the mutation fuzz of the segment-file and manifest
-# decoders), whose byte-level decoders parse attacker-shaped torn and
-# corrupted files, and the network layer
+# files, and the mutation fuzz of the segment-file, manifest and WAL
+# frame decoders), whose byte-level decoders parse attacker-shaped torn
+# and corrupted files, and the network layer
 # (protocol parser + wire framing + the loopback server), whose framers
-# chew on byte-split and oversized input. The
+# chew on byte-split, oversized and mutated input. The
 # bitmap differential rig rides along: its gather-based AVX2 lower-bound
 # searches and bitmap-arena reads are exactly the pointer arithmetic
 # ASan/UBSan exist to check. The serve_recovery_test_mapped leg (ctest

@@ -6,7 +6,9 @@
 # IS the scalar half of the scalar/vector differential: every suite it
 # runs asserts the same answers the default (AVX2 where available) leg
 # asserts, and MergeLowerBoundTest additionally verifies that the active
-# backend really reports "scalar" under the override.
+# backend really reports "scalar" under the override. parallel_join_test
+# checks that serial and parallel probe joins still agree counter for
+# counter (gallop counts included) on the scalar backend.
 #
 #   tools/run_scalar_tests.sh [build-dir]
 #
@@ -23,9 +25,9 @@ cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j --target \
       merge_opt_test bitmap_filter_test differential_test \
       arena_equivalence_test join_equivalence_test prefix_filter_test \
-      serve_test serve_shard_test
+      parallel_join_test serve_test serve_shard_test
 SSJOIN_FORCE_SCALAR=1
 export SSJOIN_FORCE_SCALAR
 ctest --test-dir "$build_dir" \
-      -R '(merge_opt|bitmap_filter|differential|arena_equivalence|join_equivalence|prefix_filter|serve_test|serve_shard_test)' \
+      -R '(merge_opt|bitmap_filter|differential|arena_equivalence|join_equivalence|prefix_filter|parallel_join|serve_test|serve_shard_test)' \
       --output-on-failure
