@@ -274,6 +274,7 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   // Process each batch: build member indexes in arrival order while
   // probing, exactly like the online Probe-Cluster inner loop.
   uint64_t peak_batch_postings = 0;
+  probe_internal::ProbeScratch scratch;  // reused by every member probe
   for (uint32_t b = 0; b < num_batches; ++b) {
     std::unordered_map<ClusterId, std::vector<RecordId>> members;
     std::unordered_map<ClusterId, DynamicIndex> member_index;
@@ -292,7 +293,8 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
         auto it = member_index.find(c);
         if (it == member_index.end()) continue;  // no members yet
         ProbeMemberIndex(records, pred, fetched.view(), e.rid, members[c],
-                         it->second, options.apply_filter, &stats, sink);
+                         it->second, /*apply_filter=*/true, &scratch, &stats,
+                         sink);
       }
       if (e.home != kNoCluster) {
         DynamicIndex& index = member_index[e.home];

@@ -38,7 +38,6 @@ struct ClusterMemOptions {
   bool keep_temp_files = false;
 
   bool presort = true;
-  bool apply_filter = true;
 
   /// Clustering knobs. max_clusters / max_cluster_size of 0 are estimated
   /// from the data as in Section 4.1: Ng = clamp(N*M/W, 1, N) and

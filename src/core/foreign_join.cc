@@ -1,13 +1,10 @@
 #include "core/foreign_join.h"
 
 #include <numeric>
-#include <unordered_set>
 #include <vector>
 
-#include "core/merge_opt.h"
+#include "core/probe_common.h"
 #include "index/inverted_index.h"
-#include "util/function_ref.h"
-#include "util/logging.h"
 
 namespace ssjoin {
 
@@ -20,24 +17,13 @@ Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
 
   InvertedIndex index;
   index.PlanFromRecords(*right);
+  std::vector<RecordId> short_right;
+  const double short_bound = pred.ShortRecordNormBound();
   for (RecordId id = 0; id < right->size(); ++id) {
     index.Insert(id, right->record(id));
+    if (right->record(id).norm() < short_bound) short_right.push_back(id);
   }
   stats.index_postings = index.total_postings();
-
-  double short_bound = pred.ShortRecordNormBound();
-  std::unordered_set<uint64_t> emitted;  // only used with the fallback
-
-  auto verify_and_emit = [&](RecordId left_id, RecordId right_id) {
-    ++stats.candidates_verified;
-    if (pred.MatchesCross(*left, left_id, *right, right_id)) {
-      ++stats.pairs;
-      if (short_bound > 0) {
-        emitted.insert((static_cast<uint64_t>(left_id) << 32) | right_id);
-      }
-      sink(left_id, right_id);
-    }
-  };
 
   std::vector<RecordId> order;
   if (options.presort) {
@@ -49,58 +35,18 @@ Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
 
   MergeOptions merge_options;
   merge_options.split_lists = options.optimized_merge;
-  merge_options.apply_filter = options.apply_filter;
-
-  // Probe-loop scratch, allocated once and reused across probes.
-  std::vector<PostingListView> lists;
-  std::vector<double> probe_scores;
-  ListMerger merger;
-  if (index.num_entities() > 0) {
-    for (RecordId left_id : order) {
-      const RecordView probe = left->record(left_id);
-      double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-      auto required_fn = [&](RecordId m) {
-        return pred.ThresholdForNorms(probe.norm(),
-                                      right->record(m).norm());
-      };
-      FunctionRef<double(RecordId)> required = required_fn;
-      auto filter_fn = [&](RecordId m) {
-        return pred.NormFilter(probe.norm(), right->record(m).norm());
-      };
-      FunctionRef<bool(RecordId)> filter;
-      if (options.apply_filter && pred.has_norm_filter()) {
-        filter = filter_fn;
-      }
-      CollectProbeLists(index, probe, &lists, &probe_scores);
-      merger.Reset(lists, probe_scores, floor, required, filter,
-                   merge_options, &stats.merge);
-      MergeCandidate candidate;
-      while (merger.Next(&candidate)) {
-        verify_and_emit(left_id, candidate.id);
-      }
-    }
-  }
-
-  if (short_bound > 0) {
-    // Cross fallback: both-short pairs can match with no shared token.
-    std::vector<RecordId> short_left, short_right;
-    for (RecordId id = 0; id < left->size(); ++id) {
-      if (left->record(id).norm() < short_bound) short_left.push_back(id);
-    }
-    for (RecordId id = 0; id < right->size(); ++id) {
-      if (right->record(id).norm() < short_bound) short_right.push_back(id);
-    }
-    for (RecordId a : short_left) {
-      for (RecordId b : short_right) {
-        uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-        if (emitted.count(key) > 0) continue;
-        ++stats.candidates_verified;
-        if (pred.MatchesCross(*left, a, *right, b)) {
+  const probe_internal::ProbeTarget<InvertedIndex> target{
+      index, *right, /*record_ids=*/nullptr, &short_right};
+  probe_internal::ProbeScratch scratch;
+  for (RecordId left_id : order) {
+    probe_internal::ProbeMatches(
+        pred, target, left->record(left_id), *left, left_id,
+        /*apply_filter=*/true, merge_options, /*gate_words=*/0,
+        /*skip=*/nullptr, &stats.merge, &stats.candidates_verified, &scratch,
+        [&](RecordId, RecordId right_id) {
           ++stats.pairs;
-          sink(a, b);
-        }
-      }
-    }
+          sink(left_id, right_id);
+        });
   }
   return stats;
 }

@@ -16,12 +16,13 @@ using CrossPairSink =
     std::function<void(RecordId left_id, RecordId right_id)>;
 
 /// Non-self similarity join R ⋈ S (the paper presents self-joins and notes
-/// "the extension to non-self-joins is obvious"): index the right set once,
-/// probe with every left record through MergeOpt, verify with
-/// Predicate::MatchesCross.
+/// "the extension to non-self-joins is obvious"): index the right set once
+/// and probe it with every left record through the shared probe-and-verify
+/// body (probe_internal::ProbeMatches, the one the streaming join, the
+/// cluster member probes and the serving tiers run): MergeOpt under
+/// T(r, minS) and T(r, m), the norm filter, Predicate::MatchesCross.
 struct ForeignJoinOptions {
   bool optimized_merge = true;
-  bool apply_filter = true;
   /// Probe left records in decreasing-norm order (Section 3.3's sort; it
   /// only affects speed, never output).
   bool presort = true;
@@ -29,8 +30,11 @@ struct ForeignJoinOptions {
 
 /// Runs the cross join, preparing both sides via
 /// Predicate::PrepareForJoin. Emits each matching (left, right) pair
-/// exactly once. Handles the short-record fallback for predicates (edit
-/// distance, Hamming) whose tiny records can match without shared tokens.
+/// exactly once, left record by left record (in probe order). Predicates
+/// whose tiny records can match without shared tokens (edit distance,
+/// Hamming) get their short pairs from each short left record's walk over
+/// the short right records, emitted right after that record's index
+/// matches.
 Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
                                    const Predicate& pred,
                                    const ForeignJoinOptions& options,

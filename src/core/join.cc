@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel_probe.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -153,14 +152,8 @@ Result<JoinStats> RunJoin(RecordSet* records, const Predicate& pred,
       break;
     }
     case JoinAlgorithm::kPrefixFilter: {
-      if (options.num_threads > 1) {
-        result = ParallelPrefixFilterJoin(*records, pred,
-                                          options.prefix_filter,
-                                          options.num_threads, wrapped_sink);
-      } else {
-        result = PrefixFilterJoin(*records, pred, options.prefix_filter,
-                                  wrapped_sink);
-      }
+      result = PrefixFilterJoin(*records, pred, options.prefix_filter,
+                                wrapped_sink, options.num_threads);
       break;
     }
   }

@@ -49,14 +49,15 @@ struct JoinOptions {
   PrefixFilterJoinOptions prefix_filter;
 
   /// Worker threads for the index-probe algorithms (the Probe-Count
-  /// family and PrefixFilter): the read-only index is built once and
-  /// record probes fan out across this many workers, with output merged
-  /// deterministically (sorted pairs, partition-summed stats). Pairs are
-  /// identical to the serial path at any thread count; each parallel
-  /// probe sees the index the serial probe at its position sees, so the
-  /// counters match too, except the Probe-Count merge counters under
-  /// per-record token weights (see ProbeJoin). <= 1 keeps the serial
-  /// path. Algorithms whose probe loop mutates shared state
+  /// family and PrefixFilter), passed straight to ProbeJoin and
+  /// PrefixFilterJoin: each runs one per-position body, inline when this
+  /// is <= 1, else with the read-only index built once and record probes
+  /// fanned out across this many workers, output merged deterministically
+  /// (sorted pairs, partition-summed stats). Pairs are identical to the
+  /// serial path at any thread count; each parallel probe sees the index
+  /// the serial probe at its position sees, so the counters match too,
+  /// except the Probe-Count merge counters under per-record token weights
+  /// (see ProbeJoin). Algorithms whose probe loop mutates shared state
   /// (Probe-Cluster, ClusterMem, Pair-Count, Word-Groups) ignore this
   /// and run sequentially; see DESIGN.md "Threading model".
   int num_threads = 1;

@@ -129,7 +129,7 @@ void ListMerger::RaiseFloor(double floor) {
 void ListMerger::PushFrontier(uint32_t i) {
   const PostingListView& list = lists_[i];
   size_t& pos = frontier_[i];
-  bool filtering = options_.apply_filter && filter_ != nullptr;
+  const bool filtering = filter_ != nullptr;
   while (pos < list.size()) {
     const Posting& p = list[pos];
     if (filtering && !filter_(p.id)) {

@@ -39,9 +39,6 @@ struct MergeOptions {
   /// Enables the threshold-sensitive L/S split of Section 3.1 (MergeOpt).
   /// False gives the plain heap merge over all lists (Probe-Count).
   bool split_lists = true;
-  /// Applies the pair filter when postings enter the heap (Section 5's
-  /// simplest filter placement). Ignored when no filter is supplied.
-  bool apply_filter = true;
 };
 
 /// Relative slack used whenever a float comparison prunes work: borderline
@@ -113,6 +110,8 @@ size_t MergeLowerBound(const PostingListView& list, RecordId id, size_t start,
 ///   * `required` may be null; candidates are then held only to the floor.
 ///     When supplied it must satisfy required(id) >= any floor ever set
 ///     (join mode: required = T(r, m) and floor = T(r, I) <= T(r, m)).
+///   * `filter` may be null; when supplied, the pair filter runs on every
+///     posting as it enters the heap (Section 5's simplest placement).
 ///   * `required` and `filter` are non-owning references; the underlying
 ///     callables must outlive every Next() call of the current merge.
 ///   * RaiseFloor only increases the floor, and the caller must keep it

@@ -5,10 +5,6 @@
 #include <functional>
 
 #include "core/join_common.h"
-#include "core/predicate.h"
-#include "core/prefix_filter_join.h"
-#include "data/record_set.h"
-#include "util/status.h"
 
 namespace ssjoin {
 
@@ -27,12 +23,12 @@ namespace ssjoin {
 /// output pair sequence and the merged stats are byte-identical across
 /// runs and thread counts.
 ///
-/// The Probe-Count family (ProbeJoin with num_threads > 1) runs its
-/// serial per-position probe body here; an online or presorted probe
-/// sees only the index prefix below its own position, exactly what the
-/// serial online loop had indexed when it got there. Algorithms that
-/// mutate shared state between probes stay sequential: Probe-Cluster and
-/// ClusterMem phase 1 grow the ClusterSet with every record, and
+/// Its two callers, ProbeJoin and PrefixFilterJoin with num_threads > 1,
+/// each run their serial per-position probe body here; an online or
+/// presorted probe sees only the index prefix below its own position,
+/// exactly what the serial loop had indexed when it got there. Algorithms
+/// that mutate shared state between probes stay sequential: Probe-Cluster
+/// and ClusterMem phase 1 grow the ClusterSet with every record, and
 /// Pair-Count / Word-Groups are whole-index aggregations, not probe
 /// loops. See DESIGN.md "Threading model".
 class ParallelProbeDriver {
@@ -49,15 +45,6 @@ class ParallelProbeDriver {
   static JoinStats Run(size_t n, int num_threads, const ProbeFn& probe,
                        const PairSink& sink);
 };
-
-/// Parallel prefix-filter join: builds the full prefix index up front,
-/// then probes records in parallel, restricting candidates to earlier
-/// positions — the same candidate set the serial incremental form sees.
-/// Emits pairs in sorted order.
-Result<JoinStats> ParallelPrefixFilterJoin(
-    const RecordSet& records, const Predicate& pred,
-    const PrefixFilterJoinOptions& options, int num_threads,
-    const PairSink& sink);
 
 }  // namespace ssjoin
 

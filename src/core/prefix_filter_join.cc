@@ -6,20 +6,19 @@
 #include <vector>
 
 #include "core/merge_opt.h"
-#include "util/logging.h"
+#include "core/parallel_probe.h"
 
 namespace ssjoin {
 
 Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
                                    const Predicate& pred,
                                    const PrefixFilterJoinOptions& options,
-                                   const PairSink& sink) {
+                                   const PairSink& sink, int num_threads) {
   if (pred.MinMatchOverlap(1e18) <= 0) {
     return Status::InvalidArgument(
         "prefix filtering needs a positive MinMatchOverlap bound; '" +
         pred.name() + "' does not provide one");
   }
-  JoinStats stats;
   const size_t n = records.size();
 
   // Global token order: increasing document frequency, rare tokens first,
@@ -48,63 +47,99 @@ Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
     std::iota(order.begin(), order.end(), 0);
   }
 
-  std::unordered_map<TokenId, std::vector<RecordId>> prefix_index;
-  std::vector<std::pair<uint32_t, size_t>> ordered;  // (rank, token pos)
-  std::vector<RecordId> candidates;
-  std::vector<uint32_t> last_seen(n, UINT32_MAX);  // probe-local dedup
+  // The whole prefix index, built up front and keyed by processing
+  // position (lists stay position-sorted because positions are inserted
+  // in order). Each record's prefix holds its tokens in rank order minus
+  // the longest tail whose total potential stays below α(r). A probe at
+  // position p reads only list entries below p — exactly the records an
+  // incremental build would have indexed when p probed.
+  std::unordered_map<TokenId, std::vector<uint32_t>> prefix_index;
+  uint64_t prefix_postings = 0;
+  {
+    std::vector<std::pair<uint32_t, size_t>> ordered;  // (rank, token pos)
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      const RecordView r = records.record(order[pos]);
+      double alpha = pred.MinMatchOverlap(r.norm());
+      ordered.clear();
+      for (size_t i = 0; i < r.size(); ++i) {
+        ordered.emplace_back(rank[r.token(i)], i);
+      }
+      std::sort(ordered.begin(), ordered.end());
+      size_t prefix_len = ordered.size();
+      if (alpha > 0) {
+        double suffix_potential = 0;
+        while (prefix_len > 0) {
+          size_t token_pos = ordered[prefix_len - 1].second;
+          double contribution =
+              r.score(token_pos) * gmax[r.token(token_pos)];
+          if (suffix_potential + contribution >= PruneBound(alpha)) break;
+          suffix_potential += contribution;
+          --prefix_len;
+        }
+      }
+      for (size_t i = 0; i < prefix_len; ++i) {
+        prefix_index[r.token(ordered[i].second)].push_back(pos);
+        ++prefix_postings;
+      }
+    }
+  }
 
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    RecordId id = order[pos];
+  struct Scratch {
+    std::vector<uint32_t> candidates;  // candidate positions, probe-local
+    std::vector<uint32_t> last_seen;   // per-position dedup stamp
+  };
+  // The per-position probe, shared by the serial loop and the workers:
+  // every token of the record against the prefixes of earlier positions,
+  // then exact verification of each distinct candidate.
+  auto probe_position = [&](uint32_t pos, Scratch* s, JoinStats* stats,
+                            const PairSink& emit) {
+    const RecordId id = order[pos];
     const RecordView r = records.record(id);
-
-    // Probe: every token of r against the prefix index of earlier records.
-    candidates.clear();
+    s->candidates.clear();
     for (size_t i = 0; i < r.size(); ++i) {
       auto it = prefix_index.find(r.token(i));
       if (it == prefix_index.end()) continue;
-      for (RecordId other : it->second) {
-        if (last_seen[other] == pos) continue;
-        last_seen[other] = pos;
+      for (uint32_t other_pos : it->second) {
+        if (other_pos >= pos) break;  // positions ascend within a list
+        if (s->last_seen[other_pos] == pos) continue;
+        s->last_seen[other_pos] = pos;
         if (options.apply_filter && pred.has_norm_filter() &&
-            !pred.NormFilter(r.norm(), records.record(other).norm())) {
+            !pred.NormFilter(r.norm(),
+                             records.record(order[other_pos]).norm())) {
           continue;
         }
-        candidates.push_back(other);
+        s->candidates.push_back(other_pos);
       }
     }
-    for (RecordId other : candidates) {
-      ++stats.candidates_verified;
+    for (uint32_t other_pos : s->candidates) {
+      const RecordId other = order[other_pos];
+      ++stats->candidates_verified;
       if (pred.Matches(records, other, id)) {
-        ++stats.pairs;
-        sink(std::min(other, id), std::max(other, id));
+        ++stats->pairs;
+        emit(std::min(other, id), std::max(other, id));
       }
     }
+  };
 
-    // Index r's prefix: tokens in rank order; the suffix is the longest
-    // tail whose total potential stays below α(r).
-    double alpha = pred.MinMatchOverlap(r.norm());
-    ordered.clear();
-    for (size_t i = 0; i < r.size(); ++i) {
-      ordered.emplace_back(rank[r.token(i)], i);
+  JoinStats stats;
+  if (num_threads <= 1) {
+    Scratch scratch;
+    scratch.last_seen.assign(n, UINT32_MAX);
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      probe_position(pos, &scratch, &stats, sink);
     }
-    std::sort(ordered.begin(), ordered.end());
-    size_t prefix_len = ordered.size();
-    if (alpha > 0) {
-      double suffix_potential = 0;
-      while (prefix_len > 0) {
-        size_t token_pos = ordered[prefix_len - 1].second;
-        double contribution =
-            r.score(token_pos) * gmax[r.token(token_pos)];
-        if (suffix_potential + contribution >= PruneBound(alpha)) break;
-        suffix_potential += contribution;
-        --prefix_len;
-      }
-    }
-    for (size_t i = 0; i < prefix_len; ++i) {
-      prefix_index[r.token(ordered[i].second)].push_back(id);
-      ++stats.index_postings;
-    }
+  } else {
+    std::vector<Scratch> scratch(num_threads);
+    for (Scratch& s : scratch) s.last_seen.assign(n, UINT32_MAX);
+    stats = ParallelProbeDriver::Run(
+        n, num_threads,
+        [&](uint32_t pos, int worker, JoinStats* worker_stats,
+            const PairSink& emit) {
+          probe_position(pos, &scratch[worker], worker_stats, emit);
+        },
+        sink);
   }
+  stats.index_postings = prefix_postings;
   return stats;
 }
 

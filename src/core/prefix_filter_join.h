@@ -39,10 +39,18 @@ struct PrefixFilterJoinOptions {
 /// Prepare()d. Emits each matching pair once (smaller id first). Returns
 /// InvalidArgument for predicates whose MinMatchOverlap is never
 /// positive.
+///
+/// The prefix index is built whole, keyed by processing position, and
+/// every position runs one probe body that reads only the list entries
+/// below its own position — what an incremental build would hold there.
+/// With `num_threads` <= 1 the positions run in order and pairs are
+/// emitted as found; with more, the probes fan out across a ThreadPool
+/// (ParallelProbeDriver) and pairs arrive sorted. Pairs and every
+/// counter are identical at every thread count.
 Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
                                    const Predicate& pred,
                                    const PrefixFilterJoinOptions& options,
-                                   const PairSink& sink);
+                                   const PairSink& sink, int num_threads = 1);
 
 }  // namespace ssjoin
 

@@ -92,13 +92,10 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
     std::vector<PostingListView> lists;
     std::vector<double> scores;
     CollectProbeLists(index_, record, &lists, &scores);
-    MergeOptions merge_options;
-    merge_options.split_lists = true;
-    merge_options.apply_filter = false;  // cluster norms aggregate members;
-                                         // pair filters apply at the
-                                         // member level only
+    // No pair filter: cluster norms aggregate members, so filters apply
+    // at the member level only.
     ListMerger merger(lists, scores, floor, required,
-                      /*filter=*/nullptr, merge_options, stats);
+                      /*filter=*/nullptr, MergeOptions{}, stats);
 
     MergeCandidate candidate;
     while (merger.Next(&candidate)) {
@@ -165,39 +162,18 @@ void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
                       RecordView record, RecordId record_id,
                       const std::vector<RecordId>& members,
                       const DynamicIndex& index, bool apply_filter,
-                      JoinStats* stats, const PairSink& sink) {
-  if (index.num_entities() == 0) return;
-  double floor = pred.ThresholdForNorms(record.norm(), index.min_norm());
-  auto required_fn = [&](RecordId local) {
-    return pred.ThresholdForNorms(record.norm(),
-                                  records.record(members[local]).norm());
-  };
-  FunctionRef<double(RecordId)> required = required_fn;
-  auto filter_fn = [&](RecordId local) {
-    return pred.NormFilter(record.norm(),
-                           records.record(members[local]).norm());
-  };
-  FunctionRef<bool(RecordId)> filter;
-  if (apply_filter && pred.has_norm_filter()) {
-    filter = filter_fn;
-  }
-  std::vector<PostingListView> lists;
-  std::vector<double> scores;
-  CollectProbeLists(index, record, &lists, &scores);
-  MergeOptions merge_options;
-  merge_options.split_lists = true;
-  merge_options.apply_filter = apply_filter;
-  ListMerger merger(lists, scores, floor, required, filter, merge_options,
-                    &stats->merge);
-  MergeCandidate candidate;
-  while (merger.Next(&candidate)) {
-    RecordId other = members[candidate.id];
-    ++stats->candidates_verified;
-    if (pred.Matches(records, other, record_id)) {
-      ++stats->pairs;
-      sink(std::min(other, record_id), std::max(other, record_id));
-    }
-  }
+                      probe_internal::ProbeScratch* scratch, JoinStats* stats,
+                      const PairSink& sink) {
+  probe_internal::ProbeMatches(
+      pred,
+      probe_internal::ProbeTarget<DynamicIndex>{index, records, &members},
+      record, records, record_id, apply_filter, MergeOptions{},
+      /*gate_words=*/0, /*skip=*/nullptr, &stats->merge,
+      &stats->candidates_verified, scratch,
+      [&](RecordId, RecordId other) {
+        ++stats->pairs;
+        sink(std::min(other, record_id), std::max(other, record_id));
+      });
 }
 
 Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
@@ -216,6 +192,7 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
   }
 
   ClusterSet cluster_set(pred, options.cluster);
+  probe_internal::ProbeScratch scratch;  // reused by every member probe
   // Per-cluster member structures: a local-id -> RecordId map and a
   // member-level inverted index (local ids keep posting ids increasing
   // under any processing order; dynamic because membership grows online).
@@ -245,7 +222,8 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
         continue;
       }
       ProbeMemberIndex(records, pred, record, id, members[c],
-                       member_index[c], options.apply_filter, &stats, sink);
+                       member_index[c], options.apply_filter, &scratch,
+                       &stats, sink);
     }
 
     // Install the record in its home cluster's member structures. The

@@ -6,6 +6,7 @@
 
 #include "core/join_common.h"
 #include "core/predicate.h"
+#include "core/probe_common.h"
 #include "data/record_set.h"
 #include "data/record_view.h"
 #include "index/dynamic_index.h"
@@ -128,14 +129,18 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
                                    const PairSink& sink);
 
 /// Probes one cluster's member-level index with `record` (RecordId
-/// `record_id`), verifies candidates against the predicate, and emits
-/// matching pairs. `members` maps the index's local ids back to RecordIds.
-/// Shared by Probe-Cluster and ClusterMem's second phase.
+/// `record_id`) through the shared probe-and-verify body
+/// (probe_internal::ProbeMatches) and emits matching pairs. `members` maps
+/// the index's local ids back to RecordIds; `scratch` is the caller's,
+/// reused across calls. Short pairs are left to the join driver's
+/// short-record fallback. Shared by Probe-Cluster and ClusterMem's second
+/// phase.
 void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
                       RecordView record, RecordId record_id,
                       const std::vector<RecordId>& members,
                       const DynamicIndex& index, bool apply_filter,
-                      JoinStats* stats, const PairSink& sink);
+                      probe_internal::ProbeScratch* scratch, JoinStats* stats,
+                      const PairSink& sink);
 
 }  // namespace ssjoin
 

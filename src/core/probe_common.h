@@ -2,6 +2,8 @@
 #define SSJOIN_CORE_PROBE_COMMON_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -15,9 +17,11 @@
 namespace ssjoin {
 namespace probe_internal {
 
-/// Shared plumbing of the Probe-Count family, used by ProbeJoin (serial
-/// and parallel), the streaming join and the serving layer, so the probe
-/// paths cannot drift.
+/// Shared plumbing of every record-vs-index probe: ProbeJoin (serial and
+/// parallel) runs ProbeOne under its own stopword and emit gates, and the
+/// serving top-k sweep runs it unverified; the cross join, the streaming
+/// join, Probe-Cluster's member probes and the serving tiers all run
+/// ProbeMatches. One body each, so the probe paths cannot drift.
 
 struct StopwordPlan {
   std::vector<bool> is_stop;       // per token
@@ -64,14 +68,16 @@ inline double ReducedThreshold(RecordView r, const StopwordPlan& plan) {
   return plan.threshold - reduction;
 }
 
-/// Reusable per-probe scratch for ProbeOne: posting-list collection
-/// buffers and the merger keep their capacity across probes, so
-/// steady-state probing performs no heap allocations. One instance per
-/// thread; a probe loop default-constructs it once outside the loop.
+/// Reusable per-probe scratch for ProbeOne and ProbeMatches: posting-list
+/// collection buffers, the merger and the matched-id list keep their
+/// capacity across probes, so steady-state probing performs no heap
+/// allocations. One instance per thread; a probe loop default-constructs
+/// it once outside the loop.
 struct ProbeScratch {
   std::vector<PostingListView> lists;
   std::vector<double> probe_scores;
   ListMerger merger;
+  std::vector<RecordId> matched;  // ProbeMatches: index matches, ascending
 };
 
 /// The single-record probe at the heart of every index-probe algorithm:
@@ -100,6 +106,112 @@ inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
                         required, filter, options, stats, gate);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
+}
+
+/// What ProbeMatches probes: an index whose local ids resolve to records
+/// of `records`, through `record_ids` (local -> record id; null when local
+/// ids ARE record ids), and the target's short records. `short_ids` holds
+/// the sorted local ids whose norm lies below the predicate's
+/// ShortRecordNormBound; null when the caller joins short pairs elsewhere
+/// (the self-join drivers' ShortRecordFallback).
+template <typename IndexT>
+struct ProbeTarget {
+  const IndexT& index;
+  const RecordSet& records;
+  const std::vector<RecordId>* record_ids = nullptr;
+  const std::vector<RecordId>* short_ids = nullptr;
+
+  RecordId ToRecord(RecordId local) const {
+    return record_ids != nullptr ? (*record_ids)[local] : local;
+  }
+};
+
+/// The record-vs-index probe-and-verify body (Section 5): probes
+/// `target` with `probe` (= probes.record(q)) and reports every target
+/// record it matches as on_match(local id, record id).
+///
+///   * The merge runs under the floor T(probe, minS) of the target index
+///     and the per-candidate bound T(probe, ||m||), plus the norm filter
+///     when `apply_filter` is set and the predicate has one. With
+///     `gate_words` > 0 the bitmap gate rides the merge (it never changes
+///     which candidates survive). Empty probes and empty indexes skip the
+///     merge: they can share no token.
+///   * `skip` (may be null) drops a candidate before verification: dead
+///     masks and tombstones, which must act as if compaction had already
+///     removed the record's postings.
+///   * Every other candidate is verified with the predicate's canonical
+///     MatchesCross(target record, probe) and counted in `*verified`.
+///   * A short probe then verifies every short target record the index
+///     probe did not match: such pairs can match with no shared token
+///     (edit distance, Hamming). Merge candidates arrive in increasing id
+///     order, so the matched ids are sorted and one walk against the
+///     sorted short ids finds the rest.
+template <typename IndexT>
+void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
+                  RecordView probe, const RecordSet& probes, RecordId q,
+                  bool apply_filter, const MergeOptions& merge_options,
+                  size_t gate_words, FunctionRef<bool(RecordId)> skip,
+                  MergeStats* stats, uint64_t* verified,
+                  ProbeScratch* scratch,
+                  FunctionRef<void(RecordId local, RecordId id)> on_match) {
+  const double norm = probe.norm();
+  const bool short_probe =
+      target.short_ids != nullptr && norm < pred.ShortRecordNormBound();
+  std::vector<RecordId>& matched = scratch->matched;
+  matched.clear();
+  auto verify = [&](RecordId local) {
+    const RecordId id = target.ToRecord(local);
+    ++*verified;
+    if (!pred.MatchesCross(target.records, id, probes, q)) return false;
+    on_match(local, id);
+    return true;
+  };
+
+  if (target.index.num_entities() > 0 && !probe.empty()) {
+    auto norm_of = [&](RecordId m) {
+      return target.records.record(target.ToRecord(m)).norm();
+    };
+    auto required_fn = [&](RecordId m) {
+      return pred.ThresholdForNorms(norm, norm_of(m));
+    };
+    auto filter_fn = [&](RecordId m) {
+      return pred.NormFilter(norm, norm_of(m));
+    };
+    FunctionRef<bool(RecordId)> filter;
+    if (apply_filter && pred.has_norm_filter()) filter = filter_fn;
+    auto gate_lookup = [&](RecordId m) {
+      const TokenBitmapEntry& e =
+          target.records.token_bitmap_entry(target.ToRecord(m));
+      return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
+    };
+    BitmapGate gate;
+    if (gate_words > 0) {
+      gate.probe_bits = probes.token_bitmap(q);
+      gate.probe_tokens = static_cast<uint32_t>(probe.size());
+      gate.words = gate_words;
+      gate.lookup = gate_lookup;
+    }
+    ProbeOne(
+        target.index, probe,
+        pred.ThresholdForNorms(norm, target.index.min_norm()), required_fn,
+        filter, merge_options, stats, scratch,
+        [&](const MergeCandidate& candidate) {
+          if (skip != nullptr && skip(candidate.id)) return;
+          if (verify(candidate.id) && short_probe) {
+            matched.push_back(candidate.id);
+          }
+        },
+        gate_words > 0 ? &gate : nullptr);
+  }
+
+  if (!short_probe) return;
+  auto next = matched.begin();
+  for (RecordId local : *target.short_ids) {
+    while (next != matched.end() && *next < local) ++next;
+    if (next != matched.end() && *next == local) continue;
+    if (skip != nullptr && skip(local)) continue;
+    verify(local);
+  }
 }
 
 /// Membership test against a sorted tombstone list (the serving tier's

@@ -222,7 +222,6 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   }
 
   plan.merge_options.split_lists = options.optimized_merge;
-  plan.merge_options.apply_filter = options.apply_filter;
   plan.use_bitmaps = options.bitmap_filter && pred.supports_bitmap_pruning();
   plan.emit_gated = plan.use_bitmaps && options.stopwords;
   auto bitmap_lookup = [&plan](RecordId m) { return plan.BitmapAt(m); };

@@ -1,16 +1,10 @@
 #include "core/streaming_join.h"
 
-#include <unordered_set>
-
-#include "core/merge_opt.h"
-#include "core/probe_common.h"
-#include "util/function_ref.h"
 #include "util/logging.h"
 
 namespace ssjoin {
 
-StreamingJoin::StreamingJoin(const Predicate& pred, Options options)
-    : pred_(pred), options_(options) {
+StreamingJoin::StreamingJoin(const Predicate& pred) : pred_(pred) {
   SSJOIN_CHECK(pred.corpus_independent_scores())
       << "StreamingJoin requires per-record scores; predicate '"
       << pred.name() << "' weights records against corpus statistics";
@@ -23,56 +17,22 @@ RecordId StreamingJoin::Add(
   RecordSet staging;
   staging.Add(record, std::move(text));
   pred_.Prepare(&staging);
-  const RecordView probe = staging.record(0);
 
-  double short_bound = pred_.ShortRecordNormBound();
-  bool probe_is_short = short_bound > 0 && probe.norm() < short_bound;
-  std::unordered_set<RecordId> emitted;  // only filled when needed
-
-  if (index_.num_entities() > 0 && !probe.empty()) {
-    double floor = pred_.ThresholdForNorms(probe.norm(), index_.min_norm());
-    auto required_fn = [&](RecordId m) {
-      return pred_.ThresholdForNorms(probe.norm(),
-                                     records_.record(m).norm());
-    };
-    FunctionRef<double(RecordId)> required = required_fn;
-    auto filter_fn = [&](RecordId m) {
-      return pred_.NormFilter(probe.norm(), records_.record(m).norm());
-    };
-    FunctionRef<bool(RecordId)> filter;
-    if (options_.apply_filter && pred_.has_norm_filter()) {
-      filter = filter_fn;
-    }
-    probe_internal::ProbeScratch scratch;
-    probe_internal::ProbeOne(
-        index_, probe, floor, required, filter, {}, &stats_.merge, &scratch,
-        [&](const MergeCandidate& candidate) {
-          ++stats_.candidates_verified;
-          if (pred_.MatchesCross(records_, candidate.id, staging, 0)) {
-            ++stats_.pairs;
-            if (probe_is_short) emitted.insert(candidate.id);
-            on_match(candidate.id);
-          }
-        });
-  }
-
-  if (probe_is_short) {
-    // Both-short pairs can match with no shared token (edit distance,
-    // Hamming); check the new record against every past short record.
-    for (RecordId earlier : short_records_) {
-      if (emitted.count(earlier) > 0) continue;
-      ++stats_.candidates_verified;
-      if (pred_.MatchesCross(records_, earlier, staging, 0)) {
+  const probe_internal::ProbeTarget<DynamicIndex> target{
+      index_, records_, /*record_ids=*/nullptr, &short_records_};
+  probe_internal::ProbeMatches(
+      pred_, target, staging.record(0), staging, 0, /*apply_filter=*/true,
+      MergeOptions{}, /*gate_words=*/0, /*skip=*/nullptr, &stats_.merge,
+      &stats_.candidates_verified, &scratch_,
+      [&](RecordId, RecordId earlier) {
         ++stats_.pairs;
         on_match(earlier);
-      }
-    }
-  }
+      });
 
   // Move the prepared record into the permanent set and index it.
   RecordId id = records_.Add(staging.record(0), staging.text(0));
   index_.Insert(id, records_.record(id));
-  if (short_bound > 0 && records_.record(id).norm() < short_bound) {
+  if (records_.record(id).norm() < pred_.ShortRecordNormBound()) {
     short_records_.push_back(id);
   }
   stats_.index_postings = index_.total_postings();

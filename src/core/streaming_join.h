@@ -6,6 +6,7 @@
 
 #include "core/join_common.h"
 #include "core/predicate.h"
+#include "core/probe_common.h"
 #include "data/record.h"
 #include "data/record_set.h"
 #include "index/dynamic_index.h"
@@ -27,19 +28,17 @@ namespace ssjoin {
 /// as the stream grows). Construction fails a SSJOIN_CHECK otherwise.
 class StreamingJoin {
  public:
-  struct Options {
-    bool apply_filter;
-    Options() : apply_filter(true) {}
-  };
-
   /// `pred` must outlive the StreamingJoin.
-  explicit StreamingJoin(const Predicate& pred, Options options = Options());
+  explicit StreamingJoin(const Predicate& pred);
 
   StreamingJoin(const StreamingJoin&) = delete;
   StreamingJoin& operator=(const StreamingJoin&) = delete;
 
   /// Adds a record (with optional original text, needed by edit
   /// distance), invoking `on_match` once per earlier record it matches.
+  /// The probe is the shared probe-and-verify body
+  /// (probe_internal::ProbeMatches) over the grown index, plus the walk
+  /// over the earlier short records when the new one is short.
   /// Returns the id assigned to the record (its arrival position). The
   /// view is copied into the internal record set; it only needs to stay
   /// valid for the duration of the call.
@@ -56,13 +55,13 @@ class StreamingJoin {
 
  private:
   const Predicate& pred_;
-  Options options_;
   RecordSet records_;
   DynamicIndex index_;  // grows with the stream; membership unknown up front
   JoinStats stats_;
-  // Scratch for the short-record fallback (edit distance / Hamming):
-  // ids of past records below the predicate's short bound.
+  // Ids of past records below the predicate's short bound (edit distance,
+  // Hamming), ascending: the short pool every short arrival walks.
   std::vector<RecordId> short_records_;
+  probe_internal::ProbeScratch scratch_;  // reused by every Add
 };
 
 }  // namespace ssjoin

@@ -13,9 +13,10 @@ namespace ssjoin {
 /// Immutable delta+varint compressed posting list. Section 4 notes that
 /// standard IR index compression "would contribute to pushing the limit
 /// up to which we can hold the index in memory" and is orthogonal to the
-/// partitioning strategy; this codec quantifies that headroom (see
-/// bench_micro) and backs the byte-accurate memory accounting used when
-/// sizing ClusterMem batches.
+/// partitioning strategy; this codec quantifies that headroom. Only the
+/// measurements use it: bench_micro, bench_ablation's compression table
+/// and index_test. ClusterMem sizes its batches in postings and never
+/// compresses an index.
 class CompressedPostingList {
  public:
   CompressedPostingList() = default;

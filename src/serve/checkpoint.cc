@@ -22,9 +22,10 @@ namespace ssjoin {
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
-// v3: the v2 segment-chain manifest without the raw-corpus flag and
-// section. v2 manifests are rejected with "unsupported checkpoint version".
-constexpr uint32_t kCheckpointVersion = 3;
+// v4: the v3 manifest without the per-shard tombstone lists, which every
+// compaction-point checkpoint left empty. v3 (and the raw-corpus v2)
+// manifests are rejected with "unsupported checkpoint version".
+constexpr uint32_t kCheckpointVersion = 4;
 constexpr char kCheckpointFile[] = "checkpoint.ssc";
 constexpr char kWalFile[] = "wal.log";
 
@@ -55,7 +56,7 @@ bool StrictlyIncreasing(const std::vector<RecordId>& ids) {
 }
 
 /// varint64 count + delta varints. Requires non-decreasing ids (every id
-/// table in a checkpoint — members, globals, shorts, tombstones — is).
+/// table in a checkpoint — members, globals, shorts, dead masks — is).
 void PutIdList(std::string* out, const std::vector<RecordId>& ids) {
   PutVarint64(out, ids.size());
   RecordId prev = 0;
@@ -807,10 +808,6 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
       ispec.backing = mapping;
       part.index = InvertedIndex::MakeView(std::move(ispec));
     }
-    part.global_ids.reserve(part.member_ids.size());
-    for (RecordId local : part.member_ids) {
-      part.global_ids.push_back(segment->global_ids[local]);
-    }
     members_total += sh.members;
   }
   // Shard parts must partition the segment's records (each member id is
@@ -831,12 +828,11 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
                       std::set<uint64_t>* persisted_segments,
                       GcStats* gc_stats) {
   if (state.deleted == nullptr || state.segments.empty() ||
-      state.tombstones.empty() || persisted_segments == nullptr) {
+      state.num_shards == 0 || persisted_segments == nullptr) {
     return Status::InvalidArgument("incomplete checkpoint state");
   }
   for (const CheckpointState::SegmentRef& ref : state.segments) {
-    if (ref.segment == nullptr ||
-        ref.dead.size() != state.tombstones.size()) {
+    if (ref.segment == nullptr || ref.dead.size() != state.num_shards) {
       return Status::InvalidArgument("incomplete checkpoint state");
     }
   }
@@ -862,7 +858,7 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
   PutVarint64(&buffer, state.wal_seq);
   PutVarint64(&buffer, state.predicate.size());
   buffer += state.predicate;
-  PutVarint64(&buffer, state.tombstones.size());
+  PutVarint64(&buffer, state.num_shards);
   PutIdList(&buffer, state.shard_bounds);
   PutVarint64(&buffer, state.next_id);
   PutVarint64(&buffer, state.next_segment_id);
@@ -875,9 +871,6 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
       static const std::vector<RecordId> kEmpty;
       PutIdList(&buffer, dead != nullptr ? *dead : kEmpty);
     }
-  }
-  for (const std::vector<RecordId>* tombstones : state.tombstones) {
-    PutIdList(&buffer, *tombstones);
   }
   // Whole-file trailing checksum: a manifest either verifies end to end
   // or is rejected — there is no partially-trusted checkpoint.
@@ -926,7 +919,6 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
   const std::string body = data.substr(0, body_size);
   ServiceCheckpoint cp;
   uint64_t pred_size = 0;
-  uint64_t num_shards = 0;
   if (!GetVarint64(body, &offset, &cp.epoch) ||
       !GetVarint64(body, &offset, &cp.wal_seq) ||
       !GetVarint64(body, &offset, &pred_size) ||
@@ -935,10 +927,11 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
   }
   cp.predicate.assign(body, offset, pred_size);
   offset += pred_size;
-  if (!GetVarint64(body, &offset, &num_shards) || num_shards == 0 ||
-      num_shards > body.size()) {
+  if (!GetVarint64(body, &offset, &cp.num_shards) || cp.num_shards == 0 ||
+      cp.num_shards > body.size()) {
     return Corrupt("bad shard count", path);
   }
+  const uint64_t num_shards = cp.num_shards;
   if (!GetIdList(body, &offset, &cp.shard_bounds) ||
       cp.shard_bounds.size() + 1 != num_shards) {
     return Corrupt("bad shard bounds", path);
@@ -971,15 +964,6 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
       if (!GetIdList(body, &offset, &dead) || !StrictlyIncreasing(dead)) {
         return Corrupt("bad segment dead mask", path);
       }
-    }
-  }
-  cp.tombstones.resize(num_shards);
-  for (std::vector<RecordId>& tombstones : cp.tombstones) {
-    if (!GetIdList(body, &offset, &tombstones)) {
-      return Corrupt("truncated tombstones", path);
-    }
-    if (!tombstones.empty() && tombstones.back() >= cp.next_id) {
-      return Corrupt("tombstone out of range", path);
     }
   }
   if (offset != body.size()) {

@@ -22,12 +22,16 @@ namespace ssjoin {
 ///     first covers it, and never rewritten — steady-state checkpoints
 ///     write one new (delta-sized) segment file plus the small manifest,
 ///     which is what makes checkpointing O(delta) alongside compaction.
-///   * The manifest holds everything that still changes: epoch, WAL
-///     fence, shard bounds, the deleted bitmap, per-segment dead masks
-///     and live counts, pending tombstones, and the ordered list of
-///     segment file ids it depends on. Nothing else: even TF-IDF cosine
-///     needs no raw records, since its weights depend only on token sets
-///     and document frequencies, which the prepared segments hold.
+///   * The manifest (v4) holds everything that still changes: epoch, WAL
+///     fence, shard count and bounds, the deleted bitmap, per-segment dead
+///     masks and live counts, and the ordered list of segment file ids it
+///     depends on. Nothing else: checkpoints are taken only at compaction
+///     points, where every pending tombstone has just folded into a dead
+///     mask, so the manifest carries no tombstone lists (v3 carried
+///     always-empty ones and is rejected as an unsupported version); and
+///     even TF-IDF cosine needs no raw records, since its weights depend
+///     only on token sets and document frequencies, which the prepared
+///     segments hold.
 ///
 /// Both file kinds are CRC32-trailered and written tmp-then-rename, so
 /// each is individually whole; the manifest rename is the commit point
@@ -64,10 +68,9 @@ Status EnsureDataDir(const std::string& data_dir);
 bool CheckpointExists(const std::string& data_dir);
 
 /// Borrowed view of the service state a checkpoint covers — Save never
-/// copies the corpus or indexes. `segments` is the chain in order;
-/// `tombstones` has one entry per token-range shard (empty at
-/// compaction-point checkpoints, but the format carries them so the
-/// on-disk state is self-contained).
+/// copies the corpus or indexes. `segments` is the chain in order. The
+/// state is a compaction point: no memtable records, no pending
+/// tombstones.
 struct CheckpointState {
   uint64_t epoch = 0;
   /// Last WAL seq this checkpoint covers: replay skips frames at or below
@@ -78,6 +81,8 @@ struct CheckpointState {
   /// under a different predicate, whose scores/thresholds would silently
   /// disagree with the serialized prepared arenas.
   std::string predicate;
+  /// Token-range shard count; shard_bounds has num_shards - 1 entries.
+  uint64_t num_shards = 0;
   std::vector<TokenId> shard_bounds;
   /// Total record ids ever assigned (the next insert's id).
   uint64_t next_id = 0;
@@ -93,7 +98,6 @@ struct CheckpointState {
     uint64_t live = 0;
   };
   std::vector<SegmentRef> segments;
-  std::vector<const std::vector<RecordId>*> tombstones;  // per shard
 };
 
 /// Segment-file garbage-collection outcome (both Save and Load GC
@@ -118,6 +122,7 @@ struct ServiceCheckpoint {
   uint64_t epoch = 0;
   uint64_t wal_seq = 0;
   std::string predicate;
+  uint64_t num_shards = 0;
   std::vector<TokenId> shard_bounds;
   uint64_t next_id = 0;
   uint64_t next_segment_id = 0;
@@ -128,11 +133,8 @@ struct ServiceCheckpoint {
     uint64_t live = 0;
   };
   std::vector<Segment> segments;
-  std::vector<std::vector<RecordId>> tombstones;  // per shard
   /// Orphan-GC outcome of this load.
   GcStats gc;
-
-  size_t num_shards() const { return tombstones.size(); }
 };
 
 /// Writes the checkpoint for `state` into `data_dir`: first every chain

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "core/probe_common.h"
@@ -47,33 +46,28 @@ size_t BitmapGateWords(const ServiceOptions& options, const Predicate& pred) {
 }
 
 /// One probe target inside a shard: one segment's part, or the shard's
-/// delta image. The index speaks local ids; `backing_ids` maps them into
-/// `backing` (null when local ids ARE backing ids, i.e. delta images)
-/// and `global_ids` maps them to corpus ids. A candidate is dropped
-/// before verification when its local id is in `dead` (the segment's
-/// mask of members deleted after it was built) or its global id is in
-/// `tombstones` (the shard's pending deletes) — exactly as if compaction
-/// had already removed its postings. Both lists are sorted and may be
-/// null; delta images need neither, they exclude tombstoned records at
-/// build time.
+/// delta image. `target` is what the shared probe body probes (the
+/// index, the backing records its local ids resolve to, and the short
+/// pool); `global_ids` maps backing record ids to corpus ids. A candidate
+/// is dropped before verification when its local id is in `dead` (the
+/// segment's mask of members deleted after it was built) or its global id
+/// is in `tombstones` (the shard's pending deletes) — exactly as if
+/// compaction had already removed its postings. Both lists are sorted and
+/// may be null; delta images need neither, they exclude tombstoned
+/// records at build time.
 template <typename IndexT>
 struct ShardTier {
-  const IndexT& index;
-  const RecordSet& backing;
-  const std::vector<RecordId>* backing_ids;
+  probe_internal::ProbeTarget<IndexT> target;
   const std::vector<RecordId>& global_ids;
-  const std::vector<RecordId>& short_ids;
   const std::vector<RecordId>* dead;
   const std::vector<RecordId>* tombstones;
 
-  RecordId ToBacking(RecordId local) const {
-    return backing_ids != nullptr ? (*backing_ids)[local] : local;
-  }
   bool Dropped(RecordId local) const {
     return (dead != nullptr &&
             std::binary_search(dead->begin(), dead->end(), local)) ||
            (tombstones != nullptr &&
-            probe_internal::IsTombstoned(*tombstones, global_ids[local]));
+            probe_internal::IsTombstoned(
+                *tombstones, global_ids[target.ToRecord(local)]));
   }
 };
 
@@ -81,114 +75,33 @@ struct ShardTier {
 /// ride on its delta image.
 ShardTier<InvertedIndex> SegmentTier(const SegmentChainEntry& entry,
                                      size_t shard, const DeltaShard& delta) {
-  const SegmentShardPart& part = entry.segment->shards[shard];
-  return {part.index,
-          *entry.segment->records,
-          &part.member_ids,
-          part.global_ids,
-          part.short_ids,
+  const CorpusSegment& segment = *entry.segment;
+  const SegmentShardPart& part = segment.shards[shard];
+  return {{part.index, *segment.records, &part.member_ids, &part.short_ids},
+          segment.global_ids,
           entry.dead[shard].get(),
           delta.tombstones.empty() ? nullptr : &delta.tombstones};
 }
 
 ShardTier<DynamicIndex> DeltaTier(const DeltaShard& delta) {
-  return {delta.index,
-          delta.records,
-          /*backing_ids=*/nullptr,
+  return {{delta.index, delta.records, /*record_ids=*/nullptr,
+           &delta.short_ids},
           delta.global_ids,
-          delta.short_ids,
           /*dead=*/nullptr,
           /*tombstones=*/nullptr};
 }
 
-/// Probes one shard tier for `staged.record(q)` and appends every
-/// VERIFIED match as a global-id QueryMatch. The probe mirrors the batch
-/// drivers bound-for-bound: floor = T(probe, minS of the tier) — a
-/// valid, per-tier-tighter lower bound, since every candidate bound
-/// T(probe, ||m||) dominates it — per candidate bound, optional norm
-/// range filter, then the predicate's canonical MatchesCross decision,
-/// so a sharded, segmented query accepts a pair exactly when the batch
-/// join (and the 1-shard, 1-segment service) would.
-template <typename IndexT>
-void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
-                    const ShardTier<IndexT>& tier, const RecordSet& staged,
-                    RecordId q, size_t shard, QueryContext* ctx,
-                    std::vector<QueryMatch>* out,
-                    std::unordered_set<RecordId>* matched_local) {
-  const RecordView probe = staged.record(q);
-  if (tier.index.num_entities() == 0 || probe.empty()) return;
-  double floor = pred.ThresholdForNorms(probe.norm(), tier.index.min_norm());
-  auto required_fn = [&](RecordId m) {
-    return pred.ThresholdForNorms(
-        probe.norm(), tier.backing.record(tier.ToBacking(m)).norm());
-  };
-  FunctionRef<double(RecordId)> required = required_fn;
-  auto filter_fn = [&](RecordId m) {
-    return pred.NormFilter(probe.norm(),
-                           tier.backing.record(tier.ToBacking(m)).norm());
-  };
-  FunctionRef<bool(RecordId)> filter;
-  if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
-  auto gate_lookup = [&](RecordId m) {
-    const TokenBitmapEntry& e =
-        tier.backing.token_bitmap_entry(tier.ToBacking(m));
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = gate_lookup;
-  const BitmapGate* gate_ptr = nullptr;
-  if (const size_t gate_words = BitmapGateWords(options, pred);
-      gate_words > 0) {
-    gate.probe_bits = staged.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    gate_ptr = &gate;
-  }
-  probe_internal::ProbeOne(
-      tier.index, probe, floor, required, filter, options.merge, &ctx->merge,
-      &ctx->scratch,
-      [&](const MergeCandidate& candidate) {
-        if (tier.Dropped(candidate.id)) return;
-        ++ctx->shard_candidates[shard];
-        const RecordId bid = tier.ToBacking(candidate.id);
-        if (pred.MatchesCross(tier.backing, bid, staged, q)) {
-          if (matched_local != nullptr) matched_local->insert(candidate.id);
-          out->push_back({tier.global_ids[candidate.id],
-                          tier.backing.record(bid).OverlapWith(probe)});
-        }
-      },
-      gate_ptr);
-}
-
-/// The short-record side pool, per shard tier: a short probe is checked
-/// against every short tier record the index probe did not already
-/// accept (such pairs can match with no shared token, e.g. tiny strings
-/// under the edit-distance q-gram bound). Mirrors StreamingJoin::Add.
-/// Dead and tombstoned pool members are skipped the same way as index
-/// candidates.
-template <typename IndexT>
-void ProbeShardShortPool(const Predicate& pred, const ShardTier<IndexT>& tier,
-                         const RecordSet& staged, RecordId q, size_t shard,
-                         QueryContext* ctx, std::vector<QueryMatch>* out,
-                         const std::unordered_set<RecordId>& matched_local) {
-  const RecordView probe = staged.record(q);
-  for (RecordId local : tier.short_ids) {
-    if (matched_local.count(local) > 0 || tier.Dropped(local)) continue;
-    ++ctx->shard_candidates[shard];
-    const RecordId bid = tier.ToBacking(local);
-    if (pred.MatchesCross(tier.backing, bid, staged, q)) {
-      out->push_back({tier.global_ids[local],
-                      tier.backing.record(bid).OverlapWith(probe)});
-    }
-  }
-}
-
 /// Full thresholded lookup of staged.record(q) against ONE shard of the
 /// snapshot: each segment's part of the shard, then its delta tier, then
-/// id-sorted. Every tier is probed on its own with its own floor; a
-/// record lives in exactly one shard and one tier, so the per-tier
-/// outputs are disjoint and the deterministic cross-shard merge
-/// reconstructs the single-index answer byte for byte.
+/// id-sorted. Every tier runs the shared probe-and-verify body
+/// (probe_internal::ProbeMatches) on its own — floor T(probe, minS of the
+/// tier), per-candidate bound, norm filter, bitmap gate, the predicate's
+/// canonical MatchesCross and the tier's short pool — so a sharded,
+/// segmented query accepts a pair exactly when the batch join (and the
+/// 1-shard, 1-segment service) would. A record lives in exactly one shard
+/// and one tier, so the per-tier outputs are disjoint and the
+/// deterministic cross-shard merge reconstructs the single-index answer
+/// byte for byte.
 std::vector<QueryMatch> LookupShard(const Predicate& pred,
                                     const ServiceOptions& options,
                                     const IndexSnapshot& snap, size_t shard,
@@ -197,16 +110,17 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
   ctx->EnsureShards(snap.num_shards());
   std::vector<QueryMatch> out;
   const RecordView probe = staged.record(q);
-  double short_bound = pred.ShortRecordNormBound();
-  bool probe_is_short = short_bound > 0 && probe.norm() < short_bound;
-  std::unordered_set<RecordId> matched;  // tier-local ids; only when short
+  const size_t gate_words = BitmapGateWords(options, pred);
   auto probe_tier = [&](const auto& tier) {
-    ProbeShardTier(pred, options, tier, staged, q, shard, ctx, &out,
-                   probe_is_short ? &matched : nullptr);
-    if (probe_is_short) {
-      ProbeShardShortPool(pred, tier, staged, q, shard, ctx, &out, matched);
-      matched.clear();
-    }
+    probe_internal::ProbeMatches(
+        pred, tier.target, probe, staged, q, /*apply_filter=*/true,
+        MergeOptions{}, gate_words,
+        [&tier](RecordId local) { return tier.Dropped(local); }, &ctx->merge,
+        &ctx->shard_candidates[shard], &ctx->scratch,
+        [&](RecordId, RecordId id) {
+          out.push_back({tier.global_ids[id],
+                         tier.target.records.record(id).OverlapWith(probe)});
+        });
   };
   const DeltaShard& delta = *snap.delta[shard];
   for (const SegmentChainEntry& entry : *snap.chain) {
@@ -248,16 +162,16 @@ void SweepShardOverlaps(const IndexSnapshot& snap, size_t shard,
   ctx->EnsureShards(snap.num_shards());
   if (probe.empty()) return;
   auto sweep_tier = [&](const auto& tier) {
-    if (tier.index.num_entities() == 0) return;
+    if (tier.target.index.num_entities() == 0) return;
     probe_internal::ProbeOne(
-        tier.index, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
-        MergeOptions{}, &ctx->merge, &ctx->scratch,
+        tier.target.index, probe, /*floor=*/0, /*required=*/{},
+        /*filter=*/{}, MergeOptions{}, &ctx->merge, &ctx->scratch,
         [&](const MergeCandidate& candidate) {
           if (tier.Dropped(candidate.id)) return;
           ++ctx->shard_candidates[shard];
-          out->push_back({tier.global_ids[candidate.id],
-                          tier.backing.record(tier.ToBacking(candidate.id))
-                              .OverlapWith(probe)});
+          const RecordId id = tier.target.ToRecord(candidate.id);
+          out->push_back({tier.global_ids[id],
+                          tier.target.records.record(id).OverlapWith(probe)});
         });
   };
   const DeltaShard& delta = *snap.delta[shard];
@@ -332,7 +246,7 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
                                      ServiceOptions options)
     : pred_(pred),
       options_(std::move(options)),
-      num_shards_(checkpoint.num_shards()),
+      num_shards_(checkpoint.num_shards),
       resident_budget_(EffectiveResidentBudget(options_, pred)),
       pool_(std::make_unique<ThreadPool>(
           options_.num_threads > 0 ? options_.num_threads
@@ -347,10 +261,7 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
   }
   memtables_.resize(num_shards_);
   memtable_ids_.resize(num_shards_);
-  tombstones_ = std::move(checkpoint.tombstones);
-  for (const std::vector<RecordId>& ts : tombstones_) {
-    tombstone_total_ += ts.size();
-  }
+  tombstones_.resize(num_shards_);
 
   // Rebuild the chain exactly as checkpointed: segments shared straight
   // off disk (and already durable — seed the persisted set so the next
@@ -384,18 +295,16 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
 
   // Re-publish the checkpointed snapshot at its recorded epoch: the
   // restored chain as is, deltas empty (checkpoints are written at
-  // compaction points) apart from any carried tombstones.
+  // compaction points, so no memtable records and no tombstones).
   auto snap = std::make_shared<IndexSnapshot>();
   snap->chain = std::make_shared<const SegmentChain>(chain_);
   snap->delta.resize(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
-    snap->delta[s] = BuildDeltaShard(RecordSet(), {},
-                                     pred_.ShortRecordNormBound(),
-                                     tombstones_[s]);
+    snap->delta[s] =
+        BuildDeltaShard(RecordSet(), {}, pred_.ShortRecordNormBound());
   }
   snap->epoch = checkpoint.epoch;
   snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
-  snap->pending_tombstones = tombstone_total_;
   {
     std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
     snapshot_ = std::move(snap);
@@ -547,11 +456,15 @@ void SimilarityService::ApplyResidencyAdvice() {
 }
 
 Status SimilarityService::SaveCheckpointLocked() {
+  // The manifest carries no memtable records and no tombstones: a
+  // checkpoint is only ever taken at a compaction point.
+  SSJOIN_CHECK(memtable_total_ == 0 && tombstone_total_ == 0);
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
   CheckpointState state;
   state.epoch = snap->epoch;
   state.wal_seq = wal_next_seq_ - 1;
   state.predicate = pred_.name();
+  state.num_shards = num_shards_;
   state.shard_bounds = shard_bounds_;
   state.next_id = next_id_;
   state.next_segment_id = next_segment_id_;
@@ -567,10 +480,6 @@ Status SimilarityService::SaveCheckpointLocked() {
     }
     ref.live = entry.live;
     state.segments.push_back(std::move(ref));
-  }
-  state.tombstones.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    state.tombstones.push_back(&tombstones_[s]);
   }
   GcStats gc;
   Status status = ssjoin::SaveCheckpoint(options_.data_dir, state,

@@ -31,10 +31,6 @@ struct QueryMatch {
 };
 
 struct ServiceOptions {
-  /// Apply the predicate's norm range filter during merges.
-  bool apply_filter = true;
-  /// ListMerger knobs (MergeOpt L/S split on by default).
-  MergeOptions merge;
   /// Auto-compact when the total memtable (across shards) reaches this
   /// many records; 0 means compaction only happens through explicit
   /// Compact() calls. Each insert republishes only the routed shard's

@@ -67,7 +67,6 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
     SegmentShardPart& part =
         segment->shards[RouteToShard(arena.record(local), shard_bounds)];
     part.member_ids.push_back(local);
-    part.global_ids.push_back(segment->global_ids[local]);
   }
   for (SegmentShardPart& part : segment->shards) {
     part.index.PlanFromRecordsSubset(arena, part.member_ids);
@@ -94,8 +93,7 @@ uint64_t ComputeSegmentApproxBytes(const CorpusSegment& segment) {
   uint64_t bytes = segment.records->ApproxMemoryBytes();
   bytes += segment.global_ids.size() * sizeof(RecordId);
   for (const SegmentShardPart& part : segment.shards) {
-    bytes += (part.member_ids.size() + part.global_ids.size() +
-              part.short_ids.size()) *
+    bytes += (part.member_ids.size() + part.short_ids.size()) *
              sizeof(RecordId);
     if (!part.index.is_view()) {
       bytes += part.index.total_postings() * sizeof(Posting);

@@ -25,11 +25,9 @@ class Predicate;
 struct SegmentShardPart {
   /// Segment-local positions of the part's members in the owning
   /// segment's records arena, strictly increasing. The index speaks
-  /// PART-local ids (positions in this vector).
+  /// PART-local ids (positions in this vector); a member's corpus id is
+  /// the segment's global_ids entry at its position.
   std::vector<RecordId> member_ids;
-  /// Global corpus ids of the members, parallel to member_ids (derived
-  /// from the segment's global_ids table; stable, never reused).
-  std::vector<RecordId> global_ids;
   /// Flat CSR index over the part members under part-local ids.
   InvertedIndex index;
   /// Part-local ids of members with norm below the predicate's

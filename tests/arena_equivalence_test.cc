@@ -8,9 +8,12 @@
 // Regenerating goldens (only legitimate after an intentional semantic
 // change): run with SSJOIN_PRINT_GOLDENS=1 and paste the printed table.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,11 +24,13 @@
 #include "core/cosine_predicate.h"
 #include "core/dice_predicate.h"
 #include "core/edit_distance_predicate.h"
+#include "core/foreign_join.h"
 #include "core/hamming_predicate.h"
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_coefficient_predicate.h"
 #include "core/overlap_predicate.h"
+#include "core/streaming_join.h"
 #include "data/corpus_builder.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -260,20 +265,50 @@ void RunSuite(GoldenRecorder* recorder, const std::string& corpus_label,
   }
 }
 
-TEST(ArenaEquivalence, GoldenOutputsAcrossAlgorithms) {
-  GoldenRecorder recorder;
-
+RecordSet DenseSet() {
   RandomSetOptions dense;
   dense.num_records = 150;
   dense.vocabulary = 60;
-  RecordSet dense_set = MakeRandomRecordSet(dense, 4711);
+  return MakeRandomRecordSet(dense, 4711);
+}
 
+RecordSet SkewedSet() {
   RandomSetOptions skewed;
   skewed.num_records = 160;
   skewed.vocabulary = 200;
   skewed.zipf_exponent = 1.4;
   skewed.duplicate_fraction = 0.5;
-  RecordSet skewed_set = MakeRandomRecordSet(skewed, 4712);
+  return MakeRandomRecordSet(skewed, 4712);
+}
+
+/// Near-duplicate q-gram strings, many of them short enough for the
+/// edit-distance short-record pool.
+RecordSet QGramSet() {
+  Rng rng(515);
+  std::vector<std::string> texts;
+  for (int i = 0; i < 110; ++i) {
+    if (!texts.empty() && rng.Bernoulli(0.5)) {
+      std::string base = texts[rng.UniformU32(texts.size())];
+      int edits = rng.UniformInt(0, 3);
+      for (int e = 0; e < edits && !base.empty(); ++e) {
+        uint32_t pos = rng.UniformU32(static_cast<uint32_t>(base.size()));
+        base[pos] = static_cast<char>('a' + rng.UniformU32(26));
+      }
+      texts.push_back(base);
+    } else {
+      texts.push_back(testing_util::RandomAsciiString(rng, 1, 22));
+    }
+  }
+  TokenDictionary dict;
+  CorpusBuilderOptions copts;
+  copts.normalize = false;
+  return BuildQGramCorpus(texts, /*q=*/3, &dict, copts);
+}
+
+TEST(ArenaEquivalence, GoldenOutputsAcrossAlgorithms) {
+  GoldenRecorder recorder;
+  const RecordSet dense_set = DenseSet();
+  const RecordSet skewed_set = SkewedSet();
 
   RunSuite(&recorder, "dense", dense_set, OverlapPredicate(3.0),
            /*prefix_filter=*/true);
@@ -294,27 +329,283 @@ TEST(ArenaEquivalence, GoldenOutputsAcrossAlgorithms) {
 
 TEST(ArenaEquivalence, GoldenOutputsEditDistance) {
   GoldenRecorder recorder;
-  Rng rng(515);
-  std::vector<std::string> texts;
-  for (int i = 0; i < 110; ++i) {
-    if (!texts.empty() && rng.Bernoulli(0.5)) {
-      std::string base = texts[rng.UniformU32(texts.size())];
-      int edits = rng.UniformInt(0, 3);
-      for (int e = 0; e < edits && !base.empty(); ++e) {
-        uint32_t pos = rng.UniformU32(static_cast<uint32_t>(base.size()));
-        base[pos] = static_cast<char>('a' + rng.UniformU32(26));
-      }
-      texts.push_back(base);
-    } else {
-      texts.push_back(testing_util::RandomAsciiString(rng, 1, 22));
-    }
-  }
-  TokenDictionary dict;
-  CorpusBuilderOptions copts;
-  copts.normalize = false;
-  RecordSet base = BuildQGramCorpus(texts, /*q=*/3, &dict, copts);
-  RunSuite(&recorder, "qgram", base, EditDistancePredicate(2, 3),
+  RunSuite(&recorder, "qgram", QGramSet(), EditDistancePredicate(2, 3),
            /*prefix_filter=*/false);
+}
+
+// Work goldens: the pair set plus every JoinStats counter of the joins
+// that probe a record against an index and verify its candidates —
+// Probe-Cluster, ClusterMem, PrefixFilter (serial and 4 threads), the
+// cross join and the streaming join. Equal pairs alone would not show
+// that these paths still prune, merge and verify exactly as before;
+// equal counters do.
+//
+// gallop_probes counts comparisons, which the AVX2 and the scalar
+// lower-bound backends account differently (identical positions, see
+// MergeLowerBound), so each golden holds one value per backend.
+// Regenerate with SSJOIN_PRINT_GOLDENS=1, once per backend
+// (SSJOIN_FORCE_SCALAR=1 for the scalar column).
+
+constexpr size_t kWorkCounters = 10;
+
+struct WorkGolden {
+  const char* label;
+  uint64_t hash;
+  // pairs, candidates_verified, index_postings, then MergeStats merges,
+  // heap_pops, candidates, bitmap_checked, bitmap_pruned, lists_direct,
+  // lists_merged.
+  std::array<uint64_t, kWorkCounters> counters;
+  uint64_t gallop_avx2;
+  uint64_t gallop_scalar;
+};
+
+const WorkGolden kWorkGoldens[] = {
+    {"work/dense/overlap/probe-cluster", 10388405375568447476ull,
+     {4108, 4108, 1687, 1400, 12964, 5359, 0, 0, 2794, 4279},
+     10806, 10809},
+    {"work/dense/overlap/cluster-mem", 10388405375568447476ull,
+     {4108, 4108, 403, 1586, 14189, 5792, 0, 0, 3154, 4939},
+     10342, 10362},
+    {"work/dense/overlap/prefix-filter", 10388405375568447476ull,
+     {4108, 7041, 922, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/overlap/prefix-filter/t4", 10388405375568447476ull,
+     {4108, 7041, 922, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/overlap/foreign", 1625824576597524418ull,
+     {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449},
+     5733, 5755},
+    {"work/dense/overlap/streaming", 10388405375568447476ull,
+     {4108, 4108, 1216, 149, 11780, 4108, 0, 0, 289, 867},
+     11730, 11784},
+    {"work/dense/jaccard/probe-cluster", 15267942115989793231ull,
+     {100, 100, 1481, 242, 3267, 193, 0, 0, 1129, 601},
+     3695, 3637},
+    {"work/dense/jaccard/cluster-mem", 15267942115989793231ull,
+     {100, 100, 467, 491, 3856, 1143, 0, 0, 1901, 1307},
+     5110, 5114},
+    {"work/dense/jaccard/prefix-filter", 15267942115989793231ull,
+     {100, 3484, 720, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/jaccard/prefix-filter/t4", 15267942115989793231ull,
+     {100, 3484, 720, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/jaccard/foreign", 17818566169546503509ull,
+     {36, 36, 619, 75, 3978, 36, 0, 0, 178, 419},
+     1567, 1590},
+    {"work/dense/jaccard/streaming", 15267942115989793231ull,
+     {100, 100, 1216, 149, 7561, 100, 0, 0, 363, 793},
+     2709, 2728},
+    {"work/dense/cosine/probe-cluster", 14618095315970372102ull,
+     {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570},
+     6125, 6099},
+    {"work/dense/cosine/cluster-mem", 14618095315970372102ull,
+     {181, 181, 461, 418, 3208, 904, 0, 0, 1879, 1104},
+     6216, 6242},
+    {"work/dense/cosine/prefix-filter", 14618095315970372102ull,
+     {181, 5548, 817, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/cosine/prefix-filter/t4", 14618095315970372102ull,
+     {181, 5548, 817, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/dense/cosine/foreign", 17353743904922788193ull,
+     {80, 80, 619, 75, 4222, 80, 0, 0, 223, 374},
+     4872, 4905},
+    {"work/skewed/overlap/probe-cluster", 16066056405829026878ull,
+     {2506, 2506, 1243, 883, 5575, 3230, 0, 0, 2631, 1706},
+     11025, 10978},
+    {"work/skewed/overlap/cluster-mem", 16066056405829026878ull,
+     {2506, 2506, 324, 980, 6402, 3842, 0, 0, 2884, 1982},
+     11910, 11919},
+    {"work/skewed/overlap/prefix-filter", 16066056405829026878ull,
+     {2506, 5300, 524, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/overlap/prefix-filter/t4", 16066056405829026878ull,
+     {2506, 5300, 524, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/overlap/foreign", 12968886164391366775ull,
+     {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244},
+     8965, 9109},
+    {"work/skewed/overlap/streaming", 16066056405829026878ull,
+     {2506, 2506, 989, 159, 6111, 2506, 0, 0, 457, 443},
+     17202, 17439},
+    {"work/skewed/dice/probe-cluster", 15189134890236523082ull,
+     {1211, 1211, 1266, 723, 4903, 1775, 0, 0, 2093, 1194},
+     9849, 9880},
+    {"work/skewed/dice/cluster-mem", 15189134890236523082ull,
+     {1211, 1211, 329, 824, 5392, 2463, 0, 0, 2344, 1433},
+     10024, 10063},
+    {"work/skewed/dice/prefix-filter", 15189134890236523082ull,
+     {1211, 5684, 652, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/dice/prefix-filter/t4", 15189134890236523082ull,
+     {1211, 5684, 652, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/dice/foreign", 8841834680040183975ull,
+     {573, 573, 495, 80, 4868, 573, 0, 0, 156, 313},
+     5818, 5894},
+    {"work/skewed/dice/streaming", 15189134890236523082ull,
+     {1211, 1211, 989, 159, 12424, 1211, 0, 0, 265, 635},
+     8956, 9046},
+    {"work/skewed/overlap-coefficient/probe-cluster", 14277149952392889830ull,
+     {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173},
+     9475, 9593},
+    {"work/skewed/overlap-coefficient/cluster-mem", 14277149952392889830ull,
+     {2378, 2378, 330, 974, 4909, 3476, 0, 0, 2588, 1433},
+     9427, 9528},
+    {"work/skewed/overlap-coefficient/foreign", 10368379174138491742ull,
+     {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394},
+     3724, 3759},
+    {"work/skewed/overlap-coefficient/streaming", 14277149952392889830ull,
+     {2378, 2378, 989, 159, 30518, 2378, 0, 0, 36, 864},
+     183, 184},
+    {"work/skewed/hamming/probe-cluster", 17022430018312793733ull,
+     {1595, 1867, 1273, 892, 7592, 2249, 0, 0, 1532, 1397},
+     8026, 8113},
+    {"work/skewed/hamming/cluster-mem", 17022430018312793733ull,
+     {1595, 1867, 370, 1200, 7270, 3633, 0, 0, 2256, 1936},
+     8312, 8379},
+    {"work/skewed/hamming/prefix-filter", 17022430018312793733ull,
+     {1595, 6677, 719, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/hamming/prefix-filter/t4", 17022430018312793733ull,
+     {1595, 6677, 719, 0, 0, 0, 0, 0, 0, 0},
+     0, 0},
+    {"work/skewed/hamming/foreign", 9834587799572333019ull,
+     {787, 923, 495, 80, 6392, 745, 0, 0, 120, 349},
+     2801, 2809},
+    {"work/skewed/hamming/streaming", 17022430018312793733ull,
+     {1595, 1867, 989, 159, 17245, 1516, 0, 0, 175, 725},
+     2439, 2446},
+    {"work/qgram/edit-distance/probe-cluster", 2522082964145004146ull,
+     {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306},
+     158, 158},
+    {"work/qgram/edit-distance/cluster-mem", 2522082964145004146ull,
+     {72, 222, 966, 201, 851, 311, 0, 0, 495, 665},
+     168, 168},
+    {"work/qgram/edit-distance/foreign", 14831784346469832657ull,
+     {34, 96, 803, 55, 135, 44, 0, 0, 159, 120},
+     87, 87},
+    {"work/qgram/edit-distance/streaming", 2522082964145004146ull,
+     {72, 222, 1447, 109, 319, 107, 0, 0, 376, 203},
+     202, 202},
+};
+
+std::array<uint64_t, kWorkCounters> WorkCounters(const JoinStats& s) {
+  return {s.pairs,
+          s.candidates_verified,
+          s.index_postings,
+          s.merge.merges,
+          s.merge.heap_pops,
+          s.merge.candidates,
+          s.merge.bitmap_checked,
+          s.merge.bitmap_pruned,
+          s.merge.lists_direct,
+          s.merge.lists_merged};
+}
+
+void CheckWork(const std::string& label, PairVector pairs,
+               const JoinStats& stats) {
+  std::sort(pairs.begin(), pairs.end());
+  const uint64_t h = HashPairs(pairs);
+  const std::array<uint64_t, kWorkCounters> counters = WorkCounters(stats);
+  const bool scalar = std::strcmp(ActiveMergeBackend(), "scalar") == 0;
+  if (PrintGoldens()) {
+    std::printf("    {\"%s\", %lluull, {", label.c_str(),
+                static_cast<unsigned long long>(h));
+    for (size_t i = 0; i < kWorkCounters; ++i) {
+      std::printf("%s%llu", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(counters[i]));
+    }
+    std::printf("}, /*%s*/ %llu},\n", scalar ? "scalar" : "avx2",
+                static_cast<unsigned long long>(stats.merge.gallop_probes));
+    return;
+  }
+  for (const WorkGolden& g : kWorkGoldens) {
+    if (label != g.label) continue;
+    EXPECT_EQ(h, g.hash) << label << ": pair set diverged (" << pairs.size()
+                         << " pairs)";
+    EXPECT_EQ(counters, g.counters) << label << ": join work diverged";
+    EXPECT_EQ(stats.merge.gallop_probes,
+              scalar ? g.gallop_scalar : g.gallop_avx2)
+        << label << ": gallop probes diverged";
+    return;
+  }
+  ADD_FAILURE() << "no work golden recorded for case: " << label;
+}
+
+void RunWorkSuite(const std::string& corpus_label, const RecordSet& base,
+                  const Predicate& pred, bool prefix_filter) {
+  const std::string prefix = "work/" + corpus_label + "/" + pred.name() + "/";
+  auto run_join = [&](JoinAlgorithm algorithm, const std::string& name,
+                      int threads) {
+    JoinOptions options = BaseOptions();
+    options.num_threads = threads;
+    RecordSet working = base;
+    PairVector pairs;
+    Result<JoinStats> stats = RunJoin(
+        &working, pred, algorithm, options,
+        [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
+    ASSERT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
+    CheckWork(prefix + name, std::move(pairs), stats.value());
+  };
+  run_join(JoinAlgorithm::kProbeCluster, "probe-cluster", 1);
+  run_join(JoinAlgorithm::kClusterMem, "cluster-mem", 1);
+  if (prefix_filter) {
+    run_join(JoinAlgorithm::kPrefixFilter, "prefix-filter", 1);
+    run_join(JoinAlgorithm::kPrefixFilter, "prefix-filter/t4", 4);
+  }
+
+  // Cross join: the first half of the corpus probes an index over the
+  // second half.
+  {
+    const RecordId half = static_cast<RecordId>(base.size() / 2);
+    RecordSet left;
+    RecordSet right;
+    for (RecordId id = 0; id < base.size(); ++id) {
+      (id < half ? left : right).Add(base.record(id), base.text(id));
+    }
+    PairVector pairs;
+    Result<JoinStats> stats = ForeignProbeJoin(
+        &left, &right, pred, {},
+        [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    CheckWork(prefix + "foreign", std::move(pairs), stats.value());
+  }
+
+  // Streaming join, fed in id order (per-record scores only).
+  if (pred.corpus_independent_scores()) {
+    StreamingJoin stream(pred);
+    PairVector pairs;
+    for (RecordId id = 0; id < base.size(); ++id) {
+      stream.Add(base.record(id), base.text(id),
+                 [&pairs, id](RecordId earlier) {
+                   pairs.emplace_back(earlier, id);
+                 });
+    }
+    CheckWork(prefix + "streaming", std::move(pairs), stream.stats());
+  }
+}
+
+TEST(ArenaEquivalence, WorkGoldensAcrossProbeBodies) {
+  const RecordSet dense_set = DenseSet();
+  const RecordSet skewed_set = SkewedSet();
+  RunWorkSuite("dense", dense_set, OverlapPredicate(3.0),
+               /*prefix_filter=*/true);
+  RunWorkSuite("dense", dense_set, JaccardPredicate(0.5),
+               /*prefix_filter=*/true);
+  RunWorkSuite("dense", dense_set, CosinePredicate(0.5),
+               /*prefix_filter=*/true);
+  RunWorkSuite("skewed", skewed_set, OverlapPredicate(4.0),
+               /*prefix_filter=*/true);
+  RunWorkSuite("skewed", skewed_set, DicePredicate(0.6),
+               /*prefix_filter=*/true);
+  RunWorkSuite("skewed", skewed_set, OverlapCoefficientPredicate(0.7),
+               /*prefix_filter=*/false);
+  RunWorkSuite("skewed", skewed_set, HammingPredicate(4.0),
+               /*prefix_filter=*/true);
+  RunWorkSuite("qgram", QGramSet(), EditDistancePredicate(2, 3),
+               /*prefix_filter=*/false);
 }
 
 }  // namespace

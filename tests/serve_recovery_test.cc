@@ -882,7 +882,7 @@ TEST(CrashRecoveryTest, CraftedDeletedBitmapCountIsRejected) {
   // byte size (count + 7) / 8 wraps to 0, so only a count bounded by the
   // bytes left keeps the decoder from sizing a bitmap it cannot hold.
   std::string bytes("SSCP", 4);
-  PutFixed32(&bytes, 3);  // manifest version
+  PutFixed32(&bytes, 4);  // manifest version
   PutVarint64(&bytes, 0);  // epoch
   PutVarint64(&bytes, 0);  // wal seq
   const std::string predicate = "overlap";
@@ -921,12 +921,12 @@ TEST(CrashRecoveryTest, OldVersionManifestIsRejectedWithClearError) {
   const std::string path = CheckpointFilePath(options.data_dir);
   const std::string bytes = ReadAll(path);
 
-  // v2 manifests carried a raw-corpus flag (and, for cosine, the raw
-  // corpus). Rewind the version field (fixed32 right after the 4-byte
-  // magic) and reseal: the rejection must name the version, not report
-  // generic corruption.
+  // v3 manifests carried per-shard tombstone lists (always empty: a
+  // checkpoint is only taken at a compaction point). Rewind the version
+  // field (fixed32 right after the 4-byte magic) and reseal: the rejection
+  // must name the version, not report generic corruption.
   std::string old_version = bytes;
-  const uint32_t version = 2;
+  const uint32_t version = 3;
   std::memcpy(old_version.data() + 4, &version, sizeof(version));
   WriteAll(path, Reseal(std::move(old_version)));
   Result<std::unique_ptr<SimilarityService>> restored =

@@ -301,6 +301,10 @@ TEST(SimilarityServiceTest, ShortRecordFallbackServesEditDistance) {
     service.Insert(more.record(id), more.text(id));
   }
   ExpectQueriesMatchJoin(service, full, pred);
+  // The verification count pins the pool walk's work, not just its
+  // answers: every short tier record the index probe did not accept is
+  // verified once per short query, and nothing else is.
+  EXPECT_EQ(service.stats().candidates, 44u);
 }
 
 // The tombstone acceptance check, corpus-independent predicates: deletes
