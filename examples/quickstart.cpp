@@ -73,9 +73,10 @@ int main() {
   // Weighted overlap: down-weight the words that appear everywhere.
   {
     ssjoin::RecordSet working = records;
-    std::vector<double> weights(dict.size());
+    const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
+    std::vector<double> weights(df.size());
     for (ssjoin::TokenId t = 0; t < weights.size(); ++t) {
-      weights[t] = 1.0 / static_cast<double>(records.doc_frequency(t));
+      weights[t] = 1.0 / static_cast<double>(df[t]);
     }
     PrintPairs("weighted overlap >= 1.5", &working,
                ssjoin::OverlapPredicate(1.5, weights));

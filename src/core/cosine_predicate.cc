@@ -19,21 +19,28 @@ void ApplyWeights(RecordSet* records, const TfIdfWeighter& weighter);
 }  // namespace
 
 void CosinePredicate::Prepare(RecordSet* records) const {
-  ApplyWeights(records, TfIdfWeighter::FromRecordSet(*records));
+  const DocumentFrequencies df = records->CountDocumentFrequencies();
+  ApplyWeights(records, TfIdfWeighter(df.counts, df.num_records));
 }
 
-void CosinePredicate::PrepareIncremental(const RecordSet& reference,
+void CosinePredicate::PrepareIncremental(const DocumentFrequencies& reference,
                                          RecordSet* staging) const {
-  ApplyWeights(staging, TfIdfWeighter::FromRecordSet(reference));
+  ApplyWeights(staging,
+               TfIdfWeighter(reference.counts, reference.num_records));
 }
 
 void CosinePredicate::PrepareForJoin(RecordSet* left,
                                      RecordSet* right) const {
-  std::vector<uint64_t> combined = left->term_frequencies();
-  const std::vector<uint64_t>& other = right->term_frequencies();
-  if (other.size() > combined.size()) combined.resize(other.size(), 0);
-  for (size_t t = 0; t < other.size(); ++t) combined[t] += other[t];
-  TfIdfWeighter weighter(std::move(combined), left->size() + right->size());
+  DocumentFrequencies combined = left->CountDocumentFrequencies();
+  const DocumentFrequencies other = right->CountDocumentFrequencies();
+  if (other.counts.size() > combined.counts.size()) {
+    combined.counts.resize(other.counts.size(), 0);
+  }
+  for (size_t t = 0; t < other.counts.size(); ++t) {
+    combined.counts[t] += other.counts[t];
+  }
+  combined.num_records += other.num_records;
+  TfIdfWeighter weighter(combined.counts, combined.num_records);
   ApplyWeights(left, weighter);
   ApplyWeights(right, weighter);
 }
@@ -42,9 +49,7 @@ namespace {
 
 void ApplyWeights(RecordSet* records, const TfIdfWeighter& weighter) {
   // Normalization is staged in a scratch buffer so the arena only ever
-  // receives final values: a repeated Prepare writes each score slot once
-  // with an identical value, which RecordSet recognizes as a no-op and
-  // the cached TokenStats stay warm.
+  // receives final values.
   std::vector<double> weights;
   for (RecordId id = 0; id < records->size(); ++id) {
     const RecordView r = records->record(id);

@@ -21,7 +21,8 @@ namespace ssjoin {
 ///
 /// Records are sets, so the within-record term frequency is 1 and
 /// TF-IDF(w, r) reduces to the IDF factor log(1 + N / fr(w)), with fr(w)
-/// taken from the corpus being prepared.
+/// the document frequency counted once per Prepare over the corpus being
+/// prepared.
 class CosinePredicate : public Predicate {
  public:
   /// Requires 0 < fraction <= 1.
@@ -33,10 +34,12 @@ class CosinePredicate : public Predicate {
   /// token's IDF is the same on the left and the right.
   void PrepareForJoin(RecordSet* left, RecordSet* right) const override;
   /// Serving/incremental use: weights `staging` with the reference
-  /// corpus's IDF table frozen in place (tokens unseen there get the
-  /// maximum IDF). Re-scoring a record that is *in* the reference corpus
-  /// reproduces its in-corpus scores exactly.
-  void PrepareIncremental(const RecordSet& reference,
+  /// corpus's document frequencies frozen in place (tokens unseen there
+  /// get the maximum IDF), reading the table in place — nothing sized by
+  /// the vocabulary is copied or allocated per call. Re-scoring a record
+  /// that is *in* the reference corpus reproduces its in-corpus scores
+  /// exactly.
+  void PrepareIncremental(const DocumentFrequencies& reference,
                           RecordSet* staging) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   std::optional<double> ConstantThreshold() const override {

@@ -11,7 +11,7 @@ void Predicate::PrepareForJoin(RecordSet* left, RecordSet* right) const {
   Prepare(right);
 }
 
-void Predicate::PrepareIncremental(const RecordSet& /*reference*/,
+void Predicate::PrepareIncremental(const DocumentFrequencies& /*reference*/,
                                    RecordSet* staging) const {
   Prepare(staging);
 }

@@ -43,17 +43,18 @@ class Predicate {
   /// the combined corpus.
   virtual void PrepareForJoin(RecordSet* left, RecordSet* right) const;
 
-  /// Prepares `staging` (new or query records) for comparison against the
-  /// already-prepared corpus `reference`, without mutating the reference.
+  /// Prepares `staging` (new or query records) for comparison against an
+  /// already-prepared corpus whose document frequencies are `reference`.
   /// The default forwards to Prepare(staging), which is exact whenever
   /// scores depend only on the record itself. Corpus-statistics
   /// predicates (TF-IDF cosine) override it to weight the staging
   /// records with the reference corpus's statistics frozen in place —
   /// exact for records drawn from the reference corpus, and the standard
   /// serving-time approximation for genuinely new records until the next
-  /// full Prepare over the grown corpus. The serving layer's base/delta
-  /// scoring (src/serve/) is built on this hook.
-  virtual void PrepareIncremental(const RecordSet& reference,
+  /// full Prepare over the grown corpus. Reads `reference` only, so
+  /// concurrent requests may stage against one shared table. The serving
+  /// layer's base/delta scoring (src/serve/) is built on this hook.
+  virtual void PrepareIncremental(const DocumentFrequencies& reference,
                                   RecordSet* staging) const;
 
   /// T as a function of the two record norms. Must be non-decreasing in

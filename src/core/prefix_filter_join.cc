@@ -7,6 +7,7 @@
 
 #include "core/merge_opt.h"
 #include "core/parallel_probe.h"
+#include "data/corpus_stats.h"
 
 namespace ssjoin {
 
@@ -25,19 +26,16 @@ Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
   // so prefixes hold the most selective tokens.
   std::vector<uint32_t> rank(records.vocabulary_size());
   {
-    std::vector<TokenId> by_df(records.vocabulary_size());
+    const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
+    std::vector<TokenId> by_df(df.size());
     std::iota(by_df.begin(), by_df.end(), 0);
     std::stable_sort(by_df.begin(), by_df.end(),
-                     [&records](TokenId a, TokenId b) {
-                       return records.doc_frequency(a) <
-                              records.doc_frequency(b);
-                     });
+                     [&df](TokenId a, TokenId b) { return df[a] < df[b]; });
     for (uint32_t i = 0; i < by_df.size(); ++i) rank[by_df[i]] = i;
   }
 
-  // Corpus-wide max score per token (the gmax of the suffix bound), from
-  // the RecordSet's cached TokenStats — no corpus rescan per join call.
-  const std::vector<double>& gmax = records.token_stats().max_token_scores;
+  // Corpus-wide max score per token (the gmax of the suffix bound).
+  const std::vector<double> gmax = MaxTokenScores(records);
 
   std::vector<RecordId> order;
   if (options.presort) {

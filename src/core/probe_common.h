@@ -31,18 +31,16 @@ struct StopwordPlan {
 
 /// Picks the maximal prefix of the most document-frequent tokens whose
 /// total potential contribution stays below T (the paper's "top T-1
-/// highest frequency words" generalized to weighted scores). Reads the
-/// per-token maxima and the frequency order from the RecordSet's cached
-/// TokenStats instead of rescanning the corpus per join call.
+/// highest frequency words" generalized to weighted scores). Counts the
+/// per-token maxima and the frequency order once per join.
 inline StopwordPlan BuildStopwordPlan(const RecordSet& records,
                                       double threshold) {
-  const TokenStats& stats = records.token_stats();
   StopwordPlan plan;
   plan.threshold = threshold;
-  plan.max_score = stats.max_token_scores;
+  plan.max_score = MaxTokenScores(records);
   plan.is_stop.assign(records.vocabulary_size(), false);
   double sum = 0;
-  for (TokenId t : stats.tokens_by_frequency) {
+  for (TokenId t : TokensByFrequency(records)) {
     double contribution = plan.max_score[t] * plan.max_score[t];
     if (sum + contribution >= threshold) break;
     sum += contribution;

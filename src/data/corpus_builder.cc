@@ -9,9 +9,9 @@ namespace {
 
 Record RecordFromPairs(std::vector<std::pair<TokenId, uint32_t>> pairs) {
   // Set semantics: multiplicity collapses to presence with unit score;
-  // TF-IDF weighting re-derives term frequency from the corpus later via
-  // term_frequencies(), and within-record multiplicity is folded into
-  // text_length for q-gram corpora.
+  // TF-IDF weighting counts document frequency from the corpus later, and
+  // within-record multiplicity is folded into text_length for q-gram
+  // corpora.
   std::vector<TokenId> tokens;
   tokens.reserve(pairs.size());
   for (const auto& [token, count] : pairs) tokens.push_back(token);

@@ -52,24 +52,37 @@ CorpusStats ComputeCorpusStats(const RecordSet& records) {
 }
 
 std::vector<uint64_t> SortedDocFrequencies(const RecordSet& records) {
-  std::vector<uint64_t> freqs;
-  freqs.reserve(records.vocabulary_size());
-  for (TokenId t = 0; t < records.vocabulary_size(); ++t) {
-    freqs.push_back(records.doc_frequency(t));
-  }
+  std::vector<uint64_t> freqs = records.CountDocumentFrequencies().counts;
   std::sort(freqs.begin(), freqs.end(), std::greater<uint64_t>());
   return freqs;
 }
 
+std::vector<double> MaxTokenScores(const RecordSet& records) {
+  std::vector<double> max_scores(records.vocabulary_size(), 0.0);
+  for (RecordId id = 0; id < records.size(); ++id) {
+    const RecordView r = records.record(id);
+    for (size_t i = 0; i < r.size(); ++i) {
+      double& slot = max_scores[r.token(i)];
+      slot = std::max(slot, r.score(i));
+    }
+  }
+  return max_scores;
+}
+
+std::vector<TokenId> TokensByFrequency(const RecordSet& records) {
+  const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
+  std::vector<TokenId> order(df.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&df](TokenId a, TokenId b) { return df[a] > df[b]; });
+  return order;
+}
+
 std::vector<TokenId> TopFrequentTokens(const RecordSet& records,
                                        size_t count) {
-  // The frequency order lives in the RecordSet's cached TokenStats (same
-  // tie-break: descending df, ascending token id); just take the prefix.
-  const std::vector<TokenId>& by_frequency =
-      records.token_stats().tokens_by_frequency;
-  if (by_frequency.size() <= count) return by_frequency;
-  return std::vector<TokenId>(by_frequency.begin(),
-                              by_frequency.begin() + count);
+  std::vector<TokenId> by_frequency = TokensByFrequency(records);
+  if (by_frequency.size() > count) by_frequency.resize(count);
+  return by_frequency;
 }
 
 }  // namespace ssjoin

@@ -38,8 +38,19 @@ CorpusStats ComputeCorpusStats(const RecordSet& records);
 /// plot frequency skew.
 std::vector<uint64_t> SortedDocFrequencies(const RecordSet& records);
 
+/// Join-planning statistics, each counted from the arena per call: take
+/// them once per join.
+///
+/// max_token_scores[t] = max over records r of score(t, r); 0 for tokens
+/// absent from the corpus. Sized vocabulary_size().
+std::vector<double> MaxTokenScores(const RecordSet& records);
+
+/// All token ids ordered by decreasing document frequency, ties broken by
+/// increasing token id.
+std::vector<TokenId> TokensByFrequency(const RecordSet& records);
+
 /// Returns the ids of the `count` most document-frequent tokens
-/// (ties broken by token id). Used by Probe-stopWords (Section 3.1).
+/// (ties broken by token id). Used by Word-Groups (Sections 2.3, 3.1).
 std::vector<TokenId> TopFrequentTokens(const RecordSet& records, size_t count);
 
 }  // namespace ssjoin

@@ -22,7 +22,7 @@ RecordSet RecordSet::MakeView(ViewSpec spec) {
   set.view_scores_ = spec.scores;
   set.view_text_offsets_ = spec.text_offsets;
   set.view_text_blob_ = spec.text_blob;
-  set.view_vocabulary_size_ = spec.vocabulary_size;
+  set.vocabulary_size_ = spec.vocabulary_size;
   set.backing_ = std::move(spec.backing);
   set.offsets_ = std::move(spec.offsets);
   set.norms_ = std::move(spec.norms);
@@ -35,15 +35,11 @@ RecordSet RecordSet::MakeView(ViewSpec spec) {
 RecordId RecordSet::Add(RecordView record, std::string text) {
   SSJOIN_CHECK(!is_view()) << "RecordSet::Add on a view set";
   RecordId id = static_cast<RecordId>(size());
-  for (size_t i = 0; i < record.size(); ++i) {
-    TokenId t = record.token(i);
-    SSJOIN_DCHECK(i == 0 || record.token(i - 1) < t);
-    if (t >= doc_frequency_.size()) {
-      doc_frequency_.resize(t + 1, 0);
-      term_frequency_.resize(t + 1, 0);
-    }
-    ++doc_frequency_[t];
-    ++term_frequency_[t];
+  // Tokens are strictly increasing, so the last one is the record's
+  // largest.
+  if (!record.empty()) {
+    vocabulary_size_ = std::max<uint64_t>(
+        vocabulary_size_, uint64_t{record.token(record.size() - 1)} + 1);
   }
   // Self-insertion safety: `record` may view this set's own arena, whose
   // buffers can move when they grow. Resolve such views to an index first
@@ -70,6 +66,8 @@ RecordId RecordSet::Add(RecordView record, std::string text) {
   bitmap_arena_.emplace_back();
   TokenBitmapEntry& entry = bitmap_arena_.back();
   for (size_t i = 0; i < count; ++i) {
+    SSJOIN_DCHECK(i == 0 ||
+                  token_arena_[old_size + i - 1] < token_arena_[old_size + i]);
     TokenBitmapFlip(entry.bits, token_arena_[old_size + i]);
   }
   entry.tokens = count;
@@ -78,16 +76,18 @@ RecordId RecordSet::Add(RecordView record, std::string text) {
   text_lengths_.push_back(record.text_length());
   texts_.push_back(std::move(text));
   total_occurrences_ += count;
-  ++structure_version_;
   return id;
 }
 
-uint64_t RecordSet::doc_frequency(TokenId t) const {
-  return t < doc_frequency_.size() ? doc_frequency_[t] : 0;
-}
-
-uint64_t RecordSet::term_frequency(TokenId t) const {
-  return t < term_frequency_.size() ? term_frequency_[t] : 0;
+DocumentFrequencies RecordSet::CountDocumentFrequencies() const {
+  SSJOIN_CHECK(!is_view()) << "RecordSet::CountDocumentFrequencies on a view";
+  DocumentFrequencies frequencies;
+  frequencies.counts.assign(vocabulary_size(), 0);
+  frequencies.num_records = size();
+  // Tokens are distinct within a record, so counting arena occurrences
+  // counts the records holding each token.
+  for (TokenId t : token_arena_) ++frequencies.counts[t];
+  return frequencies;
 }
 
 double RecordSet::average_record_size() const {
@@ -122,36 +122,8 @@ uint64_t RecordSet::ApproxMemoryBytes() const {
   bytes += offsets_.size() * sizeof(size_t);
   bytes += norms_.size() * sizeof(double);
   bytes += text_lengths_.size() * sizeof(uint32_t);
-  bytes += (doc_frequency_.size() + term_frequency_.size()) * sizeof(uint64_t);
   for (const std::string& t : texts_) bytes += sizeof(std::string) + t.size();
   return bytes;
-}
-
-const TokenStats& RecordSet::token_stats() const {
-  // View sets do not carry corpus frequency tables (mapped segments are
-  // probed through their prebuilt per-shard indexes, never re-planned).
-  SSJOIN_CHECK(!is_view()) << "RecordSet::token_stats on a view set";
-  if (stats_structure_version_ == structure_version_ &&
-      stats_score_version_ == score_version_) {
-    return token_stats_;
-  }
-  TokenStats& stats = token_stats_;
-  stats.max_token_scores.assign(vocabulary_size(), 0.0);
-  for (size_t i = 0; i < token_arena_.size(); ++i) {
-    double& slot = stats.max_token_scores[token_arena_[i]];
-    slot = std::max(slot, score_arena_[i]);
-  }
-  stats.tokens_by_frequency.resize(vocabulary_size());
-  std::iota(stats.tokens_by_frequency.begin(),
-            stats.tokens_by_frequency.end(), 0);
-  std::stable_sort(stats.tokens_by_frequency.begin(),
-                   stats.tokens_by_frequency.end(),
-                   [this](TokenId a, TokenId b) {
-                     return doc_frequency_[a] > doc_frequency_[b];
-                   });
-  stats_structure_version_ = structure_version_;
-  stats_score_version_ = score_version_;
-  return token_stats_;
 }
 
 }  // namespace ssjoin

@@ -2,7 +2,6 @@
 #define SSJOIN_DATA_RECORD_SET_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -16,23 +15,27 @@
 
 namespace ssjoin {
 
-/// Corpus-level per-token statistics derived from the records, cached on
-/// the RecordSet so join planning (stopword selection, prefix filtering,
-/// Word-Groups) does not rescan the whole corpus per join call.
-struct TokenStats {
-  /// max_token_scores[t] = max over records r of score(t, r); 0 for tokens
-  /// absent from the corpus.
-  std::vector<double> max_token_scores;
-  /// All token ids ordered by decreasing document frequency, ties broken
-  /// by increasing token id.
-  std::vector<TokenId> tokens_by_frequency;
+/// Document frequency of every token over one record set (counts[t] =
+/// number of records containing token t; under set semantics this is
+/// also t's total occurrence count), with the record count it was taken
+/// over: the corpus statistics TF-IDF weighs records by (Section 5.2.2)
+/// and the posting counts an index is planned from. Counted from the
+/// arena by RecordSet::CountDocumentFrequencies and then only read, so
+/// concurrent readers may share one.
+struct DocumentFrequencies {
+  std::vector<uint64_t> counts;
+  uint64_t num_records = 0;
 };
 
-/// The join input: a columnar CSR arena of records plus the corpus-level
-/// token statistics the algorithms and weighting schemes need (document
-/// frequency for stopword selection and list-length estimates, total term
-/// frequency for TF-IDF). Optionally retains the original text of each
-/// record for edit-distance verification and for human-readable output.
+/// The join input: a columnar CSR arena of records plus per-record
+/// tables, and nothing sized by the vocabulary. Add appends one record in
+/// O(|record|), so staging a query or an insert costs its own size, not
+/// the corpus vocabulary's. Corpus-level token statistics (document
+/// frequency for index planning, stopword selection and TF-IDF) are
+/// counted from the arena by whoever needs them, once per join or once
+/// per serving segment (CountDocumentFrequencies). Optionally retains the
+/// original text of each record for edit-distance verification and for
+/// human-readable output.
 ///
 /// Storage layout (the memory spine every hot loop streams over; see
 /// DESIGN.md "Memory layout"):
@@ -142,14 +145,8 @@ class RecordSet {
   }
 
   /// Rewrites score(token i, record id); used by Predicate::Prepare.
-  /// Value-change detection keeps the token-stats cache warm across
-  /// idempotent re-Prepares with the same predicate.
   void set_score(RecordId id, size_t i, double score) {
-    double& slot = score_arena_[offsets_[id] + i];
-    if (slot != score) {
-      slot = score;
-      ++score_version_;
-    }
+    score_arena_[offsets_[id] + i] = score;
   }
 
   void set_norm(RecordId id, double norm) { norms_[id] = norm; }
@@ -177,27 +174,19 @@ class RecordSet {
     return texts_[id];
   }
 
-  /// Number of distinct tokens seen across all records. In view mode
-  /// this is restored from the segment header (the per-token frequency
-  /// tables are not rebuilt for mapped segments).
+  /// Largest token id in any record + 1 (0 for a set without tokens):
+  /// the extent of every per-token table planned over this set. Add
+  /// tracks it in O(1) from the record's last (largest) token; in view
+  /// mode it is restored from the segment header.
   size_t vocabulary_size() const {
-    return is_view() ? static_cast<size_t>(view_vocabulary_size_)
-                     : doc_frequency_.size();
+    return static_cast<size_t>(vocabulary_size_);
   }
 
-  /// Number of records containing token `t` (0 for unseen tokens).
-  uint64_t doc_frequency(TokenId t) const;
-  const std::vector<uint64_t>& doc_frequencies() const {
-    return doc_frequency_;
-  }
-
-  /// Total occurrences of token `t` over all records, counting within-record
-  /// multiplicity recorded at tokenization time. With set semantics this
-  /// equals doc_frequency.
-  uint64_t term_frequency(TokenId t) const;
-  const std::vector<uint64_t>& term_frequencies() const {
-    return term_frequency_;
-  }
+  /// Counts every token's document frequency from the arena: O(arena +
+  /// vocabulary_size()) per call, so callers take the result once (per
+  /// join, per segment) and index it, never call this per token. Owned
+  /// mode only — mapped segments are never re-planned.
+  DocumentFrequencies CountDocumentFrequencies() const;
 
   /// Sum of record sizes == total word occurrences W of Section 4.
   uint64_t total_token_occurrences() const { return total_occurrences_; }
@@ -220,12 +209,6 @@ class RecordSet {
   /// call.
   uint64_t ApproxMemoryBytes() const;
 
-  /// Cached per-token statistics, recomputed lazily when records were
-  /// added or scores changed since the last call. Not thread-safe: call
-  /// once from the serial planning phase before any parallel fan-out
-  /// (every join driver does this before spawning workers).
-  const TokenStats& token_stats() const;
-
  private:
   // Columnar CSR arena (see class comment).
   std::vector<TokenId> token_arena_;
@@ -244,23 +227,10 @@ class RecordSet {
   const double* view_scores_ = nullptr;
   const uint64_t* view_text_offsets_ = nullptr;
   const char* view_text_blob_ = nullptr;
-  uint64_t view_vocabulary_size_ = 0;
   std::shared_ptr<const void> backing_;
 
-  std::vector<uint64_t> doc_frequency_;
-  std::vector<uint64_t> term_frequency_;
+  uint64_t vocabulary_size_ = 0;
   uint64_t total_occurrences_ = 0;
-
-  // Token-stats cache, keyed on the two version counters: Add bumps the
-  // structure version, set_score bumps the score version only on actual
-  // value changes.
-  uint64_t structure_version_ = 0;
-  uint64_t score_version_ = 0;
-  mutable TokenStats token_stats_;
-  mutable uint64_t stats_structure_version_ =
-      std::numeric_limits<uint64_t>::max();
-  mutable uint64_t stats_score_version_ =
-      std::numeric_limits<uint64_t>::max();
 };
 
 }  // namespace ssjoin

@@ -56,11 +56,11 @@ class InvertedIndex {
   /// Must be called exactly once, before any insertion.
   void Plan(const std::vector<uint64_t>& counts);
 
-  /// Plans from the document frequencies of `records` — exact when every
-  /// record is inserted exactly once (any order), an upper bound when
-  /// some tokens are skipped (stopword mode).
+  /// Plans from the document frequencies of `records`, counted from its
+  /// arena — exact when every record is inserted exactly once (any
+  /// order), an upper bound when some tokens are skipped (stopword mode).
   void PlanFromRecords(const RecordSet& records) {
-    Plan(records.doc_frequencies());
+    Plan(records.CountDocumentFrequencies().counts);
   }
 
   /// Plans extents for the subset `member_ids` of `records` — the shard

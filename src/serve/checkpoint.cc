@@ -552,11 +552,10 @@ Status WriteSegmentFile(const std::string& data_dir,
 namespace {
 
 /// Materialized opens only: proves token order and range, re-Adds every
-/// record (rebuilding frequency tables and bitmaps exactly as live
-/// insertion did — TF-IDF cosine weighs staged records against those
-/// tables) and requires the stored bitmap block to match the rebuilt
-/// entries byte for byte, pads included, so arena and block agree about
-/// every token set. `spec` holds the validated gating tables.
+/// record (rebuilding bitmaps exactly as live insertion did) and
+/// requires the stored bitmap block to match the rebuilt entries byte
+/// for byte, pads included, so arena and block agree about every token
+/// set. `spec` holds the validated gating tables.
 Result<std::shared_ptr<const RecordSet>> CopyOutRecords(
     const char* base, const SegmentLayout& layout,
     const RecordSet::ViewSpec& spec, const std::string& path) {
@@ -676,7 +675,7 @@ GcStats CollectSegmentGarbage(const std::string& data_dir,
 
 Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
     const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
-    bool materialize) {
+    bool materialize, bool count_frequencies) {
   const std::string path = SegmentFilePath(data_dir, segment_id);
   Result<MappedFile> opened = MappedFile::Open(path);
   if (!opened.ok()) return opened.status();
@@ -820,6 +819,9 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
     segment->mapping = mapping;
     segment->mapped_bytes = mapping->size();
   }
+  if (count_frequencies) {
+    segment->frequencies = segment->records->CountDocumentFrequencies();
+  }
   segment->approx_bytes = ComputeSegmentApproxBytes(*segment);
   return std::shared_ptr<const CorpusSegment>(std::move(segment));
 }
@@ -932,8 +934,12 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
     return Corrupt("bad shard count", path);
   }
   const uint64_t num_shards = cp.num_shards;
+  // Bounds only steer new inserts (a record's shard is the segment part
+  // that holds it), so any non-decreasing bounds are valid; RouteToShard's
+  // binary search needs them sorted.
   if (!GetIdList(body, &offset, &cp.shard_bounds) ||
-      cp.shard_bounds.size() + 1 != num_shards) {
+      cp.shard_bounds.size() + 1 != num_shards ||
+      !std::is_sorted(cp.shard_bounds.begin(), cp.shard_bounds.end())) {
     return Corrupt("bad shard bounds", path);
   }
   if (!GetVarint64(body, &offset, &cp.next_id) ||
@@ -982,8 +988,9 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
     ServiceCheckpoint::Segment& entry = cp.segments[i];
     const uint64_t segment_id = segment_ids[i];
     referenced.insert(segment_id);
-    Result<std::shared_ptr<const CorpusSegment>> loaded =
-        OpenSegmentFile(data_dir, segment_id, num_shards, materialize);
+    Result<std::shared_ptr<const CorpusSegment>> loaded = OpenSegmentFile(
+        data_dir, segment_id, num_shards, materialize,
+        options.count_frequencies);
     if (!loaded.ok()) return loaded.status();
     entry.segment = std::move(loaded).value();
     const CorpusSegment& segment = *entry.segment;

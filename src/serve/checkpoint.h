@@ -115,6 +115,10 @@ struct CheckpointLoadOptions {
   /// mappings; the budget value itself only steers residency advice,
   /// applied by the service after load.
   uint64_t resident_budget_bytes = 0;
+  /// Count each segment's document frequencies
+  /// (CorpusSegment::frequencies) — what a corpus-statistics predicate
+  /// stages requests against. Requires a zero budget.
+  bool count_frequencies = false;
 };
 
 /// Owned counterpart produced by LoadCheckpoint.
@@ -172,12 +176,13 @@ Status WriteSegmentFile(const std::string& data_dir,
 /// `materialize` then also verifies the whole-file CRC and copies out
 /// everything else — arena, extent tables, postings — proving each
 /// structurally, and drops the mapping; otherwise arenas and posting
-/// extents stay views into the mapping. Truncated or foreign files
-/// surface as a Status — the mapping is never dereferenced past its
-/// validated size.
+/// extents stay views into the mapping. `count_frequencies` (materialized
+/// opens only) also counts the segment's document frequencies. Truncated
+/// or foreign files surface as a Status — the mapping is never
+/// dereferenced past its validated size.
 Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
     const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
-    bool materialize);
+    bool materialize, bool count_frequencies = false);
 
 }  // namespace ssjoin
 

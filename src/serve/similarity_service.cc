@@ -190,8 +190,9 @@ uint64_t ElapsedMicros(const Timer& timer) {
 /// test/CI hook — lets existing harnesses exercise the mapped path
 /// without plumbing a flag everywhere). Unparsable values read as 0.
 /// Always 0 for corpus-statistics predicates (TF-IDF cosine): staging
-/// weighs records against the front segment's frequency tables
-/// (IndexSnapshot::stats_reference), and a mapped view carries none.
+/// weighs records against the front segment's document frequencies
+/// (IndexSnapshot::stats_reference), counted from its arena at build or
+/// reopen, and every compaction re-Prepares the whole corpus.
 uint64_t EffectiveResidentBudget(const ServiceOptions& options,
                                  const Predicate& pred) {
   if (!pred.corpus_independent_scores()) return 0;
@@ -350,6 +351,7 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
   }
   CheckpointLoadOptions load_options;
   load_options.resident_budget_bytes = EffectiveResidentBudget(options, pred);
+  load_options.count_frequencies = !pred.corpus_independent_scores();
   Result<ServiceCheckpoint> loaded =
       LoadCheckpoint(options.data_dir, load_options);
   if (!loaded.ok()) return loaded.status();
@@ -526,9 +528,10 @@ uint64_t SimilarityService::wal_sequence() {
 void SimilarityService::AppendSegmentLocked(RecordSet records,
                                             std::vector<RecordId> global_ids) {
   SegmentChainEntry entry;
-  entry.segment = BuildCorpusSegment(
-      next_segment_id_++, std::move(records), std::move(global_ids),
-      shard_bounds_, num_shards_, pred_.ShortRecordNormBound());
+  entry.segment =
+      BuildCorpusSegment(next_segment_id_++, std::move(records),
+                         std::move(global_ids), shard_bounds_, num_shards_,
+                         pred_);
   entry.dead.assign(num_shards_, nullptr);
   entry.live = entry.segment->records->size();
   chain_.push_back(std::move(entry));
@@ -911,22 +914,26 @@ bool SimilarityService::DeleteLocked(RecordId id) {
 }
 
 size_t SimilarityService::RouteOfRecordLocked(RecordId id) const {
-  // Preparation assigns scores but never adds, drops or reorders tokens,
-  // so the largest token — and hence the owning shard — of a record's
-  // prepared image equals the raw record's. Empty records route to shard
-  // 0 on every path, same as Insert.
+  // Membership, not the bounds: a segment reopened under different
+  // (non-decreasing) manifest bounds still holds each record in the part
+  // it was built into, and the tombstone must land in that shard for
+  // probes to drop the record and for compaction to fold it.
   for (size_t s = 0; s < num_shards_; ++s) {
     const std::vector<RecordId>& ids = memtable_ids_[s];
     if (std::binary_search(ids.begin(), ids.end(), id)) return s;
   }
   for (const SegmentChainEntry& entry : chain_) {
-    const std::vector<RecordId>& gids = entry.segment->global_ids;
+    const CorpusSegment& segment = *entry.segment;
+    const std::vector<RecordId>& gids = segment.global_ids;
     if (gids.empty() || gids.front() > id || gids.back() < id) continue;
     auto it = std::lower_bound(gids.begin(), gids.end(), id);
-    if (it != gids.end() && *it == id) {
-      const RecordId local = static_cast<RecordId>(it - gids.begin());
-      return RouteToShard(entry.segment->records->record(local),
-                          shard_bounds_);
+    if (it == gids.end() || *it != id) continue;
+    const RecordId local = static_cast<RecordId>(it - gids.begin());
+    for (size_t s = 0; s < num_shards_; ++s) {
+      const std::vector<RecordId>& members = segment.shards[s].member_ids;
+      if (std::binary_search(members.begin(), members.end(), local)) {
+        return s;
+      }
     }
   }
   // Unreachable for live ids: every live record is memtable- or

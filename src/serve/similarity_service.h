@@ -88,10 +88,11 @@ struct ServiceOptions {
   /// clean pages first. Query/BatchQuery/QueryTopK answers are
   /// byte-identical for every value. Ignored for memory-only services
   /// and for corpus-statistics predicates: staging weighs new records
-  /// and queries against the front segment's frequency tables
-  /// (IndexSnapshot::stats_reference), and a mapped segment carries
-  /// none. The SSJOIN_RESIDENT_BUDGET environment variable overrides a
-  /// zero value (test/CI hook).
+  /// and queries against the front segment's document frequencies
+  /// (IndexSnapshot::stats_reference), which are counted from its arena
+  /// when it is built or reopened, and every compaction re-Prepares the
+  /// whole corpus anyway. The SSJOIN_RESIDENT_BUDGET environment variable
+  /// overrides a zero value (test/CI hook).
   uint64_t resident_budget_bytes = 0;
 };
 
@@ -300,9 +301,10 @@ class SimilarityService {
   /// tombstone counts are read from writer state.
   void Publish(std::shared_ptr<const SegmentChain> chain,
                std::vector<std::shared_ptr<const DeltaShard>> delta);
-  /// Token-range shard of live record `id`, from the record's prepared
-  /// image in the memtable or segment chain (preparation never changes
-  /// token sets, so prepared routing equals raw routing).
+  /// Token-range shard holding live record `id`: the shard whose memtable
+  /// or segment part lists it as a member. Found by membership, never by
+  /// re-routing through shard_bounds_, so the bounds only steer new
+  /// inserts.
   size_t RouteOfRecordLocked(RecordId id) const;
   /// Runs fn(shard) for every shard — on the worker pool when it is free
   /// and the fan-out is worth it, serially otherwise. Output written to

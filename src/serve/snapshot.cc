@@ -55,7 +55,8 @@ size_t RouteToShard(RecordView record, const std::vector<TokenId>& bounds) {
 std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
     uint64_t id, RecordSet records, std::vector<RecordId> global_ids,
     const std::vector<TokenId>& shard_bounds, size_t num_shards,
-    double short_norm_bound) {
+    const Predicate& pred) {
+  const double short_norm_bound = pred.ShortRecordNormBound();
   auto segment = std::make_shared<CorpusSegment>();
   segment->id = id;
   auto owned = std::make_shared<RecordSet>(std::move(records));
@@ -82,6 +83,9 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
       }
     }
   }
+  if (!pred.corpus_independent_scores()) {
+    segment->frequencies = arena.CountDocumentFrequencies();
+  }
   segment->approx_bytes = ComputeSegmentApproxBytes(*segment);
   return segment;
 }
@@ -92,6 +96,7 @@ uint64_t ComputeSegmentApproxBytes(const CorpusSegment& segment) {
   // separately via CorpusSegment::mapped_bytes.
   uint64_t bytes = segment.records->ApproxMemoryBytes();
   bytes += segment.global_ids.size() * sizeof(RecordId);
+  bytes += segment.frequencies.counts.size() * sizeof(uint64_t);
   for (const SegmentShardPart& part : segment.shards) {
     bytes += (part.member_ids.size() + part.short_ids.size()) *
              sizeof(RecordId);

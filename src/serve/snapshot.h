@@ -58,6 +58,12 @@ struct CorpusSegment {
   std::vector<RecordId> global_ids;
   /// One part per token-range shard (size = the service's shard count).
   std::vector<SegmentShardPart> shards;
+  /// Document frequencies over `records`, counted once when the segment
+  /// is built or reopened, and only for corpus-statistics predicates
+  /// (TF-IDF cosine), whose chain is always this one segment; empty
+  /// otherwise. Immutable like the rest of the segment, so every request
+  /// reads it in place (IndexSnapshot::stats_reference).
+  DocumentFrequencies frequencies;
   /// Approximate in-memory bytes (arena + postings), computed at build
   /// time so stats never rescan the chain. For a mapped segment this
   /// counts only the heap-resident tables — the mapped body is page
@@ -128,14 +134,15 @@ struct IndexSnapshot {
   size_t num_shards() const { return delta.size(); }
 
   /// The statistics reference for PrepareIncremental staging: the front
-  /// segment's records and their frequency tables. Corpus-statistics
-  /// predicates (TF-IDF cosine) collapse the chain at every compaction,
-  /// so their chain has exactly one segment and this IS the whole
-  /// prepared corpus; it is always materialized, because a mapped view
-  /// carries no frequency tables. Every other predicate ignores the
-  /// reference.
-  const RecordSet& stats_reference() const {
-    return *chain->front().segment->records;
+  /// segment's document frequencies, counted when that segment was built
+  /// (construction or compaction) or reopened and published with it, so
+  /// concurrent readers share one immutable table and no request counts
+  /// or copies one. Corpus-statistics predicates (TF-IDF cosine) collapse
+  /// the chain at every compaction, so their chain has exactly one
+  /// segment and this covers the whole prepared corpus. Every other
+  /// predicate ignores the reference, and its segments leave it empty.
+  const DocumentFrequencies& stats_reference() const {
+    return chain->front().segment->frequencies;
   }
 
   /// Backing-arena records across the chain; >= live base records
@@ -193,14 +200,16 @@ uint64_t ComputeSegmentApproxBytes(const CorpusSegment& segment);
 /// Builds one immutable segment over already-prepared `records`: routes
 /// every record to its token-range shard and builds each shard's part
 /// (extent-carved CSR index under part-local ids plus the short-record
-/// pool). `global_ids` is the per-position corpus id table, strictly
+/// pool of `pred`'s ShortRecordNormBound), and counts the segment's
+/// document frequencies when `pred` reads corpus statistics.
+/// `global_ids` is the per-position corpus id table, strictly
 /// increasing. Preparation is NOT run here — the service prepares
 /// records before folding them, so corpus-statistics weights are
 /// identical across shard counts AND across segmentations.
 std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
     uint64_t id, RecordSet records, std::vector<RecordId> global_ids,
     const std::vector<TokenId>& shard_bounds, size_t num_shards,
-    double short_norm_bound);
+    const Predicate& pred);
 
 /// Builds one shard's delta image over already-prepared memtable records.
 /// `short_norm_bound` is the predicate's ShortRecordNormBound (0 for

@@ -2,24 +2,18 @@
 
 #include <cmath>
 
-#include "data/record_set.h"
 #include "util/logging.h"
 
 namespace ssjoin {
 
-TfIdfWeighter::TfIdfWeighter(std::vector<uint64_t> token_frequency,
+TfIdfWeighter::TfIdfWeighter(const std::vector<uint64_t>& token_frequency,
                              uint64_t num_records)
-    : token_frequency_(std::move(token_frequency)),
-      num_records_(num_records) {}
-
-TfIdfWeighter TfIdfWeighter::FromRecordSet(const RecordSet& records) {
-  return TfIdfWeighter(records.term_frequencies(), records.size());
-}
+    : token_frequency_(&token_frequency), num_records_(num_records) {}
 
 double TfIdfWeighter::Weight(TokenId t, uint32_t tf) const {
   SSJOIN_DCHECK(tf > 0);
   uint64_t corpus_freq =
-      t < token_frequency_.size() ? token_frequency_[t] : 0;
+      t < token_frequency_->size() ? (*token_frequency_)[t] : 0;
   // Unseen tokens get the maximum IDF, matching fr(w) -> 0.
   double idf = std::log(
       1.0 + static_cast<double>(num_records_) /

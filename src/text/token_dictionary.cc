@@ -5,7 +5,7 @@
 namespace ssjoin {
 
 TokenId TokenDictionary::Intern(std::string_view token) {
-  auto it = ids_.find(std::string(token));
+  auto it = ids_.find(token);
   if (it != ids_.end()) return it->second;
   TokenId id = static_cast<TokenId>(tokens_.size());
   tokens_.emplace_back(token);
@@ -14,7 +14,7 @@ TokenId TokenDictionary::Intern(std::string_view token) {
 }
 
 TokenId TokenDictionary::Lookup(std::string_view token) const {
-  auto it = ids_.find(std::string(token));
+  auto it = ids_.find(token);
   return it == ids_.end() ? kInvalidToken : it->second;
 }
 

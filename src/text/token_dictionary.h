@@ -1,7 +1,9 @@
 #ifndef SSJOIN_TEXT_TOKEN_DICTIONARY_H_
 #define SSJOIN_TEXT_TOKEN_DICTIONARY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -17,7 +19,9 @@ constexpr TokenId kInvalidToken = UINT32_MAX;
 
 /// Bidirectional string <-> TokenId mapping with interned storage.
 /// Ids are assigned densely in first-seen order, which the inverted index
-/// exploits to use vectors instead of hash maps keyed on tokens.
+/// exploits to use vectors instead of hash maps keyed on tokens. Lookups
+/// hash the string_view directly, so finding a known token builds no
+/// std::string.
 class TokenDictionary {
  public:
   TokenDictionary() = default;
@@ -40,7 +44,13 @@ class TokenDictionary {
   size_t size() const { return tokens_.size(); }
 
  private:
-  std::unordered_map<std::string, TokenId> ids_;
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view token) const noexcept {
+      return std::hash<std::string_view>{}(token);
+    }
+  };
+  std::unordered_map<std::string, TokenId, ViewHash, std::equal_to<>> ids_;
   std::vector<std::string> tokens_;  // owned copies, indexed by id
 };
 

@@ -10,10 +10,19 @@ namespace ssjoin {
 
 namespace {
 
-std::vector<std::pair<TokenId, uint32_t>> CountsToPairs(
-    const std::unordered_map<TokenId, uint32_t>& counts) {
-  std::vector<std::pair<TokenId, uint32_t>> out(counts.begin(), counts.end());
-  std::sort(out.begin(), out.end());
+/// (token, count) pairs in increasing token order, from the ids a record
+/// interned in text order: sort, then count runs.
+std::vector<std::pair<TokenId, uint32_t>> RunLengthCounts(
+    std::vector<TokenId> ids) {
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::pair<TokenId, uint32_t>> out;
+  for (TokenId id : ids) {
+    if (!out.empty() && out.back().first == id) {
+      ++out.back().second;
+    } else {
+      out.emplace_back(id, 1);
+    }
+  }
   return out;
 }
 
@@ -21,11 +30,11 @@ std::vector<std::pair<TokenId, uint32_t>> CountsToPairs(
 
 std::vector<std::pair<TokenId, uint32_t>> WordTokenizer::Tokenize(
     std::string_view text, TokenDictionary* dict) const {
-  std::unordered_map<TokenId, uint32_t> counts;
+  std::vector<TokenId> ids;
   for (std::string_view word : SplitAndTrim(text)) {
-    ++counts[dict->Intern(word)];
+    ids.push_back(dict->Intern(word));
   }
-  return CountsToPairs(counts);
+  return RunLengthCounts(std::move(ids));
 }
 
 QGramTokenizer::QGramTokenizer(int q, char pad, bool tag_occurrences)
@@ -41,29 +50,30 @@ std::vector<std::pair<TokenId, uint32_t>> QGramTokenizer::Tokenize(
   padded.append(text);
   padded.append(q_ - 1, pad_);
 
-  std::unordered_map<TokenId, uint32_t> counts;
-  std::unordered_map<std::string, uint32_t> occurrence;  // tag mode
+  std::vector<TokenId> ids;
+  // Tag mode: repetitions so far per gram, keyed by views into `padded`.
+  std::unordered_map<std::string_view, uint32_t> occurrence;
   if (padded.size() >= static_cast<size_t>(q_)) {
     for (size_t i = 0; i + q_ <= padded.size(); ++i) {
       std::string_view gram(padded.data() + i, q_);
       if (!tag_occurrences_) {
-        ++counts[dict->Intern(gram)];
+        ids.push_back(dict->Intern(gram));
         continue;
       }
-      uint32_t seen = occurrence[std::string(gram)]++;
+      uint32_t seen = occurrence[gram]++;
       if (seen == 0) {
-        ++counts[dict->Intern(gram)];
+        ids.push_back(dict->Intern(gram));
       } else {
         // '\x01' cannot occur in text, so tagged names never collide with
         // real grams.
         std::string tagged(gram);
         tagged.push_back('\x01');
         tagged.append(std::to_string(seen));
-        ++counts[dict->Intern(tagged)];
+        ids.push_back(dict->Intern(tagged));
       }
     }
   }
-  return CountsToPairs(counts);
+  return RunLengthCounts(std::move(ids));
 }
 
 }  // namespace ssjoin

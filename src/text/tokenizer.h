@@ -15,8 +15,9 @@ namespace ssjoin {
 /// weighting can use term frequency.
 class WordTokenizer {
  public:
-  /// Appends (token, within-record frequency) pairs for `text` into `dict`.
-  /// The returned tokens are distinct; order is unspecified.
+  /// Interns the words of `text` into `dict` in text order and returns
+  /// (token, within-record frequency) pairs, distinct and in increasing
+  /// token order.
   std::vector<std::pair<TokenId, uint32_t>> Tokenize(
       std::string_view text, TokenDictionary* dict) const;
 };

@@ -86,10 +86,9 @@ TEST(DfsMinerTest, CoversWithLargeListPruning) {
   options.min_weight = 3;
   options.token_in_large_set.assign(records.vocabulary_size(), false);
   // Hottest two tokens (weight 2 < T = 3) form L.
+  const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
   std::vector<std::pair<uint64_t, TokenId>> by_df;
-  for (TokenId t = 0; t < records.vocabulary_size(); ++t) {
-    by_df.push_back({records.doc_frequency(t), t});
-  }
+  for (TokenId t = 0; t < df.size(); ++t) by_df.push_back({df[t], t});
   std::sort(by_df.rbegin(), by_df.rend());
   options.token_in_large_set[by_df[0].second] = true;
   options.token_in_large_set[by_df[1].second] = true;

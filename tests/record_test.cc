@@ -1,7 +1,14 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/cosine_predicate.h"
+#include "core/jaccard_predicate.h"
 #include "data/record.h"
 #include "data/record_set.h"
+#include "serve/similarity_service.h"
+#include "test_util.h"
 
 namespace ssjoin {
 namespace {
@@ -90,12 +97,59 @@ TEST(RecordSetTest, TracksFrequencies) {
   set.Add(Record::FromTokens({2, 3}));
   set.Add(Record::FromTokens({2}));
   EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.doc_frequency(2), 3u);
-  EXPECT_EQ(set.doc_frequency(1), 1u);
-  EXPECT_EQ(set.doc_frequency(99), 0u);
+  const DocumentFrequencies df = set.CountDocumentFrequencies();
+  EXPECT_EQ(df.counts, (std::vector<uint64_t>{0, 1, 3, 1}));
+  EXPECT_EQ(df.num_records, 3u);
   EXPECT_EQ(set.total_token_occurrences(), 5u);
   EXPECT_DOUBLE_EQ(set.average_record_size(), 5.0 / 3.0);
-  EXPECT_EQ(set.vocabulary_size(), 4u);  // ids 0..3 allocated
+  EXPECT_EQ(set.vocabulary_size(), 4u);  // ids 0..3
+}
+
+// Staging a record costs its own size, whatever its token ids: a set
+// holds nothing sized by the vocabulary, so one record with a large
+// token id stays a few hundred bytes, and a service query with it
+// answers like the brute-force reference.
+TEST(RecordSetTest, LargeTokenIdAllocatesNothingVocabularySized) {
+  const TokenId large = TokenId{1} << 24;
+  RecordSet query;
+  query.Add(Record::FromTokens({3, large}));
+  EXPECT_EQ(query.vocabulary_size(), size_t{large} + 1);
+  EXPECT_LT(query.ApproxMemoryBytes(), 4096u);
+
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 60, .vocabulary = 40}, 5);
+  for (const std::vector<TokenId>& tokens :
+       std::vector<std::vector<TokenId>>{{3}, {3, 7}, {1, 3}, {7}}) {
+    corpus.Add(Record::FromTokens(tokens));
+  }
+  JaccardPredicate jaccard(0.3);
+  CosinePredicate cosine(0.2);
+  for (const Predicate* pred :
+       std::initializer_list<const Predicate*>{&jaccard, &cosine}) {
+    RecordSet prepared = corpus;
+    pred->Prepare(&prepared);
+    RecordSet staged = query;
+    pred->PrepareIncremental(prepared.CountDocumentFrequencies(), &staged);
+    std::vector<QueryMatch> expected;
+    for (RecordId r = 0; r < prepared.size(); ++r) {
+      if (pred->MatchesCross(staged, 0, prepared, r)) {
+        expected.push_back(
+            {r, prepared.record(r).OverlapWith(staged.record(0))});
+      }
+    }
+    ASSERT_FALSE(expected.empty()) << pred->name();
+
+    ServiceOptions options;
+    options.num_threads = 1;
+    options.num_shards = 2;
+    SimilarityService service(corpus, *pred, options);
+    const std::vector<QueryMatch> answered = service.Query(query.record(0));
+    ASSERT_EQ(answered.size(), expected.size()) << pred->name();
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(answered[i].id, expected[i].id) << pred->name();
+      EXPECT_EQ(answered[i].score, expected[i].score) << pred->name();
+    }
+  }
 }
 
 TEST(RecordSetTest, KeepsText) {

@@ -910,6 +910,121 @@ TEST(CrashRecoveryTest, CraftedDeletedBitmapCountIsRejected) {
       << restored.status().ToString();
 }
 
+/// Rewrites the checkpoint in `data_dir` through SaveCheckpoint with its
+/// shard bounds replaced by `bounds`; segment files are kept as they are.
+void RewriteShardBounds(const std::string& data_dir,
+                        std::vector<TokenId> bounds) {
+  Result<ServiceCheckpoint> loaded = LoadCheckpoint(data_dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ServiceCheckpoint& cp = loaded.value();
+  CheckpointState state;
+  state.epoch = cp.epoch;
+  state.wal_seq = cp.wal_seq;
+  state.predicate = cp.predicate;
+  state.num_shards = cp.num_shards;
+  state.shard_bounds = std::move(bounds);
+  state.next_id = cp.next_id;
+  state.next_segment_id = cp.next_segment_id;
+  state.deleted = &cp.deleted;
+  std::set<uint64_t> persisted;
+  for (const ServiceCheckpoint::Segment& seg : cp.segments) {
+    CheckpointState::SegmentRef ref;
+    ref.segment = seg.segment.get();
+    for (const std::vector<RecordId>& dead : seg.dead) {
+      ref.dead.push_back(&dead);
+    }
+    ref.live = seg.live;
+    state.segments.push_back(std::move(ref));
+    persisted.insert(seg.segment->id);
+  }
+  Status saved = SaveCheckpoint(data_dir, state, &persisted);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+}
+
+TEST(CrashRecoveryTest, ManifestBoundsSteerOnlyNewInserts) {
+  // A manifest's shard bounds need not match the shard parts its segments
+  // were built with. A delete finds its record's shard by membership, so
+  // it hides the record at once and folds at compaction; the bounds only
+  // route inserts made after the reopen.
+  JaccardPredicate pred(0.5);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 90, .vocabulary = 40}, 131);
+  ServiceOptions options;
+  options.num_shards = 3;
+  options.memtable_limit = 0;
+  options.num_threads = 1;
+  options.data_dir = FreshDataDir("cp_rewritten_bounds");
+  options.wal_sync = WalSyncPolicy::kNever;
+  { SimilarityService service(Slice(corpus, 0, 80), pred, options); }
+
+  // Bounds that are not non-decreasing are refused as a Status.
+  const std::string manifest = CheckpointFilePath(options.data_dir);
+  const std::string pristine = ReadAll(manifest);
+  RewriteShardBounds(options.data_dir, {5, 2});
+  Result<std::unique_ptr<SimilarityService>> unsorted =
+      SimilarityService::Open(pred, options);
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_NE(unsorted.status().message().find("bad shard bounds"),
+            std::string::npos)
+      << unsorted.status().ToString();
+  WriteAll(manifest, pristine);
+
+  // {0, 1} sends every record whose largest token is >= 1 to shard 2.
+  RewriteShardBounds(options.data_dir, {0, 1});
+  Result<ServiceCheckpoint> loaded = LoadCheckpoint(options.data_dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const CorpusSegment& segment = *loaded.value().segments.front().segment;
+  RecordId misrouted = kInvalidToken;
+  for (size_t s = 0; s < 2 && misrouted == kInvalidToken; ++s) {
+    for (RecordId local : segment.shards[s].member_ids) {
+      const RecordView record = segment.records->record(local);
+      if (RouteToShard(record, {0, 1}) != s) {
+        misrouted = segment.global_ids[local];
+        break;
+      }
+    }
+  }
+  ASSERT_NE(misrouted, kInvalidToken);
+
+  Result<std::unique_ptr<SimilarityService>> opened =
+      SimilarityService::Open(pred, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SimilarityService& service = *opened.value();
+  std::vector<bool> deleted(corpus.size(), false);
+  for (RecordId id = 80; id < corpus.size(); ++id) {
+    ASSERT_EQ(service.Insert(corpus.record(id), corpus.text(id)), id);
+  }
+  for (RecordId id : {misrouted, RecordId{85}}) {
+    ASSERT_TRUE(service.Delete(id));
+    deleted[id] = true;
+    for (const QueryMatch& m :
+         service.Query(corpus.record(id), corpus.text(id))) {
+      EXPECT_NE(m.id, id) << "deleted record " << id << " still answers";
+    }
+  }
+  service.Compact();
+
+  RecordSet survivors;
+  std::vector<RecordId> gids;
+  for (RecordId id = 0; id < corpus.size(); ++id) {
+    if (deleted[id]) continue;
+    survivors.Add(corpus.record(id), corpus.text(id));
+    gids.push_back(id);
+  }
+  ServiceOptions fresh_options;
+  fresh_options.num_shards = 3;
+  fresh_options.num_threads = 1;
+  SimilarityService fresh(survivors, pred, fresh_options);
+  for (RecordId r = 0; r < survivors.size(); ++r) {
+    std::vector<QueryMatch> expected =
+        fresh.Query(survivors.record(r), survivors.text(r));
+    for (QueryMatch& m : expected) m.id = gids[m.id];
+    ExpectSameMatches(expected,
+                      service.Query(survivors.record(r), survivors.text(r)),
+                      "record " + std::to_string(gids[r]));
+  }
+}
+
 TEST(CrashRecoveryTest, OldVersionManifestIsRejectedWithClearError) {
   OverlapPredicate pred(3);
   RecordSet corpus = testing_util::MakeRandomRecordSet(

@@ -705,15 +705,23 @@ TEST(SimilarityServiceTest, LatencyHistogramNoSamplesReportsZero) {
   EXPECT_EQ(h.QuantileUpperBound(std::nan("")), h.QuantileUpperBound(0.0));
 }
 
-// The TSan acceptance test: concurrent point queries, batch queries and
-// an inserting/compacting writer over the same service. Exercises the
+// The TSan acceptance test: concurrent point, top-k and batch queries
+// and an inserting/compacting writer over the same service. Exercises the
 // snapshot swap, the copy-on-write delta rebuild and the stats mutex.
-TEST(SimilarityServiceTest, ConcurrentReadersAndWriter) {
+// Under cosine every request also stages against the front segment's
+// document frequencies (IndexSnapshot::stats_reference) while each
+// compaction publishes a segment with a freshly counted table.
+class ServiceConcurrencyTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServiceConcurrencyTest, ConcurrentReadersAndWriter) {
   RecordSet corpus = testing_util::MakeRandomRecordSet(
       {.num_records = 120, .vocabulary = 60}, 22);
   RecordSet extra = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 60}, 23);
-  JaccardPredicate pred(0.5);
+  JaccardPredicate jaccard(0.5);
+  CosinePredicate cosine(0.5);
+  const Predicate& pred =
+      GetParam() == "cosine" ? static_cast<const Predicate&>(cosine) : jaccard;
   SimilarityService service(corpus, pred,
                             MakeOptions(16, 2));
 
@@ -730,6 +738,9 @@ TEST(SimilarityServiceTest, ConcurrentReadersAndWriter) {
         // Answers are id-sorted and epochs only move forward.
         for (size_t i = 1; i < matches.size(); ++i) {
           ASSERT_LT(matches[i - 1].id, matches[i].id);
+        }
+        if (t == 0) {
+          ASSERT_LE(service.QueryTopK(corpus.record(r), 5).size(), 5u);
         }
         uint64_t epoch = service.epoch();
         ASSERT_GE(epoch, local_epoch);
@@ -764,6 +775,12 @@ TEST(SimilarityServiceTest, ConcurrentReadersAndWriter) {
   EXPECT_EQ(stats.inserts, extra.size());
   EXPECT_GE(stats.point_queries, 200u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Predicates, ServiceConcurrencyTest,
+                         ::testing::Values("jaccard", "cosine"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace ssjoin

@@ -121,21 +121,35 @@ TEST(TfIdfTest, RareTokensWeighMore) {
 }
 
 TEST(TfIdfTest, TermFrequencyIncreasesWeight) {
-  TfIdfWeighter weighter({5}, 10);
+  const std::vector<uint64_t> freq = {5};
+  TfIdfWeighter weighter(freq, 10);
   EXPECT_GT(weighter.Weight(0, 4), weighter.Weight(0, 1));
 }
 
 TEST(TfIdfTest, UnseenTokenGetsMaxIdf) {
-  TfIdfWeighter weighter({5}, 10);
+  const std::vector<uint64_t> freq = {5};
+  TfIdfWeighter weighter(freq, 10);
   EXPECT_GT(weighter.Weight(42, 1), weighter.Weight(0, 1));
 }
 
-TEST(TfIdfTest, FromRecordSet) {
+TEST(TfIdfTest, FromDocumentFrequencies) {
   RecordSet set;
   set.Add(Record::FromTokens({0, 1}));
   set.Add(Record::FromTokens({0}));
-  TfIdfWeighter weighter = TfIdfWeighter::FromRecordSet(set);
+  const DocumentFrequencies df = set.CountDocumentFrequencies();
+  EXPECT_EQ(df.counts, (std::vector<uint64_t>{2, 1}));
+  TfIdfWeighter weighter(df.counts, df.num_records);
   EXPECT_EQ(weighter.num_records(), 2u);
+  EXPECT_GT(weighter.Weight(1, 1), weighter.Weight(0, 1));
+}
+
+TEST(TfIdfTest, ReadsTheTableInPlace) {
+  // The weighter borrows its table: a serving segment's frequencies are
+  // read where they live, and a later edit is visible.
+  std::vector<uint64_t> freq = {10, 10};
+  TfIdfWeighter weighter(freq, 10);
+  EXPECT_DOUBLE_EQ(weighter.Weight(0, 1), weighter.Weight(1, 1));
+  freq[1] = 1;
   EXPECT_GT(weighter.Weight(1, 1), weighter.Weight(0, 1));
 }
 
