@@ -22,10 +22,11 @@ namespace ssjoin {
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
-// v4: the v3 manifest without the per-shard tombstone lists, which every
-// compaction-point checkpoint left empty. v3 (and the raw-corpus v2)
-// manifests are rejected with "unsupported checkpoint version".
-constexpr uint32_t kCheckpointVersion = 4;
+// v5: the segment chain as the snapshot holds it, and nothing else about
+// deletions. v4 also stored a per-id deleted bitmap, a second copy of the
+// dead masks that nothing checked against them; v4 and older manifests
+// are rejected with "unsupported checkpoint version".
+constexpr uint32_t kCheckpointVersion = 5;
 constexpr char kCheckpointFile[] = "checkpoint.ssc";
 constexpr char kWalFile[] = "wal.log";
 
@@ -80,37 +81,6 @@ bool GetIdList(const std::string& data, size_t* offset,
     prev += delta;
     ids->push_back(prev);
   }
-  return true;
-}
-
-void PutBitVector(std::string* out, const std::vector<bool>& bits) {
-  PutVarint64(out, bits.size());
-  uint8_t byte = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) byte |= static_cast<uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      out->push_back(static_cast<char>(byte));
-      byte = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) out->push_back(static_cast<char>(byte));
-}
-
-bool GetBitVector(const std::string& data, size_t* offset,
-                  std::vector<bool>* bits) {
-  uint64_t count = 0;
-  if (!GetVarint64(data, offset, &count)) return false;
-  // Bound the count by the bytes left before sizing anything: (count + 7)
-  // / 8 wraps to 0 for counts near 2^64.
-  if (count > 8 * static_cast<uint64_t>(data.size() - *offset)) return false;
-  const size_t bytes = static_cast<size_t>((count + 7) / 8);
-  bits->assign(count, false);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint8_t byte =
-        static_cast<uint8_t>(data[*offset + i / 8]);
-    (*bits)[i] = (byte >> (i % 8)) & 1u;
-  }
-  *offset += bytes;
   return true;
 }
 
@@ -826,15 +796,17 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
   return std::shared_ptr<const CorpusSegment>(std::move(segment));
 }
 
-Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
+Status SaveCheckpoint(const std::string& data_dir,
+                      const Checkpoint& checkpoint,
                       std::set<uint64_t>* persisted_segments,
                       GcStats* gc_stats) {
-  if (state.deleted == nullptr || state.segments.empty() ||
-      state.num_shards == 0 || persisted_segments == nullptr) {
+  if (checkpoint.chain == nullptr || checkpoint.chain->empty() ||
+      checkpoint.num_shards == 0 || persisted_segments == nullptr) {
     return Status::InvalidArgument("incomplete checkpoint state");
   }
-  for (const CheckpointState::SegmentRef& ref : state.segments) {
-    if (ref.segment == nullptr || ref.dead.size() != state.num_shards) {
+  for (const SegmentChainEntry& entry : *checkpoint.chain) {
+    if (entry.segment == nullptr ||
+        entry.dead.size() != checkpoint.num_shards) {
       return Status::InvalidArgument("incomplete checkpoint state");
     }
   }
@@ -844,10 +816,10 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
   // are never rewritten, which is what keeps a steady-state checkpoint
   // O(delta): only the newly folded (delta-sized) segment hits the disk.
   std::set<uint64_t> referenced;
-  for (const CheckpointState::SegmentRef& ref : state.segments) {
-    referenced.insert(ref.segment->id);
-    if (persisted_segments->count(ref.segment->id) != 0) continue;
-    Status written = WriteSegmentFile(data_dir, *ref.segment);
+  for (const SegmentChainEntry& entry : *checkpoint.chain) {
+    referenced.insert(entry.segment->id);
+    if (persisted_segments->count(entry.segment->id) != 0) continue;
+    Status written = WriteSegmentFile(data_dir, *entry.segment);
     if (!written.ok()) return written;
   }
 
@@ -856,20 +828,20 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
   // leaves a whole checkpoint (the old one, or the new one).
   std::string buffer(kCheckpointMagic, sizeof(kCheckpointMagic));
   PutFixed32(&buffer, kCheckpointVersion);
-  PutVarint64(&buffer, state.epoch);
-  PutVarint64(&buffer, state.wal_seq);
-  PutVarint64(&buffer, state.predicate.size());
-  buffer += state.predicate;
-  PutVarint64(&buffer, state.num_shards);
-  PutIdList(&buffer, state.shard_bounds);
-  PutVarint64(&buffer, state.next_id);
-  PutVarint64(&buffer, state.next_segment_id);
-  PutBitVector(&buffer, *state.deleted);
-  PutVarint64(&buffer, state.segments.size());
-  for (const CheckpointState::SegmentRef& ref : state.segments) {
-    PutVarint64(&buffer, ref.segment->id);
-    PutVarint64(&buffer, ref.live);
-    for (const std::vector<RecordId>* dead : ref.dead) {
+  PutVarint64(&buffer, checkpoint.epoch);
+  PutVarint64(&buffer, checkpoint.wal_seq);
+  PutVarint64(&buffer, checkpoint.predicate.size());
+  buffer += checkpoint.predicate;
+  PutVarint64(&buffer, checkpoint.num_shards);
+  PutIdList(&buffer, checkpoint.shard_bounds);
+  PutVarint64(&buffer, checkpoint.next_id);
+  PutVarint64(&buffer, checkpoint.next_segment_id);
+  PutVarint64(&buffer, checkpoint.chain->size());
+  for (const SegmentChainEntry& entry : *checkpoint.chain) {
+    PutVarint64(&buffer, entry.segment->id);
+    PutVarint64(&buffer, entry.live);
+    for (const std::shared_ptr<const std::vector<RecordId>>& dead :
+         entry.dead) {
       static const std::vector<RecordId> kEmpty;
       PutIdList(&buffer, dead != nullptr ? *dead : kEmpty);
     }
@@ -890,8 +862,9 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
   return Status::OK();
 }
 
-Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
-                                         const CheckpointLoadOptions& options) {
+Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
+                                  const CheckpointLoadOptions& options,
+                                  GcStats* gc_stats) {
   const std::string path = CheckpointFilePath(data_dir);
   Result<std::string> read = ReadFileToString(path);
   if (!read.ok()) return read.status();
@@ -919,7 +892,7 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
   // The payload (between header and trailing CRC) decodes as a plain
   // string slice; every Get* below is bounded by body_size via `body`.
   const std::string body = data.substr(0, body_size);
-  ServiceCheckpoint cp;
+  Checkpoint cp;
   uint64_t pred_size = 0;
   if (!GetVarint64(body, &offset, &cp.epoch) ||
       !GetVarint64(body, &offset, &cp.wal_seq) ||
@@ -946,29 +919,31 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
       !GetVarint64(body, &offset, &cp.next_segment_id)) {
     return Corrupt("truncated id counters", path);
   }
-  if (!GetBitVector(body, &offset, &cp.deleted) ||
-      cp.deleted.size() != cp.next_id) {
-    return Corrupt("bad deleted bitmap", path);
-  }
 
   uint64_t num_segments = 0;
   if (!GetVarint64(body, &offset, &num_segments) || num_segments == 0 ||
       num_segments > body.size()) {
     return Corrupt("bad segment count", path);
   }
-  cp.segments.resize(num_segments);
+  auto chain = std::make_shared<SegmentChain>(num_segments);
   std::vector<uint64_t> segment_ids(num_segments, 0);
   for (size_t i = 0; i < num_segments; ++i) {
-    ServiceCheckpoint::Segment& entry = cp.segments[i];
+    SegmentChainEntry& entry = (*chain)[i];
+    uint64_t live = 0;
     if (!GetVarint64(body, &offset, &segment_ids[i]) ||
         segment_ids[i] >= cp.next_segment_id ||
-        !GetVarint64(body, &offset, &entry.live)) {
+        !GetVarint64(body, &offset, &live)) {
       return Corrupt("bad segment reference", path);
     }
+    entry.live = live;
     entry.dead.resize(num_shards);
-    for (std::vector<RecordId>& dead : entry.dead) {
-      if (!GetIdList(body, &offset, &dead) || !StrictlyIncreasing(dead)) {
+    for (std::shared_ptr<const std::vector<RecordId>>& dead : entry.dead) {
+      std::vector<RecordId> mask;
+      if (!GetIdList(body, &offset, &mask) || !StrictlyIncreasing(mask)) {
         return Corrupt("bad segment dead mask", path);
+      }
+      if (!mask.empty()) {
+        dead = std::make_shared<const std::vector<RecordId>>(std::move(mask));
       }
     }
   }
@@ -985,7 +960,7 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
   RecordId prev_last_gid = 0;
   bool any_gid = false;
   for (size_t i = 0; i < num_segments; ++i) {
-    ServiceCheckpoint::Segment& entry = cp.segments[i];
+    SegmentChainEntry& entry = (*chain)[i];
     const uint64_t segment_id = segment_ids[i];
     referenced.insert(segment_id);
     Result<std::shared_ptr<const CorpusSegment>> loaded = OpenSegmentFile(
@@ -1004,23 +979,28 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
     }
     size_t dead_total = 0;
     for (size_t s = 0; s < num_shards; ++s) {
-      const std::vector<RecordId>& dead = entry.dead[s];
-      if (!dead.empty() &&
-          dead.back() >= segment.shards[s].member_ids.size()) {
+      if (entry.dead[s] == nullptr) continue;
+      const std::vector<RecordId>& dead = *entry.dead[s];
+      if (dead.back() >= segment.shards[s].member_ids.size()) {
         return Corrupt("segment dead mask out of range", path);
       }
       dead_total += dead.size();
     }
-    if (entry.live + dead_total != segment.records->size()) {
+    // Each mask is strictly increasing and in range, so dead_total is at
+    // most the record count; bounding live first keeps the sum exact.
+    if (entry.live > segment.records->size() ||
+        entry.live + dead_total != segment.records->size()) {
       return Corrupt("segment live count disagrees with dead masks", path);
     }
   }
+  cp.chain = std::move(chain);
 
   // GC: a crash between segment write and manifest rename, or a merge
   // followed by a crash before Phase-3 cleanup, leaves segment files no
   // manifest references. They are dead weight — delete them so the data
   // directory never accretes garbage across restarts.
-  cp.gc = CollectSegmentGarbage(data_dir, referenced);
+  const GcStats gc = CollectSegmentGarbage(data_dir, referenced);
+  if (gc_stats != nullptr) *gc_stats = gc;
   return cp;
 }
 

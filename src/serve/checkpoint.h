@@ -22,16 +22,18 @@ namespace ssjoin {
 ///     first covers it, and never rewritten — steady-state checkpoints
 ///     write one new (delta-sized) segment file plus the small manifest,
 ///     which is what makes checkpointing O(delta) alongside compaction.
-///   * The manifest (v4) holds everything that still changes: epoch, WAL
-///     fence, shard count and bounds, the deleted bitmap, per-segment dead
-///     masks and live counts, and the ordered list of segment file ids it
-///     depends on. Nothing else: checkpoints are taken only at compaction
-///     points, where every pending tombstone has just folded into a dead
-///     mask, so the manifest carries no tombstone lists (v3 carried
-///     always-empty ones and is rejected as an unsupported version); and
-///     even TF-IDF cosine needs no raw records, since its weights depend
-///     only on token sets and document frequencies, which the prepared
-///     segments hold.
+///   * The manifest (v5) holds everything that still changes: epoch, WAL
+///     fence, shard count and bounds, id counters, and the segment chain
+///     as the snapshot holds it — the ordered segment file ids, each with
+///     its live count and per-shard dead masks. Nothing else: checkpoints
+///     are taken only at compaction points, where every pending tombstone
+///     has just folded into a dead mask, so the dead masks are the whole
+///     deletion state (an id no segment holds live is simply not live);
+///     and even TF-IDF cosine needs no raw records, since its weights
+///     depend only on token sets and document frequencies, which the
+///     prepared segments hold. v4 manifests, which also stored a per-id
+///     deleted bitmap, and older ones are rejected as an unsupported
+///     version.
 ///
 /// Both file kinds are CRC32-trailered and written tmp-then-rename, so
 /// each is individually whole; the manifest rename is the commit point
@@ -67,11 +69,14 @@ Status EnsureDataDir(const std::string& data_dir);
 /// Whether `data_dir` holds a checkpoint manifest.
 bool CheckpointExists(const std::string& data_dir);
 
-/// Borrowed view of the service state a checkpoint covers — Save never
-/// copies the corpus or indexes. `segments` is the chain in order. The
-/// state is a compaction point: no memtable records, no pending
-/// tombstones.
-struct CheckpointState {
+/// One checkpoint: the manifest header fields plus the segment chain,
+/// exactly as a published IndexSnapshot holds it. SaveCheckpoint shares
+/// the snapshot's chain (it never copies the corpus or indexes), and
+/// LoadCheckpoint returns a chain the restored service publishes as is.
+/// A checkpoint is a compaction point: no memtable records and no
+/// pending tombstones, so the chain's dead masks are the whole deletion
+/// state.
+struct Checkpoint {
   uint64_t epoch = 0;
   /// Last WAL seq this checkpoint covers: replay skips frames at or below
   /// it, so a crash between checkpoint rename and WAL reset never
@@ -89,15 +94,9 @@ struct CheckpointState {
   /// Next segment file id to assign; persisting it keeps ids unique
   /// across restarts so recovered and crashed-over files never collide.
   uint64_t next_segment_id = 0;
-  /// Per-global-id deleted bitmap, size next_id.
-  const std::vector<bool>* deleted = nullptr;
-  struct SegmentRef {
-    const CorpusSegment* segment = nullptr;
-    /// Per-shard dead masks (sorted part-local ids); null entries = none.
-    std::vector<const std::vector<RecordId>*> dead;
-    uint64_t live = 0;
-  };
-  std::vector<SegmentRef> segments;
+  /// The chain, oldest first and never empty. Every entry has num_shards
+  /// dead masks (null = none) and its live count.
+  std::shared_ptr<const SegmentChain> chain;
 };
 
 /// Segment-file garbage-collection outcome (both Save and Load GC
@@ -121,27 +120,7 @@ struct CheckpointLoadOptions {
   bool count_frequencies = false;
 };
 
-/// Owned counterpart produced by LoadCheckpoint.
-struct ServiceCheckpoint {
-  uint64_t epoch = 0;
-  uint64_t wal_seq = 0;
-  std::string predicate;
-  uint64_t num_shards = 0;
-  std::vector<TokenId> shard_bounds;
-  uint64_t next_id = 0;
-  uint64_t next_segment_id = 0;
-  std::vector<bool> deleted;
-  struct Segment {
-    std::shared_ptr<const CorpusSegment> segment;
-    std::vector<std::vector<RecordId>> dead;  // per shard; may be empty lists
-    uint64_t live = 0;
-  };
-  std::vector<Segment> segments;
-  /// Orphan-GC outcome of this load.
-  GcStats gc;
-};
-
-/// Writes the checkpoint for `state` into `data_dir`: first every chain
+/// Writes `checkpoint` into `data_dir`: first every chain
 /// segment file not yet on disk (tracked via `persisted_segments`, which
 /// is updated ONLY when the whole checkpoint commits), then the manifest,
 /// atomically replacing any previous one (tmp + fsync + rename +
@@ -150,17 +129,19 @@ struct ServiceCheckpoint {
 /// a failure at any point leaves the previous checkpoint fully
 /// restorable — at worst unreferenced segment files linger until the
 /// next GC pass.
-Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
+Status SaveCheckpoint(const std::string& data_dir,
+                      const Checkpoint& checkpoint,
                       std::set<uint64_t>* persisted_segments,
                       GcStats* gc_stats = nullptr);
 
 /// Reads and verifies (magic, version, trailing CRC32, structural
 /// bounds) the manifest and every segment file it references, then
-/// garbage-collects unreferenced segment files. With a non-zero
-/// resident budget, segment bodies are mapped instead of decoded (see
-/// CheckpointLoadOptions).
-Result<ServiceCheckpoint> LoadCheckpoint(
-    const std::string& data_dir, const CheckpointLoadOptions& options = {});
+/// garbage-collects unreferenced segment files, reporting the outcome in
+/// `gc_stats` when given. With a non-zero resident budget, segment
+/// bodies are mapped instead of decoded (see CheckpointLoadOptions).
+Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
+                                  const CheckpointLoadOptions& options = {},
+                                  GcStats* gc_stats = nullptr);
 
 /// Writes segment-<id>.sseg (v3, atomic tmp+rename). Exposed so the
 /// service can persist a freshly merged segment at compaction time and

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/probe_common.h"
@@ -204,6 +205,30 @@ uint64_t EffectiveResidentBudget(const ServiceOptions& options,
   return end != nullptr && *end == '\0' ? static_cast<uint64_t>(value) : 0;
 }
 
+/// Refreshes the chain-shape gauges (segment count and approximate bytes).
+void SetChainGauges(const SegmentChain& chain, ServiceStats* stats) {
+  stats->segments = chain.size();
+  uint64_t bytes = 0;
+  for (const SegmentChainEntry& entry : chain) {
+    bytes += entry.segment->approx_bytes;
+  }
+  stats->segment_bytes = bytes;
+}
+
+/// The snapshot of a compaction point over `chain`: every delta image
+/// empty (one shared empty image), no pending tombstones, and the chain's
+/// live total as the live count. The caller sets the epoch.
+IndexSnapshot CompactionPoint(std::shared_ptr<const SegmentChain> chain,
+                              size_t num_shards) {
+  IndexSnapshot snap;
+  for (const SegmentChainEntry& entry : *chain) {
+    snap.live_records += entry.live;
+  }
+  snap.chain = std::move(chain);
+  snap.delta.assign(num_shards, std::make_shared<const DeltaShard>());
+  return snap;
+}
+
 }  // namespace
 
 SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
@@ -218,10 +243,6 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
   std::lock_guard<std::mutex> lock(write_mutex_);
   shard_bounds_ = ComputeShardBounds(RoutingMassHistogram(corpus), num_shards_);
   next_id_ = corpus.size();
-  deleted_.assign(corpus.size(), false);
-  memtables_.resize(num_shards_);
-  memtable_ids_.resize(num_shards_);
-  tombstones_.resize(num_shards_);
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.EnsureShards(num_shards_);
@@ -231,8 +252,10 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
   pred_.Prepare(&corpus);
   std::vector<RecordId> gids(corpus.size());
   std::iota(gids.begin(), gids.end(), RecordId{0});
-  AppendSegmentLocked(std::move(corpus), std::move(gids));
-  FinishCompactionLocked(std::vector<bool>(num_shards_, true),
+  SegmentChain chain;
+  AppendSegmentLocked(&chain, std::move(corpus), std::move(gids));
+  FinishCompactionLocked(std::move(chain),
+                         std::vector<bool>(num_shards_, true),
                          /*merged_count=*/0, /*delta_records=*/0,
                          /*count_compaction=*/false);
   if (!options_.data_dir.empty()) InitDurabilityLocked();
@@ -241,7 +264,8 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
   AdoptMappedSegmentsLocked();
 }
 
-SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
+SimilarityService::SimilarityService(Checkpoint checkpoint,
+                                     const GcStats& load_gc,
                                      std::vector<WalRecord> tail,
                                      WriteAheadLog wal, const Predicate& pred,
                                      ServiceOptions options)
@@ -256,60 +280,23 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
   shard_bounds_ = std::move(checkpoint.shard_bounds);
   next_id_ = checkpoint.next_id;
   next_segment_id_ = checkpoint.next_segment_id;
-  deleted_ = std::move(checkpoint.deleted);
-  for (size_t i = 0; i < deleted_.size(); ++i) {
-    if (deleted_[i]) ++deleted_total_;
-  }
-  memtables_.resize(num_shards_);
-  memtable_ids_.resize(num_shards_);
-  tombstones_.resize(num_shards_);
-
-  // Rebuild the chain exactly as checkpointed: segments shared straight
-  // off disk (and already durable — seed the persisted set so the next
-  // checkpoint writes only genuinely new ones), dead masks rewrapped
-  // copy-on-write with empty lists collapsing to "none".
-  chain_.reserve(checkpoint.segments.size());
-  for (ServiceCheckpoint::Segment& seg : checkpoint.segments) {
-    SegmentChainEntry entry;
-    entry.segment = std::move(seg.segment);
-    entry.dead.resize(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      if (!seg.dead[s].empty()) {
-        entry.dead[s] = std::make_shared<std::vector<RecordId>>(
-            std::move(seg.dead[s]));
-      }
-    }
-    entry.live = static_cast<size_t>(seg.live);
+  // The checkpointed segments are already durable: seed the persisted set
+  // so the next checkpoint writes only genuinely new ones.
+  for (const SegmentChainEntry& entry : *checkpoint.chain) {
     persisted_segments_.insert(entry.segment->id);
-    chain_.push_back(std::move(entry));
   }
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.EnsureShards(num_shards_);
-    stats_.segments = chain_.size();
-    uint64_t bytes = 0;
-    for (const SegmentChainEntry& e : chain_) bytes += e.segment->approx_bytes;
-    stats_.segment_bytes = bytes;
-    stats_.gc_unlinked_segments += checkpoint.gc.unlinked_segments;
-    stats_.gc_unlink_failures += checkpoint.gc.unlink_failures;
+    SetChainGauges(*checkpoint.chain, &stats_);
+    stats_.gc_unlinked_segments += load_gc.unlinked_segments;
+    stats_.gc_unlink_failures += load_gc.unlink_failures;
   }
-
-  // Re-publish the checkpointed snapshot at its recorded epoch: the
-  // restored chain as is, deltas empty (checkpoints are written at
-  // compaction points, so no memtable records and no tombstones).
-  auto snap = std::make_shared<IndexSnapshot>();
-  snap->chain = std::make_shared<const SegmentChain>(chain_);
-  snap->delta.resize(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    snap->delta[s] =
-        BuildDeltaShard(RecordSet(), {}, pred_.ShortRecordNormBound());
-  }
-  snap->epoch = checkpoint.epoch;
-  snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
-  {
-    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-    snapshot_ = std::move(snap);
-  }
+  // Re-publish the checkpointed chain as is, at its recorded epoch.
+  IndexSnapshot restored =
+      CompactionPoint(std::move(checkpoint.chain), num_shards_);
+  restored.epoch = checkpoint.epoch;
+  Publish(std::move(restored), /*bump_epoch=*/false);
 
   wal_ = std::make_unique<WriteAheadLog>(std::move(wal));
   // last_seq() covers frames a crash left from before the checkpoint
@@ -319,9 +306,12 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
 
   // Replay the tail through the normal op paths: the checkpoint is a
   // compaction point, so starting from identical base statistics each
-  // replayed op stages, routes, publishes — and auto-compacts — exactly
-  // as the original did, epoch for epoch. Frames at or below the
-  // checkpoint's seq are the double-apply guard, not part of the tail.
+  // replayed op stages, routes and publishes exactly as the original
+  // did, epoch for epoch. Every compaction the original ran with work
+  // pending left a kCompact marker, and replay compacts there and only
+  // there, so the restart's own memtable_limit cannot move an epoch.
+  // Frames at or below the checkpoint's seq are the double-apply guard,
+  // not part of the tail.
   replaying_ = true;
   for (WalRecord& op : tail) {
     if (op.seq <= checkpoint.wal_seq) continue;
@@ -333,7 +323,7 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
         DeleteLocked(op.id);
         break;
       case WalRecord::kCompact:
-        CompactLocked(/*count_compaction=*/true);
+        CompactLocked();
         break;
     }
   }
@@ -352,10 +342,11 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
   CheckpointLoadOptions load_options;
   load_options.resident_budget_bytes = EffectiveResidentBudget(options, pred);
   load_options.count_frequencies = !pred.corpus_independent_scores();
-  Result<ServiceCheckpoint> loaded =
-      LoadCheckpoint(options.data_dir, load_options);
+  GcStats gc;
+  Result<Checkpoint> loaded =
+      LoadCheckpoint(options.data_dir, load_options, &gc);
   if (!loaded.ok()) return loaded.status();
-  ServiceCheckpoint checkpoint = std::move(loaded).value();
+  Checkpoint checkpoint = std::move(loaded).value();
   if (checkpoint.predicate != pred.name()) {
     return Status::FailedPrecondition(
         "checkpoint in " + options.data_dir + " was written under predicate " +
@@ -366,8 +357,8 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
       WalFilePath(options.data_dir), options.wal_sync, &tail);
   if (!wal.ok()) return wal.status();
   return std::unique_ptr<SimilarityService>(new SimilarityService(
-      std::move(checkpoint), std::move(tail), std::move(wal).value(), pred,
-      std::move(options)));
+      std::move(checkpoint), gc, std::move(tail), std::move(wal).value(),
+      pred, std::move(options)));
 }
 
 void SimilarityService::InitDurabilityLocked() {
@@ -391,8 +382,10 @@ void SimilarityService::InitDurabilityLocked() {
 
 void SimilarityService::AdoptMappedSegmentsLocked() {
   if (wal_ == nullptr || resident_budget_ == 0) return;
+  std::shared_ptr<const IndexSnapshot> snap = snapshot();
+  SegmentChain chain = *snap->chain;
   bool swapped = false;
-  for (SegmentChainEntry& entry : chain_) {
+  for (SegmentChainEntry& entry : chain) {
     if (entry.segment->mapping != nullptr) continue;
     if (persisted_segments_.count(entry.segment->id) == 0) continue;
     Result<std::shared_ptr<const CorpusSegment>> mapped = OpenSegmentFile(
@@ -412,21 +405,17 @@ void SimilarityService::AdoptMappedSegmentsLocked() {
     // Republish in place at the CURRENT epoch: the mapped views answer
     // byte-identically, so the swap must be invisible to readers — no
     // epoch bump, delta images and counts carried over unchanged.
-    auto snap = std::make_shared<IndexSnapshot>(*snapshot());
-    snap->chain = std::make_shared<const SegmentChain>(chain_);
-    {
-      std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-      snapshot_ = std::move(snap);
-    }
+    auto adopted = std::make_shared<const SegmentChain>(std::move(chain));
+    IndexSnapshot next = *snap;
+    next.chain = adopted;
+    Publish(std::move(next), /*bump_epoch=*/false);
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    uint64_t bytes = 0;
-    for (const SegmentChainEntry& e : chain_) bytes += e.segment->approx_bytes;
-    stats_.segment_bytes = bytes;
+    SetChainGauges(*adopted, &stats_);
   }
-  ApplyResidencyAdviceLocked();
+  ApplyResidencyAdviceLocked(*snapshot()->chain);
 }
 
-void SimilarityService::ApplyResidencyAdviceLocked() {
+void SimilarityService::ApplyResidencyAdviceLocked(const SegmentChain& chain) {
   uint64_t mapped_segments = 0;
   uint64_t mapped_bytes = 0;
   uint64_t resident = 0;
@@ -434,8 +423,8 @@ void SimilarityService::ApplyResidencyAdviceLocked() {
   // old tail, inserts land at the head), so they get the budget. The
   // advice is a hint either way — over-budget segments stay correct,
   // they just refault from disk.
-  for (size_t i = chain_.size(); i-- > 0;) {
-    const CorpusSegment& seg = *chain_[i].segment;
+  for (size_t i = chain.size(); i-- > 0;) {
+    const CorpusSegment& seg = *chain[i].segment;
     if (seg.mapping == nullptr) continue;
     ++mapped_segments;
     mapped_bytes += seg.mapped_bytes;
@@ -454,37 +443,26 @@ void SimilarityService::ApplyResidencyAdviceLocked() {
 
 void SimilarityService::ApplyResidencyAdvice() {
   std::lock_guard<std::mutex> lock(write_mutex_);
-  ApplyResidencyAdviceLocked();
+  ApplyResidencyAdviceLocked(*snapshot()->chain);
 }
 
 Status SimilarityService::SaveCheckpointLocked() {
   // The manifest carries no memtable records and no tombstones: a
-  // checkpoint is only ever taken at a compaction point.
-  SSJOIN_CHECK(memtable_total_ == 0 && tombstone_total_ == 0);
+  // checkpoint is only ever taken at a compaction point, whose chain is
+  // the whole state.
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  CheckpointState state;
-  state.epoch = snap->epoch;
-  state.wal_seq = wal_next_seq_ - 1;
-  state.predicate = pred_.name();
-  state.num_shards = num_shards_;
-  state.shard_bounds = shard_bounds_;
-  state.next_id = next_id_;
-  state.next_segment_id = next_segment_id_;
-  state.deleted = &deleted_;
-  state.segments.reserve(chain_.size());
-  for (const SegmentChainEntry& entry : chain_) {
-    CheckpointState::SegmentRef ref;
-    ref.segment = entry.segment.get();
-    ref.dead.reserve(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      ref.dead.push_back(entry.dead[s] != nullptr ? entry.dead[s].get()
-                                                  : nullptr);
-    }
-    ref.live = entry.live;
-    state.segments.push_back(std::move(ref));
-  }
+  SSJOIN_CHECK(snap->pending_writes() == 0);
+  Checkpoint checkpoint;
+  checkpoint.epoch = snap->epoch;
+  checkpoint.wal_seq = wal_next_seq_ - 1;
+  checkpoint.predicate = pred_.name();
+  checkpoint.num_shards = num_shards_;
+  checkpoint.shard_bounds = shard_bounds_;
+  checkpoint.next_id = next_id_;
+  checkpoint.next_segment_id = next_segment_id_;
+  checkpoint.chain = snap->chain;
   GcStats gc;
-  Status status = ssjoin::SaveCheckpoint(options_.data_dir, state,
+  Status status = ssjoin::SaveCheckpoint(options_.data_dir, checkpoint,
                                          &persisted_segments_, &gc);
   if (gc.unlinked_segments > 0 || gc.unlink_failures > 0) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -525,7 +503,8 @@ uint64_t SimilarityService::wal_sequence() {
   return wal_ ? wal_next_seq_ : 0;
 }
 
-void SimilarityService::AppendSegmentLocked(RecordSet records,
+void SimilarityService::AppendSegmentLocked(SegmentChain* chain,
+                                            RecordSet records,
                                             std::vector<RecordId> global_ids) {
   SegmentChainEntry entry;
   entry.segment =
@@ -534,29 +513,46 @@ void SimilarityService::AppendSegmentLocked(RecordSet records,
                          pred_);
   entry.dead.assign(num_shards_, nullptr);
   entry.live = entry.segment->records->size();
-  chain_.push_back(std::move(entry));
+  chain->push_back(std::move(entry));
 }
 
-bool SimilarityService::CompactLocked(bool count_compaction) {
+void SimilarityService::CompactLocked() {
+  std::shared_ptr<const IndexSnapshot> snap = snapshot();
   // A compaction with nothing pending — no memtable records, no
   // tombstones — is a counted no-op: the published snapshot already IS
-  // the compacted state, so no shard is rebuilt and no snapshot is
-  // published (in particular, cosine skips its re-Prepare).
-  if (memtable_total_ == 0 && tombstone_total_ == 0) {
+  // the compacted state, so no shard is rebuilt, no snapshot is
+  // published (in particular, cosine skips its re-Prepare) and no marker
+  // is logged.
+  if (snap->pending_writes() == 0) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    if (count_compaction) ++stats_.compactions;
-    return false;
+    ++stats_.compactions;
+    return;
+  }
+  // Log the marker BEFORE compacting, whether Compact() or the
+  // memtable_limit trigger asked: replay compacts at markers only, so it
+  // reproduces every epoch whatever limit the restart runs with, and if
+  // the checkpoint that normally follows fails, the marker still stands
+  // in the log. (On success the checkpoint resets the WAL and the marker
+  // simply vanishes, already covered.)
+  if (wal_ != nullptr && !replaying_ && !wal_failed_) {
+    Status status = wal_->AppendCompact(wal_next_seq_);
+    if (status.ok()) {
+      ++wal_next_seq_;
+    } else {
+      SetDurabilityErrorLocked(std::move(status));
+    }
   }
   // Corpus-statistics predicates (TF-IDF cosine): every record's scores
   // change when the statistics do, so every shard is rebuilt and the
   // whole chain collapses below.
   const bool corpus_stats = !pred_.corpus_independent_scores();
-  const uint64_t delta_records =
-      static_cast<uint64_t>(memtable_total_ + tombstone_total_);
+  const uint64_t delta_records = static_cast<uint64_t>(snap->pending_writes());
   std::vector<bool> dirty(num_shards_, corpus_stats);
   for (size_t s = 0; s < num_shards_; ++s) {
-    if (!memtable_ids_[s].empty() || !tombstones_[s].empty()) dirty[s] = true;
+    const DeltaShard& delta = *snap->delta[s];
+    if (!delta.records.empty() || !delta.tombstones.empty()) dirty[s] = true;
   }
+  SegmentChain chain = *snap->chain;
   uint64_t merged_count = 0;
 
   // Replaces the `count` newest chain entries with ONE freshly built
@@ -567,8 +563,8 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   auto merge_trailing = [&](size_t count) {
     RecordSet merged;
     std::vector<RecordId> gids;
-    for (size_t i = chain_.size() - count; i < chain_.size(); ++i) {
-      const SegmentChainEntry& entry = chain_[i];
+    for (size_t i = chain.size() - count; i < chain.size(); ++i) {
+      const SegmentChainEntry& entry = chain[i];
       const CorpusSegment& seg = *entry.segment;
       std::vector<bool> dead_local(seg.records->size(), false);
       for (size_t s = 0; s < num_shards_; ++s) {
@@ -593,59 +589,41 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
     // prepared records are as good an input as raw ones.
     if (corpus_stats) pred_.Prepare(&merged);
     if (count > 1) merged_count += count;
-    chain_.resize(chain_.size() - count);
-    AppendSegmentLocked(std::move(merged), std::move(gids));
+    chain.resize(chain.size() - count);
+    AppendSegmentLocked(&chain, std::move(merged), std::move(gids));
   };
 
   // (a) Fold tombstones into per-segment copy-on-write dead masks. A
-  // tombstoned gid is either chain-resident — locate its segment by gid
-  // range (ranges are disjoint), its arena slot by gid, its part slot by
-  // shard membership — or still memtable-resident, in which case the
-  // survivor fold below simply drops it.
+  // tombstoned gid is either chain-resident — its segment part holds it
+  // (the part of the shard whose image lists the tombstone) — or still
+  // memtable-resident, in which case the survivor fold below drops it.
   std::vector<std::vector<std::vector<RecordId>>> fold(
-      chain_.size(), std::vector<std::vector<RecordId>>(num_shards_));
+      chain.size(), std::vector<std::vector<RecordId>>(num_shards_));
   for (size_t s = 0; s < num_shards_; ++s) {
-    for (RecordId gid : tombstones_[s]) {
-      size_t ci = chain_.size();
-      for (size_t i = 0; i < chain_.size(); ++i) {
-        const std::vector<RecordId>& sgids = chain_[i].segment->global_ids;
-        if (!sgids.empty() && sgids.front() <= gid && gid <= sgids.back()) {
-          ci = i;
-          break;
-        }
-      }
-      if (ci == chain_.size()) continue;  // memtable-resident
-      const CorpusSegment& seg = *chain_[ci].segment;
-      auto git = std::lower_bound(seg.global_ids.begin(),
-                                  seg.global_ids.end(), gid);
-      SSJOIN_CHECK(git != seg.global_ids.end() && *git == gid);
-      const RecordId local =
-          static_cast<RecordId>(git - seg.global_ids.begin());
-      const SegmentShardPart& part = seg.shards[s];
-      auto mit = std::lower_bound(part.member_ids.begin(),
-                                  part.member_ids.end(), local);
-      SSJOIN_CHECK(mit != part.member_ids.end() && *mit == local);
-      fold[ci][s].push_back(
-          static_cast<RecordId>(mit - part.member_ids.begin()));
+    for (RecordId gid : snap->delta[s]->tombstones) {
+      const std::optional<ChainPosition> pos = LocateInChain(chain, gid);
+      if (!pos) continue;  // memtable-resident
+      SSJOIN_CHECK(pos->shard == s);
+      fold[pos->entry][s].push_back(pos->part_local);
     }
   }
-  for (size_t i = 0; i < chain_.size(); ++i) {
+  for (size_t i = 0; i < chain.size(); ++i) {
     for (size_t s = 0; s < num_shards_; ++s) {
       std::vector<RecordId>& add = fold[i][s];
       if (add.empty()) continue;
-      // tombstones_[s] is gid-sorted and gid order within one segment
-      // implies part-local order, so `add` is already sorted.
+      // A shard's tombstones are gid-sorted and gid order within one
+      // segment implies part-local order, so `add` is already sorted.
       auto mask = std::make_shared<std::vector<RecordId>>();
-      if (chain_[i].dead[s] != nullptr) {
-        const std::vector<RecordId>& old = *chain_[i].dead[s];
+      if (chain[i].dead[s] != nullptr) {
+        const std::vector<RecordId>& old = *chain[i].dead[s];
         mask->resize(old.size() + add.size());
         std::merge(old.begin(), old.end(), add.begin(), add.end(),
                    mask->begin());
       } else {
         *mask = add;
       }
-      chain_[i].dead[s] = std::move(mask);
-      chain_[i].live -= add.size();
+      chain[i].dead[s] = std::move(mask);
+      chain[i].live -= add.size();
     }
   }
 
@@ -654,15 +632,18 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   // ONE new delta-sized segment.
   struct Pending {
     RecordId id;
-    size_t shard;
-    size_t local;
+    const DeltaShard* delta;
+    RecordId local;
   };
   std::vector<Pending> pending;
-  pending.reserve(memtable_total_);
+  pending.reserve(snap->delta_size());
   for (size_t s = 0; s < num_shards_; ++s) {
-    for (size_t j = 0; j < memtable_ids_[s].size(); ++j) {
-      if (!deleted_[memtable_ids_[s][j]]) {
-        pending.push_back({memtable_ids_[s][j], s, j});
+    const DeltaShard& delta = *snap->delta[s];
+    for (RecordId local = 0; local < delta.records.size(); ++local) {
+      const RecordId id = delta.global_ids[local];
+      if (!std::binary_search(delta.tombstones.begin(),
+                              delta.tombstones.end(), id)) {
+        pending.push_back({id, &delta, local});
       }
     }
   }
@@ -673,11 +654,11 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
     std::vector<RecordId> gids;
     gids.reserve(pending.size());
     for (const Pending& p : pending) {
-      folded.Add(memtables_[p.shard].record(static_cast<RecordId>(p.local)),
-                 memtables_[p.shard].text(static_cast<RecordId>(p.local)));
+      folded.Add(p.delta->records.record(p.local),
+                 p.delta->records.text(p.local));
       gids.push_back(p.id);
     }
-    AppendSegmentLocked(std::move(folded), std::move(gids));
+    AppendSegmentLocked(&chain, std::move(folded), std::move(gids));
   }
 
   // (c) Size-tiered merge cascade: merge the two newest segments while
@@ -688,25 +669,25 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   // masked-dead bytes at every compaction: the pre-segmented baseline.
   if (options_.segment_merge_ratio == 0 || corpus_stats) {
     bool masked = false;
-    for (const SegmentChainEntry& e : chain_) {
+    for (const SegmentChainEntry& e : chain) {
       for (const std::shared_ptr<const std::vector<RecordId>>& d : e.dead) {
         masked = masked || d != nullptr;
       }
     }
-    if (chain_.size() > 1 || masked) merge_trailing(chain_.size());
+    if (chain.size() > 1 || masked) merge_trailing(chain.size());
   } else {
-    while (chain_.size() >= 2 &&
-           chain_[chain_.size() - 2].live <=
-               options_.segment_merge_ratio * chain_.back().live) {
+    while (chain.size() >= 2 &&
+           chain[chain.size() - 2].live <=
+               options_.segment_merge_ratio * chain.back().live) {
       merge_trailing(2);
     }
   }
-  FinishCompactionLocked(dirty, merged_count, delta_records,
-                         count_compaction);
-  return true;
+  FinishCompactionLocked(std::move(chain), dirty, merged_count,
+                         delta_records, /*count_compaction=*/true);
 }
 
-void SimilarityService::FinishCompactionLocked(const std::vector<bool>& dirty,
+void SimilarityService::FinishCompactionLocked(SegmentChain chain,
+                                               const std::vector<bool>& dirty,
                                                uint64_t merged_count,
                                                uint64_t delta_records,
                                                bool count_compaction) {
@@ -718,7 +699,7 @@ void SimilarityService::FinishCompactionLocked(const std::vector<bool>& dirty,
   // rewriting; a crash before it leaves orphans the next load GCs).
   // Either step failing just keeps the owned segment serving.
   if (wal_ != nullptr && resident_budget_ > 0) {
-    for (SegmentChainEntry& entry : chain_) {
+    for (SegmentChainEntry& entry : chain) {
       if (entry.segment->mapping != nullptr) continue;
       const uint64_t segment_id = entry.segment->id;
       if (persisted_segments_.count(segment_id) == 0) {
@@ -740,56 +721,39 @@ void SimilarityService::FinishCompactionLocked(const std::vector<bool>& dirty,
       }
       entry.segment = std::move(mapped).value();
     }
-    ApplyResidencyAdviceLocked();
+    ApplyResidencyAdviceLocked(chain);
   }
 
-  // Publish the new chain (cheap — one entry per segment) with fresh
-  // empty deltas as one snapshot. Merges do NOT publish intermediates,
+  // Publish the new chain (cheap — one entry per segment) with empty
+  // delta images as one snapshot. Merges do NOT publish intermediates,
   // so a compaction bumps the epoch exactly once regardless of how far
   // the cascade ran.
-  const double short_bound = pred_.ShortRecordNormBound();
-  std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    memtables_[s] = RecordSet();
-    memtable_ids_[s].clear();
-    tombstones_[s].clear();
-    delta[s] = BuildDeltaShard(RecordSet(), {}, short_bound);
-  }
-  memtable_total_ = 0;
-  tombstone_total_ = 0;
-  Publish(std::make_shared<const SegmentChain>(chain_), std::move(delta));
+  auto published = std::make_shared<const SegmentChain>(std::move(chain));
+  Publish(CompactionPoint(published, num_shards_));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     if (count_compaction) ++stats_.compactions;
     for (size_t s = 0; s < num_shards_; ++s) {
       if (dirty[s]) ++stats_.shards[s].rebuilds;
     }
-    stats_.segments = chain_.size();
-    uint64_t bytes = 0;
-    for (const SegmentChainEntry& e : chain_) bytes += e.segment->approx_bytes;
-    stats_.segment_bytes = bytes;
+    SetChainGauges(*published, &stats_);
     stats_.segments_merged += merged_count;
     stats_.last_compact_delta_records = delta_records;
   }
-  // The new snapshot is a compaction point — memtables and tombstones
-  // are empty — which is the only state a checkpoint is taken in: WAL
-  // replay from it through the normal op paths is then deterministic.
-  // Suppressed during replay (the WAL being replayed must not be reset
-  // under our feet) and while construction runs before the durability
-  // layer exists.
+  // The new snapshot is a compaction point — delta images empty — which
+  // is the only state a checkpoint is taken in: WAL replay from it
+  // through the normal op paths is then deterministic. Suppressed during
+  // replay (the WAL being replayed must not be reset under our feet) and
+  // while construction runs before the durability layer exists.
   if (wal_ != nullptr && !replaying_) MaybeCheckpointLocked();
 }
 
-void SimilarityService::Publish(
-    std::shared_ptr<const SegmentChain> chain,
-    std::vector<std::shared_ptr<const DeltaShard>> delta) {
-  auto snap = std::make_shared<IndexSnapshot>();
-  snap->chain = std::move(chain);
-  snap->delta = std::move(delta);
-  snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
-  snap->pending_tombstones = tombstone_total_;
+void SimilarityService::Publish(IndexSnapshot next, bool bump_epoch) {
+  auto snap = std::make_shared<IndexSnapshot>(std::move(next));
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  snap->epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch + 1;
+  if (bump_epoch) {
+    snap->epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch + 1;
+  }
   snapshot_ = std::move(snap);
 }
 
@@ -834,35 +798,33 @@ RecordId SimilarityService::InsertLocked(RecordView record, std::string text) {
   }
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
 
-  // Score the newcomer against the published base statistics, then grow
-  // ONLY the routed shard's memtable and republish that one delta image.
-  // The segment chain and the other shards' deltas are shared, not
-  // copied.
+  // Score the newcomer against the published base statistics, then
+  // publish the routed shard's memtable image grown by it. The segment
+  // chain and the other shards' images are shared, not copied.
   RecordSet staging;
   staging.Add(record, std::move(text));
   pred_.PrepareIncremental(snap->stats_reference(), &staging);
   const RecordId id = static_cast<RecordId>(next_id_++);
-  deleted_.push_back(false);
   const size_t shard = RouteToShard(staging.record(0), shard_bounds_);
-  memtables_[shard].Add(staging.record(0), staging.text(0));
-  memtable_ids_[shard].push_back(id);
-  ++memtable_total_;
-  std::vector<std::shared_ptr<const DeltaShard>> delta = snap->delta;
-  // The shard's pending tombstones ride on its delta image — republish
-  // them with the grown memtable so earlier deletes stay visible.
-  delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
-                                 pred_.ShortRecordNormBound(),
-                                 tombstones_[shard]);
-  Publish(snap->chain, std::move(delta));
+  const DeltaShard& memtable = *snap->delta[shard];
+  RecordSet records = memtable.records;
+  records.Add(staging.record(0), staging.text(0));
+  std::vector<RecordId> gids = memtable.global_ids;
+  gids.push_back(id);
+  IndexSnapshot next = *snap;
+  // The shard's pending tombstones ride on its image — carry them over so
+  // earlier deletes stay visible.
+  next.delta[shard] =
+      BuildDeltaShard(std::move(records), std::move(gids),
+                      pred_.ShortRecordNormBound(), memtable.tombstones);
+  ++next.live_records;
+  Publish(std::move(next));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.inserts;
     ++stats_.shards[shard].inserts;
   }
-  if (options_.memtable_limit > 0 &&
-      memtable_total_ + tombstone_total_ >= options_.memtable_limit) {
-    CompactLocked(/*count_compaction=*/true);
-  }
+  MaybeAutoCompactLocked();
   return id;
 }
 
@@ -872,7 +834,9 @@ bool SimilarityService::Delete(RecordId id) {
 }
 
 bool SimilarityService::DeleteLocked(RecordId id) {
-  if (static_cast<uint64_t>(id) >= next_id_ || deleted_[id]) {
+  std::shared_ptr<const IndexSnapshot> snap = snapshot();
+  const std::optional<size_t> shard = snap->LiveShardOf(id);
+  if (!shard) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.delete_misses;
     return false;
@@ -887,79 +851,38 @@ bool SimilarityService::DeleteLocked(RecordId id) {
       SetDurabilityErrorLocked(std::move(status));
     }
   }
-  deleted_[id] = true;
-  ++deleted_total_;
-  const size_t shard = RouteOfRecordLocked(id);
-  std::vector<RecordId>& ts = tombstones_[shard];
-  ts.insert(std::upper_bound(ts.begin(), ts.end(), id), id);
-  ++tombstone_total_;
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  // Republish only the owning shard's delta image with the grown
-  // tombstone list; the segment chain and other deltas are shared
-  // untouched.
-  std::vector<std::shared_ptr<const DeltaShard>> delta = snap->delta;
-  delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
-                                 pred_.ShortRecordNormBound(), ts);
-  Publish(snap->chain, std::move(delta));
+  // Publish the owning shard's image with the grown tombstone list; the
+  // segment chain and other images are shared untouched.
+  const DeltaShard& memtable = *snap->delta[*shard];
+  std::vector<RecordId> tombstones = memtable.tombstones;
+  tombstones.insert(
+      std::upper_bound(tombstones.begin(), tombstones.end(), id), id);
+  IndexSnapshot next = *snap;
+  next.delta[*shard] =
+      BuildDeltaShard(memtable.records, memtable.global_ids,
+                      pred_.ShortRecordNormBound(), std::move(tombstones));
+  --next.live_records;
+  ++next.pending_tombstones;
+  Publish(std::move(next));
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.deletes;
-    ++stats_.shards[shard].deletes;
+    ++stats_.shards[*shard].deletes;
   }
-  if (options_.memtable_limit > 0 &&
-      memtable_total_ + tombstone_total_ >= options_.memtable_limit) {
-    CompactLocked(/*count_compaction=*/true);
-  }
+  MaybeAutoCompactLocked();
   return true;
 }
 
-size_t SimilarityService::RouteOfRecordLocked(RecordId id) const {
-  // Membership, not the bounds: a segment reopened under different
-  // (non-decreasing) manifest bounds still holds each record in the part
-  // it was built into, and the tombstone must land in that shard for
-  // probes to drop the record and for compaction to fold it.
-  for (size_t s = 0; s < num_shards_; ++s) {
-    const std::vector<RecordId>& ids = memtable_ids_[s];
-    if (std::binary_search(ids.begin(), ids.end(), id)) return s;
+void SimilarityService::MaybeAutoCompactLocked() {
+  if (replaying_ || options_.memtable_limit == 0) return;
+  if (snapshot()->pending_writes() >= options_.memtable_limit) {
+    CompactLocked();
   }
-  for (const SegmentChainEntry& entry : chain_) {
-    const CorpusSegment& segment = *entry.segment;
-    const std::vector<RecordId>& gids = segment.global_ids;
-    if (gids.empty() || gids.front() > id || gids.back() < id) continue;
-    auto it = std::lower_bound(gids.begin(), gids.end(), id);
-    if (it == gids.end() || *it != id) continue;
-    const RecordId local = static_cast<RecordId>(it - gids.begin());
-    for (size_t s = 0; s < num_shards_; ++s) {
-      const std::vector<RecordId>& members = segment.shards[s].member_ids;
-      if (std::binary_search(members.begin(), members.end(), local)) {
-        return s;
-      }
-    }
-  }
-  // Unreachable for live ids: every live record is memtable- or
-  // chain-resident.
-  SSJOIN_DCHECK(false);
-  return 0;
 }
 
 void SimilarityService::Compact() {
   std::lock_guard<std::mutex> lock(write_mutex_);
-  // An explicit compaction with work pending bumps the epoch, and —
-  // unlike the memtable-limit auto-compacts, which replay re-triggers by
-  // itself — nothing in the insert/delete stream implies it. Log it
-  // BEFORE compacting: if the checkpoint that normally follows fails,
-  // replay still reproduces the epoch. (On success the checkpoint resets
-  // the WAL and the frame simply vanishes, already covered.)
-  if (wal_ != nullptr && !replaying_ && !wal_failed_ &&
-      (memtable_total_ > 0 || tombstone_total_ > 0)) {
-    Status status = wal_->AppendCompact(wal_next_seq_);
-    if (status.ok()) {
-      ++wal_next_seq_;
-    } else {
-      SetDurabilityErrorLocked(std::move(status));
-    }
-  }
-  CompactLocked(/*count_compaction=*/true);
+  CompactLocked();
 }
 
 std::vector<QueryMatch> SimilarityService::Query(RecordView query,

@@ -31,10 +31,12 @@ struct QueryMatch {
 };
 
 struct ServiceOptions {
-  /// Auto-compact when the total memtable (across shards) reaches this
-  /// many records; 0 means compaction only happens through explicit
-  /// Compact() calls. Each insert republishes only the routed shard's
-  /// memtable image, so per-insert work is bounded by that shard's share.
+  /// Auto-compact when the total memtable (across shards) plus pending
+  /// tombstones reaches this many entries; 0 means compaction only happens
+  /// through explicit Compact() calls. Each insert republishes only the
+  /// routed shard's memtable image, so per-insert work is bounded by that
+  /// shard's share. An auto-compaction is logged like an explicit one, so
+  /// a durable restart may run with a different value.
   size_t memtable_limit = 256;
   /// Worker threads for BatchQuery fan-out, sharded point-query fan-out
   /// and parallel shard rebuilds; <= 0 uses the hardware default.
@@ -118,9 +120,14 @@ struct ServiceOptions {
 ///   * readers copy an immutable IndexSnapshot shared_ptr under a brief
 ///     mutex hold and then touch no shared mutable state — queries never
 ///     block inserts or compaction, and vice versa;
-///   * writers (Insert/Compact) serialize on a write mutex, build fresh
-///     immutable tiers off to the side and publish them atomically by
-///     swapping the snapshot pointer;
+///   * the published snapshot is the only copy of the serving state (the
+///     segment chain with its dead masks, the per-shard memtable images
+///     with their tombstones, the live count). Writers (Insert/Delete/
+///     Compact) serialize on a write mutex, read the current snapshot,
+///     derive the next one off to the side and publish it atomically by
+///     swapping the pointer. Beside the WAL, the writer keeps only what
+///     no snapshot holds: the id counters, the shard bounds that route
+///     new inserts and the set of segment files on disk;
 ///   * the worker pool is shared (and not reentrant), so batch fan-out,
 ///     sharded point-query fan-out and parallel shard rebuilds serialize
 ///     on a pool mutex; point queries fall back to a serial shard sweep
@@ -142,11 +149,12 @@ class SimilarityService {
   /// checkpoint, replays the intact WAL tail through the normal
   /// Insert/Delete/Compact paths (a torn final record is dropped by CRC),
   /// and resumes at the exact pre-crash epoch with byte-identical query
-  /// answers. `pred` must be the predicate the checkpoint was written
-  /// under (fingerprinted by name), and the options that shape write-path
-  /// behavior (memtable_limit above all) should match the original
-  /// service's for epoch-exact recovery; num_shards is taken from the
-  /// checkpoint. `pred` must outlive the service.
+  /// answers. Every compaction with work pending, explicit or triggered
+  /// by memtable_limit, logged a marker first, and replay compacts at
+  /// those markers only, so the restored state does not depend on the
+  /// restart's memtable_limit. `pred` must be the predicate the
+  /// checkpoint was written under (fingerprinted by name); num_shards is
+  /// taken from the checkpoint. `pred` must outlive the service.
   static Result<std::unique_ptr<SimilarityService>> Open(
       const Predicate& pred, ServiceOptions options);
 
@@ -181,15 +189,17 @@ class SimilarityService {
   RecordId Insert(RecordView record, std::string text = {});
 
   /// Retracts record `id`: an LSM-style tombstone is recorded in the
-  /// owning token-range shard (same largest-token routing as Insert) and
-  /// published with that shard's delta image, so the record is hidden
+  /// token-range shard whose tier holds the record and published with
+  /// that shard's delta image, so the record is hidden
   /// from Query/BatchQuery/QueryTopK answers issued after return —
   /// whether it lives in the base tier or is still memtable-resident.
   /// The record's bytes are dropped physically at the next compaction of
   /// the shard; its id is never reused (re-inserting the same content
   /// yields a fresh id). Returns false (and counts a delete_miss) for an
-  /// unknown or already-deleted id. May trigger a compaction — pending
-  /// tombstones count toward ServiceOptions::memtable_limit.
+  /// id the snapshot does not hold live (IndexSnapshot::LiveShardOf):
+  /// never assigned, already deleted, or dropped by a compaction. May
+  /// trigger a compaction — pending tombstones count toward
+  /// ServiceOptions::memtable_limit.
   bool Delete(RecordId id);
 
   /// Folds the memtables into the base shards, drops tombstoned members,
@@ -251,26 +261,33 @@ class SimilarityService {
   std::shared_ptr<const IndexSnapshot> snapshot() const;
 
  private:
-  /// Restore path: rebuilds writer state and the published snapshot from
-  /// a loaded checkpoint (forcing its epoch), then replays `tail`.
-  SimilarityService(ServiceCheckpoint checkpoint, std::vector<WalRecord> tail,
-                    WriteAheadLog wal, const Predicate& pred,
-                    ServiceOptions options);
+  /// Restore path: publishes the loaded checkpoint's chain at its
+  /// recorded epoch, then replays `tail`.
+  SimilarityService(Checkpoint checkpoint, const GcStats& load_gc,
+                    std::vector<WalRecord> tail, WriteAheadLog wal,
+                    const Predicate& pred, ServiceOptions options);
 
   /// Insert/Delete bodies; write_mutex_ must be held (WAL replay runs
   /// them under the constructor's hold).
   RecordId InsertLocked(RecordView record, std::string text);
   bool DeleteLocked(RecordId id);
-  /// Returns true when a new snapshot was published (false for the
-  /// nothing-pending no-op).
-  bool CompactLocked(bool count_compaction);
+  /// Logs a kCompact marker (durable services, outside replay, when work
+  /// is pending), then folds the current snapshot's delta images into the
+  /// chain and publishes the result. Nothing pending: a counted no-op.
+  void CompactLocked();
+  /// The memtable_limit trigger after a write: compacts through
+  /// CompactLocked, so the marker is logged like an explicit Compact().
+  /// Never fires during replay, which compacts only at markers.
+  void MaybeAutoCompactLocked();
   /// Appends a clean segment over already-prepared `records` (global ids
-  /// strictly increasing, above every id already in the chain).
-  void AppendSegmentLocked(RecordSet records, std::vector<RecordId> global_ids);
-  /// Publishes chain_ as a compaction point — memtables and tombstones
-  /// emptied, the shards marked `dirty` counted as rebuilt — after the
-  /// out-of-core spill, and checkpoints it when durable.
-  void FinishCompactionLocked(const std::vector<bool>& dirty,
+  /// strictly increasing, above every id already in `chain`).
+  void AppendSegmentLocked(SegmentChain* chain, RecordSet records,
+                           std::vector<RecordId> global_ids);
+  /// Publishes `chain` as a compaction point — delta images empty, the
+  /// shards marked `dirty` counted as rebuilt — after the out-of-core
+  /// spill, and checkpoints it when durable.
+  void FinishCompactionLocked(SegmentChain chain,
+                              const std::vector<bool>& dirty,
                               uint64_t merged_count, uint64_t delta_records,
                               bool count_compaction);
 
@@ -285,27 +302,20 @@ class SimilarityService {
   /// correctness dependency.
   void AdoptMappedSegmentsLocked();
   /// Re-applies the residency-budget madvise policy over the mapped
-  /// chain, newest segment first: segments accumulating under the budget
-  /// get MADV_WILLNEED, the rest MADV_RANDOM + MADV_DONTNEED. Also
+  /// segments of `chain`, newest first: segments accumulating under the
+  /// budget get MADV_WILLNEED, the rest MADV_RANDOM + MADV_DONTNEED. Also
   /// refreshes the mapped_segments/mapped_bytes gauges.
-  void ApplyResidencyAdviceLocked();
-  /// Serializes the just-published compacted state (write_mutex_ held,
-  /// memtables and tombstones empty).
+  void ApplyResidencyAdviceLocked(const SegmentChain& chain);
+  /// Serializes the just-published compaction point (write_mutex_ held).
   Status SaveCheckpointLocked();
   /// Checkpoint + WAL truncation after a published compaction; success
   /// clears a latched durability error, failure latches one.
   void MaybeCheckpointLocked();
   void SetDurabilityErrorLocked(Status status);
-  /// Swaps in a new snapshot over the given chain and delta images at the
-  /// next epoch. Must be called with write_mutex_ held: the live and
-  /// tombstone counts are read from writer state.
-  void Publish(std::shared_ptr<const SegmentChain> chain,
-               std::vector<std::shared_ptr<const DeltaShard>> delta);
-  /// Token-range shard holding live record `id`: the shard whose memtable
-  /// or segment part lists it as a member. Found by membership, never by
-  /// re-routing through shard_bounds_, so the bounds only steer new
-  /// inserts.
-  size_t RouteOfRecordLocked(RecordId id) const;
+  /// Swaps in `next` (write_mutex_ held): at the epoch after the current
+  /// snapshot's, or, with `bump_epoch` false, at the epoch `next` carries
+  /// (the restore, and the invisible mapped-segment swap).
+  void Publish(IndexSnapshot next, bool bump_epoch = true);
   /// Runs fn(shard) for every shard — on the worker pool when it is free
   /// and the fan-out is worth it, serially otherwise. Output written to
   /// per-shard slots is deterministic either way.
@@ -319,25 +329,15 @@ class SimilarityService {
   const uint64_t resident_budget_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Writer-owned authoritative state, guarded by write_mutex_: the id
-  // counter, the deleted bitmap (sticky — ids are never reused), the
-  // fixed token-range bounds, the segment chain with its per-shard dead
-  // masks, per-shard memtables and per-shard pending tombstones. The
-  // prepared segments and memtables carry everything later compactions
-  // need, corpus-statistics re-Prepares included.
+  // Writer state, guarded by write_mutex_: only what no snapshot holds.
+  // The chain, the memtables (delta images), the tombstones and the live
+  // count live in the published snapshot alone; Insert, Delete and
+  // Compact read it and publish the next one.
   std::mutex write_mutex_;
-  std::vector<bool> deleted_;  // per corpus id, sticky once set
-  size_t deleted_total_ = 0;
-  uint64_t next_id_ = 0;  // ids ever assigned; live = next_id_ - deleted
-  std::vector<TokenId> shard_bounds_;
+  uint64_t next_id_ = 0;  // ids ever assigned (never reused)
+  std::vector<TokenId> shard_bounds_;  // routes new inserts only
   uint64_t next_segment_id_ = 0;
-  SegmentChain chain_;  // oldest first; never empty after construction
   std::set<uint64_t> persisted_segments_;  // segment files on disk
-  std::vector<RecordSet> memtables_;
-  std::vector<std::vector<RecordId>> memtable_ids_;
-  size_t memtable_total_ = 0;
-  std::vector<std::vector<RecordId>> tombstones_;  // sorted global ids
-  size_t tombstone_total_ = 0;
 
   // Durability state, guarded by write_mutex_ (except durability_status_,
   // which readers poll through its own leaf mutex). wal_ is null for

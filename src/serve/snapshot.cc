@@ -107,6 +107,49 @@ uint64_t ComputeSegmentApproxBytes(const CorpusSegment& segment) {
   return bytes;
 }
 
+std::optional<ChainPosition> LocateInChain(const SegmentChain& chain,
+                                           RecordId id) {
+  for (size_t e = 0; e < chain.size(); ++e) {
+    const CorpusSegment& segment = *chain[e].segment;
+    const std::vector<RecordId>& gids = segment.global_ids;
+    if (gids.empty() || gids.front() > id || gids.back() < id) continue;
+    auto it = std::lower_bound(gids.begin(), gids.end(), id);
+    if (*it != id) return std::nullopt;  // ranges are disjoint
+    const RecordId local = static_cast<RecordId>(it - gids.begin());
+    for (size_t s = 0; s < segment.shards.size(); ++s) {
+      const std::vector<RecordId>& members = segment.shards[s].member_ids;
+      auto mit = std::lower_bound(members.begin(), members.end(), local);
+      if (mit != members.end() && *mit == local) {
+        return ChainPosition{
+            e, s, static_cast<RecordId>(mit - members.begin())};
+      }
+    }
+    return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+std::optional<size_t> IndexSnapshot::LiveShardOf(RecordId id) const {
+  auto lists = [](const std::vector<RecordId>& sorted, RecordId x) {
+    return std::binary_search(sorted.begin(), sorted.end(), x);
+  };
+  for (size_t s = 0; s < delta.size(); ++s) {
+    if (lists(delta[s]->global_ids, id)) {
+      if (lists(delta[s]->tombstones, id)) return std::nullopt;
+      return s;
+    }
+  }
+  const std::optional<ChainPosition> pos = LocateInChain(*chain, id);
+  if (!pos) return std::nullopt;
+  const std::shared_ptr<const std::vector<RecordId>>& dead =
+      (*chain)[pos->entry].dead[pos->shard];
+  if ((dead != nullptr && lists(*dead, pos->part_local)) ||
+      lists(delta[pos->shard]->tombstones, id)) {
+    return std::nullopt;
+  }
+  return pos->shard;
+}
+
 std::shared_ptr<const DeltaShard> BuildDeltaShard(
     RecordSet records, std::vector<RecordId> global_ids,
     double short_norm_bound, std::vector<RecordId> tombstones) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "data/record_set.h"
@@ -92,12 +93,30 @@ struct SegmentChainEntry {
 };
 using SegmentChain = std::vector<SegmentChainEntry>;
 
-/// One shard's memtable image: records inserted since the last compaction
-/// whose routing token landed in this shard, scored against the base
-/// corpus statistics (PrepareIncremental) and indexed in a DynamicIndex
-/// under local ids. Rebuilt copy-on-write on every insert routed here —
-/// other shards' images are shared untouched, so per-insert work is
-/// O(this shard's memtable), not O(total memtable).
+/// Where a corpus id sits in a segment chain: the chain entry whose
+/// segment holds it, the shard part it was built into, and its part-local
+/// id (the id its postings and dead mask speak).
+struct ChainPosition {
+  size_t entry = 0;
+  size_t shard = 0;
+  RecordId part_local = 0;
+};
+
+/// Finds `id` among the chain's segments by membership (segments hold
+/// disjoint gid ranges; the part is the one listing the record), whether
+/// or not a dead mask covers it. nullopt when no segment holds it.
+std::optional<ChainPosition> LocateInChain(const SegmentChain& chain,
+                                           RecordId id);
+
+/// One shard's memtable: records inserted since the last compaction whose
+/// routing token landed in this shard, scored against the base corpus
+/// statistics (PrepareIncremental) and indexed in a DynamicIndex under
+/// local ids, plus the shard's pending tombstones. This image IS the
+/// memtable — the writer keeps no other copy. Insert and Delete build a
+/// grown copy of the routed shard's image and publish it in the next
+/// snapshot; other shards' images are shared untouched, so per-write work
+/// is O(this shard's memtable), not O(total memtable). Compact() reads
+/// every image to fold it into the chain.
 struct DeltaShard {
   RecordSet records;                 // prepared, with texts
   std::vector<RecordId> global_ids;  // local -> global corpus id, increasing
@@ -114,11 +133,12 @@ struct DeltaShard {
 
 /// One epoch's immutable view of the service corpus: the segment chain
 /// as of the last compaction, one delta shard per token range, and the
-/// epoch number. Readers copy the owning shared_ptr under the service's
-/// snapshot mutex and then run entirely lock-free; writers publish a NEW
-/// snapshot instead of ever mutating one, so a query keeps a consistent
-/// view for as long as it holds the pointer, across any number of
-/// concurrent inserts and compactions.
+/// epoch number. The current snapshot is the only copy of the serving
+/// state. Readers copy the owning shared_ptr under the service's
+/// snapshot mutex and then run entirely lock-free; writers read it and
+/// publish a NEW snapshot instead of ever mutating one, so a query keeps
+/// a consistent view for as long as it holds the pointer, across any
+/// number of concurrent inserts and compactions.
 struct IndexSnapshot {
   /// The segment chain, oldest first; never empty (construction folds
   /// the initial corpus into segment 0, possibly zero-record). Inserts
@@ -126,12 +146,28 @@ struct IndexSnapshot {
   std::shared_ptr<const SegmentChain> chain;
   std::vector<std::shared_ptr<const DeltaShard>> delta;  // per shard
   uint64_t epoch = 0;
-  /// Surviving (non-deleted) records visible to queries, base + delta.
+  /// Surviving (non-deleted) records visible to queries, base + delta: a
+  /// published count, set at every compaction point to the chain's live
+  /// total and moved by one per insert and per successful delete.
   size_t live_records = 0;
   /// Tombstones awaiting their fold into segment dead masks.
   size_t pending_tombstones = 0;
 
   size_t num_shards() const { return delta.size(); }
+
+  /// The shard holding `id` as a live record, or nullopt when `id` is not
+  /// live (never assigned, already deleted, or dropped by a compaction).
+  /// An id is live when a delta image holds it and that image's
+  /// tombstones do not list it, or when a segment part holds it, the
+  /// part's dead mask does not list it and no pending tombstone names
+  /// it. Membership, never routing, so manifest bounds only steer new
+  /// inserts.
+  std::optional<size_t> LiveShardOf(RecordId id) const;
+
+  /// Writes a compaction would fold: memtable records (tombstoned ones
+  /// included) plus pending tombstones. Zero exactly at a compaction
+  /// point.
+  size_t pending_writes() const { return delta_size() + pending_tombstones; }
 
   /// The statistics reference for PrepareIncremental staging: the front
   /// segment's document frequencies, counted when that segment was built
@@ -219,7 +255,7 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
 /// only their record slots remain until compaction.
 std::shared_ptr<const DeltaShard> BuildDeltaShard(
     RecordSet records, std::vector<RecordId> global_ids,
-    double short_norm_bound, std::vector<RecordId> tombstones = {});
+    double short_norm_bound, std::vector<RecordId> tombstones);
 
 }  // namespace ssjoin
 

@@ -30,7 +30,6 @@
 #include "core/join.h"
 #include "core/overlap_coefficient_predicate.h"
 #include "core/overlap_predicate.h"
-#include "core/streaming_join.h"
 #include "data/corpus_builder.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -335,8 +334,8 @@ TEST(ArenaEquivalence, GoldenOutputsEditDistance) {
 
 // Work goldens: the pair set plus every JoinStats counter of the joins
 // that probe a record against an index and verify its candidates —
-// Probe-Cluster, ClusterMem, PrefixFilter (serial and 4 threads), the
-// cross join and the streaming join. Equal pairs alone would not show
+// Probe-Cluster, ClusterMem, PrefixFilter (serial and 4 threads) and the
+// cross join. Equal pairs alone would not show
 // that these paths still prune, merge and verify exactly as before;
 // equal counters do.
 //
@@ -375,9 +374,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/dense/overlap/foreign", 1625824576597524418ull,
      {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449},
      5733, 5755},
-    {"work/dense/overlap/streaming", 10388405375568447476ull,
-     {4108, 4108, 1216, 149, 11780, 4108, 0, 0, 289, 867},
-     11730, 11784},
     {"work/dense/jaccard/probe-cluster", 15267942115989793231ull,
      {100, 100, 1481, 242, 3267, 193, 0, 0, 1129, 601},
      3695, 3637},
@@ -393,9 +389,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/dense/jaccard/foreign", 17818566169546503509ull,
      {36, 36, 619, 75, 3978, 36, 0, 0, 178, 419},
      1567, 1590},
-    {"work/dense/jaccard/streaming", 15267942115989793231ull,
-     {100, 100, 1216, 149, 7561, 100, 0, 0, 363, 793},
-     2709, 2728},
     {"work/dense/cosine/probe-cluster", 14618095315970372102ull,
      {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570},
      6125, 6099},
@@ -426,9 +419,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/overlap/foreign", 12968886164391366775ull,
      {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244},
      8965, 9109},
-    {"work/skewed/overlap/streaming", 16066056405829026878ull,
-     {2506, 2506, 989, 159, 6111, 2506, 0, 0, 457, 443},
-     17202, 17439},
     {"work/skewed/dice/probe-cluster", 15189134890236523082ull,
      {1211, 1211, 1266, 723, 4903, 1775, 0, 0, 2093, 1194},
      9849, 9880},
@@ -444,9 +434,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/dice/foreign", 8841834680040183975ull,
      {573, 573, 495, 80, 4868, 573, 0, 0, 156, 313},
      5818, 5894},
-    {"work/skewed/dice/streaming", 15189134890236523082ull,
-     {1211, 1211, 989, 159, 12424, 1211, 0, 0, 265, 635},
-     8956, 9046},
     {"work/skewed/overlap-coefficient/probe-cluster", 14277149952392889830ull,
      {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173},
      9475, 9593},
@@ -456,9 +443,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/overlap-coefficient/foreign", 10368379174138491742ull,
      {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394},
      3724, 3759},
-    {"work/skewed/overlap-coefficient/streaming", 14277149952392889830ull,
-     {2378, 2378, 989, 159, 30518, 2378, 0, 0, 36, 864},
-     183, 184},
     {"work/skewed/hamming/probe-cluster", 17022430018312793733ull,
      {1595, 1867, 1273, 892, 7592, 2249, 0, 0, 1532, 1397},
      8026, 8113},
@@ -474,9 +458,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/hamming/foreign", 9834587799572333019ull,
      {787, 923, 495, 80, 6392, 745, 0, 0, 120, 349},
      2801, 2809},
-    {"work/skewed/hamming/streaming", 17022430018312793733ull,
-     {1595, 1867, 989, 159, 17245, 1516, 0, 0, 175, 725},
-     2439, 2446},
     {"work/qgram/edit-distance/probe-cluster", 2522082964145004146ull,
      {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306},
      158, 158},
@@ -486,9 +467,6 @@ const WorkGolden kWorkGoldens[] = {
     {"work/qgram/edit-distance/foreign", 14831784346469832657ull,
      {34, 96, 803, 55, 135, 44, 0, 0, 159, 120},
      87, 87},
-    {"work/qgram/edit-distance/streaming", 2522082964145004146ull,
-     {72, 222, 1447, 109, 319, 107, 0, 0, 376, 203},
-     202, 202},
 };
 
 std::array<uint64_t, kWorkCounters> WorkCounters(const JoinStats& s) {
@@ -571,19 +549,6 @@ void RunWorkSuite(const std::string& corpus_label, const RecordSet& base,
         [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     CheckWork(prefix + "foreign", std::move(pairs), stats.value());
-  }
-
-  // Streaming join, fed in id order (per-record scores only).
-  if (pred.corpus_independent_scores()) {
-    StreamingJoin stream(pred);
-    PairVector pairs;
-    for (RecordId id = 0; id < base.size(); ++id) {
-      stream.Add(base.record(id), base.text(id),
-                 [&pairs, id](RecordId earlier) {
-                   pairs.emplace_back(earlier, id);
-                 });
-    }
-    CheckWork(prefix + "streaming", std::move(pairs), stream.stats());
   }
 }
 

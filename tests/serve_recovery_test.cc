@@ -16,8 +16,9 @@
 // single-token, all-tombstoned, post-compaction states), WAL torn-tail
 // truncation at every byte boundary of the final frame, checkpoint
 // atomicity under injected write failure, corrupted / crafted /
-// mismatched checkpoint rejection, and a deterministic mutation fuzz of
-// the segment-file and manifest decoders.
+// mismatched checkpoint rejection, replay under a different restart
+// memtable_limit, and a deterministic mutation fuzz of the segment-file,
+// manifest and WAL-frame decoders.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -789,6 +790,55 @@ TEST(CrashRecoveryTest, StaleWalFramesAreNotDoubleApplied) {
 }
 
 // ---------------------------------------------------------------------
+// Replay compacts only at logged markers: every compaction with work
+// pending, memtable_limit-triggered or explicit, logs one first, so a
+// restart under another memtable_limit resumes at the same epoch with
+// the same answers.
+
+TEST(CrashRecoveryTest, ReplayIgnoresRestartMemtableLimit) {
+  CosinePredicate cosine(0.6);
+  JaccardPredicate jaccard(0.5);
+  for (const Predicate* pred :
+       std::initializer_list<const Predicate*>{&jaccard, &cosine}) {
+    if (!PredicateEnabled(pred->name())) continue;
+    // The first 60 records seed the service, the next 10 are inserted,
+    // and the last 10 only ever probe.
+    RecordSet records = testing_util::MakeRandomRecordSet(
+        {.num_records = 80, .vocabulary = 40}, 139);
+    ServiceOptions options;
+    options.num_shards = 2;
+    options.memtable_limit = 16;
+    options.num_threads = 2;
+    options.data_dir = FreshDataDir("replay_limit_" + pred->name());
+    options.wal_sync = WalSyncPolicy::kNever;
+    uint64_t epoch = 0;
+    std::vector<std::vector<QueryMatch>> expected;
+    {
+      SimilarityService service(Slice(records, 0, 60), *pred, options);
+      for (RecordId id = 60; id < 70; ++id) {
+        service.Insert(records.record(id), records.text(id));
+      }
+      ASSERT_EQ(service.memtable_size(), 10u) << pred->name();
+      epoch = service.epoch();
+      expected = service.BatchQuery(records);
+    }
+    options.memtable_limit = 4;
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(*pred, options);
+    ASSERT_TRUE(restored.ok())
+        << pred->name() << ": " << restored.status().ToString();
+    EXPECT_EQ(restored.value()->epoch(), epoch) << pred->name();
+    const std::vector<std::vector<QueryMatch>> actual =
+        restored.value()->BatchQuery(records);
+    ASSERT_EQ(actual.size(), expected.size()) << pred->name();
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ExpectSameMatches(expected[i], actual[i],
+                        pred->name() + " query " + std::to_string(i));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint atomicity and rejection.
 
 TEST(CrashRecoveryTest, FailedCheckpointLeavesOldOneRestorable) {
@@ -877,67 +927,19 @@ TEST(CrashRecoveryTest, CorruptedCheckpointIsRejected) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
-TEST(CrashRecoveryTest, CraftedDeletedBitmapCountIsRejected) {
-  // A CRC-valid manifest whose deleted-bitmap count is 2^64 - 1: its
-  // byte size (count + 7) / 8 wraps to 0, so only a count bounded by the
-  // bytes left keeps the decoder from sizing a bitmap it cannot hold.
-  std::string bytes("SSCP", 4);
-  PutFixed32(&bytes, 4);  // manifest version
-  PutVarint64(&bytes, 0);  // epoch
-  PutVarint64(&bytes, 0);  // wal seq
-  const std::string predicate = "overlap";
-  PutVarint64(&bytes, predicate.size());
-  bytes += predicate;
-  PutVarint64(&bytes, 1);  // shards
-  PutVarint64(&bytes, 0);  // shard bounds (none for one shard)
-  PutVarint64(&bytes, 0);  // next id
-  PutVarint64(&bytes, 0);  // next segment id
-  PutVarint64(&bytes, ~uint64_t{0});  // deleted-bitmap count
-  bytes.append(sizeof(uint32_t), '\0');
-  bytes = Reseal(std::move(bytes));
-  ASSERT_EQ(bytes.size(), 36u);
-
-  OverlapPredicate pred(3);
-  ServiceOptions options;
-  options.data_dir = FreshDataDir("cp_crafted_bitmap");
-  WriteAll(CheckpointFilePath(options.data_dir), bytes);
-  Result<std::unique_ptr<SimilarityService>> restored =
-      SimilarityService::Open(pred, options);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kIOError);
-  EXPECT_NE(restored.status().message().find("bad deleted bitmap"),
-            std::string::npos)
-      << restored.status().ToString();
-}
-
 /// Rewrites the checkpoint in `data_dir` through SaveCheckpoint with its
 /// shard bounds replaced by `bounds`; segment files are kept as they are.
 void RewriteShardBounds(const std::string& data_dir,
                         std::vector<TokenId> bounds) {
-  Result<ServiceCheckpoint> loaded = LoadCheckpoint(data_dir);
+  Result<Checkpoint> loaded = LoadCheckpoint(data_dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const ServiceCheckpoint& cp = loaded.value();
-  CheckpointState state;
-  state.epoch = cp.epoch;
-  state.wal_seq = cp.wal_seq;
-  state.predicate = cp.predicate;
-  state.num_shards = cp.num_shards;
-  state.shard_bounds = std::move(bounds);
-  state.next_id = cp.next_id;
-  state.next_segment_id = cp.next_segment_id;
-  state.deleted = &cp.deleted;
+  Checkpoint checkpoint = std::move(loaded).value();
+  checkpoint.shard_bounds = std::move(bounds);
   std::set<uint64_t> persisted;
-  for (const ServiceCheckpoint::Segment& seg : cp.segments) {
-    CheckpointState::SegmentRef ref;
-    ref.segment = seg.segment.get();
-    for (const std::vector<RecordId>& dead : seg.dead) {
-      ref.dead.push_back(&dead);
-    }
-    ref.live = seg.live;
-    state.segments.push_back(std::move(ref));
-    persisted.insert(seg.segment->id);
+  for (const SegmentChainEntry& entry : *checkpoint.chain) {
+    persisted.insert(entry.segment->id);
   }
-  Status saved = SaveCheckpoint(data_dir, state, &persisted);
+  Status saved = SaveCheckpoint(data_dir, checkpoint, &persisted);
   ASSERT_TRUE(saved.ok()) << saved.ToString();
 }
 
@@ -971,9 +973,9 @@ TEST(CrashRecoveryTest, ManifestBoundsSteerOnlyNewInserts) {
 
   // {0, 1} sends every record whose largest token is >= 1 to shard 2.
   RewriteShardBounds(options.data_dir, {0, 1});
-  Result<ServiceCheckpoint> loaded = LoadCheckpoint(options.data_dir);
+  Result<Checkpoint> loaded = LoadCheckpoint(options.data_dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const CorpusSegment& segment = *loaded.value().segments.front().segment;
+  const CorpusSegment& segment = *loaded.value().chain->front().segment;
   RecordId misrouted = kInvalidToken;
   for (size_t s = 0; s < 2 && misrouted == kInvalidToken; ++s) {
     for (RecordId local : segment.shards[s].member_ids) {
@@ -1036,12 +1038,12 @@ TEST(CrashRecoveryTest, OldVersionManifestIsRejectedWithClearError) {
   const std::string path = CheckpointFilePath(options.data_dir);
   const std::string bytes = ReadAll(path);
 
-  // v3 manifests carried per-shard tombstone lists (always empty: a
-  // checkpoint is only taken at a compaction point). Rewind the version
-  // field (fixed32 right after the 4-byte magic) and reseal: the rejection
-  // must name the version, not report generic corruption.
+  // v4 manifests carried a per-id deleted bitmap beside the dead masks.
+  // Rewind the version field (fixed32 right after the 4-byte magic) and
+  // reseal: the rejection must name the version, not report generic
+  // corruption.
   std::string old_version = bytes;
-  const uint32_t version = 3;
+  const uint32_t version = 4;
   std::memcpy(old_version.data() + 4, &version, sizeof(version));
   WriteAll(path, Reseal(std::move(old_version)));
   Result<std::unique_ptr<SimilarityService>> restored =
@@ -1605,11 +1607,36 @@ TEST(DecoderFuzzTest, MutatedManifestGivesStatusOrWorkingService) {
   for (int i = 0; i < 400; ++i) {
     for (const auto& [path, bytes] : pristine) WriteAll(path, bytes);
     WriteAll(manifest, Mutate(pristine[manifest], rng));
-    Result<std::unique_ptr<SimilarityService>> opened =
-        SimilarityService::Open(pred, options);
-    if (opened.ok()) {
+    {
+      Result<std::unique_ptr<SimilarityService>> opened =
+          SimilarityService::Open(pred, options);
+      if (!opened.ok()) continue;
       ++accepted;
-      QueryAll(*opened.value(), corpus);
+      SimilarityService& service = *opened.value();
+      QueryAll(service, corpus);
+      // Whatever deletion state an accepted manifest decodes to must hold
+      // together: once every corpus id is deleted nothing answers, and
+      // the compaction that folds those deletes leaves a data dir that
+      // reopens.
+      for (RecordId id = 0; id < corpus.size(); ++id) service.Delete(id);
+      size_t answering = 0;
+      for (RecordId r = 0; r < corpus.size(); ++r) {
+        if (!service.Query(corpus.record(r), corpus.text(r)).empty()) {
+          ++answering;
+        }
+      }
+      EXPECT_EQ(answering, 0u) << "mutation " << i;
+      service.Compact();
+      EXPECT_TRUE(service.durability_status().ok())
+          << "mutation " << i << ": "
+          << service.durability_status().ToString();
+    }
+    Result<std::unique_ptr<SimilarityService>> reopened =
+        SimilarityService::Open(pred, options);
+    EXPECT_TRUE(reopened.ok())
+        << "mutation " << i << ": " << reopened.status().ToString();
+    if (reopened.ok()) {
+      EXPECT_EQ(reopened.value()->size(), 0u) << "mutation " << i;
     }
   }
   EXPECT_GT(accepted, 0);

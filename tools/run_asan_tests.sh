@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # Builds the AddressSanitizer+UBSan configuration and runs the memory-
-# layout test suite under it: the arena/view/index unit tests (the
+# layout test suite under it (the `asan` ctest label; tests/CMakeLists.txt
+# lists its suites once): the arena/view/index unit tests (the
 # RecordSet arena and its document-frequency counts in record_test, the
 # tokenizers, dictionary and borrowed-table TF-IDF weighter in
 # text_test) plus the golden-output equivalence suite, which together
 # walk every probe loop over the CSR corpus arena and the flat postings
 # buffer; the suites of every caller of the shared probe-and-verify body
-# (cross join, streaming join, Probe-Cluster and ClusterMem member
-# probes, the serving tiers in serve_test), whose reused scratch and
+# (cross join, Probe-Cluster and ClusterMem member probes, the serving
+# tiers in serve_test), whose reused scratch and
 # sorted short-pool walk are exactly the buffer reuse ASan watches, and
 # PrefixFilter's one
 # per-position body at 1 and 4 threads; the
@@ -37,13 +38,6 @@ build_dir=${1:-"$repo_root/build-asan"}
 
 cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j --target \
-      util_test record_test record_view_test text_test corpus_test \
-      index_test merge_opt_test bitmap_filter_test arena_equivalence_test \
-      differential_test foreign_join_test streaming_join_test \
-      probe_cluster_test cluster_mem_test prefix_filter_test serve_test \
-      serve_recovery_test protocol_test net_loopback_test
+cmake --build "$build_dir" -j --target asan_tests
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
-ctest --test-dir "$build_dir" \
-      -R '^(util_test|record_test|record_view|text_test|corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|foreign_join|streaming_join|probe_cluster|cluster_mem|prefix_filter|serve_test|serve_recovery|protocol|net_loopback)' \
-      --output-on-failure
+ctest --test-dir "$build_dir" -L asan --output-on-failure

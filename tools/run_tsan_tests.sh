@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Builds the ThreadSanitizer configuration and runs the concurrency test
-# suite (thread pool, parallel joins, serving layer, network loopback)
+# suite (thread pool, parallel joins, serving layer, network loopback;
+# the `tsan` ctest label, whose suites tests/CMakeLists.txt lists once)
 # under it. The serve_test_mapped / serve_shard_test_mapped ctest legs
 # (ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeat the serving suites with
 # the base tier served from mmap'd segment files, putting the mapped
@@ -17,9 +18,7 @@ build_dir=${1:-"$repo_root/build-tsan"}
 
 cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j --target \
-      thread_pool_test parallel_join_test serve_test serve_shard_test \
-      bitmap_filter_test net_loopback_test
+cmake --build "$build_dir" -j --target tsan_tests
 # The differential harness — including its scripted Delete schedules
 # (tombstones riding delta images under concurrent readers) — is
 # CPU-heavy under TSan; keep the sweep small here (override by exporting
@@ -27,6 +26,4 @@ cmake --build "$build_dir" -j --target \
 # interleave inserts, deletes and compactions, run in full regardless.
 SSJOIN_DIFF_SEEDS=${SSJOIN_DIFF_SEEDS:-2}
 export SSJOIN_DIFF_SEEDS
-ctest --test-dir "$build_dir" \
-      -R '(thread_pool|parallel_join|serve_test|serve_shard_test|bitmap_filter|net_loopback)' \
-      --output-on-failure
+ctest --test-dir "$build_dir" -L tsan --output-on-failure

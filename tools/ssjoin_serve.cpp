@@ -61,7 +61,7 @@ constexpr const char kUsage[] =
     "                        log under DIR. When DIR already holds a\n"
     "                        checkpoint the service restores from it\n"
     "                        (--corpus is NOT re-read; pass the same\n"
-    "                        --predicate/--threshold/--memtable-limit);\n"
+    "                        --predicate/--threshold);\n"
     "                        otherwise it starts fresh from --corpus\n"
     "  --wal-sync=MODE       always (default: fsync each op) | never\n"
     "                        (page cache only: survives a crash of this\n"
