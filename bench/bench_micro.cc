@@ -267,7 +267,7 @@ BENCHMARK(BM_LayoutProbe)->Arg(2000)->Arg(10000);
 // merge emits swarms of candidates that merely share a few mid-band
 // tokens. Full verification rejects them — and the parity bitmaps bound
 // the clean ones out near 12, far under the threshold, so the bitmap
-// gate skips those verifications wholesale. (Total distinct tokens per
+// emit gate skips those verifications wholesale. (Total distinct tokens per
 // record stay near 55, well below 256-bit parity saturation.)
 constexpr uint32_t kBenchBoilerplate = 26;  // boilerplate band tokens
 constexpr uint32_t kBenchMidBand = 30;      // common-phrase band tokens
@@ -309,86 +309,6 @@ RecordSet MakeBitmapBenchSet(uint32_t num_records, uint32_t vocab,
   }
   return set;
 }
-
-// Bitmap-prefilter sweep (BENCH_layout.json bitmap section): the
-// serving-style probe (ProbeOne under per-candidate required bounds)
-// over corpora of increasing size, with the token-bitmap gate off
-// (words = 0) and fully on (words = 4). Vocabulary grows with the
-// corpus so per-list lengths — and thus per-probe cost — stay roughly
-// flat while the candidate population scales. The gate may only skip
-// gallop work, never change the candidate stream, so the bench ABORTS
-// if a gated run's candidate count deviates from the ungated baseline.
-// The label records the merge backend; pin with SSJOIN_FORCE_SCALAR=1
-// and re-run for the scalar column.
-void BM_LayoutProbeBitmap(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  const size_t gate_words = static_cast<size_t>(state.range(1));
-  RecordSet set = MakeBitmapBenchSet(n, n, 23);
-  OverlapPredicate pred(28.0);
-  pred.Prepare(&set);
-  InvertedIndex index;
-  index.PlanFromRecords(set);
-  for (RecordId id = 0; id < set.size(); ++id) {
-    index.Insert(id, set.record(id));
-  }
-  const uint32_t probes =
-      static_cast<uint32_t>(std::min<size_t>(set.size(), 2000));
-  probe_internal::ProbeScratch scratch;
-  auto lookup = [&set](RecordId m) {
-    const TokenBitmapEntry& e = set.token_bitmap_entry(m);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  auto run_pass = [&](size_t words, MergeStats* stats) {
-    uint64_t candidates = 0;
-    auto emit = [&candidates](const MergeCandidate&) { ++candidates; };
-    for (RecordId q = 0; q < probes; ++q) {
-      const RecordView probe = set.record(q);
-      double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-      auto required_fn = [&](RecordId m) {
-        return pred.ThresholdForNorms(probe.norm(), set.record(m).norm());
-      };
-      FunctionRef<double(RecordId)> required = required_fn;
-      BitmapGate gate;
-      gate.lookup = lookup;
-      gate.probe_bits = set.token_bitmap(q);
-      gate.probe_tokens = static_cast<uint32_t>(probe.size());
-      gate.words = words;
-      probe_internal::ProbeOne(index, probe, floor, required, nullptr,
-                               MergeOptions{}, stats, &scratch, emit,
-                               words > 0 ? &gate : nullptr);
-    }
-    return candidates;
-  };
-  // Untimed ungated pass: warms the scratch buffers and pins the
-  // candidate count every gated pass must reproduce exactly.
-  MergeStats warm_stats;
-  const uint64_t baseline = run_pass(0, &warm_stats);
-  uint64_t candidates = 0;
-  MergeStats timed_stats;
-  for (auto _ : state) {
-    candidates += run_pass(gate_words, &timed_stats);
-  }
-  if (candidates != baseline * static_cast<uint64_t>(state.iterations())) {
-    state.SkipWithError("bitmap-gated probe changed the candidate count");
-    return;
-  }
-  state.SetItemsProcessed(state.iterations() * probes);  // probes/s
-  state.SetLabel(ActiveMergeBackend());
-  state.counters["pruned_per_probe"] =
-      static_cast<double>(timed_stats.bitmap_pruned) /
-      static_cast<double>(state.iterations() * probes);
-  state.counters["gallops_per_probe"] =
-      static_cast<double>(timed_stats.gallop_probes) /
-      static_cast<double>(state.iterations() * probes);
-}
-BENCHMARK(BM_LayoutProbeBitmap)
-    ->Args({10000, 0})
-    ->Args({10000, 4})
-    ->Args({50000, 0})
-    ->Args({50000, 4})
-    ->Args({100000, 0})
-    ->Args({100000, 4})
-    ->Unit(benchmark::kMillisecond);
 
 // Join-level bitmap sweep: the stopword join holds candidates to each
 // probe's REDUCED threshold and re-verifies every emitted candidate on

@@ -30,15 +30,7 @@
 // now writes, the checkpoint size, and the Open() restore time
 // (checkpoint load + WAL-tail replay).
 //
-// The fifth sweep is the bitmap-prefilter claim: point lookups over
-// growing corpora with the token-bitmap gate at the serving default
-// (256 bits) against a gate-disabled twin on the same corpus and
-// queries, query passes interleaved, best of three per leg. The gate
-// may only skip merge work, never change an answer, so the sweep ABORTS
-// (exit 1) if the gated service's total result count deviates from the
-// ungated baseline.
-//
-// The sixth sweep is the segmented-compaction scaling claim: a fixed
+// The fifth sweep is the segmented-compaction scaling claim: a fixed
 // 1k-record delta folded into corpora of increasing size, with the
 // segment chain (default merge ratio) against the collapse-every-time
 // baseline (segment_merge_ratio = 0, the pre-segmented behaviour).
@@ -46,10 +38,10 @@
 // — it builds one delta-sized segment and occasionally merges
 // delta-scale neighbours — while the baseline rewrites the whole corpus
 // every round. Point lookups then run against both chains, interleaved
-// and best of three as in the bitmap sweep; the sweep ABORTS if the two
-// legs disagree on a single result count.
+// and best of three per leg; the sweep ABORTS if the two legs disagree
+// on a single result count.
 //
-// The seventh sweep prices the out-of-core base tier: the same durable
+// The sixth sweep prices the out-of-core base tier: the same durable
 // corpus opened materialized (resident_budget_bytes = 0, every segment
 // arena heap-copied) and mapped (a budget a quarter of the segment
 // bytes, arenas served from the mmap'd .sseg files). Reported per mode:
@@ -88,6 +80,17 @@ uint64_t ResidentKb() {
     }
   }
   return 0;
+}
+
+/// Deletes a data dir the bench wrote: its segment files, manifest and
+/// WAL, then the directory itself.
+void RemoveDataDir(const std::string& dir) {
+  for (uint64_t id : ListSegmentFiles(dir)) {
+    ::unlink(SegmentFilePath(dir, id).c_str());
+  }
+  ::unlink(CheckpointFilePath(dir).c_str());
+  ::unlink(WalFilePath(dir).c_str());
+  ::rmdir(dir.c_str());
 }
 
 /// Replays `queries` as point lookups against every leg, interleaved and
@@ -336,57 +339,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "restore mismatch\n");
         return 1;
       }
-      ::unlink(CheckpointFilePath(dir).c_str());
-      ::unlink(WalFilePath(dir).c_str());
-      ::rmdir(dir.c_str());
+      RemoveDataDir(dir);
     }
     std::printf("%s,%.0f,%.3f,%" PRIu64 ",%.3f\n", mode.name,
                 inserted / insert_seconds, compact_seconds, checkpoint_bytes,
                 open_seconds);
     std::fflush(stdout);
-  }
-
-  // Bitmap-prefilter sweep: gate on (serving default) vs off, growing
-  // corpus, identical queries — aborts on any result-count drift.
-  std::printf(
-      "\ncorpus,bitmap_bits,point_qps,checked_per_query,pruned_per_query,"
-      "results\n");
-  for (uint32_t corpus_size :
-       {Scaled(10000, scale), Scaled(50000, scale), Scaled(100000, scale)}) {
-    std::vector<std::string> bm_texts = CitationTexts(corpus_size);
-    TokenDictionary bm_dict;
-    RecordSet bm_corpus = WordCorpusPrefix(bm_texts, corpus_size, &bm_dict);
-    RecordSet bm_queries = WordCorpusPrefix(bm_texts, kQueries, &bm_dict);
-    std::vector<std::unique_ptr<SimilarityService>> legs;
-    for (size_t bits : {size_t{0}, kTokenBitmapBits}) {
-      ServiceOptions options;
-      options.memtable_limit = 0;
-      options.num_threads = threads;
-      options.num_shards = 4;
-      options.bitmap_bits = bits;
-      legs.push_back(
-          std::make_unique<SimilarityService>(bm_corpus, pred, options));
-    }
-    std::vector<double> leg_best_qps;
-    std::vector<uint64_t> leg_results;
-    if (!ReplayInterleaved(legs, bm_queries, &leg_best_qps, &leg_results)) {
-      std::fprintf(stderr,
-                   "bitmap sweep result mismatch: corpus=%u gated leg got "
-                   "%" PRIu64 " results, ungated baseline has %" PRIu64 "\n",
-                   corpus_size, leg_results[1], leg_results[0]);
-      return 1;
-    }
-    for (size_t leg = 0; leg < legs.size(); ++leg) {
-      // Per-query stats are per-leg totals over all rounds.
-      uint64_t checked = legs[leg]->stats().merge.bitmap_checked;
-      uint64_t pruned = legs[leg]->stats().merge.bitmap_pruned;
-      double queries = 3.0 * bm_queries.size();
-      std::printf("%u,%zu,%.0f,%.1f,%.1f,%" PRIu64 "\n", corpus_size,
-                  leg == 0 ? size_t{0} : kTokenBitmapBits, leg_best_qps[leg],
-                  static_cast<double>(checked) / queries,
-                  static_cast<double>(pruned) / queries, leg_results[leg]);
-      std::fflush(stdout);
-    }
   }
 
   // Compaction scaling: fixed delta, growing corpus, chain vs collapse —
@@ -551,12 +509,7 @@ int main(int argc, char** argv) {
                    leg_results[0], leg_results[1]);
       return 1;
     }
-    for (uint64_t id : ListSegmentFiles(dir)) {
-      ::unlink(SegmentFilePath(dir, id).c_str());
-    }
-    ::unlink(CheckpointFilePath(dir).c_str());
-    ::unlink(WalFilePath(dir).c_str());
-    ::rmdir(dir.c_str());
+    RemoveDataDir(dir);
   }
   return 0;
 }

@@ -4,11 +4,16 @@
 
 #include "text/tfidf.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
 CosinePredicate::CosinePredicate(double fraction) : fraction_(fraction) {
   SSJOIN_CHECK(fraction > 0 && fraction <= 1);
+}
+
+std::string CosinePredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(fraction_);
 }
 
 namespace {

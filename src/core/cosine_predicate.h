@@ -29,6 +29,7 @@ class CosinePredicate : public Predicate {
   explicit CosinePredicate(double fraction);
 
   std::string name() const override { return "cosine"; }
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   /// Non-self joins weight both sides against the combined corpus so a
   /// token's IDF is the same on the left and the right.
@@ -50,7 +51,6 @@ class CosinePredicate : public Predicate {
   double MinMatchOverlap(double /*norm_r*/) const override {
     return fraction_;
   }
-  bool supports_bitmap_pruning() const override { return true; }
 
   double fraction() const { return fraction_; }
 

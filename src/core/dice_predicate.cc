@@ -3,11 +3,16 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
 DicePredicate::DicePredicate(double fraction) : fraction_(fraction) {
   SSJOIN_CHECK(fraction > 0 && fraction <= 1);
+}
+
+std::string DicePredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(fraction_);
 }
 
 void DicePredicate::Prepare(RecordSet* records) const {

@@ -25,6 +25,7 @@ class DicePredicate : public Predicate {
   explicit DicePredicate(double fraction);
 
   std::string name() const override { return "dice"; }
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   bool NormFilter(double norm_r, double norm_s) const override;
@@ -34,7 +35,6 @@ class DicePredicate : public Predicate {
   double MinMatchOverlap(double norm_r) const override {
     return fraction_ * norm_r / (2.0 - fraction_);
   }
-  bool supports_bitmap_pruning() const override { return true; }
 
   double fraction() const { return fraction_; }
 

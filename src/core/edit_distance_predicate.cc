@@ -13,6 +13,10 @@ EditDistancePredicate::EditDistancePredicate(int k, int q) : k_(k), q_(q) {
   SSJOIN_CHECK(q >= 1);
 }
 
+std::string EditDistancePredicate::fingerprint() const {
+  return name() + " k=" + std::to_string(k_) + " q=" + std::to_string(q_);
+}
+
 void EditDistancePredicate::Prepare(RecordSet* records) const {
   for (RecordId id = 0; id < records->size(); ++id) {
     const RecordView r = records->record(id);

@@ -30,6 +30,7 @@ class EditDistancePredicate : public Predicate {
   EditDistancePredicate(int k, int q);
 
   std::string name() const override { return "edit-distance"; }
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   bool NormFilter(double norm_r, double norm_s) const override;

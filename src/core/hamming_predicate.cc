@@ -3,11 +3,16 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
 HammingPredicate::HammingPredicate(double k) : k_(k) {
   SSJOIN_CHECK(k >= 0);
+}
+
+std::string HammingPredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(k_);
 }
 
 void HammingPredicate::Prepare(RecordSet* records) const {

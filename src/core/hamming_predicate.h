@@ -24,6 +24,7 @@ class HammingPredicate : public Predicate {
   explicit HammingPredicate(double k);
 
   std::string name() const override { return "hamming"; }
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   bool NormFilter(double norm_r, double norm_s) const override;

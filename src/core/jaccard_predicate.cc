@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
@@ -20,6 +21,10 @@ JaccardPredicate::JaccardPredicate(double fraction,
 
 std::string JaccardPredicate::name() const {
   return weighted() ? "weighted-jaccard" : "jaccard";
+}
+
+std::string JaccardPredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(fraction_);
 }
 
 double JaccardPredicate::TokenWeight(TokenId t) const {

@@ -27,6 +27,7 @@ class JaccardPredicate : public Predicate {
   JaccardPredicate(double fraction, std::vector<double> token_weights);
 
   std::string name() const override;
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   bool NormFilter(double norm_r, double norm_s) const override;
@@ -36,7 +37,6 @@ class JaccardPredicate : public Predicate {
   double MinMatchOverlap(double norm_r) const override {
     return fraction_ * norm_r;
   }
-  bool supports_bitmap_pruning() const override { return true; }
 
   double fraction() const { return fraction_; }
   bool weighted() const { return !token_weights_.empty(); }

@@ -1,7 +1,6 @@
 #ifndef SSJOIN_CORE_JOIN_COMMON_H_
 #define SSJOIN_CORE_JOIN_COMMON_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -14,19 +13,17 @@ namespace ssjoin {
 using PairSink = std::function<void(RecordId a, RecordId b)>;
 
 /// Counters reported by every join algorithm. Two kinds of counter live
-/// here, and they merge differently:
+/// here:
 ///
 ///   * flow counters (pairs, candidates_verified, groups, merge.*) count
-///     events and always add;
+///     events;
 ///   * capacity peaks (index_postings, aggregated_pairs) measure the
-///     footprint of a structure while it existed. Re-running over the
-///     same (or a successor) structure keeps the max; combining disjoint
-///     partitions — band partitions, parallel workers — adds, because
-///     the per-partition structures coexist and the total footprint is
-///     the sum of the per-partition peaks.
+///     footprint of a structure while it existed.
 ///
-/// Pick the merge that matches how the runs relate; there is
-/// deliberately no operator+= to sum-or-max implicitly.
+/// The only merge is MergePartition, which combines disjoint partitions
+/// (band partitions, parallel workers) and adds both kinds: the
+/// per-partition structures coexist, so the total footprint is the sum
+/// of the per-partition peaks. There is deliberately no operator+=.
 struct JoinStats {
   uint64_t pairs = 0;                 // matches emitted
   uint64_t candidates_verified = 0;   // Predicate::Matches invocations
@@ -34,18 +31,6 @@ struct JoinStats {
   uint64_t aggregated_pairs = 0;      // Pair-Count hash-table peak size
   uint64_t groups = 0;                // Word-Groups groups emitted
   MergeStats merge;
-
-  /// Folds in a later run or phase that reuses (or replaces) the same
-  /// in-memory structures: flow counters add, capacity peaks take max.
-  JoinStats& MergeSequential(const JoinStats& other) {
-    pairs += other.pairs;
-    candidates_verified += other.candidates_verified;
-    index_postings = std::max(index_postings, other.index_postings);
-    aggregated_pairs = std::max(aggregated_pairs, other.aggregated_pairs);
-    groups += other.groups;
-    merge += other.merge;
-    return *this;
-  }
 
   /// Folds in a disjoint partition of the same join (band partition,
   /// parallel worker): every counter adds, capacity peaks included.

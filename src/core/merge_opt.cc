@@ -29,30 +29,18 @@ double PruneBound(double bound) {
   return bound - 1e-7 * std::max(1.0, std::fabs(bound));
 }
 
-namespace {
-/// The bitmap gate consults only candidates guaranteed at least this many
-/// direct searches (see Next): one consult costs roughly one cold cache
-/// line, a direct search from its rolling hint often costs less, so
-/// shallow candidates are cheaper to search than to gate. Purely a
-/// cost knob — any value yields identical candidate streams.
-constexpr size_t kBitmapGateMinDepth = 4;
-}  // namespace
-
 void ListMerger::Reset(const std::vector<PostingListView>& lists,
                        const std::vector<double>& probe_scores, double floor,
                        FunctionRef<double(RecordId)> required,
                        FunctionRef<bool(RecordId)> filter,
-                       MergeOptions options, MergeStats* stats,
-                       const BitmapGate* gate) {
+                       MergeOptions options, MergeStats* stats) {
   SSJOIN_CHECK(lists.size() == probe_scores.size());
   floor_ = floor;
   required_ = required;
   filter_ = filter;
   options_ = options;
   stats_ = stats;
-  gate_ = gate;
   split_k_ = 0;
-  max_l_pair_weight_ = 0;
   heap_.clear();
   if (stats_ != nullptr) ++stats_->merges;
 
@@ -110,10 +98,6 @@ void ListMerger::RecomputeSplit() {
     // direct-search start: everything before it was already consumed
     // through the heap.
     search_pos_[k] = frontier_[k];
-    // The bitmap gate bounds each still-unseen common token's overlap
-    // contribution by the largest probe-weight * list-max-score over L.
-    max_l_pair_weight_ = std::max(max_l_pair_weight_,
-                                  probe_scores_[k] * lists_[k].max_score());
     if (stats_ != nullptr) ++stats_->lists_direct;
     ++k;
   }
@@ -177,51 +161,8 @@ bool ListMerger::Next(MergeCandidate* out) {
         split_k_ > 0 ? cumulative_weight_[split_k_ - 1] : 0.0;
     if (overlap + l_potential < PruneBound(floor_)) continue;
 
-    // Bitmap prefilter, stage 1: the XOR-popcount bound caps this
-    // candidate's distinct common tokens; beyond the s_matched already
-    // accumulated, each remaining one lives in some L list and
-    // contributes at most max_l_pair_weight_. If even that ceiling
-    // cannot reach the floor, the final `overlap < PruneBound(bound)`
-    // check below (bound >= floor) would discard the candidate anyway —
-    // pruning here changes no output, it only skips the required_()
-    // lookup and the direct searches. With an empty L the overlap is
-    // already exact, so there is nothing left to save.
-    //
-    // The consult itself costs a cache line (the candidate's bitmap
-    // arena entry), so it runs only when the descent has real work at
-    // stake: the all-miss descent depth is the number of L levels whose
-    // viability check passes, and requiring viability at level
-    // split_k_ - kBitmapGateMinDepth guarantees at least that many
-    // direct searches would run. Shallower candidates are cheaper to
-    // just search than to look up.
-    double bitmap_cap = -1;  // < 0: gate not consulted for this candidate
-    if (gate_ != nullptr && split_k_ >= kBitmapGateMinDepth &&
-        overlap + cumulative_weight_[split_k_ - kBitmapGateMinDepth] >=
-            PruneBound(floor_)) {
-      const BitmapCandidate cand = gate_->lookup(id);
-      if (stats_ != nullptr) ++stats_->bitmap_checked;
-      const uint32_t ub =
-          TokenBitmapOverlapBound(gate_->probe_bits, gate_->probe_tokens,
-                                  cand.bits, cand.tokens, gate_->words);
-      const double remaining =
-          ub > s_matched ? static_cast<double>(ub - s_matched) : 0.0;
-      bitmap_cap = remaining * max_l_pair_weight_;
-      if (overlap + bitmap_cap < PruneBound(floor_)) {
-        if (stats_ != nullptr) ++stats_->bitmap_pruned;
-        continue;
-      }
-    }
-
     double bound = floor_;
     if (required_ != nullptr) bound = std::max(bound, required_(id));
-
-    // Bitmap prefilter, stage 2: the same cached cap re-checked against
-    // the per-candidate bound — catches candidates whose required(id)
-    // exceeds the floor, at the cost of one comparison (no new loads).
-    if (bitmap_cap >= 0 && overlap + bitmap_cap < PruneBound(bound)) {
-      if (stats_ != nullptr) ++stats_->bitmap_pruned;
-      continue;
-    }
 
     // Steps 8-11: direct search of the L lists from the smallest
     // cumulative potential upwards, abandoning the candidate as soon as

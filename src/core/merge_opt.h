@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/record_view.h"
-#include "data/token_bitmap.h"
 #include "index/dynamic_index.h"
 #include "index/inverted_index.h"
 #include "index/posting_list.h"
@@ -19,8 +18,8 @@ struct MergeStats {
   uint64_t heap_pops = 0;       // postings consumed through the heap
   uint64_t gallop_probes = 0;   // comparisons in direct (L) searches
   uint64_t candidates = 0;      // candidates emitted
-  uint64_t bitmap_checked = 0;  // candidates the bitmap bound was read for
-  uint64_t bitmap_pruned = 0;   // candidates rejected by the bitmap bound
+  uint64_t bitmap_checked = 0;  // candidates ProbeJoin's bitmap emit gate read
+  uint64_t bitmap_pruned = 0;   // candidates it dropped before verification
   uint64_t lists_direct = 0;    // lists placed in L across merges
   uint64_t lists_merged = 0;    // lists placed in S across merges
 
@@ -45,35 +44,6 @@ struct MergeOptions {
 /// candidates survive to exact verification instead of being lost to
 /// accumulation-order rounding.
 double PruneBound(double bound);
-
-/// A candidate's side of the bitmap filter: its token parity bitmap (at
-/// least the gate's `words` words) and its distinct-token count. Lookups
-/// normally read both from one RecordSet::token_bitmap_entry — a single
-/// cache-line load per consult.
-struct BitmapCandidate {
-  const uint64_t* bits;
-  uint32_t tokens;
-};
-
-/// Per-probe bitmap prefilter (data/token_bitmap.h). When a gate rides a
-/// merge, every candidate popped off the heap is bounded BEFORE the
-/// direct (L) searches run: the XOR-popcount overlap bound caps how many
-/// distinct common tokens the L lists can still contribute, and a
-/// candidate whose accumulated overlap plus that cap cannot reach its
-/// emit bound is dropped without a single gallop. The gate only ever
-/// discards candidates the merge's own final bound check would discard,
-/// so candidate streams are bit-identical with and without it.
-///
-/// `lookup` resolves a candidate id to its bitmap and token count; like
-/// `required`/`filter` it is non-owning and must outlive the merge.
-/// `words` <= kTokenBitmapWords selects the bitmap prefix consulted
-/// (fewer words: less memory traffic, weaker bound — any prefix is sound).
-struct BitmapGate {
-  const uint64_t* probe_bits = nullptr;
-  uint32_t probe_tokens = 0;
-  size_t words = kTokenBitmapWords;
-  FunctionRef<BitmapCandidate(RecordId)> lookup;
-};
 
 /// The lower-bound search backend the direct (L) searches use:
 /// "avx2" when the CPU supports it and SSJOIN_FORCE_SCALAR is unset (or
@@ -134,13 +104,11 @@ class ListMerger {
   ListMerger& operator=(const ListMerger&) = delete;
 
   /// Re-arms the merger for a new probe, reusing internal buffer capacity.
-  /// `gate` (optional, non-owning, must outlive the merge) arms the
-  /// bitmap prefilter for this probe.
   void Reset(const std::vector<PostingListView>& lists,
              const std::vector<double>& probe_scores, double floor,
              FunctionRef<double(RecordId)> required,
              FunctionRef<bool(RecordId)> filter, MergeOptions options,
-             MergeStats* stats, const BitmapGate* gate = nullptr);
+             MergeStats* stats);
 
   /// Produces the next candidate; returns false when the merge is done.
   bool Next(MergeCandidate* out);
@@ -170,13 +138,11 @@ class ListMerger {
   std::vector<size_t> search_pos_;          // rolling gallop hint (L)
   std::vector<bool> direct_;                // list is in L
   size_t split_k_ = 0;                      // |L| under the current floor
-  double max_l_pair_weight_ = 0;            // max probe*list weight over L
   double floor_ = 0;
   FunctionRef<double(RecordId)> required_;
   FunctionRef<bool(RecordId)> filter_;
   MergeOptions options_;
   MergeStats* stats_ = nullptr;
-  const BitmapGate* gate_ = nullptr;
   std::vector<HeapEntry> heap_;  // min-heap on id via std::*_heap
 };
 

@@ -3,12 +3,17 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
 OverlapCoefficientPredicate::OverlapCoefficientPredicate(double fraction)
     : fraction_(fraction) {
   SSJOIN_CHECK(fraction > 0 && fraction <= 1);
+}
+
+std::string OverlapCoefficientPredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(fraction_);
 }
 
 void OverlapCoefficientPredicate::Prepare(RecordSet* records) const {

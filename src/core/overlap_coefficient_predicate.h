@@ -24,6 +24,7 @@ class OverlapCoefficientPredicate : public Predicate {
   explicit OverlapCoefficientPredicate(double fraction);
 
   std::string name() const override { return "overlap-coefficient"; }
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   bool MatchesCross(const RecordSet& set_a, RecordId a,

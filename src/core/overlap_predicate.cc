@@ -1,6 +1,7 @@
 #include "core/overlap_predicate.h"
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ssjoin {
 
@@ -18,6 +19,10 @@ OverlapPredicate::OverlapPredicate(double threshold,
 
 std::string OverlapPredicate::name() const {
   return weighted() ? "weighted-overlap" : "overlap";
+}
+
+std::string OverlapPredicate::fingerprint() const {
+  return name() + " threshold=" + FormatDoubleExact(threshold_);
 }
 
 void OverlapPredicate::Prepare(RecordSet* records) const {

@@ -25,6 +25,7 @@ class OverlapPredicate : public Predicate {
   OverlapPredicate(double threshold, std::vector<double> token_weights);
 
   std::string name() const override;
+  std::string fingerprint() const override;
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
   std::optional<double> ConstantThreshold() const override {
@@ -36,7 +37,6 @@ class OverlapPredicate : public Predicate {
   double MinMatchOverlap(double /*norm_r*/) const override {
     return threshold_;
   }
-  bool supports_bitmap_pruning() const override { return true; }
 
   double threshold() const { return threshold_; }
   bool weighted() const { return !token_weights_.empty(); }

@@ -33,6 +33,13 @@ class Predicate {
 
   virtual std::string name() const = 0;
 
+  /// name() plus every parameter that decides answers or what a serving
+  /// segment stores: the threshold, and for edit distance k and q. Values
+  /// print in a form that parses back exactly, e.g. "jaccard
+  /// threshold=0.5" or "edit-distance k=1 q=3". A service's data dir
+  /// reopens only under the fingerprint it was written with.
+  virtual std::string fingerprint() const = 0;
+
   /// Installs score(w, r) and norm ||r|| on every record. Idempotent.
   virtual void Prepare(RecordSet* records) const = 0;
 
@@ -114,15 +121,6 @@ class Predicate {
   /// bound. A return value <= 0 disables prefix filtering for the
   /// predicate (the default).
   virtual double MinMatchOverlap(double norm_r) const;
-
-  /// True when the token-bitmap candidate prefilter (data/token_bitmap.h)
-  /// may ride this predicate's probes. Requires only that matching is
-  /// decided by the merged token overlap against the merge bound —
-  /// overlap/jaccard/dice/cosine opt in; predicates with side channels
-  /// beyond the overlap test (edit distance's short-record pool and
-  /// verification) stay out. The filter never changes answers either
-  /// way; this merely keeps it off paths it was not measured on.
-  virtual bool supports_bitmap_pruning() const { return false; }
 };
 
 }  // namespace ssjoin

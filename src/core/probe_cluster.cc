@@ -168,8 +168,7 @@ void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
       pred,
       probe_internal::ProbeTarget<DynamicIndex>{index, records, &members},
       record, records, record_id, apply_filter, MergeOptions{},
-      /*gate_words=*/0, /*skip=*/nullptr, &stats->merge,
-      &stats->candidates_verified, scratch,
+      /*skip=*/nullptr, &stats->merge, &stats->candidates_verified, scratch,
       [&](RecordId, RecordId other) {
         ++stats->pairs;
         sink(std::min(other, record_id), std::max(other, record_id));

@@ -86,22 +86,18 @@ struct ProbeScratch {
 /// merged overlap) to `emit` in increasing id order.
 ///
 /// `required` and `filter` follow the ListMerger contracts (may be
-/// null; non-owning, must outlive the call). `gate` (optional) arms the
-/// bitmap prefilter for this probe — it never changes which candidates
-/// reach `emit` (see BitmapGate), only how much merge work they cost.
-/// The caller verifies candidates — ProbeOne prunes, it does not decide
-/// matches.
+/// null; non-owning, must outlive the call). The caller verifies
+/// candidates — ProbeOne prunes, it does not decide matches.
 template <typename IndexT>
 inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
                      FunctionRef<double(RecordId)> required,
                      FunctionRef<bool(RecordId)> filter,
                      const MergeOptions& options, MergeStats* stats,
                      ProbeScratch* scratch,
-                     FunctionRef<void(const MergeCandidate&)> emit,
-                     const BitmapGate* gate = nullptr) {
+                     FunctionRef<void(const MergeCandidate&)> emit) {
   CollectProbeLists(index, probe, &scratch->lists, &scratch->probe_scores);
   scratch->merger.Reset(scratch->lists, scratch->probe_scores, floor,
-                        required, filter, options, stats, gate);
+                        required, filter, options, stats);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }
@@ -130,10 +126,8 @@ struct ProbeTarget {
 ///
 ///   * The merge runs under the floor T(probe, minS) of the target index
 ///     and the per-candidate bound T(probe, ||m||), plus the norm filter
-///     when `apply_filter` is set and the predicate has one. With
-///     `gate_words` > 0 the bitmap gate rides the merge (it never changes
-///     which candidates survive). Empty probes and empty indexes skip the
-///     merge: they can share no token.
+///     when `apply_filter` is set and the predicate has one. Empty probes
+///     and empty indexes skip the merge: they can share no token.
 ///   * `skip` (may be null) drops a candidate before verification: dead
 ///     masks and tombstones, which must act as if compaction had already
 ///     removed the record's postings.
@@ -148,7 +142,7 @@ template <typename IndexT>
 void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
                   RecordView probe, const RecordSet& probes, RecordId q,
                   bool apply_filter, const MergeOptions& merge_options,
-                  size_t gate_words, FunctionRef<bool(RecordId)> skip,
+                  FunctionRef<bool(RecordId)> skip,
                   MergeStats* stats, uint64_t* verified,
                   ProbeScratch* scratch,
                   FunctionRef<void(RecordId local, RecordId id)> on_match) {
@@ -177,18 +171,6 @@ void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
     };
     FunctionRef<bool(RecordId)> filter;
     if (apply_filter && pred.has_norm_filter()) filter = filter_fn;
-    auto gate_lookup = [&](RecordId m) {
-      const TokenBitmapEntry& e =
-          target.records.token_bitmap_entry(target.ToRecord(m));
-      return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-    };
-    BitmapGate gate;
-    if (gate_words > 0) {
-      gate.probe_bits = probes.token_bitmap(q);
-      gate.probe_tokens = static_cast<uint32_t>(probe.size());
-      gate.words = gate_words;
-      gate.lookup = gate_lookup;
-    }
     ProbeOne(
         target.index, probe,
         pred.ThresholdForNorms(norm, target.index.min_norm()), required_fn,
@@ -198,8 +180,7 @@ void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
           if (verify(candidate.id) && short_probe) {
             matched.push_back(candidate.id);
           }
-        },
-        gate_words > 0 ? &gate : nullptr);
+        });
   }
 
   if (!short_probe) return;

@@ -8,6 +8,7 @@
 
 #include "core/parallel_probe.h"
 #include "core/probe_common.h"
+#include "data/token_bitmap.h"
 #include "util/function_ref.h"
 
 namespace ssjoin {
@@ -68,22 +69,10 @@ struct ProbePlan {
   /// k = 0): the min_norm() of an index holding the first k positions.
   std::vector<double> prefix_min_norm = {};
   MergeOptions merge_options = {};
-  bool use_bitmaps = false;
-  /// Emit-level gate, stopword mode only (see ProbePosition).
+  /// Emit-level bitmap gate, stopword mode only (see ProbePosition), and
+  /// the token bitmap of every position it reads; empty when unarmed.
   bool emit_gated = false;
-
-  BitmapCandidate BitmapAt(uint32_t pos) const {
-    const TokenBitmapEntry& e = records.token_bitmap_entry(order[pos]);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  }
-};
-
-/// One worker's mutable probe state: merge scratch, allocated once and
-/// reused (no per-record heap allocations), and the probe side of the
-/// bitmap gate, re-pointed per probe.
-struct ProbeWorker {
-  ProbeScratch scratch;
-  BitmapGate gate;
+  std::vector<TokenBitmapEntry> bitmaps = {};
 };
 
 /// The per-position probe shared by the serial and the parallel driver:
@@ -91,19 +80,15 @@ struct ProbeWorker {
 /// `index`, verifies every candidate at an earlier position and emits the
 /// matches. `limit` is `pos` for the online variants (the index the
 /// serial online loop has grown so far) and n for the two-pass variants.
+/// `scratch` is the calling worker's, reused across its probes.
 void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
-                   uint32_t pos, uint32_t limit, ProbeWorker* worker,
+                   uint32_t pos, uint32_t limit, ProbeScratch* scratch,
                    JoinStats* stats, const PairSink& emit) {
   if (limit == 0) return;  // nothing is indexed before the first position
   const RecordSet& records = plan.records;
   const Predicate& pred = plan.pred;
   const RecordId probe_id = plan.order[pos];
   const RecordView probe = records.record(probe_id);
-  BitmapGate& gate = worker->gate;
-  if (plan.use_bitmaps) {
-    gate.probe_bits = records.token_bitmap(probe_id);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-  }
 
   auto verify_and_emit = [&](RecordId other) {
     ++stats->candidates_verified;
@@ -113,15 +98,15 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
     }
   };
 
-  // Emit-level gate, stopword mode only: there the merger holds
+  // Emit-level bitmap gate, stopword mode only: there the merger holds
   // candidates to the REDUCED threshold while verification runs the full
-  // constant threshold, so the bitmap bound gets a second cut at the gap.
-  // Each common token contributes at most probe-score times
-  // corpus-max-score, so ub * probe_pair_max bounds the pair's exact
-  // overlap; below the full threshold, Matches() must fail, and the
-  // verification is skipped without changing the emitted pairs. (The
-  // non-stopword paths need no emit gate: their merger already holds
-  // candidates to the exact per-pair threshold.)
+  // constant threshold, so the bitmap bound gets a cut at the gap. Each
+  // common token contributes at most probe-score times corpus-max-score,
+  // so ub * probe_pair_max bounds the pair's exact overlap; below the
+  // full threshold, Matches() must fail, and the verification is skipped
+  // without changing the emitted pairs. (The other paths have no gap to
+  // cut: their merger already holds candidates to the exact per-pair
+  // threshold.)
   const StopwordPlan& stop_plan = plan.stop_plan;
   double probe_pair_max = 0;
   if (plan.emit_gated) {
@@ -132,11 +117,9 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
     }
   }
   auto emit_gate_prunes = [&](uint32_t m) {
-    const BitmapCandidate cand = plan.BitmapAt(m);
     ++stats->merge.bitmap_checked;
     const uint32_t ub =
-        TokenBitmapOverlapBound(gate.probe_bits, gate.probe_tokens,
-                                cand.bits, cand.tokens, gate.words);
+        TokenBitmapOverlapBound(plan.bitmaps[pos], plan.bitmaps[m]);
     if (static_cast<double>(ub) * probe_pair_max <
         PruneBound(stop_plan.threshold)) {
       ++stats->merge.bitmap_pruned;
@@ -176,15 +159,14 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
   }
   ProbeOne(
       IndexPrefix{index, limit}, probe, floor, required, filter,
-      plan.merge_options, &stats->merge, &worker->scratch,
+      plan.merge_options, &stats->merge, scratch,
       [&](const MergeCandidate& candidate) {
         // A two-pass probe sees every record: skip self matches and emit
         // each unordered pair from its later endpoint only.
         if (candidate.id >= pos) return;
         if (plan.emit_gated && emit_gate_prunes(candidate.id)) return;
         verify_and_emit(plan.order[candidate.id]);
-      },
-      plan.use_bitmaps ? &gate : nullptr);
+      });
 }
 
 }  // namespace
@@ -222,9 +204,13 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   }
 
   plan.merge_options.split_lists = options.optimized_merge;
-  plan.use_bitmaps = options.bitmap_filter && pred.supports_bitmap_pruning();
-  plan.emit_gated = plan.use_bitmaps && options.stopwords;
-  auto bitmap_lookup = [&plan](RecordId m) { return plan.BitmapAt(m); };
+  plan.emit_gated = options.bitmap_filter && options.stopwords;
+  if (plan.emit_gated) {
+    plan.bitmaps.reserve(n);
+    for (RecordId id : plan.order) {
+      plan.bitmaps.push_back(MakeTokenBitmapEntry(records.record(id)));
+    }
+  }
 
   // The index is keyed by processing position so posting ids stay
   // strictly increasing under any processing order; `order` maps back to
@@ -247,24 +233,21 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
 
   JoinStats stats;
   if (num_threads <= 1) {
-    ProbeWorker worker;
-    worker.gate.lookup = bitmap_lookup;
+    ProbeScratch scratch;
     for (uint32_t pos = 0; pos < n; ++pos) {
-      ProbePosition(plan, index, pos, limit_of(pos), &worker, &stats, sink);
+      ProbePosition(plan, index, pos, limit_of(pos), &scratch, &stats, sink);
       if (grow_online) {
         index.Insert(pos, records.record(plan.order[pos]), skip);
       }
     }
   } else {
-    // The frozen index is read-only from here on; scratch and gate state
-    // are per worker.
-    std::vector<ProbeWorker> workers(num_threads);
-    for (ProbeWorker& worker : workers) worker.gate.lookup = bitmap_lookup;
+    // The frozen index is read-only from here on; scratch is per worker.
+    std::vector<ProbeScratch> scratches(num_threads);
     stats = ParallelProbeDriver::Run(
         n, num_threads,
         [&](uint32_t pos, int worker, JoinStats* worker_stats,
             const PairSink& emit) {
-          ProbePosition(plan, index, pos, limit_of(pos), &workers[worker],
+          ProbePosition(plan, index, pos, limit_of(pos), &scratches[worker],
                         worker_stats, emit);
         },
         sink);

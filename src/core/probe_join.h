@@ -40,11 +40,13 @@ struct ProbeJoinOptions {
   /// Apply the predicate's norm filter while merging.
   bool apply_filter = true;
 
-  /// Arm the token-bitmap candidate prefilter (data/token_bitmap.h) for
-  /// predicates that opt in via supports_bitmap_pruning(). Answers are
-  /// byte-identical either way; the filter only skips merge/verify work.
-  /// Off by default so the join's counters measure the paper's algorithms
-  /// without the gate (serial and parallel runs honour it alike).
+  /// With `stopwords`, arm the token-bitmap emit gate (data/token_bitmap.h):
+  /// a candidate whose bitmap overlap bound cannot reach the full
+  /// threshold skips verification. The join builds one bitmap per record
+  /// for it. Pairs are byte-identical either way; without `stopwords` the
+  /// option does nothing, since the merge already holds candidates to the
+  /// exact threshold. Off by default so the join's counters measure the
+  /// paper's algorithms (serial and parallel runs honour it alike).
   bool bitmap_filter = false;
 };
 

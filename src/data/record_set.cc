@@ -14,8 +14,7 @@ RecordSet RecordSet::MakeView(ViewSpec spec) {
                spec.offsets.back() == spec.total_occurrences)
       << "view spec offsets inconsistent";
   const size_t n = spec.offsets.size() - 1;
-  SSJOIN_CHECK(spec.norms.size() == n && spec.text_lengths.size() == n &&
-               spec.bitmaps.size() == n)
+  SSJOIN_CHECK(spec.norms.size() == n && spec.text_lengths.size() == n)
       << "view spec per-record tables inconsistent";
   RecordSet set;
   set.view_tokens_ = spec.tokens;
@@ -27,7 +26,6 @@ RecordSet RecordSet::MakeView(ViewSpec spec) {
   set.offsets_ = std::move(spec.offsets);
   set.norms_ = std::move(spec.norms);
   set.text_lengths_ = std::move(spec.text_lengths);
-  set.bitmap_arena_ = std::move(spec.bitmaps);
   set.total_occurrences_ = spec.total_occurrences;
   return set;
 }
@@ -63,14 +61,9 @@ RecordId RecordSet::Add(RecordView record, std::string text) {
                                  : record.scores().data();
   std::copy(src_tokens, src_tokens + count, token_arena_.begin() + old_size);
   std::copy(src_scores, src_scores + count, score_arena_.begin() + old_size);
-  bitmap_arena_.emplace_back();
-  TokenBitmapEntry& entry = bitmap_arena_.back();
-  for (size_t i = 0; i < count; ++i) {
-    SSJOIN_DCHECK(i == 0 ||
-                  token_arena_[old_size + i - 1] < token_arena_[old_size + i]);
-    TokenBitmapFlip(entry.bits, token_arena_[old_size + i]);
+  for (size_t i = 1; i < count; ++i) {
+    SSJOIN_DCHECK(token_arena_[old_size + i - 1] < token_arena_[old_size + i]);
   }
-  entry.tokens = count;
   offsets_.push_back(offsets_.back() + count);
   norms_.push_back(record.norm());
   text_lengths_.push_back(record.text_length());
@@ -118,7 +111,6 @@ uint64_t RecordSet::ApproxMemoryBytes() const {
   uint64_t bytes = 0;
   bytes += token_arena_.size() * sizeof(TokenId);
   bytes += score_arena_.size() * sizeof(double);
-  bytes += bitmap_arena_.size() * sizeof(TokenBitmapEntry);
   bytes += offsets_.size() * sizeof(size_t);
   bytes += norms_.size() * sizeof(double);
   bytes += text_lengths_.size() * sizeof(uint32_t);

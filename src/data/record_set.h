@@ -9,7 +9,6 @@
 
 #include "data/record.h"
 #include "data/record_view.h"
-#include "data/token_bitmap.h"
 #include "text/token_dictionary.h"
 #include "util/logging.h"
 
@@ -56,8 +55,8 @@ struct DocumentFrequencies {
 ///   * VIEW (MakeView): the token/score arenas and text blob are BORROWED
 ///     pointers into an immutable mapped `.sseg` body, kept alive by a
 ///     shared backing handle, while the small per-record tables the probe
-///     paths gate on (offsets, norms, text lengths, token bitmaps) are
-///     heap-resident copies — candidate gating never faults a cold page.
+///     paths gate on (offsets, norms, text lengths) are heap-resident
+///     copies — candidate gating never faults a cold page.
 ///     View sets are frozen: Add/set_score/text() are illegal; readers go
 ///     through record()/text_view(), which behave identically in both
 ///     modes, so probe and merge code never branches on the mode.
@@ -89,7 +88,6 @@ class RecordSet {
     std::vector<size_t> offsets;             // owned copy; num records + 1
     std::vector<double> norms;               // owned copy
     std::vector<uint32_t> text_lengths;      // owned copy
-    std::vector<TokenBitmapEntry> bitmaps;   // owned copy
     uint64_t vocabulary_size = 0;
     uint64_t total_occurrences = 0;
     std::shared_ptr<const void> backing;  // keeps borrowed memory alive
@@ -124,24 +122,6 @@ class RecordSet {
   /// Number of tokens of record `id` (without materializing a view).
   size_t record_size(RecordId id) const {
     return offsets_[id + 1] - offsets_[id];
-  }
-
-  /// Record `id`'s fixed-width token parity bitmap (kTokenBitmapWords
-  /// words, see data/token_bitmap.h), built by Add alongside the CSR
-  /// arena append — every RecordSet carries bitmaps, whether it backs a
-  /// compacted segment, a memtable or a staged query, and a decoded
-  /// checkpoint rebuilds them bit-identically because decoding re-Adds.
-  /// Bitmaps depend only on token SETS, never on scores, so Prepare /
-  /// set_score cannot stale them. Valid until the next Add.
-  const uint64_t* token_bitmap(RecordId id) const {
-    return bitmap_arena_[id].bits;
-  }
-
-  /// The full cache-line arena slot (parity bitmap + token count): what
-  /// BitmapGate lookups should hand to the merger, so one aligned load
-  /// resolves the entire filter input for a candidate.
-  const TokenBitmapEntry& token_bitmap_entry(RecordId id) const {
-    return bitmap_arena_[id];
   }
 
   /// Rewrites score(token i, record id); used by Predicate::Prepare.
@@ -213,7 +193,6 @@ class RecordSet {
   // Columnar CSR arena (see class comment).
   std::vector<TokenId> token_arena_;
   std::vector<double> score_arena_;
-  std::vector<TokenBitmapEntry> bitmap_arena_;  // one cache line per record
   std::vector<size_t> offsets_{0};  // offsets_[n] == arena size
   std::vector<double> norms_;
   std::vector<uint32_t> text_lengths_;
@@ -221,8 +200,8 @@ class RecordSet {
 
   // View mode (MakeView): borrowed arena pointers, non-null iff is_view().
   // The owned vectors above double as the heap-resident copies (offsets_,
-  // norms_, text_lengths_, bitmap_arena_); texts_/token_arena_/
-  // score_arena_ stay empty. backing_ pins the borrowed memory.
+  // norms_, text_lengths_); texts_/token_arena_/score_arena_ stay empty.
+  // backing_ pins the borrowed memory.
   const TokenId* view_tokens_ = nullptr;
   const double* view_scores_ = nullptr;
   const uint64_t* view_text_offsets_ = nullptr;

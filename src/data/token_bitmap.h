@@ -9,10 +9,10 @@
 
 namespace ssjoin {
 
-/// Fixed-width per-record token bitmaps (the Bitmap Filter idea): every
-/// record carries kTokenBitmapBits parity bits, bit h(t) FLIPPED once per
-/// token, so a bit is set iff an odd number of the record's tokens hash
-/// to it. For two records r, s,
+/// Fixed-width token bitmaps (the Bitmap Filter idea): a record's entry
+/// holds kTokenBitmapBits parity bits, bit h(t) FLIPPED once per token,
+/// so a bit is set iff an odd number of the record's tokens hash to it.
+/// For two records r, s,
 ///
 ///   popcount(B_r XOR B_s) <= |r Δ s| = |r| + |s| - 2 |r ∩ s|,
 ///
@@ -28,28 +28,19 @@ namespace ssjoin {
 /// fully saturated or fully zeroed XOR just returns the vacuous
 /// (|r| + |s|) / 2 bound and prunes nothing — never a wrong answer.
 ///
-/// Any PREFIX of the words keeps the inequality (dropping words can only
-/// shrink the popcount), which is what lets callers trade filter memory
-/// bandwidth for precision at probe time (`--bitmap-bits`).
+/// Entries are built per join, only by the join that consults them
+/// (ProbeJoin's stopword emit gate); no record set stores them.
 inline constexpr size_t kTokenBitmapWords = 4;
 inline constexpr size_t kTokenBitmapBits = kTokenBitmapWords * 64;
 
-/// One record's slot in a RecordSet's bitmap arena: the parity words plus
-/// the record's token count, padded to exactly one cache line. A probe-
-/// time gate lookup needs both the bitmap AND the candidate's token count
-/// (the bound is (|r| + |s| - xor_pop) / 2); storing the count inline
-/// resolves the whole filter input with a single aligned 64-byte load
-/// instead of scattering a second read across the CSR offsets array —
-/// the lookup runs once per heap-popped candidate, so its memory traffic
-/// is the filter's entire cost. Only the parity words are persisted
-/// (checkpoints rebuild the count from the record itself).
+/// One record's parity words plus its token count, aligned to exactly one
+/// cache line: the bound needs both, so a consult is one aligned load.
 struct alignas(64) TokenBitmapEntry {
   uint64_t bits[kTokenBitmapWords] = {};
   uint64_t tokens = 0;  // the record's token count
-  uint64_t pad[8 - kTokenBitmapWords - 1] = {};
 };
 static_assert(sizeof(TokenBitmapEntry) == 64,
-              "gate lookups rely on one arena entry per cache line");
+              "a consult reads one entry per cache line");
 
 /// Bit position of token `t`: multiplicative (Fibonacci) hashing by the
 /// 64-bit golden ratio, top bits kept — adjacent token ids (the common
@@ -60,31 +51,27 @@ inline uint32_t TokenBitmapBit(TokenId t) {
       (64 - std::bit_width(kTokenBitmapBits - 1)));
 }
 
-/// Flips token `t`'s parity bit in `words` (kTokenBitmapWords wide).
-inline void TokenBitmapFlip(uint64_t* words, TokenId t) {
-  const uint32_t bit = TokenBitmapBit(t);
-  words[bit >> 6] ^= uint64_t{1} << (bit & 63);
-}
-
-/// popcount(a XOR b) over the first `words` words (1..kTokenBitmapWords).
-inline uint32_t TokenBitmapXorPopcount(const uint64_t* a, const uint64_t* b,
-                                       size_t words) {
-  uint32_t pop = 0;
-  for (size_t w = 0; w < words; ++w) {
-    pop += static_cast<uint32_t>(std::popcount(a[w] ^ b[w]));
+/// The entry of `record`: one parity flip per token.
+inline TokenBitmapEntry MakeTokenBitmapEntry(RecordView record) {
+  TokenBitmapEntry entry;
+  for (size_t i = 0; i < record.size(); ++i) {
+    const uint32_t bit = TokenBitmapBit(record.token(i));
+    entry.bits[bit >> 6] ^= uint64_t{1} << (bit & 63);
   }
-  return pop;
+  entry.tokens = record.size();
+  return entry;
 }
 
 /// The filter's overlap bound: an UPPER bound on the number of distinct
-/// common tokens of two records with `tokens_a`/`tokens_b` tokens and
-/// parity bitmaps `a`/`b`, using the first `words` words of each.
-inline uint32_t TokenBitmapOverlapBound(const uint64_t* a, uint32_t tokens_a,
-                                        const uint64_t* b, uint32_t tokens_b,
-                                        size_t words) {
-  const uint32_t xor_pop = TokenBitmapXorPopcount(a, b, words);
-  // xor_pop <= |a Δ b| <= tokens_a + tokens_b, so this never wraps.
-  return (tokens_a + tokens_b - xor_pop) / 2;
+/// common tokens of the two records behind `a` and `b`.
+inline uint32_t TokenBitmapOverlapBound(const TokenBitmapEntry& a,
+                                        const TokenBitmapEntry& b) {
+  uint64_t xor_pop = 0;
+  for (size_t w = 0; w < kTokenBitmapWords; ++w) {
+    xor_pop += static_cast<uint64_t>(std::popcount(a.bits[w] ^ b.bits[w]));
+  }
+  // xor_pop <= |a Δ b| <= a.tokens + b.tokens, so this never wraps.
+  return static_cast<uint32_t>((a.tokens + b.tokens - xor_pop) / 2);
 }
 
 }  // namespace ssjoin

@@ -31,17 +31,15 @@ constexpr char kCheckpointFile[] = "checkpoint.ssc";
 constexpr char kWalFile[] = "wal.log";
 
 constexpr char kSegmentMagic[4] = {'S', 'S', 'S', 'G'};
-// v3: the out-of-core layout. A CRC-protected fixed header carries every
+// v4: the out-of-core layout. A CRC-protected fixed header carries every
 // count; all sections after it (record offsets, token/score CSR arenas,
 // text table + blob, global ids, per-shard id tables + posting extents,
-// and the token-bitmap block, in that order) are 64-byte-aligned and
-// byte-layout-identical to their in-memory form, so Open can mmap the
-// body and serve from views instead of decoding. The bitmap block sits
-// LAST so the whole-file integrity property of v2 (arena and bitmaps
-// must agree end to end) survives unchanged on the materialized path.
-// v1 (no bitmap block) and v2 (varint-packed body) files are rejected
-// with a clear "unsupported segment version" error.
-constexpr uint32_t kSegmentVersion = 3;
+// in that order) are 64-byte-aligned and byte-layout-identical to their
+// in-memory form, so Open can mmap the body and serve from views instead
+// of decoding. v3 also ended in a per-record token-bitmap block, which no
+// reader uses any more; v3 and older files are rejected with a clear
+// "unsupported segment version" error.
+constexpr uint32_t kSegmentVersion = 4;
 constexpr char kSegmentPrefix[] = "segment-";
 constexpr char kSegmentSuffix[] = ".sseg";
 
@@ -159,7 +157,7 @@ bool CheckpointExists(const std::string& data_dir) {
 namespace {
 
 // ---------------------------------------------------------------------
-// v3 segment files. One deterministic layout walk (ComputeSegmentLayout)
+// v4 segment files. One deterministic layout walk (ComputeSegmentLayout)
 // is shared by the writer and the opener, so the two can never disagree
 // about where a section lives. All multi-byte fields are host-endian raw
 // bytes, exactly as the in-memory structures hold them — that
@@ -210,7 +208,6 @@ struct SegmentLayout {
   uint64_t text_offsets_off = 0;
   uint64_t text_blob_off = 0;
   uint64_t global_ids_off = 0;
-  uint64_t bitmaps_off = 0;
   std::vector<ShardLayout> shards;
 };
 
@@ -218,8 +215,8 @@ struct SegmentLayout {
 /// `layout`. Section order: record offsets, tokens, scores, norms, text
 /// lengths, text offsets, text blob, global ids, then per shard (member
 /// ids, short ids, extent begin/size/max_score, postings), then the
-/// bitmap block LAST, then the trailing CRC. Every section starts
-/// 64-byte-aligned (gaps are zero padding).
+/// trailing CRC. Every section starts 64-byte-aligned (gaps are zero
+/// padding).
 void ComputeSegmentLayout(SegmentLayout* layout) {
   layout->header_bytes = kSegmentFixedHeaderBytes +
                          kSegmentShardEntryBytes * layout->shards.size() +
@@ -247,7 +244,6 @@ void ComputeSegmentLayout(SegmentLayout* layout) {
     shard.max_score_off = section(layout->vocab * sizeof(double));
     shard.postings_off = section(shard.postings_cap * sizeof(Posting));
   }
-  layout->bitmaps_off = section(n * sizeof(TokenBitmapEntry));
   layout->file_size = pos + sizeof(uint32_t);  // trailing CRC
 }
 
@@ -269,15 +265,15 @@ double LoadF64(const char* base, uint64_t off) {
   return v;
 }
 
-/// Parses and verifies the v3 header of the byte range [data, data +
+/// Parses and verifies the v4 header of the byte range [data, data +
 /// size) — the common front half of materialized and mapped opens.
-/// The version gate runs BEFORE the header checksum: a v1/v2 file has
-/// payload bytes where v3's header fields live, and its error must read
-/// "old format", not "corrupt". Every count is bounded against the real
-/// file size before the layout walk, so the walk cannot overflow and
-/// the derived section offsets are safe to dereference once
-/// `layout.file_size == size` holds (truncation therefore surfaces here
-/// as a Status, never as a fault on a mapped read).
+/// The version gate runs BEFORE the header checksum: an older file's
+/// layout differs from v4's, and its error must read "old format", not
+/// "corrupt". Every count is bounded against the real file size before
+/// the layout walk, so the walk cannot overflow and the derived section
+/// offsets are safe to dereference once `layout.file_size == size` holds
+/// (truncation therefore surfaces here as a Status, never as a fault on
+/// a mapped read).
 Result<SegmentLayout> ParseSegmentHeader(const char* data, uint64_t size,
                                          uint64_t expected_id,
                                          uint64_t num_shards,
@@ -368,7 +364,7 @@ std::vector<T> CopySection(const char* base, uint64_t off, uint64_t count) {
 
 }  // namespace
 
-/// One immutable v3 segment file: the segment's prepared arena,
+/// One immutable v4 segment file: the segment's prepared arena,
 /// global-id table and every shard part's id tables and CSR extents,
 /// laid out by ComputeSegmentLayout, header-CRC'd and whole-file-CRC'd.
 /// Dead masks and live counts are NOT here — they change after the
@@ -462,15 +458,6 @@ Status WriteSegmentFile(const std::string& data_dir,
     put_bytes(layout.text_blob_off + text_run, text.data(), text.size());
     text_run += text.size();
     put_u64(layout.text_offsets_off + (id + 1) * sizeof(uint64_t), text_run);
-    // Bitmap entries go out word by word (bits, token count, zero pads)
-    // so the file bytes are deterministic whatever the compiler did with
-    // in-memory padding.
-    const TokenBitmapEntry& entry = records.token_bitmap_entry(id);
-    const uint64_t bm = layout.bitmaps_off + id * sizeof(TokenBitmapEntry);
-    for (size_t w = 0; w < kTokenBitmapWords; ++w) {
-      put_u64(bm + w * sizeof(uint64_t), entry.bits[w]);
-    }
-    put_u64(bm + kTokenBitmapWords * sizeof(uint64_t), entry.tokens);
   }
   put_bytes(layout.global_ids_off, segment.global_ids.data(),
             segment.global_ids.size() * sizeof(RecordId));
@@ -521,11 +508,8 @@ Status WriteSegmentFile(const std::string& data_dir,
 
 namespace {
 
-/// Materialized opens only: proves token order and range, re-Adds every
-/// record (rebuilding bitmaps exactly as live insertion did) and
-/// requires the stored bitmap block to match the rebuilt entries byte
-/// for byte, pads included, so arena and block agree about every token
-/// set. `spec` holds the validated gating tables.
+/// Materialized opens only: proves token order and range and re-Adds
+/// every record. `spec` holds the validated gating tables.
 Result<std::shared_ptr<const RecordSet>> CopyOutRecords(
     const char* base, const SegmentLayout& layout,
     const RecordSet::ViewSpec& spec, const std::string& path) {
@@ -553,10 +537,6 @@ Result<std::shared_ptr<const RecordSet>> CopyOutRecords(
     owned->Add(RecordView(tokens + begin, scores + begin, count,
                           spec.norms[id], spec.text_lengths[id]),
                std::move(text));
-    if (std::memcmp(&owned->token_bitmap_entry(id), &spec.bitmaps[id],
-                    sizeof(TokenBitmapEntry)) != 0) {
-      return Corrupt("segment bitmap disagrees with arena", path);
-    }
   }
   return std::shared_ptr<const RecordSet>(std::move(owned));
 }
@@ -701,14 +681,6 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
   }
   spec.norms = CopySection<double>(base, layout.norms_off, n);
   spec.text_lengths = CopySection<uint32_t>(base, layout.text_lengths_off, n);
-  spec.bitmaps = CopySection<TokenBitmapEntry>(base, layout.bitmaps_off, n);
-  for (uint64_t id = 0; id < n; ++id) {
-    // Cheap tie between the bitmap block and the offsets table (the full
-    // bits-vs-arena check is CopyOutRecords').
-    if (spec.bitmaps[id].tokens != spec.offsets[id + 1] - spec.offsets[id]) {
-      return Corrupt("segment bitmap disagrees with arena", path);
-    }
-  }
 
   auto segment = std::make_shared<CorpusSegment>();
   segment->id = segment_id;

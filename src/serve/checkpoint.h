@@ -43,13 +43,13 @@ namespace ssjoin {
 /// collected: LoadCheckpoint unlinks every segment file the manifest
 /// does not reference. See DESIGN.md "Durability & recovery".
 ///
-/// Segment files are v3: every arena the probe path streams (record
-/// offsets, token/score CSR arenas, text blob, per-shard posting extents
-/// and the token-bitmap block) is written 64-byte-aligned and byte-
-/// layout-identical to its in-memory form, so one opener
-/// (OpenSegmentFile) maps every file and either copies it out, fully
-/// verified (the `resident_budget_bytes == 0` path), or serves the body
-/// straight from the page cache (see DESIGN.md "Out-of-core segments").
+/// Segment files are v4: every arena the probe path streams (record
+/// offsets, token/score CSR arenas, text blob, per-shard posting
+/// extents) is written 64-byte-aligned and byte-layout-identical to its
+/// in-memory form, so one opener (OpenSegmentFile) maps every file and
+/// either copies it out, fully verified (the `resident_budget_bytes ==
+/// 0` path), or serves the body straight from the page cache (see
+/// DESIGN.md "Out-of-core segments").
 /// Shard indexes keep full double posting scores: the recovery contract
 /// is BYTE-identical query answers, and probe pruning reads posting
 /// scores directly.
@@ -82,9 +82,9 @@ struct Checkpoint {
   /// it, so a crash between checkpoint rename and WAL reset never
   /// double-applies an operation.
   uint64_t wal_seq = 0;
-  /// Predicate fingerprint (Predicate::name()); Open refuses to restore
-  /// under a different predicate, whose scores/thresholds would silently
-  /// disagree with the serialized prepared arenas.
+  /// Predicate::fingerprint() (name and parameters); Open refuses to
+  /// restore under a different one, whose scores, thresholds or short-
+  /// record pools would silently disagree with the serialized segments.
   std::string predicate;
   /// Token-range shard count; shard_bounds has num_shards - 1 entries.
   uint64_t num_shards = 0;
@@ -143,7 +143,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
                                   const CheckpointLoadOptions& options = {},
                                   GcStats* gc_stats = nullptr);
 
-/// Writes segment-<id>.sseg (v3, atomic tmp+rename). Exposed so the
+/// Writes segment-<id>.sseg (v4, atomic tmp+rename). Exposed so the
 /// service can persist a freshly merged segment at compaction time and
 /// map it straight back (the O(delta)-RSS compaction path); SaveCheckpoint
 /// skips segments already recorded in `persisted_segments`.
@@ -152,8 +152,8 @@ Status WriteSegmentFile(const std::string& data_dir,
 
 /// Opens segment-<id>.sseg. The file is mapped read-only and its
 /// CRC-protected header parsed; the tables candidate gating reads
-/// (record and text offsets, norms, text lengths, token bitmaps, id
-/// tables, extent bounds) are validated and copied to the heap.
+/// (record and text offsets, norms, text lengths, id tables, extent
+/// bounds) are validated and copied to the heap.
 /// `materialize` then also verifies the whole-file CRC and copies out
 /// everything else — arena, extent tables, postings — proving each
 /// structurally, and drops the mapping; otherwise arenas and posting

@@ -107,8 +107,6 @@ std::string ServiceStats::ToJson() const {
   AppendField(&out, "merges", merge.merges);
   AppendField(&out, "heap_pops", merge.heap_pops);
   AppendField(&out, "gallop_probes", merge.gallop_probes);
-  AppendField(&out, "candidates_bitmap_checked", merge.bitmap_checked);
-  AppendField(&out, "candidates_bitmap_pruned", merge.bitmap_pruned);
   out += "\"shards\": [";
   for (size_t s = 0; s < shards.size(); ++s) {
     out += "{";

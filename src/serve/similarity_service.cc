@@ -36,16 +36,6 @@ struct QueryContext {
 
 bool IdLess(const QueryMatch& a, const QueryMatch& b) { return a.id < b.id; }
 
-/// Bitmap-gate width in words for this service configuration: 0 (off)
-/// unless the predicate opted in, otherwise bitmap_bits rounded down to
-/// whole words and clamped to the stored width. Thresholded lookups gate
-/// with this; the top-k sweep never gates (its floor is 0 — nothing to
-/// prune against).
-size_t BitmapGateWords(const ServiceOptions& options, const Predicate& pred) {
-  if (!pred.supports_bitmap_pruning()) return 0;
-  return std::min(options.bitmap_bits / 64, kTokenBitmapWords);
-}
-
 /// One probe target inside a shard: one segment's part, or the shard's
 /// delta image. `target` is what the shared probe body probes (the
 /// index, the backing records its local ids resolve to, and the short
@@ -96,7 +86,7 @@ ShardTier<DynamicIndex> DeltaTier(const DeltaShard& delta) {
 /// snapshot: each segment's part of the shard, then its delta tier, then
 /// id-sorted. Every tier runs the shared probe-and-verify body
 /// (probe_internal::ProbeMatches) on its own — floor T(probe, minS of the
-/// tier), per-candidate bound, norm filter, bitmap gate, the predicate's
+/// tier), per-candidate bound, norm filter, the predicate's
 /// canonical MatchesCross and the tier's short pool — so a sharded,
 /// segmented query accepts a pair exactly when the batch join (and the
 /// 1-shard, 1-segment service) would. A record lives in exactly one shard
@@ -104,18 +94,16 @@ ShardTier<DynamicIndex> DeltaTier(const DeltaShard& delta) {
 /// deterministic cross-shard merge reconstructs the single-index answer
 /// byte for byte.
 std::vector<QueryMatch> LookupShard(const Predicate& pred,
-                                    const ServiceOptions& options,
                                     const IndexSnapshot& snap, size_t shard,
                                     const RecordSet& staged, RecordId q,
                                     QueryContext* ctx) {
   ctx->EnsureShards(snap.num_shards());
   std::vector<QueryMatch> out;
   const RecordView probe = staged.record(q);
-  const size_t gate_words = BitmapGateWords(options, pred);
   auto probe_tier = [&](const auto& tier) {
     probe_internal::ProbeMatches(
         pred, tier.target, probe, staged, q, /*apply_filter=*/true,
-        MergeOptions{}, gate_words,
+        MergeOptions{},
         [&tier](RecordId local) { return tier.Dropped(local); }, &ctx->merge,
         &ctx->shard_candidates[shard], &ctx->scratch,
         [&](RecordId, RecordId id) {
@@ -138,13 +126,12 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
 /// output to the point-query shard fan-out: per-shard parts are sorted
 /// and disjoint, and the merge order is unique.
 std::vector<QueryMatch> LookupAllShards(const Predicate& pred,
-                                        const ServiceOptions& options,
                                         const IndexSnapshot& snap,
                                         const RecordSet& staged, RecordId q,
                                         QueryContext* ctx) {
   std::vector<std::vector<QueryMatch>> parts(snap.num_shards());
   for (size_t s = 0; s < snap.num_shards(); ++s) {
-    parts[s] = LookupShard(pred, options, snap, s, staged, q, ctx);
+    parts[s] = LookupShard(pred, snap, s, staged, q, ctx);
   }
   std::vector<QueryMatch> out;
   probe_internal::MergeSortedParts(parts, IdLess, &out);
@@ -347,10 +334,10 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
       LoadCheckpoint(options.data_dir, load_options, &gc);
   if (!loaded.ok()) return loaded.status();
   Checkpoint checkpoint = std::move(loaded).value();
-  if (checkpoint.predicate != pred.name()) {
+  if (checkpoint.predicate != pred.fingerprint()) {
     return Status::FailedPrecondition(
         "checkpoint in " + options.data_dir + " was written under predicate " +
-        checkpoint.predicate + ", not " + pred.name());
+        checkpoint.predicate + ", not " + pred.fingerprint());
   }
   std::vector<WalRecord> tail;
   Result<WriteAheadLog> wal = WriteAheadLog::Open(
@@ -455,7 +442,7 @@ Status SimilarityService::SaveCheckpointLocked() {
   Checkpoint checkpoint;
   checkpoint.epoch = snap->epoch;
   checkpoint.wal_seq = wal_next_seq_ - 1;
-  checkpoint.predicate = pred_.name();
+  checkpoint.predicate = pred_.fingerprint();
   checkpoint.num_shards = num_shards_;
   checkpoint.shard_bounds = shard_bounds_;
   checkpoint.next_id = next_id_;
@@ -898,7 +885,7 @@ std::vector<QueryMatch> SimilarityService::Query(RecordView query,
   std::vector<QueryContext> contexts(num_shards_);
   std::vector<std::vector<QueryMatch>> parts(num_shards_);
   RunOverShards(num_shards_, [&](size_t s) {
-    parts[s] = LookupShard(pred_, options_, *snap, s, staged, 0, &contexts[s]);
+    parts[s] = LookupShard(pred_, *snap, s, staged, 0, &contexts[s]);
   });
   std::vector<QueryMatch> out;
   probe_internal::MergeSortedParts(parts, IdLess, &out);
@@ -939,7 +926,7 @@ std::vector<std::vector<QueryMatch>> SimilarityService::BatchQuery(
     pool_->ParallelFor(
         staged.size(), /*chunk=*/1, [&](size_t begin, size_t end, int worker) {
           for (size_t i = begin; i < end; ++i) {
-            results[i] = LookupAllShards(pred_, options_, *snap, staged,
+            results[i] = LookupAllShards(pred_, *snap, staged,
                                          static_cast<RecordId>(i),
                                          &contexts[worker]);
           }

@@ -38,8 +38,9 @@ struct ServiceOptions {
   /// shard's share. An auto-compaction is logged like an explicit one, so
   /// a durable restart may run with a different value.
   size_t memtable_limit = 256;
-  /// Worker threads for BatchQuery fan-out, sharded point-query fan-out
-  /// and parallel shard rebuilds; <= 0 uses the hardware default.
+  /// Worker threads for BatchQuery fan-out and sharded point-query
+  /// fan-out (compaction builds shards serially); <= 0 uses the hardware
+  /// default.
   int num_threads = 0;
   /// Token-range shards for the base tier and memtable. Each shard owns a
   /// contiguous token range (records route by their largest token) with
@@ -71,23 +72,15 @@ struct ServiceOptions {
   std::string data_dir;
   /// WAL fsync policy; meaningful only with a data_dir. See WalSyncPolicy.
   WalSyncPolicy wal_sync = WalSyncPolicy::kAlways;
-  /// Width of the token-bitmap candidate prefilter consulted per probe,
-  /// in bits: 0 disables the filter, otherwise a multiple of 64 up to
-  /// kTokenBitmapBits (values are clamped/rounded down to that grid).
-  /// Narrower widths read less memory per candidate but prune less.
-  /// Query/BatchQuery/QueryTopK answers are byte-identical for every
-  /// value — like num_shards, this is purely a cost knob. Only
-  /// predicates that opt in (supports_bitmap_pruning) are gated.
-  size_t bitmap_bits = kTokenBitmapBits;
   /// Out-of-core base tier (durable services only). 0 (default): every
   /// segment is materialized in heap memory at Open — the historical
   /// behavior, fully verified end to end. >0: segment bodies are served
   /// from mmap'd `.sseg` files (the heap holds only the gating tables:
-  /// record offsets, norms, text lengths, token bitmaps, id tables and
-  /// manifest state), and the budget steers residency advice — the
-  /// newest segments fitting under the budget are marked MADV_WILLNEED,
-  /// the rest MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their
-  /// clean pages first. Query/BatchQuery/QueryTopK answers are
+  /// record offsets, norms, text lengths, id tables and manifest state),
+  /// and the budget steers residency advice — the newest segments
+  /// fitting under the budget are marked MADV_WILLNEED, the rest
+  /// MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their clean
+  /// pages first. Query/BatchQuery/QueryTopK answers are
   /// byte-identical for every value. Ignored for memory-only services
   /// and for corpus-statistics predicates: staging weighs new records
   /// and queries against the front segment's document frequencies
@@ -128,10 +121,10 @@ struct ServiceOptions {
 ///     swapping the pointer. Beside the WAL, the writer keeps only what
 ///     no snapshot holds: the id counters, the shard bounds that route
 ///     new inserts and the set of segment files on disk;
-///   * the worker pool is shared (and not reentrant), so batch fan-out,
-///     sharded point-query fan-out and parallel shard rebuilds serialize
-///     on a pool mutex; point queries fall back to a serial shard sweep
-///     (same output) when the pool is busy.
+///   * the worker pool is shared (and not reentrant), so batch fan-out
+///     and sharded point-query and top-k fan-out serialize on a pool
+///     mutex; point queries fall back to a serial shard sweep (same
+///     output) when the pool is busy.
 ///
 /// Query answers match a fresh batch self-join over the same records
 /// exactly whenever the memtable is empty (always, for predicates with
@@ -153,8 +146,9 @@ class SimilarityService {
   /// by memtable_limit, logged a marker first, and replay compacts at
   /// those markers only, so the restored state does not depend on the
   /// restart's memtable_limit. `pred` must be the predicate the
-  /// checkpoint was written under (fingerprinted by name); num_shards is
-  /// taken from the checkpoint. `pred` must outlive the service.
+  /// checkpoint was written under, with the same parameters
+  /// (Predicate::fingerprint(); FailedPrecondition otherwise); num_shards
+  /// is taken from the checkpoint. `pred` must outlive the service.
   static Result<std::unique_ptr<SimilarityService>> Open(
       const Predicate& pred, ServiceOptions options);
 

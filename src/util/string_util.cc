@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace ssjoin {
@@ -40,6 +41,13 @@ std::string FormatDouble(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;
+}
+
+std::string FormatDoubleExact(double value) {
+  char buf[32];  // the longest shortest form of a double is 24 chars
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace ssjoin

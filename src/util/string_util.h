@@ -21,6 +21,10 @@ std::string JoinStrings(const std::vector<std::string>& pieces,
 /// printf-style float formatting helper for benchmark tables.
 std::string FormatDouble(double value, int precision);
 
+/// The shortest decimal form of `value` that parses back to exactly
+/// `value` ("0.7", not "0.69999999999999996").
+std::string FormatDoubleExact(double value);
+
 }  // namespace ssjoin
 
 #endif  // SSJOIN_UTIL_STRING_UTIL_H_

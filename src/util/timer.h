@@ -10,16 +10,10 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Resets the start point to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,30 +1,23 @@
-// Differential lockdown of the bitmap + SIMD candidate-pruning hot path:
+// Differential lockdown of the bitmap emit gate and the SIMD lower-bound
+// search:
 //
 //   * the XOR-parity overlap bound is a true upper bound for every
-//     random pair and every prefix width, including adversarial shapes
-//     (all tokens colliding on one bit, empty/single-token records,
-//     saturated bitmaps);
-//   * ProbeOne with a BitmapGate streams a candidate sequence (ids AND
-//     overlaps) bit-identical to the ungated merge, for every predicate
-//     that opts in;
+//     random pair, including adversarial shapes (all tokens colliding on
+//     one bit, empty/single-token records, saturated bitmaps);
 //   * ProbeJoin with bitmap_filter on emits byte-identical pairs to the
-//     scalar baseline across probe modes (online/two-pass/presort/
-//     stopwords);
+//     ungated join across probe modes (online/two-pass/presort/
+//     stopwords), and only the stopword modes consult the gate;
 //   * MergeLowerBound — whatever backend runtime dispatch resolved
 //     (AVX2 or scalar, see ActiveMergeBackend) — returns positions
 //     identical to the scalar galloping primitive on randomized lists;
 //     running the suite under SSJOIN_FORCE_SCALAR=1 (tools/
 //     run_scalar_tests.sh) pins the scalar backend, so both paths stay
-//     covered;
-//   * SimilarityService answers are byte-identical across bitmap widths
-//     {0, 64, 128, 192, 256}, and the candidates_bitmap_pruned counter
-//     moves exactly when it should.
+//     covered.
 //
 // The randomized sweeps honor SSJOIN_DIFF_SEEDS like the other
 // differential suites.
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,11 +29,9 @@
 #include "core/jaccard_predicate.h"
 #include "core/merge_opt.h"
 #include "core/overlap_predicate.h"
-#include "core/probe_common.h"
 #include "core/probe_join.h"
 #include "data/token_bitmap.h"
-#include "index/inverted_index.h"
-#include "serve/similarity_service.h"
+#include "index/posting_list.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -85,21 +76,13 @@ TEST(TokenBitmapTest, OverlapBoundDominatesExactCommonForRandomPairs) {
       RecordId a = rng.UniformU32(static_cast<uint32_t>(set.size()));
       RecordId b = rng.UniformU32(static_cast<uint32_t>(set.size()));
       const uint32_t exact = ExactCommonTokens(set.record(a), set.record(b));
-      const uint32_t na = static_cast<uint32_t>(set.record_size(a));
-      const uint32_t nb = static_cast<uint32_t>(set.record_size(b));
-      // Every prefix width must stay a valid upper bound, and wider
-      // prefixes must never be looser than narrower ones.
-      uint32_t prev = na + nb;  // the vacuous 0-word bound, halved below
-      for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-        const uint32_t bound =
-            TokenBitmapOverlapBound(set.token_bitmap(a), na,
-                                    set.token_bitmap(b), nb, words);
-        EXPECT_GE(bound, exact)
-            << "seed " << seed << " pair (" << a << "," << b << ") words "
-            << words;
-        EXPECT_LE(bound, prev) << "wider prefix loosened the bound";
-        prev = bound;
-      }
+      const uint32_t bound =
+          TokenBitmapOverlapBound(MakeTokenBitmapEntry(set.record(a)),
+                                  MakeTokenBitmapEntry(set.record(b)));
+      EXPECT_GE(bound, exact)
+          << "seed " << seed << " pair (" << a << "," << b << ")";
+      // Never looser than the vacuous bound (|a| + |b|) / 2.
+      EXPECT_LE(bound, (set.record_size(a) + set.record_size(b)) / 2);
     }
   }
 }
@@ -116,55 +99,37 @@ TEST(TokenBitmapTest, AllTokensCollidingOnOneBitStaysSound) {
   }
   ASSERT_GE(colliders.size(), 12u) << "hash never revisits bit "
                                    << target_bit;
-  RecordSet set;
   // a: first 8 colliders; b: colliders 4..11 (exact overlap 4, every
   // token on one bit).
-  set.Add(Record::FromTokens(std::vector<TokenId>(colliders.begin(),
-                                                  colliders.begin() + 8)));
-  set.Add(Record::FromTokens(std::vector<TokenId>(colliders.begin() + 4,
-                                                  colliders.begin() + 12)));
-  const uint32_t exact = ExactCommonTokens(set.record(0), set.record(1));
+  const Record a = Record::FromTokens(
+      std::vector<TokenId>(colliders.begin(), colliders.begin() + 8));
+  const Record b = Record::FromTokens(
+      std::vector<TokenId>(colliders.begin() + 4, colliders.begin() + 12));
+  const uint32_t exact = ExactCommonTokens(a, b);
   EXPECT_EQ(exact, 4u);
-  for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-    EXPECT_GE(TokenBitmapOverlapBound(set.token_bitmap(0), 8,
-                                      set.token_bitmap(1), 8, words),
-              exact)
-        << "words " << words;
-  }
   // Both records have an even number of tokens on the bit, so both
-  // bitmaps are all-zero: XOR popcount 0, bound = (8+8)/2 = 8.
-  EXPECT_EQ(TokenBitmapOverlapBound(set.token_bitmap(0), 8,
-                                    set.token_bitmap(1), 8,
-                                    kTokenBitmapWords),
+  // bitmaps are all-zero: XOR popcount 0, bound = (8+8)/2 = 8 >= exact.
+  EXPECT_EQ(TokenBitmapOverlapBound(MakeTokenBitmapEntry(a),
+                                    MakeTokenBitmapEntry(b)),
             8u);
 }
 
 TEST(TokenBitmapTest, EmptyAndSingleTokenRecords) {
-  RecordSet set;
-  set.Add(Record::FromTokens(std::vector<TokenId>{}));   // 0: empty
-  set.Add(Record::FromTokens({7}));                      // 1: single
-  set.Add(Record::FromTokens({7, 9, 12}));               // 2
+  const TokenBitmapEntry empty =
+      MakeTokenBitmapEntry(Record::FromTokens(std::vector<TokenId>{}));
+  const TokenBitmapEntry single = MakeTokenBitmapEntry(Record::FromTokens({7}));
+  const TokenBitmapEntry three =
+      MakeTokenBitmapEntry(Record::FromTokens({7, 9, 12}));
+  EXPECT_EQ(empty.tokens, 0u);
+  EXPECT_EQ(three.tokens, 3u);
   // Empty vs anything: bound (0 + n - pop(B))/2 with pop(B) <= n.
-  EXPECT_EQ(TokenBitmapOverlapBound(set.token_bitmap(0), 0,
-                                    set.token_bitmap(0), 0,
-                                    kTokenBitmapWords),
-            0u);
-  EXPECT_GE(TokenBitmapOverlapBound(set.token_bitmap(1), 1,
-                                    set.token_bitmap(2), 3,
-                                    kTokenBitmapWords),
-            1u);  // token 7 is common
-  EXPECT_LE(TokenBitmapOverlapBound(set.token_bitmap(0), 0,
-                                    set.token_bitmap(2), 3,
-                                    kTokenBitmapWords),
-            1u);  // (0 + 3 - 3)/2 = 0 when no bits collide, <= 1 anyway
+  EXPECT_EQ(TokenBitmapOverlapBound(empty, empty), 0u);
+  EXPECT_GE(TokenBitmapOverlapBound(single, three), 1u);  // 7 is common
+  // (0 + 3 - 3)/2 = 0 when no bits collide, <= 1 anyway.
+  EXPECT_LE(TokenBitmapOverlapBound(empty, three), 1u);
   // Identical single-token records: XOR cancels, bound = 1 exactly.
-  RecordSet twins;
-  twins.Add(Record::FromTokens({42}));
-  twins.Add(Record::FromTokens({42}));
-  EXPECT_EQ(TokenBitmapOverlapBound(twins.token_bitmap(0), 1,
-                                    twins.token_bitmap(1), 1,
-                                    kTokenBitmapWords),
-            1u);
+  const TokenBitmapEntry twin = MakeTokenBitmapEntry(Record::FromTokens({42}));
+  EXPECT_EQ(TokenBitmapOverlapBound(twin, twin), 1u);
 }
 
 TEST(TokenBitmapTest, SaturatedBitmapsDegradeGracefully) {
@@ -180,141 +145,17 @@ TEST(TokenBitmapTest, SaturatedBitmapsDegradeGracefully) {
   }
   ASSERT_GT(big_a.size(), kTokenBitmapBits);
   ASSERT_GT(big_b.size(), kTokenBitmapBits);
-  RecordSet set;
-  set.Add(Record::FromTokens(big_a));
-  set.Add(Record::FromTokens(big_b));
-  const uint32_t exact = ExactCommonTokens(set.record(0), set.record(1));
-  for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-    EXPECT_GE(
-        TokenBitmapOverlapBound(set.token_bitmap(0),
-                                static_cast<uint32_t>(big_a.size()),
-                                set.token_bitmap(1),
-                                static_cast<uint32_t>(big_b.size()), words),
-        exact)
-        << "words " << words;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Candidate-stream bit-identity at the merge level: ProbeOne with and
-// without a gate must emit the same (id, overlap) sequence.
-
-struct Candidate {
-  RecordId id;
-  double overlap;
-  bool operator==(const Candidate& other) const {
-    return id == other.id && overlap == other.overlap;
-  }
-};
-
-/// All candidate streams of probing every record of `records` against an
-/// index of all records, service-style bounds (floor + per-candidate
-/// required + optional norm filter). `gate_words` 0 = no gate.
-std::vector<std::vector<Candidate>> CollectCandidateStreams(
-    const RecordSet& records, const Predicate& pred, size_t gate_words,
-    MergeStats* stats) {
-  InvertedIndex index;
-  index.PlanFromRecords(records);
-  for (RecordId id = 0; id < records.size(); ++id) {
-    index.Insert(id, records.record(id), nullptr);
-  }
-  probe_internal::ProbeScratch scratch;
-  std::vector<std::vector<Candidate>> streams(records.size());
-  for (RecordId q = 0; q < records.size(); ++q) {
-    const RecordView probe = records.record(q);
-    double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-    auto required_fn = [&](RecordId m) {
-      return pred.ThresholdForNorms(probe.norm(), records.record(m).norm());
-    };
-    FunctionRef<double(RecordId)> required = required_fn;
-    auto filter_fn = [&](RecordId m) {
-      return pred.NormFilter(probe.norm(), records.record(m).norm());
-    };
-    FunctionRef<bool(RecordId)> filter;
-    if (pred.has_norm_filter()) filter = filter_fn;
-    auto lookup = [&](RecordId m) {
-      const TokenBitmapEntry& e = records.token_bitmap_entry(m);
-      return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-    };
-    BitmapGate gate;
-    gate.lookup = lookup;
-    gate.probe_bits = records.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    auto emit = [&](const MergeCandidate& c) {
-      streams[q].push_back({c.id, c.overlap});
-    };
-    probe_internal::ProbeOne(index, probe, floor, required, filter,
-                             MergeOptions{}, stats, &scratch, emit,
-                             gate_words > 0 ? &gate : nullptr);
-  }
-  return streams;
-}
-
-void ExpectSameStreams(const std::vector<std::vector<Candidate>>& expected,
-                       const std::vector<std::vector<Candidate>>& actual,
-                       const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size()) << context;
-  for (size_t q = 0; q < expected.size(); ++q) {
-    ASSERT_EQ(expected[q].size(), actual[q].size())
-        << context << " probe " << q;
-    for (size_t i = 0; i < expected[q].size(); ++i) {
-      EXPECT_EQ(expected[q][i].id, actual[q][i].id)
-          << context << " probe " << q << " position " << i;
-      EXPECT_EQ(expected[q][i].overlap, actual[q][i].overlap)
-          << context << " probe " << q << " position " << i;
-    }
-  }
-}
-
-void RunCandidateStreamDifferential(const Predicate& pred,
-                                    const std::string& name) {
-  for (int seed = 0; seed < SeedCount(); ++seed) {
-    RecordSet records = testing_util::MakeRandomRecordSet(
-        {.num_records = 150, .vocabulary = 70}, 500 + seed);
-    pred.Prepare(&records);
-    const std::string tag = name + " seed=" + std::to_string(seed);
-    MergeStats scalar_stats;
-    std::vector<std::vector<Candidate>> reference =
-        CollectCandidateStreams(records, pred, 0, &scalar_stats);
-    EXPECT_EQ(scalar_stats.bitmap_pruned, 0u) << tag;
-    for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-      MergeStats gated_stats;
-      ExpectSameStreams(
-          reference,
-          CollectCandidateStreams(records, pred, words, &gated_stats),
-          tag + " words=" + std::to_string(words));
-      // The gate only drops candidates the final bound check would have
-      // dropped, so the emitted-candidate counter cannot move.
-      EXPECT_EQ(gated_stats.candidates, scalar_stats.candidates)
-          << tag << " words=" << words;
-    }
-  }
-}
-
-TEST(BitmapCandidateStreamTest, OverlapBitIdentical) {
-  OverlapPredicate pred(4);
-  RunCandidateStreamDifferential(pred, "overlap");
-}
-
-TEST(BitmapCandidateStreamTest, JaccardBitIdentical) {
-  JaccardPredicate pred(0.5);
-  RunCandidateStreamDifferential(pred, "jaccard");
-}
-
-TEST(BitmapCandidateStreamTest, DiceBitIdentical) {
-  DicePredicate pred(0.6);
-  RunCandidateStreamDifferential(pred, "dice");
-}
-
-TEST(BitmapCandidateStreamTest, CosineBitIdentical) {
-  CosinePredicate pred(0.6);
-  RunCandidateStreamDifferential(pred, "cosine");
+  const Record a = Record::FromTokens(big_a);
+  const Record b = Record::FromTokens(big_b);
+  EXPECT_GE(TokenBitmapOverlapBound(MakeTokenBitmapEntry(a),
+                                    MakeTokenBitmapEntry(b)),
+            ExactCommonTokens(a, b));
 }
 
 // ---------------------------------------------------------------------
 // Join-level byte-identity: ProbeJoin pairs with the filter on equal the
-// scalar baseline across probe modes and predicates.
+// ungated join across probe modes and predicates. The gate sits at emit
+// time in stopword mode only; elsewhere the option changes nothing.
 
 std::vector<std::pair<RecordId, RecordId>> RunProbeJoin(
     const RecordSet& prepared, const Predicate& pred,
@@ -364,7 +205,13 @@ void RunJoinDifferential(const Predicate& pred, const std::string& name,
       EXPECT_LE(gated_stats.candidates_verified,
                 baseline_stats.candidates_verified)
           << tag;
-      EXPECT_EQ(baseline_stats.merge.bitmap_pruned, 0u) << tag;
+      EXPECT_EQ(baseline_stats.merge.bitmap_checked, 0u) << tag;
+      if (!mode.options.stopwords) {
+        EXPECT_EQ(gated_stats.merge.bitmap_checked, 0u) << tag;
+        EXPECT_EQ(gated_stats.candidates_verified,
+                  baseline_stats.candidates_verified)
+            << tag;
+      }
     }
   }
 }
@@ -439,90 +286,6 @@ TEST(MergeLowerBoundTest, BackendMatchesScalarPositions) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Serving tier: byte-identical answers across every bitmap width, and
-// counter movement.
-
-TEST(BitmapServeDifferentialTest, AnswersIdenticalAcrossBitmapWidths) {
-  for (int seed = 0; seed < SeedCount(); ++seed) {
-    RecordSet corpus = testing_util::MakeRandomRecordSet(
-        {.num_records = 110, .vocabulary = 60}, 4200 + seed);
-    JaccardPredicate pred(0.5);
-    std::vector<std::unique_ptr<SimilarityService>> services;
-    for (size_t bits : {256, 0, 64, 128, 192}) {
-      ServiceOptions options;
-      options.bitmap_bits = bits;
-      options.num_shards = bits == 64 ? 3 : 1;  // one sharded rider
-      services.push_back(
-          std::make_unique<SimilarityService>(corpus, pred, options));
-    }
-    for (RecordId r = 0; r < corpus.size(); ++r) {
-      std::vector<QueryMatch> reference =
-          services[0]->Query(corpus.record(r), corpus.text(r));
-      std::vector<QueryMatch> topk_reference =
-          services[0]->QueryTopK(corpus.record(r), 6, corpus.text(r));
-      for (size_t i = 1; i < services.size(); ++i) {
-        const std::string tag = "seed=" + std::to_string(seed) +
-                                " record=" + std::to_string(r) +
-                                " service=" + std::to_string(i);
-        std::vector<QueryMatch> got =
-            services[i]->Query(corpus.record(r), corpus.text(r));
-        ASSERT_EQ(reference.size(), got.size()) << tag;
-        for (size_t m = 0; m < reference.size(); ++m) {
-          EXPECT_EQ(reference[m].id, got[m].id) << tag;
-          EXPECT_EQ(reference[m].score, got[m].score) << tag;
-        }
-        std::vector<QueryMatch> topk =
-            services[i]->QueryTopK(corpus.record(r), 6, corpus.text(r));
-        ASSERT_EQ(topk_reference.size(), topk.size()) << tag;
-        for (size_t m = 0; m < topk_reference.size(); ++m) {
-          EXPECT_EQ(topk_reference[m].id, topk[m].id) << tag;
-          EXPECT_EQ(topk_reference[m].score, topk[m].score) << tag;
-        }
-      }
-    }
-  }
-}
-
-TEST(BitmapServeCounterTest, PrunedCounterMovesExactlyWhenEnabled) {
-  // A workload with large lists (low threshold-to-size ratio puts lists
-  // in L) and many near-miss candidates: the gate must fire.
-  RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 400, .vocabulary = 50, .min_tokens = 6,
-       .max_tokens = 14},
-      606);
-  OverlapPredicate pred(5);
-
-  ServiceOptions on;
-  on.bitmap_bits = 256;
-  SimilarityService gated(corpus, pred, on);
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    gated.Query(corpus.record(r), corpus.text(r));
-  }
-  EXPECT_GT(gated.stats().merge.bitmap_pruned, 0u)
-      << "gate never fired on a pruning workload";
-  EXPECT_GE(gated.stats().merge.bitmap_checked,
-            gated.stats().merge.bitmap_pruned)
-      << "every prune implies a consult";
-  const std::string json = gated.StatsJson();
-  EXPECT_NE(json.find("\"candidates_bitmap_checked\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"candidates_bitmap_pruned\""), std::string::npos)
-      << json;
-
-  ServiceOptions off;
-  off.bitmap_bits = 0;
-  SimilarityService ungated(corpus, pred, off);
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    ungated.Query(corpus.record(r), corpus.text(r));
-  }
-  EXPECT_EQ(ungated.stats().merge.bitmap_pruned, 0u);
-  // The gate never touches what gets emitted, so the candidate counter
-  // agrees between the two services.
-  EXPECT_EQ(gated.stats().candidates, ungated.stats().candidates);
-  EXPECT_EQ(gated.stats().results, ungated.stats().results);
 }
 
 }  // namespace

@@ -145,42 +145,32 @@ TEST(ParallelProbeTest, OnlineVariantsMatchSerial) {
   }
 }
 
-// The bitmap gates (the merger's candidate gate and the stopword emit
-// gate) run in the shared per-position probe, so a parallel run gates
-// exactly the candidates the serial run gates.
+// The stopword emit gate runs in the shared per-position probe, so a
+// parallel run gates exactly the candidates the serial run gates.
 TEST(ParallelProbeTest, BitmapFilterMatchesSerial) {
   RecordSet base = MakeCorpus(510);
-  JaccardPredicate jaccard(0.6);
-  OverlapPredicate overlap(4.0);  // constant threshold, as stopwords requires
-  struct Case {
-    JoinAlgorithm algorithm;
-    const Predicate* pred;
-  };
+  OverlapPredicate pred(4.0);  // constant threshold, as stopwords requires
   JoinOptions options;
   options.probe.bitmap_filter = true;
-  for (const Case& c : {Case{JoinAlgorithm::kProbeSort, &jaccard},
-                        Case{JoinAlgorithm::kProbeStopwords, &overlap}}) {
-    RunResult serial = RunWithThreads(base, *c.pred, c.algorithm, 1, options);
-    std::string name = std::string(JoinAlgorithmName(c.algorithm)) + "/" +
-                       c.pred->name();
-    ASSERT_GT(serial.stats.merge.bitmap_checked, 0u) << name;
-    for (int threads : {2, 8}) {
-      RunResult parallel =
-          RunWithThreads(base, *c.pred, c.algorithm, threads, options);
-      std::string label = name + "/t" + std::to_string(threads);
-      EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
-                testing_util::SortedPairs(serial.emitted))
-          << label;
-      EXPECT_EQ(parallel.stats.candidates_verified,
-                serial.stats.candidates_verified)
-          << label;
-      EXPECT_EQ(parallel.stats.merge.bitmap_checked,
-                serial.stats.merge.bitmap_checked)
-          << label;
-      EXPECT_EQ(parallel.stats.merge.bitmap_pruned,
-                serial.stats.merge.bitmap_pruned)
-          << label;
-    }
+  const JoinAlgorithm algorithm = JoinAlgorithm::kProbeStopwords;
+  RunResult serial = RunWithThreads(base, pred, algorithm, 1, options);
+  ASSERT_GT(serial.stats.merge.bitmap_checked, 0u);
+  for (int threads : {2, 8}) {
+    RunResult parallel =
+        RunWithThreads(base, pred, algorithm, threads, options);
+    std::string label = "stopwords/t" + std::to_string(threads);
+    EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
+              testing_util::SortedPairs(serial.emitted))
+        << label;
+    EXPECT_EQ(parallel.stats.candidates_verified,
+              serial.stats.candidates_verified)
+        << label;
+    EXPECT_EQ(parallel.stats.merge.bitmap_checked,
+              serial.stats.merge.bitmap_checked)
+        << label;
+    EXPECT_EQ(parallel.stats.merge.bitmap_pruned,
+              serial.stats.merge.bitmap_pruned)
+        << label;
   }
 }
 

@@ -152,6 +152,23 @@ TEST(RecordSetTest, LargeTokenIdAllocatesNothingVocabularySized) {
   }
 }
 
+// ApproxMemoryBytes counts the CSR arena and the per-record tables
+// (offsets, norms, text lengths, texts), and nothing else: a set carries
+// no per-record side column.
+TEST(RecordSetTest, ApproxMemoryBytesIsArenaPlusPerRecordTables) {
+  RecordSet set;
+  set.Add(Record::FromTokens({1, 2, 3}), "abc");
+  set.Add(Record::FromTokens({2}));
+  set.Add(Record::FromTokens({4, 9}), "hello world");
+  const uint64_t n = set.size();
+  const uint64_t arena =
+      set.total_token_occurrences() * (sizeof(TokenId) + sizeof(double));
+  const uint64_t tables =
+      (n + 1) * sizeof(size_t) + n * (sizeof(double) + sizeof(uint32_t));
+  const uint64_t texts = n * sizeof(std::string) + 3 + 11;
+  EXPECT_EQ(set.ApproxMemoryBytes(), arena + tables + texts);
+}
+
 TEST(RecordSetTest, KeepsText) {
   RecordSet set;
   RecordId id = set.Add(Record::FromTokens({1}), "hello world");

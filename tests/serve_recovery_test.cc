@@ -37,9 +37,11 @@
 #include <gtest/gtest.h>
 
 #include "core/cosine_predicate.h"
+#include "core/edit_distance_predicate.h"
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_predicate.h"
+#include "data/corpus_builder.h"
 #include "serve/checkpoint.h"
 #include "serve/similarity_service.h"
 #include "serve/wal.h"
@@ -74,9 +76,10 @@ std::string FreshDataDir(const std::string& name) {
 
 /// Pins a test to the materialized (budget = 0) loader even when the CI
 /// harness forces the mapped path via SSJOIN_RESIDENT_BUDGET: the deep
-/// verification under test (whole-file CRC, stored-vs-rebuilt bitmap
-/// comparison) is by design exclusive to the materialized path — a
-/// mapped open cannot run it without faulting the whole file in.
+/// verification under test (whole-file CRC, token order and range,
+/// extent tables and postings) is by design exclusive to the
+/// materialized path — a mapped open cannot run it without faulting the
+/// whole file in.
 class ScopedMaterialized {
  public:
   ScopedMaterialized() {
@@ -1318,13 +1321,14 @@ TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
   const std::string bytes = ReadAll(path);
 
   // Rewind the version field (fixed32 right after the 4-byte magic) to
-  // each superseded layout — v1 (pre-bitmap) and v2 (varint-packed, the
-  // pre-out-of-core layout) — and reseal the CRC: the file is
-  // structurally intact, so the rejection must come from the version
-  // gate with an error an operator can act on — not a generic
-  // corruption message. Both the materialized loader and the mapped
-  // opener take the same ParseSegmentHeader gate, so check both paths.
-  for (const uint32_t version : {uint32_t{1}, uint32_t{2}}) {
+  // each superseded layout — v1 (pre-bitmap), v2 (varint-packed, the
+  // pre-out-of-core layout) and v3 (with the token-bitmap block) — and
+  // reseal the CRC: the file is structurally intact, so the rejection
+  // must come from the version gate with an error an operator can act
+  // on — not a generic corruption message. Both the materialized loader
+  // and the mapped opener take the same ParseSegmentHeader gate, so
+  // check both paths.
+  for (const uint32_t version : {uint32_t{1}, uint32_t{2}, uint32_t{3}}) {
     std::string old_version = bytes;
     std::memcpy(old_version.data() + 4, &version, sizeof(version));
     WriteAll(path, Reseal(std::move(old_version)));
@@ -1385,80 +1389,6 @@ TEST(SegmentFileTest, TruncatedSegmentMapFailsAsStatus) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
-TEST(SegmentFileTest, TamperedBitmapBlockIsRejected) {
-  ScopedMaterialized materialized;
-  OverlapPredicate pred(3);
-  RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 20, .vocabulary = 15}, 101);
-  ServiceOptions options;
-  options.data_dir = FreshDataDir("seg_bitmap_tamper");
-  options.wal_sync = WalSyncPolicy::kNever;
-  { SimilarityService service(corpus, pred, options); }
-  const std::set<uint64_t> files = ListSegmentFiles(options.data_dir);
-  ASSERT_FALSE(files.empty());
-  const std::string path = SegmentFilePath(options.data_dir, *files.begin());
-  const std::string bytes = ReadAll(path);
-
-  // The bitmap block is the last thing before the trailing CRC. Flip one
-  // bit there and reseal: the CRC passes, so the loader's stored-vs-
-  // rebuilt bitmap comparison is what must catch the damage.
-  std::string tampered = bytes;
-  tampered[tampered.size() - sizeof(uint32_t) - 1] ^= 0x01;
-  WriteAll(path, Reseal(std::move(tampered)));
-  Result<std::unique_ptr<SimilarityService>> restored =
-      SimilarityService::Open(pred, options);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_NE(restored.status().message().find("segment bitmap"),
-            std::string::npos)
-      << restored.status().ToString();
-
-  WriteAll(path, bytes);
-  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
-}
-
-TEST(SegmentFileTest, RestoredBitmapsGateWithoutChangingAnswers) {
-  // A service reopened from checkpointed (v2) segments prunes through the
-  // restored bitmaps; its answers must be byte-identical to a memory-only
-  // twin with the filter disabled — the end-to-end proof that bitmaps
-  // survive the segment round trip intact.
-  JaccardPredicate pred(0.5);
-  RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 120, .vocabulary = 40}, 103);
-  ServiceOptions options;
-  options.memtable_limit = 0;
-  options.num_shards = 3;
-  options.bitmap_bits = kTokenBitmapBits;
-  options.data_dir = FreshDataDir("seg_bitmap_roundtrip");
-  options.wal_sync = WalSyncPolicy::kNever;
-  {
-    SimilarityService service(corpus, pred, options);
-    ASSERT_TRUE(service.durability_status().ok())
-        << service.durability_status().ToString();
-  }
-  Result<std::unique_ptr<SimilarityService>> restored =
-      SimilarityService::Open(pred, options);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  ServiceOptions ungated_options = options;
-  ungated_options.data_dir.clear();
-  ungated_options.bitmap_bits = 0;
-  SimilarityService ungated(corpus, pred, ungated_options);
-
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    const std::string tag = "record " + std::to_string(r);
-    ExpectSameMatches(ungated.Query(corpus.record(r), corpus.text(r)),
-                      restored.value()->Query(corpus.record(r), corpus.text(r)),
-                      tag + " query");
-    ExpectSameMatches(
-        ungated.QueryTopK(corpus.record(r), 5, corpus.text(r)),
-        restored.value()->QueryTopK(corpus.record(r), 5, corpus.text(r)),
-        tag + " topk");
-  }
-  // The restored service really did prune through the loaded bitmaps.
-  EXPECT_GT(restored.value()->stats().merge.bitmap_pruned, 0u);
-  EXPECT_EQ(ungated.stats().merge.bitmap_pruned, 0u);
-}
-
 TEST(CrashRecoveryTest, PredicateMismatchIsRejected) {
   JaccardPredicate jaccard(0.5);
   RecordSet corpus = testing_util::MakeRandomRecordSet(
@@ -1479,6 +1409,44 @@ TEST(CrashRecoveryTest, PredicateMismatchIsRejected) {
   Result<std::unique_ptr<SimilarityService>> correct =
       SimilarityService::Open(jaccard, options);
   EXPECT_TRUE(correct.ok()) << correct.status().ToString();
+}
+
+// The fingerprint carries the predicate's parameters, not only its name.
+// A data dir written under jaccard 0.5 must not reopen as jaccard 0.7,
+// and one written under edit distance k = 1 must not reopen under k = 2,
+// whose short-record pools (sized by q(k - 1)) its segments do not hold.
+TEST(CrashRecoveryTest, ParameterMismatchIsRejected) {
+  auto expect_rejected = [](const std::string& name, RecordSet corpus,
+                            const Predicate& written,
+                            const Predicate& reopened) {
+    ServiceOptions options;
+    options.data_dir = FreshDataDir(name);
+    options.wal_sync = WalSyncPolicy::kNever;
+    { SimilarityService service(std::move(corpus), written, options); }
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(reopened, options);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition)
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find(written.fingerprint()),
+              std::string::npos)
+        << restored.status().ToString();
+    Result<std::unique_ptr<SimilarityService>> correct =
+        SimilarityService::Open(written, options);
+    EXPECT_TRUE(correct.ok()) << name << ": " << correct.status().ToString();
+  };
+
+  expect_rejected("cp_param_jaccard",
+                  testing_util::MakeRandomRecordSet(
+                      {.num_records = 15, .vocabulary = 12}, 95),
+                  JaccardPredicate(0.5), JaccardPredicate(0.7));
+
+  TokenDictionary dict;
+  RecordSet grams = BuildQGramCorpus(
+      {"main street", "main streat", "elm road", "elm rd", "oak", "oaks"},
+      /*q=*/3, &dict);
+  expect_rejected("cp_param_edit_distance", std::move(grams),
+                  EditDistancePredicate(1, 3), EditDistancePredicate(2, 3));
 }
 
 TEST(CrashRecoveryTest, OpenWithoutDataDirOrCheckpointFails) {

@@ -198,17 +198,6 @@ void RunDifferential(const Predicate& pred, const std::string& pred_name,
     services.push_back(
         std::make_unique<SimilarityService>(corpus, pred, collapsed));
   }
-  // Bitmap-width riders: the shard-count services above run with the
-  // default full-width token-bitmap prefilter (bitmap_bits = 256), so
-  // adding a filter-disabled twin and a narrow one-word twin makes the
-  // scripted schedule bit-compare pruned probes against unpruned ones at
-  // every step — across inserts, deletes, reinserts and compactions.
-  for (size_t bits : {size_t{0}, size_t{64}}) {
-    ServiceOptions rider = ShardOptions(2);
-    rider.bitmap_bits = bits;
-    services.push_back(
-        std::make_unique<SimilarityService>(corpus, pred, rider));
-  }
   // Out-of-core rider: a durable twin serving its base tier from mmap'd
   // segment files under a tiny resident budget, bit-compared against the
   // in-heap reference at every step. (Corpus-statistics predicates keep

@@ -3,6 +3,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -280,6 +281,16 @@ TEST(StringUtilTest, JoinStrings) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
+}
+
+TEST(StringUtilTest, FormatDoubleExactRoundTrips) {
+  EXPECT_EQ(FormatDoubleExact(0.7), "0.7");
+  EXPECT_EQ(FormatDoubleExact(2.0), "2");
+  for (double value : {0.5, 0.1 + 0.2, 1.0 / 3.0, 1e-300, 12345.678}) {
+    EXPECT_EQ(std::strtod(FormatDoubleExact(value).c_str(), nullptr), value)
+        << FormatDoubleExact(value);
+  }
+  EXPECT_NE(FormatDoubleExact(0.1 + 0.2), FormatDoubleExact(0.3));
 }
 
 std::string TempPath(const std::string& name) {

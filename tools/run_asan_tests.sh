@@ -20,9 +20,10 @@
 # and corrupted files, and the network layer
 # (protocol parser + wire framing + the loopback server), whose framers
 # chew on byte-split, oversized and mutated input. The
-# bitmap differential rig rides along: its gather-based AVX2 lower-bound
-# searches and bitmap-arena reads are exactly the pointer arithmetic
-# ASan/UBSan exist to check. The serve_recovery_test_mapped leg (ctest
+# SIMD differential rig (bitmap_filter_test) rides along: its
+# gather-based AVX2 lower-bound searches and the bitmap emit gate's
+# per-join table reads are exactly the pointer arithmetic ASan/UBSan
+# exist to check. The serve_recovery_test_mapped leg (ctest
 # ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeats the recovery suite with
 # the base tier served from mmap'd segment files, so every view-mode
 # accessor path over the mapped arenas runs under ASan too.

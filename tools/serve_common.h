@@ -50,7 +50,6 @@ struct ServeCliOptions {
   int threads = 0;
   uint64_t shards = 1;
   uint64_t memtable_limit = 256;
-  uint64_t bitmap_bits = kTokenBitmapBits;
   std::string data_dir;
   std::string wal_sync = "always";
   uint64_t resident_budget = 0;
@@ -153,16 +152,6 @@ inline FlagOutcome ParseServeFlag(const char* arg, ServeCliOptions* options) {
       std::fprintf(stderr,
                    "invalid --memtable-limit=%s (need an integer >= 0)\n",
                    value.c_str());
-      return FlagOutcome::kInvalid;
-    }
-    return FlagOutcome::kMatched;
-  }
-  if (ParseFlag(arg, "--bitmap-bits", &value)) {
-    if (!ParseUint64(value, &options->bitmap_bits) ||
-        (options->bitmap_bits != 0 &&
-         options->bitmap_bits != kTokenBitmapBits)) {
-      std::fprintf(stderr, "invalid --bitmap-bits=%s (want 0 | %zu)\n",
-                   value.c_str(), kTokenBitmapBits);
       return FlagOutcome::kInvalid;
     }
     return FlagOutcome::kMatched;
@@ -377,7 +366,6 @@ inline std::unique_ptr<SimilarityService> SetUpService(
       static_cast<size_t>(options.memtable_limit);
   service_options.num_threads = options.threads;
   service_options.num_shards = static_cast<size_t>(options.shards);
-  service_options.bitmap_bits = static_cast<size_t>(options.bitmap_bits);
   service_options.data_dir = options.data_dir;
   service_options.wal_sync = options.wal_sync == "never"
                                  ? WalSyncPolicy::kNever

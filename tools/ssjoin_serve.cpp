@@ -54,14 +54,11 @@ constexpr const char kUsage[] =
     "                        are identical for every value (default 1)\n"
     "  --memtable-limit=N    auto-compact at N memtable records\n"
     "                        (default 256; 0 = only on '! compact')\n"
-    "  --bitmap-bits=N       token-parity bitmap prefilter: 256 (default,\n"
-    "                        on) | 0 (off). Answers are identical either\n"
-    "                        way; the gate only skips merge work\n"
     "  --data-dir=DIR        durable mode: keep a checkpoint + write-ahead\n"
     "                        log under DIR. When DIR already holds a\n"
     "                        checkpoint the service restores from it\n"
     "                        (--corpus is NOT re-read; pass the same\n"
-    "                        --predicate/--threshold);\n"
+    "                        --predicate/--threshold/--tokens);\n"
     "                        otherwise it starts fresh from --corpus\n"
     "  --wal-sync=MODE       always (default: fsync each op) | never\n"
     "                        (page cache only: survives a crash of this\n"

@@ -44,8 +44,8 @@ constexpr const char kUsage[] =
     "  serving flags (same as ssjoin_serve):\n"
     "  --corpus=FILE --predicate=NAME --threshold=X --tokens=MODE\n"
     "  --topk=K --threads=N --shards=N --memtable-limit=N\n"
-    "  --bitmap-bits=N --data-dir=DIR --wal-sync=MODE\n"
-    "  --resident-budget=BYTES --stats-json\n";
+    "  --data-dir=DIR --wal-sync=MODE --resident-budget=BYTES\n"
+    "  --stats-json\n";
 
 struct ServerCliOptions {
   ServeCliOptions serve;
