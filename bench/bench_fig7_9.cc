@@ -8,8 +8,14 @@
 // Paper shape: online is 2-3x faster than optMerge, sort up to another
 // 2x, and clustering helps most on the duplicate-heavy citation data;
 // the full ladder is ~2 orders of magnitude below the original Probe.
+//
+// Every rung must find ProbeCount-sort's pairs at every size and
+// threshold; the bench exits 1 on the first mismatch (ctest runs it small
+// as bench_fig7_9_smoke).
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -26,6 +32,36 @@ const JoinAlgorithm kLadder[] = {
     JoinAlgorithm::kProbeSort,
     JoinAlgorithm::kProbeCluster,
 };
+
+using Pairs = std::vector<std::pair<RecordId, RecordId>>;
+
+/// Runs every ladder rung on `corpus` under `pred`, returning their times
+/// in kLadder order, or exits 1 when a rung's sorted pairs differ from
+/// ProbeCount-sort's.
+std::vector<RunResult> RunLadder(const RecordSet& corpus,
+                                 const OverlapPredicate& pred) {
+  std::vector<RunResult> runs;
+  std::vector<Pairs> pairs(std::size(kLadder));
+  for (size_t i = 0; i < std::size(kLadder); ++i) {
+    runs.push_back(TimeJoin(corpus, pred, kLadder[i], {}, &pairs[i]));
+    std::sort(pairs[i].begin(), pairs[i].end());
+  }
+  const size_t sort =
+      std::find(std::begin(kLadder), std::end(kLadder),
+                JoinAlgorithm::kProbeSort) -
+      std::begin(kLadder);
+  for (size_t i = 0; i < std::size(kLadder); ++i) {
+    if (pairs[i] != pairs[sort]) {
+      std::fprintf(stderr,
+                   "pair mismatch: %s found %zu pairs, ProbeCount-sort %zu "
+                   "(%zu records, T=%g)\n",
+                   JoinAlgorithmName(kLadder[i]), pairs[i].size(),
+                   pairs[sort].size(), corpus.size(), pred.threshold());
+      std::exit(1);
+    }
+  }
+  return runs;
+}
 
 }  // namespace
 
@@ -47,15 +83,15 @@ int main(int argc, char** argv) {
   for (uint32_t n : sizes) {
     TokenDictionary dict;
     RecordSet corpus = WordCorpusPrefix(texts, n, &dict);
+    std::vector<double> total(std::size(kLadder), 0);
+    for (double t : thresholds) {
+      std::vector<RunResult> runs = RunLadder(corpus, OverlapPredicate(t));
+      for (size_t i = 0; i < runs.size(); ++i) total[i] += runs[i].seconds;
+    }
     std::vector<std::string> row = {std::to_string(n)};
-    for (JoinAlgorithm algorithm : kLadder) {
-      double total = 0;
-      for (double t : thresholds) {
-        OverlapPredicate pred(t);
-        total += TimeJoin(corpus, pred, algorithm).seconds;
-      }
+    for (double seconds : total) {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.3f", total / thresholds.size());
+      std::snprintf(buf, sizeof(buf), "%.3f", seconds / thresholds.size());
       row.push_back(buf);
     }
     PrintRow(row);
@@ -70,10 +106,9 @@ int main(int argc, char** argv) {
     TokenDictionary dict;
     RecordSet corpus = WordCorpusPrefix(texts, fixed_size, &dict);
     for (double t : thresholds) {
-      OverlapPredicate pred(t);
       std::vector<std::string> row = {std::to_string((int)t)};
-      for (JoinAlgorithm algorithm : kLadder) {
-        row.push_back(Cell(TimeJoin(corpus, pred, algorithm)));
+      for (const RunResult& run : RunLadder(corpus, OverlapPredicate(t))) {
+        row.push_back(Cell(run));
       }
       PrintRow(row);
     }

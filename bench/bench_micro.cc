@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -26,26 +27,44 @@
 #include "util/rng.h"
 #include "util/varint.h"
 
-// Global allocation counter: every operator new in the process bumps it,
-// so a delta across a timed region counts heap allocations exactly. Used
-// by the layout benches to verify the probe loop performs zero per-record
-// allocations.
+// Global allocation counter: every operator new in the process, plain
+// and over-aligned, bumps it, so a delta across a timed region counts
+// heap allocations exactly. Used by the layout benches to verify the
+// probe loop performs zero per-record allocations.
 static std::atomic<uint64_t> g_alloc_calls{0};
 
-void* operator new(std::size_t size) {
+static void* CountedAlloc(std::size_t size, std::size_t align) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size == 0 ? 1 : size);
+  } else if (posix_memalign(&p, align, size == 0 ? 1 : size) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
 }
-void* operator new[](std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace ssjoin {
 namespace {

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <fstream>
 #include <numeric>
-#include <unordered_map>
 
 #include "data/record_store.h"
 #include "util/logging.h"
@@ -203,17 +202,17 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   const RecordStore& store = store_result.value();
 
   // ---- Phase 1: data partitioning -------------------------------------
-  ClusterSet cluster_set(pred, cluster_options);
+  ClusterSet cluster_set(pred, cluster_options, records.vocabulary_size());
   SpillFile pinfo(UniqueTempPath(options.temp_dir, "ssjoin_pinfo"));
   SSJOIN_RETURN_IF_ERROR(pinfo.OpenForWrite());
+  PartitionEntry entry;
   for (uint64_t pos = 0; pos < n; ++pos) {
     RecordId id = order[pos];
     ClusterSet::ProbeResult probe =
         cluster_set.ProbeAndAssign(records.record(id), &stats.merge);
-    PartitionEntry entry;
     entry.rid = id;
     entry.home = probe.home;
-    entry.joins = std::move(probe.joins);
+    entry.joins.assign(probe.joins.begin(), probe.joins.end());
     pinfo.Append(entry);
   }
   SSJOIN_RETURN_IF_ERROR(pinfo.CloseWrite());
@@ -222,21 +221,26 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   // ---- Phase 2: finer-grained joins ------------------------------------
   // Pack clusters into batches whose member-level indexes fit in M.
   const size_t num_clusters = cluster_set.num_clusters();
+  // Batches are runs of consecutive cluster ids: batch b holds clusters
+  // [batch_begin[b], batch_begin[b + 1]).
   std::vector<uint32_t> batch_of(num_clusters, 0);
-  uint32_t num_batches = num_clusters > 0 ? 1 : 0;
+  std::vector<ClusterId> batch_begin;
   {
     uint64_t batch_postings = 0;
     for (ClusterId c = 0; c < num_clusters; ++c) {
       uint64_t need = cluster_set.cluster_member_postings(c);
-      if (batch_postings > 0 && batch_postings + need > budget) {
-        ++num_batches;  // start a new batch (a lone oversized cluster
-                        // still gets a batch of its own)
+      if (batch_begin.empty() ||
+          (batch_postings > 0 && batch_postings + need > budget)) {
+        batch_begin.push_back(c);  // start a new batch (a lone oversized
+                                   // cluster still gets a batch of its own)
         batch_postings = 0;
       }
-      batch_of[c] = num_batches - 1;
+      batch_of[c] = static_cast<uint32_t>(batch_begin.size() - 1);
       batch_postings += need;
     }
   }
+  const uint32_t num_batches = static_cast<uint32_t>(batch_begin.size());
+  batch_begin.push_back(static_cast<ClusterId>(num_clusters));
 
   // Split pInfo into per-batch spill files (each entry lands in every
   // batch it touches, with its join list restricted to that batch).
@@ -275,11 +279,13 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   // probing, exactly like the online Probe-Cluster inner loop.
   uint64_t peak_batch_postings = 0;
   probe_internal::ProbeScratch scratch;  // reused by every member probe
+  Record fetched;
+  std::string text;
   for (uint32_t b = 0; b < num_batches; ++b) {
-    std::unordered_map<ClusterId, std::vector<RecordId>> members;
-    std::unordered_map<ClusterId, DynamicIndex> member_index;
-    Record fetched;
-    std::string text;
+    // The batch's member indexes, by cluster id - batch_begin[b]; freed
+    // when the batch ends, so one batch's indexes are resident at a time.
+    const ClusterId base = batch_begin[b];
+    std::vector<MemberIndex> member_index(batch_begin[b + 1] - base);
     Status status = Status::OK();
     uint64_t batch_postings = 0;
     Status scan_status = batch_files[b].Scan([&](const PartitionEntry& e) {
@@ -290,18 +296,13 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
         return;
       }
       for (ClusterId c : e.joins) {
-        auto it = member_index.find(c);
-        if (it == member_index.end()) continue;  // no members yet
-        ProbeMemberIndex(records, pred, fetched.view(), e.rid, members[c],
-                         it->second, /*apply_filter=*/true, &scratch, &stats,
-                         sink);
+        const MemberIndex& index = member_index[c - base];
+        if (index.empty()) continue;  // no members yet
+        ProbeMemberIndex(records, pred, fetched.view(), e.rid, index,
+                         /*apply_filter=*/true, &scratch, &stats, sink);
       }
       if (e.home != kNoCluster) {
-        DynamicIndex& index = member_index[e.home];
-        std::vector<RecordId>& member_list = members[e.home];
-        index.Insert(static_cast<RecordId>(member_list.size()),
-                     fetched.view());
-        member_list.push_back(e.rid);
+        member_index[e.home - base].Insert(e.rid, fetched.view());
         batch_postings += fetched.size();
       }
     });

@@ -38,31 +38,4 @@ Record Record::FromView(RecordView view) {
   return r;
 }
 
-Record Record::UnionMax(RecordView a, RecordView b) {
-  Record out;
-  out.tokens_.reserve(a.size() + b.size());
-  out.scores_.reserve(a.size() + b.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a.token(i) < b.token(j))) {
-      out.tokens_.push_back(a.token(i));
-      out.scores_.push_back(a.score(i));
-      ++i;
-    } else if (i >= a.size() || b.token(j) < a.token(i)) {
-      out.tokens_.push_back(b.token(j));
-      out.scores_.push_back(b.score(j));
-      ++j;
-    } else {
-      out.tokens_.push_back(a.token(i));
-      out.scores_.push_back(std::max(a.score(i), b.score(j)));
-      ++i;
-      ++j;
-    }
-  }
-  out.norm_ = std::min(a.norm(), b.norm());
-  out.text_length_ = std::min(a.text_length(), b.text_length());
-  return out;
-}
-
 }  // namespace ssjoin

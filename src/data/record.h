@@ -31,14 +31,8 @@ class Record {
   static Record FromWeightedTokens(
       std::vector<std::pair<TokenId, double>> weighted);
 
-  /// Deep-copies a view back into an owning builder (cluster summaries).
+  /// Deep-copies a view back into an owning builder.
   static Record FromView(RecordView view);
-
-  /// Token-set union of `a` and `b` with per-token score = max of the two:
-  /// the cluster summary of Section 5.1.3 (score(w, C) = max over members).
-  /// The result's norm is min(a.norm, b.norm) (= ||C||) and text_length is
-  /// min of the two (the shortest member drives the edit-distance bound).
-  static Record UnionMax(RecordView a, RecordView b);
 
   /// Non-owning view over the builder's storage; valid while the Record
   /// is alive and unmodified.

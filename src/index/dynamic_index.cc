@@ -6,30 +6,13 @@
 
 namespace ssjoin {
 
-void DynamicIndex::TrackEntity(RecordId id, double norm) {
-  if (max_entity_id_ == std::numeric_limits<RecordId>::max() ||
-      id > max_entity_id_) {
-    max_entity_id_ = id;
-  }
-  num_entities_ = std::max<size_t>(num_entities_, max_entity_id_ + 1);
-  min_norm_ = std::min(min_norm_, norm);
-}
-
 void DynamicIndex::Insert(RecordId id, RecordView record) {
-  TrackEntity(id, record.norm());
+  SSJOIN_DCHECK(id >= num_entities_);
+  num_entities_ = static_cast<size_t>(id) + 1;
+  min_norm_ = std::min(min_norm_, record.norm());
   for (size_t i = 0; i < record.size(); ++i) {
     lists_[record.token(i)].Append(id, record.score(i));
     ++total_postings_;
-  }
-}
-
-void DynamicIndex::InsertOrUpdateMax(RecordId id, RecordView record,
-                                     double norm) {
-  TrackEntity(id, norm);
-  for (size_t i = 0; i < record.size(); ++i) {
-    if (lists_[record.token(i)].InsertOrUpdateMax(id, record.score(i))) {
-      ++total_postings_;
-    }
   }
 }
 

@@ -2,7 +2,6 @@
 #define SSJOIN_INDEX_DYNAMIC_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -13,19 +12,11 @@
 
 namespace ssjoin {
 
-/// Token -> posting-list index for entity populations that are NOT known
-/// up front, where the flat CSR InvertedIndex cannot pre-carve extents:
-///
-///   * cluster-level: InsertOrUpdateMax() keeps one posting per cluster
-///     with score(w, C) = max over member records (Section 5.1.3), and an
-///     old cluster can acquire new tokens at any time;
-///   * member-level: Probe-Cluster / ClusterMem grow one small index per
-///     cluster as members arrive;
-///   * streaming: records are indexed as they stream in.
-///
-/// Storage is sparse (hash map of growable lists): the cluster workloads
-/// keep many small indexes over a large shared token space, where dense
-/// per-token arrays would cost O(vocabulary) memory per index.
+/// Token -> posting-list index for the serving memtable, where records
+/// arrive one at a time and the flat CSR InvertedIndex cannot pre-carve
+/// extents. Storage is sparse (hash map of growable lists): a memtable
+/// holds few records over a large shared token space, where dense
+/// per-token arrays would cost O(vocabulary) memory per image.
 class DynamicIndex {
  public:
   DynamicIndex() = default;
@@ -36,13 +27,8 @@ class DynamicIndex {
   DynamicIndex& operator=(DynamicIndex&&) = default;
 
   /// Appends all postings of `record` under id `id`. Requires `id` to be
-  /// strictly greater than any previously inserted id.
+  /// strictly greater than any previously inserted id (ids may gap).
   void Insert(RecordId id, RecordView record);
-
-  /// Cluster-mode insertion: merges `record`'s tokens into entity `id`'s
-  /// postings, raising existing scores to the max. `norm` is the entity's
-  /// current norm (||C|| = min member norm, supplied by the caller).
-  void InsertOrUpdateMax(RecordId id, RecordView record, double norm);
 
   /// The posting list of token `t`, or nullptr if no record contains it.
   const PostingList* list(TokenId t) const {
@@ -50,18 +36,7 @@ class DynamicIndex {
     return it == lists_.end() ? nullptr : &it->second;
   }
 
-  /// Invokes `fn(token, list)` for every non-empty list, in unspecified
-  /// order.
-  void ForEachList(
-      const std::function<void(TokenId, const PostingList&)>& fn) const {
-    for (const auto& [token, list] : lists_) fn(token, list);
-  }
-
-  /// Number of distinct tokens with a posting list.
-  size_t num_tokens() const { return lists_.size(); }
-
-  /// Number of Insert/InsertOrUpdateMax target entities seen (records or
-  /// clusters).
+  /// One past the largest inserted id; 0 when empty.
   size_t num_entities() const { return num_entities_; }
 
   /// Minimum norm over all inserted records; +inf when empty. This is the
@@ -72,11 +47,8 @@ class DynamicIndex {
   uint64_t total_postings() const { return total_postings_; }
 
  private:
-  void TrackEntity(RecordId id, double norm);
-
   std::unordered_map<TokenId, PostingList> lists_;
   size_t num_entities_ = 0;
-  RecordId max_entity_id_ = std::numeric_limits<RecordId>::max();  // none yet
   double min_norm_ = std::numeric_limits<double>::infinity();
   uint64_t total_postings_ = 0;
 };

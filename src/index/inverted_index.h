@@ -33,9 +33,9 @@ namespace ssjoin {
 /// needs: the minimum record norm in the index (for T(r, I)) and the
 /// total number of postings (the W of Section 4's memory model).
 ///
-/// For indexes whose membership is NOT known up front (cluster summaries
-/// under InsertOrUpdateMax, lazily grown member indexes, streaming
-/// insertion) use DynamicIndex instead.
+/// Indexes whose membership is NOT known up front live elsewhere: the
+/// serving memtable in DynamicIndex, Probe-Cluster's cluster-level lists
+/// and per-cluster member indexes in core/probe_cluster.h.
 ///
 /// Like RecordSet, two storage modes share this one type (see DESIGN.md
 /// "Out-of-core segments"): OWNED (default, built via Plan/Insert) and

@@ -65,8 +65,8 @@ class PostingListView {
 static_assert(std::is_trivially_copyable_v<PostingListView>);
 
 /// An owning, dynamically growing posting list, used where membership is
-/// not known up front (the cluster-level and member-level indexes of
-/// Probe-Cluster / ClusterMem, streaming insertion). Batch algorithms use
+/// not known up front (the cluster-level index of Probe-Cluster /
+/// ClusterMem, the serving memtable's DynamicIndex). Batch algorithms use
 /// the flat buffer inside InvertedIndex instead.
 class PostingList {
  public:

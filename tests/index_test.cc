@@ -129,18 +129,6 @@ TEST(InvertedIndexTest, ForEachListAscendingTokens) {
   EXPECT_EQ(index.num_tokens(), 3u);
 }
 
-TEST(DynamicIndexTest, ClusterModeUpdatesInPlace) {
-  DynamicIndex index;
-  Record a = Record::FromWeightedTokens({{1, 1.0}});
-  Record b = Record::FromWeightedTokens({{1, 3.0}, {2, 1.0}});
-  index.InsertOrUpdateMax(0, a, 10.0);
-  index.InsertOrUpdateMax(0, b, 4.0);
-  EXPECT_EQ(index.num_entities(), 1u);
-  EXPECT_EQ(index.total_postings(), 2u);  // token 1 updated, token 2 added
-  EXPECT_DOUBLE_EQ(index.list(1)->max_score(), 3.0);
-  EXPECT_DOUBLE_EQ(index.min_norm(), 4.0);
-}
-
 TEST(InvertedIndexTest, EmptyIndex) {
   InvertedIndex index;
   EXPECT_EQ(index.num_entities(), 0u);

@@ -62,35 +62,6 @@ TEST(RecordTest, IntersectionSize) {
   EXPECT_EQ(a.IntersectionSize(a), 4u);
 }
 
-TEST(RecordTest, UnionMaxTakesMaxScores) {
-  Record a = Record::FromWeightedTokens({{1, 2.0}, {3, 1.0}});
-  a.set_norm(5.0);
-  a.set_text_length(10);
-  Record b = Record::FromWeightedTokens({{1, 1.0}, {2, 4.0}, {3, 3.0}});
-  b.set_norm(3.0);
-  b.set_text_length(20);
-  Record u = Record::UnionMax(a, b);
-  ASSERT_EQ(u.size(), 3u);
-  EXPECT_EQ(u.token(0), 1u);
-  EXPECT_DOUBLE_EQ(u.score(0), 2.0);  // max(2, 1)
-  EXPECT_EQ(u.token(1), 2u);
-  EXPECT_DOUBLE_EQ(u.score(1), 4.0);
-  EXPECT_DOUBLE_EQ(u.score(2), 3.0);  // max(1, 3)
-  EXPECT_DOUBLE_EQ(u.norm(), 3.0);    // min member norm
-  EXPECT_EQ(u.text_length(), 10u);    // min text length
-}
-
-TEST(RecordTest, UnionMaxSupersetInvariant) {
-  // overlap(probe, UnionMax(a, b)) >= max(overlap(probe, a),
-  // overlap(probe, b)) — the property that makes J(r) a safe superset.
-  Record a = Record::FromWeightedTokens({{1, 2.0}, {4, 1.0}, {6, 3.0}});
-  Record b = Record::FromWeightedTokens({{2, 5.0}, {4, 2.0}});
-  Record probe = Record::FromWeightedTokens({{1, 1.0}, {2, 1.0}, {4, 1.0}});
-  Record u = Record::UnionMax(a, b);
-  EXPECT_GE(probe.OverlapWith(u), probe.OverlapWith(a));
-  EXPECT_GE(probe.OverlapWith(u), probe.OverlapWith(b));
-}
-
 TEST(RecordSetTest, TracksFrequencies) {
   RecordSet set;
   set.Add(Record::FromTokens({1, 2}));

@@ -3,7 +3,8 @@
 // predicate construction, the corpus/query tokenizer, the durable
 // token-dictionary sidecar, fresh-vs-restore service setup, and the
 // SIGINT/SIGTERM graceful-shutdown plumbing. Header-only; each driver
-// includes it once.
+// includes it once. ssjoin_cli borrows its flag parsers, ReadLines and
+// the per-predicate threshold check.
 #ifndef SSJOIN_TOOLS_SERVE_COMMON_H_
 #define SSJOIN_TOOLS_SERVE_COMMON_H_
 
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,6 +65,9 @@ inline bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+/// Strict double parse: the whole string must be consumed and the value
+/// finite. `atof`-style silent zeros are how "--threshold=O.8" typos turn
+/// into empty join results.
 inline bool ParseDouble(const std::string& text, double* out) {
   if (text.empty()) return false;
   errno = 0;
@@ -190,6 +195,29 @@ inline FlagOutcome ParseServeFlag(const char* arg, ServeCliOptions* options) {
   return FlagOutcome::kUnmatched;
 }
 
+/// Checks `threshold` against what `predicate` accepts beyond the flag
+/// parser's "> 0": the ratio predicates take a fraction in (0, 1], edit
+/// distance a whole number of edits (its predicate takes an int k, so a
+/// fraction would be truncated). Prints one invalid --threshold line and
+/// returns false when it does not fit. Shared with ssjoin_cli.
+inline bool ValidateThreshold(const std::string& predicate,
+                              double threshold) {
+  const char* need = nullptr;
+  if ((predicate == "jaccard" || predicate == "cosine" ||
+       predicate == "dice" || predicate == "overlap-coefficient") &&
+      threshold > 1) {
+    need = "a fraction in (0, 1]";
+  } else if (predicate == "edit-distance" &&
+             (threshold != std::floor(threshold) ||
+              threshold > std::numeric_limits<int>::max())) {
+    need = "a whole number of edits";
+  }
+  if (need == nullptr) return true;
+  std::fprintf(stderr, "invalid --threshold=%g (%s needs %s)\n", threshold,
+               predicate.c_str(), need);
+  return false;
+}
+
 /// Cross-flag validation shared by the drivers; prints and fails like
 /// the per-flag parsers. With a data_dir the corpus may come from a
 /// previous incarnation's checkpoint instead of a file; service setup
@@ -206,6 +234,7 @@ inline bool ValidateServeOptions(const ServeCliOptions& options) {
                  options.predicate.c_str());
     return false;
   }
+  if (!ValidateThreshold(options.predicate, options.threshold)) return false;
   if (options.tokens != "words" && options.tokens != "2gram" &&
       options.tokens != "3gram" && options.tokens != "4gram") {
     std::fprintf(stderr, "unknown tokens mode: %s\n",

@@ -6,13 +6,9 @@
 //              --threshold=2 --tokens=3gram
 //   ssjoin_cli --input=records.txt --topk=20 --predicate=cosine
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,12 +25,14 @@
 #include "core/overlap_predicate.h"
 #include "core/topk_join.h"
 #include "data/corpus_builder.h"
+#include "serve_common.h"
 #include "text/token_dictionary.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace ssjoin;
+using namespace ssjoin::tools;
 
 constexpr const char kUsage[] =
     "usage: ssjoin_cli --input=FILE [flags]\n"
@@ -42,7 +40,8 @@ constexpr const char kUsage[] =
     "  --right=FILE        optional right side: cross join instead of self\n"
     "  --predicate=NAME    overlap | jaccard | cosine | dice | hamming |\n"
     "                      overlap-coefficient | edit-distance\n"
-    "  --threshold=X       predicate threshold (T, f or k); must be > 0\n"
+    "  --threshold=X       predicate threshold (T, f or k); must be > 0,\n"
+    "                      at most 1 for a fraction f, whole for k\n"
     "  --tokens=MODE       words (default) | 2gram | 3gram | 4gram\n"
     "  --algorithm=NAME    cluster (default) | optmerge | online | sort |\n"
     "                      probe | stopwords | paircount | wordgroups |\n"
@@ -69,37 +68,6 @@ struct CliOptions {
   bool show_text = false;
   bool show_stats = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-/// Strict double parse: the whole string must be consumed and the value
-/// finite. `atof`-style silent zeros are how "--threshold=O.8" typos turn
-/// into empty join results.
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (!std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseUint64(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
-}
 
 bool KnownPredicate(const std::string& name) {
   return name == "overlap" || name == "jaccard" || name == "cosine" ||
@@ -189,6 +157,9 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
                  options.predicate.c_str());
     return std::nullopt;
   }
+  if (!ValidateThreshold(options.predicate, options.threshold)) {
+    return std::nullopt;
+  }
   if (!KnownTokens(options.tokens)) {
     std::fprintf(stderr, "unknown tokens mode: %s\n",
                  options.tokens.c_str());
@@ -200,18 +171,6 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
     return std::nullopt;
   }
   return options;
-}
-
-std::optional<std::vector<std::string>> ReadLines(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return std::nullopt;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
 }
 
 std::unique_ptr<Predicate> MakePredicate(const CliOptions& options, int q) {

@@ -43,7 +43,8 @@ constexpr const char kUsage[] =
     "  --corpus=FILE         corpus file, one record per line (required)\n"
     "  --predicate=NAME      overlap | jaccard | cosine | dice |\n"
     "                        edit-distance (default jaccard)\n"
-    "  --threshold=X         predicate threshold (T, f or k); must be > 0\n"
+    "  --threshold=X         predicate threshold (T, f or k); must be > 0,\n"
+    "                        at most 1 for a fraction f, whole for k\n"
     "  --tokens=MODE         words (default) | 2gram | 3gram | 4gram\n"
     "  --queries=FILE        batch mode: answer every line of FILE via\n"
     "                        BatchQuery and exit (no REPL)\n"
