@@ -5,6 +5,11 @@
 //   (b) Word-Groups miners: level-wise Apriori vs depth-first vertical
 //       (the FP-growth stand-in) — time and peak open-state;
 //   (c) top-k join scaling in k.
+//
+// PrefixFilter and Cluster must find ProbeCount-sort's pairs at every
+// threshold of (a), and the depth-first miner Apriori's at every
+// threshold of (b); the bench exits 1 on the first mismatch (ctest runs
+// it small as bench_extensions_smoke).
 
 #include <cstdio>
 #include <vector>
@@ -33,9 +38,17 @@ void PrefixVsMergeOpt(double scale) {
             "prefix_index_postings", "pairs"});
   for (double f : {0.5, 0.6, 0.7, 0.8, 0.9}) {
     JaccardPredicate pred(f);
-    RunResult sort = TimeJoin(corpus, pred, JoinAlgorithm::kProbeSort);
-    RunResult cluster = TimeJoin(corpus, pred, JoinAlgorithm::kProbeCluster);
-    RunResult prefix = TimeJoin(corpus, pred, JoinAlgorithm::kPrefixFilter);
+    Pairs sort_pairs, cluster_pairs, prefix_pairs;
+    RunResult sort =
+        TimeJoin(corpus, pred, JoinAlgorithm::kProbeSort, {}, &sort_pairs);
+    RunResult cluster = TimeJoin(corpus, pred, JoinAlgorithm::kProbeCluster,
+                                 {}, &cluster_pairs);
+    RunResult prefix = TimeJoin(corpus, pred, JoinAlgorithm::kPrefixFilter,
+                                {}, &prefix_pairs);
+    ExitOnPairMismatch(&cluster_pairs, "Cluster", &sort_pairs,
+                       "ProbeCount-sort", n, f);
+    ExitOnPairMismatch(&prefix_pairs, "PrefixFilter", &sort_pairs,
+                       "ProbeCount-sort", n, f);
     char f_buf[16], postings[32], pairs[32];
     std::snprintf(f_buf, sizeof(f_buf), "%.1f", f);
     std::snprintf(postings, sizeof(postings), "%llu",
@@ -68,12 +81,15 @@ void MinerComparison(double scale) {
     JoinOptions dfs_options;
     dfs_options.word_groups.miner = WordGroupsMiner::kDepthFirst;
     dfs_options.word_groups.apriori.deadline_seconds = 20;
+    Pairs apriori_pairs, dfs_pairs;
     RunResult apriori = TimeJoin(corpus, pred,
                                  JoinAlgorithm::kWordGroupsOptMerge,
-                                 apriori_options);
+                                 apriori_options, &apriori_pairs);
     RunResult dfs = TimeJoin(corpus, pred,
                              JoinAlgorithm::kWordGroupsOptMerge,
-                             dfs_options);
+                             dfs_options, &dfs_pairs);
+    ExitOnPairMismatch(&dfs_pairs, "DFS miner", &apriori_pairs, "Apriori", n,
+                       t);
     char pairs[32];
     std::snprintf(pairs, sizeof(pairs), "%llu",
                   static_cast<unsigned long long>(dfs.pairs));

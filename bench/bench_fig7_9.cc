@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -33,8 +32,6 @@ const JoinAlgorithm kLadder[] = {
     JoinAlgorithm::kProbeCluster,
 };
 
-using Pairs = std::vector<std::pair<RecordId, RecordId>>;
-
 /// Runs every ladder rung on `corpus` under `pred`, returning their times
 /// in kLadder order, or exits 1 when a rung's sorted pairs differ from
 /// ProbeCount-sort's.
@@ -44,21 +41,15 @@ std::vector<RunResult> RunLadder(const RecordSet& corpus,
   std::vector<Pairs> pairs(std::size(kLadder));
   for (size_t i = 0; i < std::size(kLadder); ++i) {
     runs.push_back(TimeJoin(corpus, pred, kLadder[i], {}, &pairs[i]));
-    std::sort(pairs[i].begin(), pairs[i].end());
   }
   const size_t sort =
       std::find(std::begin(kLadder), std::end(kLadder),
                 JoinAlgorithm::kProbeSort) -
       std::begin(kLadder);
   for (size_t i = 0; i < std::size(kLadder); ++i) {
-    if (pairs[i] != pairs[sort]) {
-      std::fprintf(stderr,
-                   "pair mismatch: %s found %zu pairs, ProbeCount-sort %zu "
-                   "(%zu records, T=%g)\n",
-                   JoinAlgorithmName(kLadder[i]), pairs[i].size(),
-                   pairs[sort].size(), corpus.size(), pred.threshold());
-      std::exit(1);
-    }
+    ExitOnPairMismatch(&pairs[i], JoinAlgorithmName(kLadder[i]),
+                       &pairs[sort], "ProbeCount-sort", corpus.size(),
+                       pred.threshold());
   }
   return runs;
 }

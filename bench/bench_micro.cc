@@ -17,7 +17,6 @@
 #include "core/merge_opt.h"
 #include "core/overlap_predicate.h"
 #include "core/probe_common.h"
-#include "core/probe_join.h"
 #include "data/record_set.h"
 #include "index/compressed_postings.h"
 #include "index/inverted_index.h"
@@ -273,116 +272,6 @@ void BM_LayoutProbe(benchmark::State& state) {
       static_cast<double>(state.iterations() * n);
 }
 BENCHMARK(BM_LayoutProbe)->Arg(2000)->Arg(10000);
-
-// The bitmap-sweep workload: near-duplicate detection over a
-// boilerplate-heavy corpus, the regime the prefilter targets. Three
-// vocabulary tiers model citation records: a small boilerplate band
-// (venue/publisher strings — 40% of records carry nearly all of it, the
-// rest almost none), a mid band of common phrase tokens, and a long
-// tail of content tokens. 30% of records are lightly edited copies of
-// an earlier record, so a high overlap threshold has real matches to
-// find. Under Probe-stopWords the boilerplate band becomes the stopword
-// set, so boilerplate-heavy probes get tiny reduced thresholds and the
-// merge emits swarms of candidates that merely share a few mid-band
-// tokens. Full verification rejects them — and the parity bitmaps bound
-// the clean ones out near 12, far under the threshold, so the bitmap
-// emit gate skips those verifications wholesale. (Total distinct tokens per
-// record stay near 55, well below 256-bit parity saturation.)
-constexpr uint32_t kBenchBoilerplate = 26;  // boilerplate band tokens
-constexpr uint32_t kBenchMidBand = 30;      // common-phrase band tokens
-
-RecordSet MakeBitmapBenchSet(uint32_t num_records, uint32_t vocab,
-                             uint64_t seed) {
-  Rng rng(seed);
-  RecordSet set;
-  std::vector<std::vector<TokenId>> bodies;
-  bodies.reserve(num_records);
-  const uint32_t tail_base = kBenchBoilerplate + kBenchMidBand;
-  for (uint32_t i = 0; i < num_records; ++i) {
-    std::vector<TokenId> tokens;
-    if (!bodies.empty() && rng.Bernoulli(0.3)) {
-      tokens = bodies[rng.UniformU32(static_cast<uint32_t>(bodies.size()))];
-      int edits = rng.UniformInt(1, 4);
-      for (int e = 0; e < edits; ++e) {
-        tokens[rng.UniformU32(static_cast<uint32_t>(tokens.size()))] =
-            tail_base + rng.UniformU32(vocab - tail_base);
-      }
-    } else {
-      // Boilerplate presence is bimodal so the corpus frequency of the
-      // band stays above the mid band (stopword selection is by corpus
-      // frequency) while clean records share almost none of it.
-      const double boiler_rate = rng.Bernoulli(0.4) ? 0.95 : 0.04;
-      for (uint32_t b = 0; b < kBenchBoilerplate; ++b) {
-        if (rng.Bernoulli(boiler_rate)) tokens.push_back(b);
-      }
-      for (int m = 0; m < 12; ++m) {
-        tokens.push_back(kBenchBoilerplate + rng.UniformU32(kBenchMidBand));
-      }
-      int tail = rng.UniformInt(18, 30);
-      for (int t = 0; t < tail; ++t) {
-        tokens.push_back(tail_base + rng.UniformU32(vocab - tail_base));
-      }
-    }
-    bodies.push_back(tokens);
-    set.Add(Record::FromTokens(tokens), "");
-  }
-  return set;
-}
-
-// Join-level bitmap sweep: the stopword join holds candidates to each
-// probe's REDUCED threshold and re-verifies every emitted candidate on
-// the full records, so the bitmap's emit-level gate skips whole
-// verifications (an O(record length) overlap merge each) rather than
-// just gallops. Pairs must be identical with the filter on and off —
-// the bench ABORTS on any drift in the pair count.
-void BM_JoinBitmap(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  const bool bitmaps = state.range(1) != 0;
-  RecordSet set = MakeBitmapBenchSet(n, n, 24);
-  OverlapPredicate pred(28.0);
-  pred.Prepare(&set);
-  ProbeJoinOptions options;
-  options.stopwords = true;
-  bool failed = false;
-  auto run_join = [&](bool filter, JoinStats* stats) {
-    ProbeJoinOptions o = options;
-    o.bitmap_filter = filter;
-    uint64_t pairs = 0;
-    Result<JoinStats> result =
-        ProbeJoin(set, pred, o, [&pairs](RecordId, RecordId) { ++pairs; });
-    if (!result.ok()) failed = true;
-    if (stats != nullptr && result.ok()) *stats = result.value();
-    return pairs;
-  };
-  const uint64_t baseline_pairs = run_join(false, nullptr);
-  uint64_t pairs = 0;
-  JoinStats stats;
-  for (auto _ : state) {
-    pairs += run_join(bitmaps, &stats);
-  }
-  if (failed) {
-    state.SkipWithError("ProbeJoin returned an error");
-    return;
-  }
-  if (pairs != baseline_pairs * static_cast<uint64_t>(state.iterations())) {
-    state.SkipWithError("bitmap-filtered join changed the pair count");
-    return;
-  }
-  state.SetItemsProcessed(state.iterations() * set.size());  // records/s
-  state.SetLabel(ActiveMergeBackend());
-  state.counters["verified_per_record"] =
-      static_cast<double>(stats.candidates_verified) /
-      static_cast<double>(set.size());
-  state.counters["pruned_per_record"] =
-      static_cast<double>(stats.merge.bitmap_pruned) /
-      static_cast<double>(set.size());
-}
-BENCHMARK(BM_JoinBitmap)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_CompressPostingList(benchmark::State& state) {
   PostingList list;

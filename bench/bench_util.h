@@ -1,6 +1,7 @@
 #ifndef SSJOIN_BENCH_BENCH_UTIL_H_
 #define SSJOIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +55,8 @@ inline RecordSet QGramCorpusPrefix(const std::vector<std::string>& texts,
   return BuildQGramCorpus(slice, 3, dict);
 }
 
+using Pairs = std::vector<std::pair<RecordId, RecordId>>;
+
 struct RunResult {
   bool completed = false;  // false: aborted (e.g. Pair-Count memory blowup)
   double seconds = 0;
@@ -67,8 +70,7 @@ struct RunResult {
 /// emission order.
 inline RunResult TimeJoin(
     const RecordSet& base, const Predicate& pred, JoinAlgorithm algorithm,
-    JoinOptions options = {},
-    std::vector<std::pair<RecordId, RecordId>>* pairs = nullptr) {
+    JoinOptions options = {}, Pairs* pairs = nullptr) {
   RecordSet working = base;
   RunResult result;
   Timer timer;
@@ -83,6 +85,23 @@ inline RunResult TimeJoin(
   result.completed = true;
   result.stats = stats.value();
   return result;
+}
+
+/// Exits 1 unless `pairs` holds the same pairs as `reference` (both are
+/// sorted in place): the benches' guard that an algorithm's answer did not
+/// drift from a reference algorithm's on a `records`-record corpus.
+inline void ExitOnPairMismatch(Pairs* pairs, const char* name,
+                               Pairs* reference, const char* reference_name,
+                               size_t records, double threshold) {
+  std::sort(pairs->begin(), pairs->end());
+  std::sort(reference->begin(), reference->end());
+  if (*pairs == *reference) return;
+  std::fprintf(stderr,
+               "pair mismatch: %s found %zu pairs, %s %zu (%zu records, "
+               "threshold %g)\n",
+               name, pairs->size(), reference_name, reference->size(),
+               records, threshold);
+  std::exit(1);
 }
 
 /// Formats a run for a series cell: seconds, or "dnf" for aborted runs

@@ -299,7 +299,7 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
         const MemberIndex& index = member_index[c - base];
         if (index.empty()) continue;  // no members yet
         ProbeMemberIndex(records, pred, fetched.view(), e.rid, index,
-                         /*apply_filter=*/true, &scratch, &stats, sink);
+                         &scratch, &stats, sink);
       }
       if (e.home != kNoCluster) {
         member_index[e.home - base].Insert(e.rid, fetched.view());

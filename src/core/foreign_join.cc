@@ -40,9 +40,8 @@ Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
   probe_internal::ProbeScratch scratch;
   for (RecordId left_id : order) {
     probe_internal::ProbeMatches(
-        pred, target, left->record(left_id), *left, left_id,
-        /*apply_filter=*/true, merge_options, /*skip=*/nullptr,
-        &stats.merge, &stats.candidates_verified, &scratch,
+        pred, target, left->record(left_id), *left, left_id, merge_options,
+        /*skip=*/nullptr, &stats.merge, &stats.candidates_verified, &scratch,
         [&](RecordId, RecordId right_id) {
           ++stats.pairs;
           sink(left_id, right_id);

@@ -18,7 +18,7 @@ struct MergeStats {
   uint64_t heap_pops = 0;       // postings consumed through the heap
   uint64_t gallop_probes = 0;   // comparisons in direct (L) searches
   uint64_t candidates = 0;      // candidates emitted
-  uint64_t bitmap_checked = 0;  // candidates ProbeJoin's bitmap emit gate read
+  uint64_t bitmap_checked = 0;  // candidates PrefixFilter's bitmap gate read
   uint64_t bitmap_pruned = 0;   // candidates it dropped before verification
   uint64_t lists_direct = 0;    // lists placed in L across merges
   uint64_t lists_merged = 0;    // lists placed in S across merges

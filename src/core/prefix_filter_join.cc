@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
 #include "core/merge_opt.h"
 #include "core/parallel_probe.h"
 #include "data/corpus_stats.h"
+#include "data/token_bitmap.h"
+#include "index/inverted_index.h"
 
 namespace ssjoin {
 
@@ -45,30 +46,35 @@ Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
     std::iota(order.begin(), order.end(), 0);
   }
 
-  // The whole prefix index, built up front and keyed by processing
-  // position (lists stay position-sorted because positions are inserted
-  // in order). Each record's prefix holds its tokens in rank order minus
-  // the longest tail whose total potential stays below α(r). A probe at
-  // position p reads only list entries below p — exactly the records an
-  // incremental build would have indexed when p probed.
-  std::unordered_map<TokenId, std::vector<uint32_t>> prefix_index;
-  uint64_t prefix_postings = 0;
+  // What every probe reads and no probe writes, one entry per processing
+  // position. A record's prefix holds its tokens in rank order minus the
+  // longest tail whose total potential stays below α(r); it is kept as
+  // indexes into the record's tokens, position p's in
+  // prefix[prefix_begin[p], prefix_begin[p + 1]). pmax is the most one
+  // common token can add to the record's overlap with any other:
+  // max over its tokens w of score(w, r) · gmax(w).
+  std::vector<size_t> prefix_begin(n + 1, 0);
+  std::vector<uint32_t> prefix;
+  std::vector<TokenBitmapEntry> bitmaps(n);
+  std::vector<double> pmax(n, 0);
+  std::vector<uint64_t> prefix_counts(records.vocabulary_size(), 0);
   {
-    std::vector<std::pair<uint32_t, size_t>> ordered;  // (rank, token pos)
+    std::vector<std::pair<uint32_t, uint32_t>> ordered;  // (rank, token pos)
     for (uint32_t pos = 0; pos < n; ++pos) {
       const RecordView r = records.record(order[pos]);
-      double alpha = pred.MinMatchOverlap(r.norm());
+      const double alpha = pred.MinMatchOverlap(r.norm());
       ordered.clear();
-      for (size_t i = 0; i < r.size(); ++i) {
+      for (uint32_t i = 0; i < r.size(); ++i) {
         ordered.emplace_back(rank[r.token(i)], i);
+        pmax[pos] = std::max(pmax[pos], r.score(i) * gmax[r.token(i)]);
       }
       std::sort(ordered.begin(), ordered.end());
       size_t prefix_len = ordered.size();
       if (alpha > 0) {
         double suffix_potential = 0;
         while (prefix_len > 0) {
-          size_t token_pos = ordered[prefix_len - 1].second;
-          double contribution =
+          const uint32_t token_pos = ordered[prefix_len - 1].second;
+          const double contribution =
               r.score(token_pos) * gmax[r.token(token_pos)];
           if (suffix_potential + contribution >= PruneBound(alpha)) break;
           suffix_potential += contribution;
@@ -76,68 +82,89 @@ Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
         }
       }
       for (size_t i = 0; i < prefix_len; ++i) {
-        prefix_index[r.token(ordered[i].second)].push_back(pos);
-        ++prefix_postings;
+        prefix.push_back(ordered[i].second);
+        ++prefix_counts[r.token(ordered[i].second)];
       }
+      prefix_begin[pos + 1] = prefix.size();
+      bitmaps[pos] = MakeTokenBitmapEntry(r);
     }
   }
 
-  struct Scratch {
-    std::vector<uint32_t> candidates;  // candidate positions, probe-local
-    std::vector<uint32_t> last_seen;   // per-position dedup stamp
-  };
+  // The prefix index over every position, built whole and keyed by
+  // processing position (lists ascend because positions are appended in
+  // order). A probe at position p reads only list entries below p —
+  // exactly the records an incremental build would have indexed when p
+  // probed.
+  InvertedIndex index;
+  index.Plan(prefix_counts);
+  for (uint32_t pos = 0; pos < n; ++pos) {
+    const RecordView r = records.record(order[pos]);
+    for (size_t k = prefix_begin[pos]; k < prefix_begin[pos + 1]; ++k) {
+      index.AppendPosting(r.token(prefix[k]), pos, r.score(prefix[k]));
+    }
+  }
+
   // The per-position probe, shared by the serial loop and the workers:
-  // every token of the record against the prefixes of earlier positions,
-  // then exact verification of each distinct candidate.
-  auto probe_position = [&](uint32_t pos, Scratch* s, JoinStats* stats,
-                            const PairSink& emit) {
+  // the record's prefix against the prefixes of earlier positions. Both
+  // sides are prefixes in one global order, so a match's first common
+  // token lies in both. Each distinct candidate that passes the norm
+  // filter meets the bitmap gate before exact verification: each common
+  // token adds at most min(pmax_r, pmax_s), so the parity bound on the
+  // common tokens times that caps the pair's overlap, and a cap below
+  // T(r, s) means Matches() must fail. `last_seen` is the calling
+  // worker's per-position dedup stamp.
+  auto probe_position = [&](uint32_t pos, std::vector<uint32_t>* last_seen,
+                            JoinStats* stats, const PairSink& emit) {
     const RecordId id = order[pos];
     const RecordView r = records.record(id);
-    s->candidates.clear();
-    for (size_t i = 0; i < r.size(); ++i) {
-      auto it = prefix_index.find(r.token(i));
-      if (it == prefix_index.end()) continue;
-      for (uint32_t other_pos : it->second) {
+    for (size_t k = prefix_begin[pos]; k < prefix_begin[pos + 1]; ++k) {
+      const PostingListView list = index.list(r.token(prefix[k]));
+      for (size_t j = 0; j < list.size(); ++j) {
+        const uint32_t other_pos = list[j].id;
         if (other_pos >= pos) break;  // positions ascend within a list
-        if (s->last_seen[other_pos] == pos) continue;
-        s->last_seen[other_pos] = pos;
-        if (options.apply_filter && pred.has_norm_filter() &&
-            !pred.NormFilter(r.norm(),
-                             records.record(order[other_pos]).norm())) {
+        if ((*last_seen)[other_pos] == pos) continue;
+        (*last_seen)[other_pos] = pos;
+        const RecordId other = order[other_pos];
+        const double other_norm = records.record(other).norm();
+        if (pred.has_norm_filter() && !pred.NormFilter(r.norm(), other_norm)) {
           continue;
         }
-        s->candidates.push_back(other_pos);
-      }
-    }
-    for (uint32_t other_pos : s->candidates) {
-      const RecordId other = order[other_pos];
-      ++stats->candidates_verified;
-      if (pred.Matches(records, other, id)) {
-        ++stats->pairs;
-        emit(std::min(other, id), std::max(other, id));
+        ++stats->merge.bitmap_checked;
+        const double overlap_cap =
+            TokenBitmapOverlapBound(bitmaps[pos], bitmaps[other_pos]) *
+            std::min(pmax[pos], pmax[other_pos]);
+        if (overlap_cap <
+            PruneBound(pred.ThresholdForNorms(r.norm(), other_norm))) {
+          ++stats->merge.bitmap_pruned;
+          continue;
+        }
+        ++stats->candidates_verified;
+        if (pred.Matches(records, other, id)) {
+          ++stats->pairs;
+          emit(std::min(other, id), std::max(other, id));
+        }
       }
     }
   };
 
   JoinStats stats;
   if (num_threads <= 1) {
-    Scratch scratch;
-    scratch.last_seen.assign(n, UINT32_MAX);
+    std::vector<uint32_t> last_seen(n, UINT32_MAX);
     for (uint32_t pos = 0; pos < n; ++pos) {
-      probe_position(pos, &scratch, &stats, sink);
+      probe_position(pos, &last_seen, &stats, sink);
     }
   } else {
-    std::vector<Scratch> scratch(num_threads);
-    for (Scratch& s : scratch) s.last_seen.assign(n, UINT32_MAX);
+    std::vector<std::vector<uint32_t>> last_seen(
+        num_threads, std::vector<uint32_t>(n, UINT32_MAX));
     stats = ParallelProbeDriver::Run(
         n, num_threads,
         [&](uint32_t pos, int worker, JoinStats* worker_stats,
             const PairSink& emit) {
-          probe_position(pos, &scratch[worker], worker_stats, emit);
+          probe_position(pos, &last_seen[worker], worker_stats, emit);
         },
         sink);
   }
-  stats.index_postings = prefix_postings;
+  stats.index_postings = index.total_postings();
   return stats;
 }
 

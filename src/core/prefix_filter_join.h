@@ -20,10 +20,19 @@ namespace ssjoin {
 ///
 ///   prefix(s) = min p such that  Σ_{i>p} score(w_i, s) · gmax(w_i) < α(s)
 ///
-/// (gmax is the corpus-wide max score of the token). Any record matching
-/// s must then share at least one *prefix* token with s, so indexing only
-/// prefixes and probing with whole records finds every match; candidates
-/// are verified exactly.
+/// (gmax is the corpus-wide max score of the token). Some common token of
+/// any match of s then lies in s's prefix, and since prefixes are leading
+/// spans of one global order, the FIRST common token of a matching pair
+/// lies in both prefixes. So the join indexes only prefixes and probes
+/// with the record's own prefix, not all of its tokens.
+///
+/// Every distinct candidate that passes the norm filter then meets the
+/// token-bitmap bound (data/token_bitmap.h) before exact verification:
+/// the parity bound on the pair's common tokens times
+/// min(pmax(r), pmax(s)), where pmax(x) = max over x's tokens w of
+/// score(w, x) · gmax(w), caps the pair's overlap; a cap below T(r, s)
+/// skips the verification. The check is always on and cannot change the
+/// pairs; MergeStats::bitmap_checked / bitmap_pruned count it.
 ///
 /// Works for any predicate with MinMatchOverlap > 0 (overlap, Jaccard,
 /// Dice, cosine; Hamming degrades gracefully — tiny records index fully
@@ -32,7 +41,6 @@ namespace ssjoin {
 struct PrefixFilterJoinOptions {
   /// Process records in decreasing norm order (affects speed only).
   bool presort = true;
-  bool apply_filter = true;
 };
 
 /// Runs the prefix-filter self-join. `records` must already be
@@ -40,9 +48,10 @@ struct PrefixFilterJoinOptions {
 /// InvalidArgument for predicates whose MinMatchOverlap is never
 /// positive.
 ///
-/// The prefix index is built whole, keyed by processing position, and
-/// every position runs one probe body that reads only the list entries
-/// below its own position — what an incremental build would hold there.
+/// The prefix index (an InvertedIndex) is built whole, keyed by
+/// processing position, and every position runs one probe body that reads
+/// only the list entries below its own position — what an incremental
+/// build would hold there.
 /// With `num_threads` <= 1 the positions run in order and pairs are
 /// emitted as found; with more, the probes fan out across a ThreadPool
 /// (ParallelProbeDriver) and pairs arrive sorted. Pairs and every

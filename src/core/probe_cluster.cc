@@ -289,14 +289,14 @@ void CollectProbeLists(const MemberIndex& index, RecordView probe,
 
 void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
                       RecordView record, RecordId record_id,
-                      const MemberIndex& index, bool apply_filter,
+                      const MemberIndex& index,
                       probe_internal::ProbeScratch* scratch, JoinStats* stats,
                       const PairSink& sink) {
   probe_internal::ProbeMatches(
       pred,
       probe_internal::ProbeTarget<MemberIndex>{index, records,
                                                &index.members()},
-      record, records, record_id, apply_filter, MergeOptions{},
+      record, records, record_id, MergeOptions{},
       /*skip=*/nullptr, &stats->merge, &stats->candidates_verified, scratch,
       [&](RecordId, RecordId other) {
         ++stats->pairs;
@@ -349,8 +349,8 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
         }
         continue;
       }
-      ProbeMemberIndex(records, pred, record, id, member_index[c],
-                       options.apply_filter, &scratch, &stats, sink);
+      ProbeMemberIndex(records, pred, record, id, member_index[c], &scratch,
+                       &stats, sink);
     }
 
     if (probe.created) {

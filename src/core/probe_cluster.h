@@ -208,7 +208,6 @@ void CollectProbeLists(const MemberIndex& index, RecordView probe,
 /// postings.
 struct ProbeClusterOptions {
   bool presort = true;
-  bool apply_filter = true;
   ClusterSetOptions cluster;
 };
 
@@ -226,7 +225,7 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
 /// ClusterMem's second phase.
 void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
                       RecordView record, RecordId record_id,
-                      const MemberIndex& index, bool apply_filter,
+                      const MemberIndex& index,
                       probe_internal::ProbeScratch* scratch, JoinStats* stats,
                       const PairSink& sink);
 

@@ -18,10 +18,10 @@ namespace ssjoin {
 namespace probe_internal {
 
 /// Shared plumbing of every record-vs-index probe: ProbeJoin (serial and
-/// parallel) runs ProbeOne under its own stopword and emit gates, and the
-/// serving top-k sweep runs it unverified; the cross join, the streaming
-/// join, Probe-Cluster's member probes and the serving tiers all run
-/// ProbeMatches. One body each, so the probe paths cannot drift.
+/// parallel) runs ProbeOne under its own stopword plan, and the serving
+/// top-k sweep runs it unverified; the cross join, Probe-Cluster's member
+/// probes and the serving tiers all run ProbeMatches. One body each, so
+/// the probe paths cannot drift.
 
 struct StopwordPlan {
   std::vector<bool> is_stop;       // per token
@@ -126,8 +126,8 @@ struct ProbeTarget {
 ///
 ///   * The merge runs under the floor T(probe, minS) of the target index
 ///     and the per-candidate bound T(probe, ||m||), plus the norm filter
-///     when `apply_filter` is set and the predicate has one. Empty probes
-///     and empty indexes skip the merge: they can share no token.
+///     when the predicate has one. Empty probes and empty indexes skip
+///     the merge: they can share no token.
 ///   * `skip` (may be null) drops a candidate before verification: dead
 ///     masks and tombstones, which must act as if compaction had already
 ///     removed the record's postings.
@@ -141,7 +141,7 @@ struct ProbeTarget {
 template <typename IndexT>
 void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
                   RecordView probe, const RecordSet& probes, RecordId q,
-                  bool apply_filter, const MergeOptions& merge_options,
+                  const MergeOptions& merge_options,
                   FunctionRef<bool(RecordId)> skip,
                   MergeStats* stats, uint64_t* verified,
                   ProbeScratch* scratch,
@@ -170,7 +170,7 @@ void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
       return pred.NormFilter(norm, norm_of(m));
     };
     FunctionRef<bool(RecordId)> filter;
-    if (apply_filter && pred.has_norm_filter()) filter = filter_fn;
+    if (pred.has_norm_filter()) filter = filter_fn;
     ProbeOne(
         target.index, probe,
         pred.ThresholdForNorms(norm, target.index.min_norm()), required_fn,

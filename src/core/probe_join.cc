@@ -8,7 +8,6 @@
 
 #include "core/parallel_probe.h"
 #include "core/probe_common.h"
-#include "data/token_bitmap.h"
 #include "util/function_ref.h"
 
 namespace ssjoin {
@@ -69,10 +68,6 @@ struct ProbePlan {
   /// k = 0): the min_norm() of an index holding the first k positions.
   std::vector<double> prefix_min_norm = {};
   MergeOptions merge_options = {};
-  /// Emit-level bitmap gate, stopword mode only (see ProbePosition), and
-  /// the token bitmap of every position it reads; empty when unarmed.
-  bool emit_gated = false;
-  std::vector<TokenBitmapEntry> bitmaps = {};
 };
 
 /// The per-position probe shared by the serial and the parallel driver:
@@ -98,36 +93,6 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
     }
   };
 
-  // Emit-level bitmap gate, stopword mode only: there the merger holds
-  // candidates to the REDUCED threshold while verification runs the full
-  // constant threshold, so the bitmap bound gets a cut at the gap. Each
-  // common token contributes at most probe-score times corpus-max-score,
-  // so ub * probe_pair_max bounds the pair's exact overlap; below the
-  // full threshold, Matches() must fail, and the verification is skipped
-  // without changing the emitted pairs. (The other paths have no gap to
-  // cut: their merger already holds candidates to the exact per-pair
-  // threshold.)
-  const StopwordPlan& stop_plan = plan.stop_plan;
-  double probe_pair_max = 0;
-  if (plan.emit_gated) {
-    for (size_t i = 0; i < probe.size(); ++i) {
-      probe_pair_max =
-          std::max(probe_pair_max,
-                   probe.score(i) * stop_plan.max_score[probe.token(i)]);
-    }
-  }
-  auto emit_gate_prunes = [&](uint32_t m) {
-    ++stats->merge.bitmap_checked;
-    const uint32_t ub =
-        TokenBitmapOverlapBound(plan.bitmaps[pos], plan.bitmaps[m]);
-    if (static_cast<double>(ub) * probe_pair_max <
-        PruneBound(stop_plan.threshold)) {
-      ++stats->merge.bitmap_pruned;
-      return true;
-    }
-    return false;
-  };
-
   double floor;
   auto required_fn = [&](RecordId m) {
     return pred.ThresholdForNorms(probe.norm(),
@@ -135,14 +100,11 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
   };
   FunctionRef<double(RecordId)> required;
   if (plan.options.stopwords) {
-    const double reduced = ReducedThreshold(probe, stop_plan);
+    const double reduced = ReducedThreshold(probe, plan.stop_plan);
     if (reduced <= 0) {
       // Degenerate probe: its own stopwords could carry the whole
       // threshold, so every earlier record is a candidate.
-      for (uint32_t m = 0; m < pos; ++m) {
-        if (plan.emit_gated && emit_gate_prunes(m)) continue;
-        verify_and_emit(plan.order[m]);
-      }
+      for (uint32_t m = 0; m < pos; ++m) verify_and_emit(plan.order[m]);
       return;
     }
     floor = reduced;
@@ -154,9 +116,7 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
     return pred.NormFilter(probe.norm(), records.record(plan.order[m]).norm());
   };
   FunctionRef<bool(RecordId)> filter;
-  if (plan.options.apply_filter && pred.has_norm_filter()) {
-    filter = filter_fn;
-  }
+  if (pred.has_norm_filter()) filter = filter_fn;
   ProbeOne(
       IndexPrefix{index, limit}, probe, floor, required, filter,
       plan.merge_options, &stats->merge, scratch,
@@ -164,7 +124,6 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
         // A two-pass probe sees every record: skip self matches and emit
         // each unordered pair from its later endpoint only.
         if (candidate.id >= pos) return;
-        if (plan.emit_gated && emit_gate_prunes(candidate.id)) return;
         verify_and_emit(plan.order[candidate.id]);
       });
 }
@@ -204,13 +163,6 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   }
 
   plan.merge_options.split_lists = options.optimized_merge;
-  plan.emit_gated = options.bitmap_filter && options.stopwords;
-  if (plan.emit_gated) {
-    plan.bitmaps.reserve(n);
-    for (RecordId id : plan.order) {
-      plan.bitmaps.push_back(MakeTokenBitmapEntry(records.record(id)));
-    }
-  }
 
   // The index is keyed by processing position so posting ids stay
   // strictly increasing under any processing order; `order` maps back to

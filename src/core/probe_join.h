@@ -36,18 +36,6 @@ struct ProbeJoinOptions {
   /// ConstantThreshold(). Candidates are verified on the full records, so
   /// the join stays exact.
   bool stopwords = false;
-
-  /// Apply the predicate's norm filter while merging.
-  bool apply_filter = true;
-
-  /// With `stopwords`, arm the token-bitmap emit gate (data/token_bitmap.h):
-  /// a candidate whose bitmap overlap bound cannot reach the full
-  /// threshold skips verification. The join builds one bitmap per record
-  /// for it. Pairs are byte-identical either way; without `stopwords` the
-  /// option does nothing, since the merge already holds candidates to the
-  /// exact threshold. Off by default so the join's counters measure the
-  /// paper's algorithms (serial and parallel runs honour it alike).
-  bool bitmap_filter = false;
 };
 
 /// Runs the configured Probe-Count variant. `records` must already be

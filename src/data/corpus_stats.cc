@@ -6,6 +6,17 @@
 
 namespace ssjoin {
 
+namespace {
+
+/// Document frequencies sorted descending.
+std::vector<uint64_t> SortedDocFrequencies(const RecordSet& records) {
+  std::vector<uint64_t> freqs = records.CountDocumentFrequencies().counts;
+  std::sort(freqs.begin(), freqs.end(), std::greater<uint64_t>());
+  return freqs;
+}
+
+}  // namespace
+
 std::string CorpusStats::ToString() const {
   std::ostringstream out;
   out << "records=" << num_records << " avg_set_size=" << average_set_size
@@ -49,12 +60,6 @@ CorpusStats ComputeCorpusStats(const RecordSet& records) {
         static_cast<double>(stats.total_occurrences);
   }
   return stats;
-}
-
-std::vector<uint64_t> SortedDocFrequencies(const RecordSet& records) {
-  std::vector<uint64_t> freqs = records.CountDocumentFrequencies().counts;
-  std::sort(freqs.begin(), freqs.end(), std::greater<uint64_t>());
-  return freqs;
 }
 
 std::vector<double> MaxTokenScores(const RecordSet& records) {

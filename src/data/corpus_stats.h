@@ -34,10 +34,6 @@ struct CorpusStats {
 /// Computes CorpusStats in one pass over `records`.
 CorpusStats ComputeCorpusStats(const RecordSet& records);
 
-/// Document frequencies sorted descending; used to pick stopwords and to
-/// plot frequency skew.
-std::vector<uint64_t> SortedDocFrequencies(const RecordSet& records);
-
 /// Join-planning statistics, each counted from the arena per call: take
 /// them once per join.
 ///

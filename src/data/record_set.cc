@@ -89,15 +89,6 @@ double RecordSet::average_record_size() const {
          static_cast<double>(size());
 }
 
-std::vector<RecordId> RecordSet::IdsByDecreasingSize() const {
-  std::vector<RecordId> ids(size());
-  std::iota(ids.begin(), ids.end(), 0);
-  std::stable_sort(ids.begin(), ids.end(), [this](RecordId a, RecordId b) {
-    return record_size(a) > record_size(b);
-  });
-  return ids;
-}
-
 std::vector<RecordId> RecordSet::IdsByDecreasingNorm() const {
   std::vector<RecordId> ids(size());
   std::iota(ids.begin(), ids.end(), 0);

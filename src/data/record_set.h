@@ -174,10 +174,6 @@ class RecordSet {
   /// Mean record size (0 for an empty set).
   double average_record_size() const;
 
-  /// Returns record ids sorted by decreasing record size, breaking ties by
-  /// id; the Section 3.3 pre-sort order. Does not move the records.
-  std::vector<RecordId> IdsByDecreasingSize() const;
-
   /// Returns record ids sorted by decreasing norm(); the generalized
   /// pre-sort order of Section 5.1.2.
   std::vector<RecordId> IdsByDecreasingNorm() const;

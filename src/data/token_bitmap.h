@@ -28,8 +28,10 @@ namespace ssjoin {
 /// fully saturated or fully zeroed XOR just returns the vacuous
 /// (|r| + |s|) / 2 bound and prunes nothing — never a wrong answer.
 ///
-/// Entries are built per join, only by the join that consults them
-/// (ProbeJoin's stopword emit gate); no record set stores them.
+/// The bound's one consumer is PrefixFilterJoin's verification gate
+/// (core/prefix_filter_join.h), which scales it by each record's largest
+/// per-token overlap contribution to cap weighted overlaps. It builds one
+/// entry per record once per join; no record set stores them.
 inline constexpr size_t kTokenBitmapWords = 4;
 inline constexpr size_t kTokenBitmapBits = kTokenBitmapWords * 64;
 

@@ -102,8 +102,7 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
   const RecordView probe = staged.record(q);
   auto probe_tier = [&](const auto& tier) {
     probe_internal::ProbeMatches(
-        pred, tier.target, probe, staged, q, /*apply_filter=*/true,
-        MergeOptions{},
+        pred, tier.target, probe, staged, q, MergeOptions{},
         [&tier](RecordId local) { return tier.Dropped(local); }, &ctx->merge,
         &ctx->shard_candidates[shard], &ctx->scratch,
         [&](RecordId, RecordId id) {

@@ -1,8 +1,6 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <charconv>
-#include <cstdio>
 
 namespace ssjoin {
 
@@ -17,30 +15,6 @@ std::vector<std::string_view> SplitAndTrim(std::string_view text,
     start = end + 1;
   }
   return pieces;
-}
-
-std::string AsciiToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
-std::string FormatDouble(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
 }
 
 std::string FormatDoubleExact(double value) {

@@ -11,16 +11,6 @@ namespace ssjoin {
 std::vector<std::string_view> SplitAndTrim(std::string_view text,
                                            std::string_view delims = " \t\n\r");
 
-/// ASCII lower-casing (the synthetic corpora are ASCII by construction).
-std::string AsciiToLower(std::string_view text);
-
-/// Joins `pieces` with `sep` between consecutive elements.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
-
-/// printf-style float formatting helper for benchmark tables.
-std::string FormatDouble(double value, int precision);
-
 /// The shortest decimal form of `value` that parses back to exactly
 /// `value` ("0.7", not "0.69999999999999996").
 std::string FormatDoubleExact(double value);

@@ -366,10 +366,10 @@ const WorkGolden kWorkGoldens[] = {
      {4108, 4108, 403, 1586, 14189, 5792, 0, 0, 3154, 4939},
      10342, 10362},
     {"work/dense/overlap/prefix-filter", 10388405375568447476ull,
-     {4108, 7041, 922, 0, 0, 0, 0, 0, 0, 0},
+     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0},
      0, 0},
     {"work/dense/overlap/prefix-filter/t4", 10388405375568447476ull,
-     {4108, 7041, 922, 0, 0, 0, 0, 0, 0, 0},
+     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0},
      0, 0},
     {"work/dense/overlap/foreign", 1625824576597524418ull,
      {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449},
@@ -381,10 +381,10 @@ const WorkGolden kWorkGoldens[] = {
      {100, 100, 467, 491, 3856, 1143, 0, 0, 1901, 1307},
      5110, 5114},
     {"work/dense/jaccard/prefix-filter", 15267942115989793231ull,
-     {100, 3484, 720, 0, 0, 0, 0, 0, 0, 0},
+     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
      0, 0},
     {"work/dense/jaccard/prefix-filter/t4", 15267942115989793231ull,
-     {100, 3484, 720, 0, 0, 0, 0, 0, 0, 0},
+     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
      0, 0},
     {"work/dense/jaccard/foreign", 17818566169546503509ull,
      {36, 36, 619, 75, 3978, 36, 0, 0, 178, 419},
@@ -396,10 +396,10 @@ const WorkGolden kWorkGoldens[] = {
      {181, 181, 461, 418, 3208, 904, 0, 0, 1879, 1104},
      6216, 6242},
     {"work/dense/cosine/prefix-filter", 14618095315970372102ull,
-     {181, 5548, 817, 0, 0, 0, 0, 0, 0, 0},
+     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0},
      0, 0},
     {"work/dense/cosine/prefix-filter/t4", 14618095315970372102ull,
-     {181, 5548, 817, 0, 0, 0, 0, 0, 0, 0},
+     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0},
      0, 0},
     {"work/dense/cosine/foreign", 17353743904922788193ull,
      {80, 80, 619, 75, 4222, 80, 0, 0, 223, 374},
@@ -411,10 +411,10 @@ const WorkGolden kWorkGoldens[] = {
      {2506, 2506, 324, 980, 6402, 3842, 0, 0, 2884, 1982},
      11910, 11919},
     {"work/skewed/overlap/prefix-filter", 16066056405829026878ull,
-     {2506, 5300, 524, 0, 0, 0, 0, 0, 0, 0},
+     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0},
      0, 0},
     {"work/skewed/overlap/prefix-filter/t4", 16066056405829026878ull,
-     {2506, 5300, 524, 0, 0, 0, 0, 0, 0, 0},
+     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0},
      0, 0},
     {"work/skewed/overlap/foreign", 12968886164391366775ull,
      {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244},
@@ -426,10 +426,10 @@ const WorkGolden kWorkGoldens[] = {
      {1211, 1211, 329, 824, 5392, 2463, 0, 0, 2344, 1433},
      10024, 10063},
     {"work/skewed/dice/prefix-filter", 15189134890236523082ull,
-     {1211, 5684, 652, 0, 0, 0, 0, 0, 0, 0},
+     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
      0, 0},
     {"work/skewed/dice/prefix-filter/t4", 15189134890236523082ull,
-     {1211, 5684, 652, 0, 0, 0, 0, 0, 0, 0},
+     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
      0, 0},
     {"work/skewed/dice/foreign", 8841834680040183975ull,
      {573, 573, 495, 80, 4868, 573, 0, 0, 156, 313},
@@ -450,10 +450,10 @@ const WorkGolden kWorkGoldens[] = {
      {1595, 1867, 370, 1200, 7270, 3633, 0, 0, 2256, 1936},
      8312, 8379},
     {"work/skewed/hamming/prefix-filter", 17022430018312793733ull,
-     {1595, 6677, 719, 0, 0, 0, 0, 0, 0, 0},
+     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
      0, 0},
     {"work/skewed/hamming/prefix-filter/t4", 17022430018312793733ull,
-     {1595, 6677, 719, 0, 0, 0, 0, 0, 0, 0},
+     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
      0, 0},
     {"work/skewed/hamming/foreign", 9834587799572333019ull,
      {787, 923, 495, 80, 6392, 745, 0, 0, 120, 349},

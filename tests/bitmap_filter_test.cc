@@ -1,12 +1,14 @@
-// Differential lockdown of the bitmap emit gate and the SIMD lower-bound
-// search:
+// Differential lockdown of the token-bitmap bound and the SIMD
+// lower-bound search:
 //
 //   * the XOR-parity overlap bound is a true upper bound for every
 //     random pair, including adversarial shapes (all tokens colliding on
-//     one bit, empty/single-token records, saturated bitmaps);
-//   * ProbeJoin with bitmap_filter on emits byte-identical pairs to the
-//     ungated join across probe modes (online/two-pass/presort/
-//     stopwords), and only the stopword modes consult the gate;
+//     one bit, empty/single-token records, saturated bitmaps), and times
+//     min(pmax(r), pmax(s)) it bounds the weighted (TF-IDF) overlap;
+//   * PrefixFilterJoin, whose verifications the bound gates, emits the
+//     brute-force join's pairs under every predicate it supports, presort
+//     on and off, at 1 and 4 threads, and every candidate it checks is
+//     either pruned or verified;
 //   * MergeLowerBound — whatever backend runtime dispatch resolved
 //     (AVX2 or scalar, see ActiveMergeBackend) — returns positions
 //     identical to the scalar galloping primitive on randomized lists;
@@ -17,6 +19,7 @@
 // The randomized sweeps honor SSJOIN_DIFF_SEEDS like the other
 // differential suites.
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -26,10 +29,13 @@
 
 #include "core/cosine_predicate.h"
 #include "core/dice_predicate.h"
+#include "core/hamming_predicate.h"
 #include "core/jaccard_predicate.h"
+#include "core/join.h"
 #include "core/merge_opt.h"
 #include "core/overlap_predicate.h"
-#include "core/probe_join.h"
+#include "core/prefix_filter_join.h"
+#include "data/corpus_stats.h"
 #include "data/token_bitmap.h"
 #include "index/posting_list.h"
 #include "test_util.h"
@@ -152,88 +158,147 @@ TEST(TokenBitmapTest, SaturatedBitmapsDegradeGracefully) {
             ExactCommonTokens(a, b));
 }
 
-// ---------------------------------------------------------------------
-// Join-level byte-identity: ProbeJoin pairs with the filter on equal the
-// ungated join across probe modes and predicates. The gate sits at emit
-// time in stopword mode only; elsewhere the option changes nothing.
-
-std::vector<std::pair<RecordId, RecordId>> RunProbeJoin(
-    const RecordSet& prepared, const Predicate& pred,
-    ProbeJoinOptions options, JoinStats* stats) {
-  std::vector<std::pair<RecordId, RecordId>> pairs;
-  Result<JoinStats> result =
-      ProbeJoin(prepared, pred, options,
-                [&](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (result.ok() && stats != nullptr) *stats = result.value();
-  return testing_util::SortedPairs(std::move(pairs));
+/// The most one common token can add to `r`'s overlap with any record of
+/// its corpus: max over r's tokens w of score(w, r) * gmax(w).
+double MaxTokenContribution(RecordView r, const std::vector<double>& gmax) {
+  double pmax = 0;
+  for (size_t i = 0; i < r.size(); ++i) {
+    pmax = std::max(pmax, r.score(i) * gmax[r.token(i)]);
+  }
+  return pmax;
 }
 
-void RunJoinDifferential(const Predicate& pred, const std::string& name,
-                         bool try_stopwords) {
-  struct Mode {
-    const char* tag;
-    ProbeJoinOptions options;
-  };
-  std::vector<Mode> modes = {
-      {"online", {}},
-      {"two-pass", {.online = false}},
-      {"presort", {.presort = true}},
-  };
-  if (try_stopwords) {
-    modes.push_back({"stopwords", {.stopwords = true}});
-    modes.push_back({"stopwords-presort", {.presort = true,
-                                           .stopwords = true}});
-  }
+TEST(TokenBitmapTest, WeightedBoundDominatesTfIdfOverlap) {
+  // PrefixFilter's gate scales the parity bound by min(pmax(r), pmax(s)):
+  // under TF-IDF weights that product must still cap the exact overlap.
+  CosinePredicate pred(0.5);
   for (int seed = 0; seed < SeedCount(); ++seed) {
-    RecordSet records = testing_util::MakeRandomRecordSet(
-        {.num_records = 130, .vocabulary = 60}, 9000 + seed);
-    pred.Prepare(&records);
-    for (const Mode& mode : modes) {
-      const std::string tag = name + " seed=" + std::to_string(seed) +
-                              " mode=" + mode.tag;
-      JoinStats baseline_stats;
-      std::vector<std::pair<RecordId, RecordId>> baseline =
-          RunProbeJoin(records, pred, mode.options, &baseline_stats);
-      ProbeJoinOptions gated = mode.options;
-      gated.bitmap_filter = true;
-      JoinStats gated_stats;
-      EXPECT_EQ(baseline, RunProbeJoin(records, pred, gated, &gated_stats))
-          << tag;
-      EXPECT_EQ(gated_stats.pairs, baseline_stats.pairs) << tag;
-      // The emit-level gate can only ever shrink the verified set.
-      EXPECT_LE(gated_stats.candidates_verified,
-                baseline_stats.candidates_verified)
-          << tag;
-      EXPECT_EQ(baseline_stats.merge.bitmap_checked, 0u) << tag;
-      if (!mode.options.stopwords) {
-        EXPECT_EQ(gated_stats.merge.bitmap_checked, 0u) << tag;
-        EXPECT_EQ(gated_stats.candidates_verified,
-                  baseline_stats.candidates_verified)
-            << tag;
-      }
+    RecordSet set = testing_util::MakeRandomRecordSet(
+        {.num_records = 120, .vocabulary = 90}, 3000 + seed);
+    pred.Prepare(&set);
+    const std::vector<double> gmax = MaxTokenScores(set);
+    Rng rng(seed);
+    for (int trial = 0; trial < 400; ++trial) {
+      const RecordView a =
+          set.record(rng.UniformU32(static_cast<uint32_t>(set.size())));
+      const RecordView b =
+          set.record(rng.UniformU32(static_cast<uint32_t>(set.size())));
+      const double pmax = std::min(MaxTokenContribution(a, gmax),
+                                   MaxTokenContribution(b, gmax));
+      const double cap = TokenBitmapOverlapBound(MakeTokenBitmapEntry(a),
+                                                 MakeTokenBitmapEntry(b)) *
+                         pmax;
+      EXPECT_GE(cap, a.OverlapWith(b)) << "seed " << seed << " trial " << trial;
     }
   }
 }
 
+// ---------------------------------------------------------------------
+// Join level: PrefixFilter gates every distinct candidate that passes the
+// norm filter with the bound before verifying it. Its pairs must equal
+// the brute-force join's at every thread count, presort on and off, and
+// every checked candidate is either pruned or verified.
+
+using PairVector = std::vector<std::pair<RecordId, RecordId>>;
+
+/// Runs PrefixFilterJoin (sorted pairs) and checks the gate's accounting.
+PairVector RunPrefixFilter(const RecordSet& prepared, const Predicate& pred,
+                           bool presort, int threads,
+                           const std::string& tag, JoinStats* stats) {
+  PairVector pairs;
+  Result<JoinStats> result = PrefixFilterJoin(
+      prepared, pred, {.presort = presort},
+      [&](RecordId a, RecordId b) { pairs.emplace_back(a, b); }, threads);
+  EXPECT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
+  if (!result.ok()) return pairs;
+  *stats = result.value();
+  EXPECT_EQ(stats->merge.bitmap_checked,
+            stats->candidates_verified + stats->merge.bitmap_pruned)
+      << tag;
+  EXPECT_EQ(stats->pairs, pairs.size()) << tag;
+  return testing_util::SortedPairs(std::move(pairs));
+}
+
+/// Sweeps seeds, presort and thread counts for `pred` and returns the
+/// candidates the gate pruned over the whole sweep.
+uint64_t RunGateDifferential(const Predicate& pred) {
+  uint64_t pruned = 0;
+  for (int seed = 0; seed < SeedCount(); ++seed) {
+    RecordSet records = testing_util::MakeRandomRecordSet(
+        {.num_records = 130, .vocabulary = 60, .min_tokens = 1}, 9000 + seed);
+    pred.Prepare(&records);
+    // The prefix probe finds the matches that share a token; the join
+    // driver's short-record fallback adds the zero-overlap Hamming
+    // matches of tiny records.
+    PairVector expected;
+    PairVector sharing;
+    BruteForceJoin(records, pred, [&](RecordId a, RecordId b) {
+      expected.emplace_back(a, b);
+      if (records.record(a).IntersectionSize(records.record(b)) > 0) {
+        sharing.emplace_back(a, b);
+      }
+    });
+    std::sort(expected.begin(), expected.end());
+    std::sort(sharing.begin(), sharing.end());
+    for (bool presort : {true, false}) {
+      JoinStats stats[2];
+      for (int t = 0; t < 2; ++t) {
+        const int threads = t == 0 ? 1 : 4;
+        const std::string tag = pred.name() + " seed=" + std::to_string(seed) +
+                                " presort=" + std::to_string(presort) +
+                                " threads=" + std::to_string(threads);
+        EXPECT_EQ(
+            RunPrefixFilter(records, pred, presort, threads, tag, &stats[t]),
+            sharing)
+            << tag;
+        RecordSet working = records;
+        JoinOptions options;
+        options.prefix_filter.presort = presort;
+        options.num_threads = threads;
+        Result<PairVector> joined =
+            JoinToPairs(&working, pred, JoinAlgorithm::kPrefixFilter, options);
+        EXPECT_TRUE(joined.ok()) << tag << ": " << joined.status().ToString();
+        if (joined.ok()) {
+          EXPECT_EQ(joined.value(), expected) << tag;
+        }
+      }
+      EXPECT_EQ(stats[1].candidates_verified, stats[0].candidates_verified)
+          << pred.name() << " seed=" << seed;
+      EXPECT_EQ(stats[1].merge.bitmap_checked, stats[0].merge.bitmap_checked)
+          << pred.name() << " seed=" << seed;
+      EXPECT_EQ(stats[1].merge.bitmap_pruned, stats[0].merge.bitmap_pruned)
+          << pred.name() << " seed=" << seed;
+      pruned += stats[0].merge.bitmap_pruned;
+    }
+  }
+  return pruned;
+}
+
 TEST(BitmapJoinDifferentialTest, Overlap) {
-  OverlapPredicate pred(4);
-  RunJoinDifferential(pred, "overlap", /*try_stopwords=*/true);
+  RunGateDifferential(OverlapPredicate(4));
+}
+
+TEST(BitmapJoinDifferentialTest, WeightedOverlap) {
+  Rng rng(520);
+  std::vector<double> weights(60);
+  for (double& w : weights) w = 0.25 + rng.NextDouble() * 3;
+  RunGateDifferential(OverlapPredicate(4.0, weights));
 }
 
 TEST(BitmapJoinDifferentialTest, Jaccard) {
-  JaccardPredicate pred(0.5);
-  RunJoinDifferential(pred, "jaccard", /*try_stopwords=*/false);
+  EXPECT_GT(RunGateDifferential(JaccardPredicate(0.5)), 0u);
 }
 
 TEST(BitmapJoinDifferentialTest, Dice) {
-  DicePredicate pred(0.6);
-  RunJoinDifferential(pred, "dice", /*try_stopwords=*/false);
+  RunGateDifferential(DicePredicate(0.6));
 }
 
 TEST(BitmapJoinDifferentialTest, Cosine) {
-  CosinePredicate pred(0.6);
-  RunJoinDifferential(pred, "cosine", /*try_stopwords=*/true);
+  EXPECT_GT(RunGateDifferential(CosinePredicate(0.6)), 0u);
+}
+
+TEST(BitmapJoinDifferentialTest, Hamming) {
+  RunGateDifferential(HammingPredicate(4));
 }
 
 // ---------------------------------------------------------------------

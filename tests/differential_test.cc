@@ -84,11 +84,9 @@ JoinAlgorithm RandomAlgorithm(Rng& rng, bool constant_threshold) {
 
 JoinOptions RandomOptions(Rng& rng) {
   JoinOptions options;
-  options.probe.apply_filter = rng.Bernoulli(0.8);
   options.probe.presort = rng.Bernoulli(0.5);
 
   options.cluster.presort = rng.Bernoulli(0.5);
-  options.cluster.apply_filter = rng.Bernoulli(0.8);
   options.cluster.cluster.assign_similarity_threshold =
       rng.NextDouble() * 0.9;
   if (rng.Bernoulli(0.3)) {
@@ -198,7 +196,6 @@ TEST(DifferentialTest, PrefixFilterRandomized) {
     RecordSet working = base;
     JoinOptions options;
     options.prefix_filter.presort = rng.Bernoulli(0.5);
-    options.prefix_filter.apply_filter = rng.Bernoulli(0.8);
     Result<PairVector> actual = JoinToPairs(
         &working, *pred, JoinAlgorithm::kPrefixFilter, options);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();

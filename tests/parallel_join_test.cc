@@ -59,6 +59,8 @@ void ExpectStatsEq(const JoinStats& a, const JoinStats& b,
   EXPECT_EQ(a.merge.heap_pops, b.merge.heap_pops) << label;
   EXPECT_EQ(a.merge.gallop_probes, b.merge.gallop_probes) << label;
   EXPECT_EQ(a.merge.candidates, b.merge.candidates) << label;
+  EXPECT_EQ(a.merge.bitmap_checked, b.merge.bitmap_checked) << label;
+  EXPECT_EQ(a.merge.bitmap_pruned, b.merge.bitmap_pruned) << label;
   EXPECT_EQ(a.merge.lists_direct, b.merge.lists_direct) << label;
   EXPECT_EQ(a.merge.lists_merged, b.merge.lists_merged) << label;
 }
@@ -145,35 +147,6 @@ TEST(ParallelProbeTest, OnlineVariantsMatchSerial) {
   }
 }
 
-// The stopword emit gate runs in the shared per-position probe, so a
-// parallel run gates exactly the candidates the serial run gates.
-TEST(ParallelProbeTest, BitmapFilterMatchesSerial) {
-  RecordSet base = MakeCorpus(510);
-  OverlapPredicate pred(4.0);  // constant threshold, as stopwords requires
-  JoinOptions options;
-  options.probe.bitmap_filter = true;
-  const JoinAlgorithm algorithm = JoinAlgorithm::kProbeStopwords;
-  RunResult serial = RunWithThreads(base, pred, algorithm, 1, options);
-  ASSERT_GT(serial.stats.merge.bitmap_checked, 0u);
-  for (int threads : {2, 8}) {
-    RunResult parallel =
-        RunWithThreads(base, pred, algorithm, threads, options);
-    std::string label = "stopwords/t" + std::to_string(threads);
-    EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
-              testing_util::SortedPairs(serial.emitted))
-        << label;
-    EXPECT_EQ(parallel.stats.candidates_verified,
-              serial.stats.candidates_verified)
-        << label;
-    EXPECT_EQ(parallel.stats.merge.bitmap_checked,
-              serial.stats.merge.bitmap_checked)
-        << label;
-    EXPECT_EQ(parallel.stats.merge.bitmap_pruned,
-              serial.stats.merge.bitmap_pruned)
-        << label;
-  }
-}
-
 TEST(ParallelProbeTest, StopwordsVariantMatchesSerial) {
   RecordSet base = MakeCorpus(503);
   OverlapPredicate pred(4.0);  // constant threshold, as stopwords requires
@@ -229,9 +202,30 @@ TEST(ParallelPrefixFilterTest, MatchesSerial) {
         << pred->name();
     EXPECT_EQ(two.emitted, eight.emitted) << pred->name();
     ExpectStatsEq(two.stats, eight.stats, pred->name());
-    EXPECT_EQ(two.stats.pairs, serial.stats.pairs) << pred->name();
-    EXPECT_EQ(two.stats.candidates_verified, serial.stats.candidates_verified)
-        << pred->name();
+    ExpectStatsEq(two.stats, serial.stats, pred->name());
+  }
+}
+
+// PrefixFilter's bitmap gate runs in the shared per-position probe, so a
+// parallel run checks and prunes exactly the candidates the serial run
+// does: every counter, the bitmap counters included, matches.
+TEST(ParallelPrefixFilterTest, BitmapGateMatchesSerial) {
+  RecordSet base = MakeCorpus(510);
+  JaccardPredicate jaccard(0.5);
+  CosinePredicate cosine(0.6);
+  for (const Predicate* pred :
+       {static_cast<const Predicate*>(&jaccard),
+        static_cast<const Predicate*>(&cosine)}) {
+    RunResult serial =
+        RunWithThreads(base, *pred, JoinAlgorithm::kPrefixFilter, 1);
+    ASSERT_GT(serial.stats.merge.bitmap_pruned, 0u) << pred->name();
+    RunResult parallel =
+        RunWithThreads(base, *pred, JoinAlgorithm::kPrefixFilter, 4);
+    const std::string label = pred->name() + "/t4";
+    EXPECT_EQ(testing_util::SortedPairs(parallel.emitted),
+              testing_util::SortedPairs(serial.emitted))
+        << label;
+    ExpectStatsEq(parallel.stats, serial.stats, label);
   }
 }
 

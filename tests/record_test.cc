@@ -146,18 +146,6 @@ TEST(RecordSetTest, KeepsText) {
   EXPECT_EQ(set.text(id), "hello world");
 }
 
-TEST(RecordSetTest, IdsByDecreasingSize) {
-  RecordSet set;
-  set.Add(Record::FromTokens({1}));
-  set.Add(Record::FromTokens({1, 2, 3}));
-  set.Add(Record::FromTokens({1, 2}));
-  std::vector<RecordId> order = set.IdsByDecreasingSize();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 0u);
-}
-
 TEST(RecordSetTest, IdsByDecreasingNormStableOnTies) {
   RecordSet set;
   for (int i = 0; i < 4; ++i) {
@@ -173,7 +161,7 @@ TEST(RecordSetTest, EmptySet) {
   RecordSet set;
   EXPECT_TRUE(set.empty());
   EXPECT_DOUBLE_EQ(set.average_record_size(), 0.0);
-  EXPECT_TRUE(set.IdsByDecreasingSize().empty());
+  EXPECT_TRUE(set.IdsByDecreasingNorm().empty());
 }
 
 }  // namespace

@@ -268,21 +268,6 @@ TEST(StringUtilTest, SplitAndTrim) {
   EXPECT_TRUE(SplitAndTrim("   ").empty());
 }
 
-TEST(StringUtilTest, AsciiToLower) {
-  EXPECT_EQ(AsciiToLower("AbC 123 xYz"), "abc 123 xyz");
-}
-
-TEST(StringUtilTest, JoinStrings) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
-}
-
-TEST(StringUtilTest, FormatDouble) {
-  EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
-  EXPECT_EQ(FormatDouble(2.0, 0), "2");
-}
-
 TEST(StringUtilTest, FormatDoubleExactRoundTrips) {
   EXPECT_EQ(FormatDoubleExact(0.7), "0.7");
   EXPECT_EQ(FormatDoubleExact(2.0), "2");
