@@ -7,8 +7,16 @@
 //   (c) Probe-Cluster assignment-similarity knob (cluster count vs time);
 //   (d) posting-list compression ratio on both corpora (the Section 4
 //       "orthogonal IR compression" headroom).
+//
+// Each row of (a)-(c) compares exact joins, so its columns must find the
+// same pairs: every band strategy the inline filter's, Probe-stopWords
+// and Probe-optMerge Probe's, and every assignment threshold the first
+// one's. The bench exits 1 on the first row that differs (ctest runs it
+// small as bench_ablation_smoke).
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,8 +44,10 @@ void BandPartitionAblation(double scale) {
               k, n);
   PrintRow({"strategy", "partitions", "partition_cost", "seconds", "pairs"});
 
+  Pairs inline_pairs;
   {
-    RunResult inline_run = TimeJoin(base, pred, JoinAlgorithm::kProbeCluster);
+    RunResult inline_run = TimeJoin(base, pred, JoinAlgorithm::kProbeCluster,
+                                    {}, &inline_pairs);
     char secs[32], pairs[32];
     std::snprintf(secs, sizeof(secs), "%.3f", inline_run.seconds);
     std::snprintf(pairs, sizeof(pairs), "%llu",
@@ -52,27 +62,32 @@ void BandPartitionAblation(double scale) {
     RecordSet working = base;
     pred.Prepare(&working);
     // Partition cost (the DP objective).
-    std::vector<RecordId> ids(working.size());
     auto partitions = BandPartitionByNorm(working, k, strategy);
     uint64_t cost = 0;
     for (const auto& p : partitions) cost += p.size() * p.size();
 
     RecordSet timed = base;
-    uint64_t pair_count = 0;
+    Pairs band_pairs;
     Timer timer;
     Result<JoinStats> stats = BandPartitionedJoin(
-        &timed, pred, k, strategy,
-        [&pair_count](RecordId, RecordId) { ++pair_count; });
+        &timed, pred, k, strategy, [&band_pairs](RecordId a, RecordId b) {
+          band_pairs.emplace_back(a, b);
+        });
     double seconds = timer.ElapsedSeconds();
-    if (!stats.ok()) continue;
+    if (!stats.ok()) {
+      std::fprintf(stderr, "%s band join failed: %s\n", name,
+                   stats.status().ToString().c_str());
+      std::exit(1);
+    }
     char cost_buf[32], secs[32], pairs[32];
     std::snprintf(cost_buf, sizeof(cost_buf), "%llu",
                   static_cast<unsigned long long>(cost));
     std::snprintf(secs, sizeof(secs), "%.3f", seconds);
-    std::snprintf(pairs, sizeof(pairs), "%llu",
-                  static_cast<unsigned long long>(pair_count));
+    std::snprintf(pairs, sizeof(pairs), "%zu", band_pairs.size());
     PrintRow({name, std::to_string(partitions.size()), cost_buf, secs,
               pairs});
+    ExitOnPairMismatch(&band_pairs, name, &inline_pairs, "inline-filter", n,
+                       k);
   }
 }
 
@@ -89,14 +104,22 @@ void StopwordAblation(double scale) {
             "pairs"});
   for (double t : {9, 13, 17, 21}) {
     OverlapPredicate pred(t);
-    RunResult plain = TimeJoin(corpus, pred, JoinAlgorithm::kProbeCount);
-    RunResult stop = TimeJoin(corpus, pred, JoinAlgorithm::kProbeStopwords);
-    RunResult opt = TimeJoin(corpus, pred, JoinAlgorithm::kProbeOptMerge);
+    Pairs plain_pairs, stop_pairs, opt_pairs;
+    RunResult plain = TimeJoin(corpus, pred, JoinAlgorithm::kProbeCount, {},
+                               &plain_pairs);
+    RunResult stop = TimeJoin(corpus, pred, JoinAlgorithm::kProbeStopwords,
+                              {}, &stop_pairs);
+    RunResult opt = TimeJoin(corpus, pred, JoinAlgorithm::kProbeOptMerge, {},
+                             &opt_pairs);
     char pairs[32];
     std::snprintf(pairs, sizeof(pairs), "%llu",
                   static_cast<unsigned long long>(opt.pairs));
     PrintRow({std::to_string((int)t), Cell(plain), Cell(stop), Cell(opt),
               pairs});
+    ExitOnPairMismatch(&stop_pairs, "Probe-stopWords", &plain_pairs, "Probe",
+                       n, t);
+    ExitOnPairMismatch(&opt_pairs, "Probe-optMerge", &plain_pairs, "Probe", n,
+                       t);
   }
 }
 
@@ -111,11 +134,14 @@ void ClusterKnobAblation(double scale) {
               "threshold, %u citations, T=17\n",
               n);
   PrintRow({"assign_similarity", "seconds", "index_postings", "pairs"});
-  for (double sim : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+  const double kSimilarities[] = {0.1, 0.3, 0.5, 0.7, 0.9};
+  Pairs first_pairs;
+  for (double sim : kSimilarities) {
     JoinOptions options;
-    options.cluster.cluster.assign_similarity_threshold = sim;
-    RunResult r =
-        TimeJoin(corpus, pred, JoinAlgorithm::kProbeCluster, options);
+    options.cluster.assign_similarity_threshold = sim;
+    Pairs sim_pairs;
+    RunResult r = TimeJoin(corpus, pred, JoinAlgorithm::kProbeCluster,
+                           options, &sim_pairs);
     char sim_buf[32], postings[32], pairs[32];
     std::snprintf(sim_buf, sizeof(sim_buf), "%.1f", sim);
     std::snprintf(postings, sizeof(postings), "%llu",
@@ -123,6 +149,10 @@ void ClusterKnobAblation(double scale) {
     std::snprintf(pairs, sizeof(pairs), "%llu",
                   static_cast<unsigned long long>(r.pairs));
     PrintRow({sim_buf, Cell(r), postings, pairs});
+    if (sim == kSimilarities[0]) first_pairs = sim_pairs;
+    const std::string name = std::string("assign_similarity=") + sim_buf;
+    ExitOnPairMismatch(&sim_pairs, name.c_str(), &first_pairs,
+                       "assign_similarity=0.1", n, pred.threshold());
   }
 }
 
@@ -132,6 +162,7 @@ void CompressionAblation(double scale) {
   PrintRow({"corpus", "postings", "raw_bytes", "compressed_bytes", "ratio"});
   auto report = [](const char* name, const RecordSet& corpus) {
     InvertedIndex index;
+    index.PlanFromRecords(corpus);
     for (RecordId id = 0; id < corpus.size(); ++id) {
       index.Insert(id, corpus.record(id));
     }

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 
 #include "data/record_store.h"
 #include "util/logging.h"
@@ -56,8 +55,7 @@ bool DeserializeEntry(const std::string& data, size_t* offset,
 
 /// Append-only spill file (the paper's pInfo): sequential writes in phase
 /// 1, sequential scan afterwards. The file is removed when the SpillFile
-/// goes out of scope — including every early-error return — unless
-/// Keep() disarms the cleanup (keep_temp_files mode).
+/// goes out of scope, including every early-error return.
 class SpillFile {
  public:
   explicit SpillFile(std::string path) : path_(std::move(path)) {}
@@ -77,9 +75,6 @@ class SpillFile {
       std::remove(path_.c_str());
     }
   }
-
-  /// Disarms the destructor's cleanup; the file outlives the object.
-  void Keep() { owns_file_ = false; }
 
   Status OpenForWrite() {
     out_.open(path_, std::ios::binary | std::ios::trunc);
@@ -126,20 +121,16 @@ class SpillFile {
 };
 
 /// RAII deletion for temp files created through other APIs (the
-/// RecordStore backing file): removed on scope exit unless kept.
+/// RecordStore backing file): removed on scope exit.
 class TempFileGuard {
  public:
   explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
   TempFileGuard(const TempFileGuard&) = delete;
   TempFileGuard& operator=(const TempFileGuard&) = delete;
-  ~TempFileGuard() {
-    if (armed_) std::remove(path_.c_str());
-  }
-  void Keep() { armed_ = false; }
+  ~TempFileGuard() { std::remove(path_.c_str()); }
 
  private:
   std::string path_;
-  bool armed_ = true;
 };
 
 std::string UniqueTempPath(const std::string& dir, const std::string& stem) {
@@ -170,9 +161,6 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   // Section 4.1's estimates: Ng = N * M / W clusters, NR records per
   // cluster sized so that Ng clusters can absorb all N records (2x slack).
   ClusterSetOptions cluster_options = options.cluster;
-  // Limited memory forces every record into some cluster, so the home
-  // search must consider clusters below the join threshold (Section 4.1.1).
-  cluster_options.low_floor_home_search = true;
   if (cluster_options.max_clusters == 0) {
     uint64_t ng = n * budget / total_postings;
     cluster_options.max_clusters = static_cast<uint32_t>(
@@ -184,15 +172,6 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
     cluster_options.max_cluster_size =
         static_cast<uint32_t>(std::max<uint64_t>(2 * per_cluster, 2));
   }
-  cluster_options.max_index_postings = budget;
-
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = records.IdsByDecreasingNorm();
-  } else {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-  }
 
   // The record store stands in for "the database" phase 2 re-fetches from.
   std::string store_path = UniqueTempPath(options.temp_dir, "ssjoin_records");
@@ -202,12 +181,15 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   const RecordStore& store = store_result.value();
 
   // ---- Phase 1: data partitioning -------------------------------------
-  ClusterSet cluster_set(pred, cluster_options, records.vocabulary_size());
+  // The budget caps the cluster-level index. Limited memory forces every
+  // record into some cluster, so once the cap binds the home search
+  // considers clusters below the join threshold (Section 4.1.1).
+  ClusterSet cluster_set(pred, cluster_options, records.vocabulary_size(),
+                         /*max_index_postings=*/budget);
   SpillFile pinfo(UniqueTempPath(options.temp_dir, "ssjoin_pinfo"));
   SSJOIN_RETURN_IF_ERROR(pinfo.OpenForWrite());
   PartitionEntry entry;
-  for (uint64_t pos = 0; pos < n; ++pos) {
-    RecordId id = order[pos];
+  for (RecordId id : records.IdsByDecreasingNorm()) {
     ClusterSet::ProbeResult probe =
         cluster_set.ProbeAndAssign(records.record(id), &stats.merge);
     entry.rid = id;
@@ -311,12 +293,6 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
     peak_batch_postings = std::max(peak_batch_postings, batch_postings);
   }
   stats.index_postings = std::max(stats.index_postings, peak_batch_postings);
-
-  if (options.keep_temp_files) {
-    pinfo.Keep();
-    for (SpillFile& f : batch_files) f.Keep();
-    store_guard.Keep();
-  }
   return stats;
 }
 

@@ -25,19 +25,19 @@ namespace ssjoin {
 /// re-fetched from the record store in scan order, probe the member
 /// indexes of their J(r) ∩ batch clusters, and are inserted into their
 /// home cluster's index when it belongs to the batch.
+///
+/// Records are scanned in decreasing norm order. The cluster set runs
+/// under the posting cap M, so once M binds, its home search also
+/// considers clusters below the join threshold (see ClusterSet).
 struct ClusterMemOptions {
   /// M: the memory budget in postings (word occurrences). Must be > 0.
   /// With M >= W (the full index size) the algorithm degenerates to a
   /// single batch, i.e. Probe-Cluster.
   uint64_t memory_budget_postings = 0;
 
-  /// Directory for the record store, pInfo and per-batch spill files.
+  /// Directory for the record store, pInfo and per-batch spill files,
+  /// all removed when the join returns.
   std::string temp_dir = ".";
-
-  /// Keep spill files after the join (debugging).
-  bool keep_temp_files = false;
-
-  bool presort = true;
 
   /// Clustering knobs. max_clusters / max_cluster_size of 0 are estimated
   /// from the data as in Section 4.1: Ng = clamp(N*M/W, 1, N) and

@@ -1,6 +1,5 @@
 #include "core/foreign_join.h"
 
-#include <numeric>
 #include <vector>
 
 #include "core/probe_common.h"
@@ -10,7 +9,6 @@ namespace ssjoin {
 
 Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
                                    const Predicate& pred,
-                                   const ForeignJoinOptions& options,
                                    const CrossPairSink& sink) {
   pred.PrepareForJoin(left, right);
   JoinStats stats;
@@ -25,22 +23,12 @@ Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
   }
   stats.index_postings = index.total_postings();
 
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = left->IdsByDecreasingNorm();
-  } else {
-    order.resize(left->size());
-    std::iota(order.begin(), order.end(), 0);
-  }
-
-  MergeOptions merge_options;
-  merge_options.split_lists = options.optimized_merge;
   const probe_internal::ProbeTarget<InvertedIndex> target{
       index, *right, /*record_ids=*/nullptr, &short_right};
   probe_internal::ProbeScratch scratch;
-  for (RecordId left_id : order) {
+  for (RecordId left_id : left->IdsByDecreasingNorm()) {
     probe_internal::ProbeMatches(
-        pred, target, left->record(left_id), *left, left_id, merge_options,
+        pred, target, left->record(left_id), *left, left_id, MergeOptions{},
         /*skip=*/nullptr, &stats.merge, &stats.candidates_verified, &scratch,
         [&](RecordId, RecordId right_id) {
           ++stats.pairs;

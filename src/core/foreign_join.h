@@ -17,17 +17,12 @@ using CrossPairSink =
 
 /// Non-self similarity join R ⋈ S (the paper presents self-joins and notes
 /// "the extension to non-self-joins is obvious"): index the right set once
-/// and probe it with every left record through the shared probe-and-verify
-/// body (probe_internal::ProbeMatches, the one the streaming join, the
-/// cluster member probes and the serving tiers run): MergeOpt under
-/// T(r, minS) and T(r, m), the norm filter, Predicate::MatchesCross.
-struct ForeignJoinOptions {
-  bool optimized_merge = true;
-  /// Probe left records in decreasing-norm order (Section 3.3's sort; it
-  /// only affects speed, never output).
-  bool presort = true;
-};
-
+/// and probe it with every left record, in decreasing norm order (Section
+/// 3.3's sort), through the shared probe-and-verify body
+/// (probe_internal::ProbeMatches, the one the cluster member probes and
+/// the serving tiers run): MergeOpt under T(r, minS) and T(r, m), the
+/// norm filter, Predicate::MatchesCross.
+///
 /// Runs the cross join, preparing both sides via
 /// Predicate::PrepareForJoin. Emits each matching (left, right) pair
 /// exactly once, left record by left record (in probe order). Predicates
@@ -37,7 +32,6 @@ struct ForeignJoinOptions {
 /// matches.
 Result<JoinStats> ForeignProbeJoin(RecordSet* left, RecordSet* right,
                                    const Predicate& pred,
-                                   const ForeignJoinOptions& options,
                                    const CrossPairSink& sink);
 
 }  // namespace ssjoin

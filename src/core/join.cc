@@ -115,14 +115,7 @@ Result<JoinStats> RunJoin(RecordSet* records, const Predicate& pred,
     case JoinAlgorithm::kProbeOptMerge:
     case JoinAlgorithm::kProbeOnline:
     case JoinAlgorithm::kProbeSort: {
-      ProbeJoinOptions probe = options.probe;
-      probe.optimized_merge = algorithm != JoinAlgorithm::kProbeCount &&
-                              algorithm != JoinAlgorithm::kProbeStopwords;
-      probe.stopwords = algorithm == JoinAlgorithm::kProbeStopwords;
-      probe.online = algorithm == JoinAlgorithm::kProbeOnline ||
-                     algorithm == JoinAlgorithm::kProbeSort;
-      probe.presort = algorithm == JoinAlgorithm::kProbeSort;
-      result = ProbeJoin(*records, pred, probe, wrapped_sink,
+      result = ProbeJoin(*records, pred, algorithm, wrapped_sink,
                          options.num_threads);
       break;
     }
@@ -133,17 +126,16 @@ Result<JoinStats> RunJoin(RecordSet* records, const Predicate& pred,
     }
     case JoinAlgorithm::kPairCount:
     case JoinAlgorithm::kPairCountOptMerge: {
-      PairCountOptions pair = options.pair_count;
-      pair.optimized = algorithm == JoinAlgorithm::kPairCountOptMerge;
-      result = PairCountJoin(*records, pred, pair, wrapped_sink);
+      result = PairCountJoin(*records, pred, options.pair_count,
+                             algorithm == JoinAlgorithm::kPairCountOptMerge,
+                             wrapped_sink);
       break;
     }
     case JoinAlgorithm::kWordGroups:
     case JoinAlgorithm::kWordGroupsOptMerge: {
-      WordGroupsOptions groups = options.word_groups;
-      groups.threshold_optimized =
-          algorithm == JoinAlgorithm::kWordGroupsOptMerge;
-      result = WordGroupsJoin(*records, pred, groups, wrapped_sink);
+      result = WordGroupsJoin(*records, pred, options.word_groups,
+                              algorithm == JoinAlgorithm::kWordGroupsOptMerge,
+                              wrapped_sink);
       break;
     }
     case JoinAlgorithm::kClusterMem: {
@@ -152,8 +144,8 @@ Result<JoinStats> RunJoin(RecordSet* records, const Predicate& pred,
       break;
     }
     case JoinAlgorithm::kPrefixFilter: {
-      result = PrefixFilterJoin(*records, pred, options.prefix_filter,
-                                wrapped_sink, options.num_threads);
+      result = PrefixFilterJoin(*records, pred, wrapped_sink,
+                                options.num_threads);
       break;
     }
   }
@@ -207,9 +199,8 @@ Result<JoinStats> BandPartitionedJoin(RecordSet* records,
     for (RecordId id : partition) {
       subset.Add(records->record(id), records->text(id));
     }
-    ProbeClusterOptions cluster_options;
     Result<JoinStats> sub = ProbeClusterJoin(
-        subset, pred, cluster_options,
+        subset, pred, ClusterSetOptions{},
         [&](RecordId local_a, RecordId local_b) {
           RecordId a = partition[local_a];
           RecordId b = partition[local_b];

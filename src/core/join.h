@@ -19,34 +19,19 @@
 
 namespace ssjoin {
 
-/// Every algorithm evaluated in the paper, named as in the figures.
-enum class JoinAlgorithm {
-  kBruteForce,            // reference nested-loop join (testing)
-  kProbeCount,            // Section 2.1
-  kProbeStopwords,        // Section 3.1 (Probe-stopWords)
-  kProbeOptMerge,         // Section 3.1 (Probe-optMerge)
-  kProbeOnline,           // Section 3.2 (ProbeCount-online)
-  kProbeSort,             // Section 3.3 (ProbeCount-sort)
-  kProbeCluster,          // Section 3.4 (the final Probe Cluster)
-  kPairCount,             // Section 2.2
-  kPairCountOptMerge,     // Section 3.1 (threshold-optimized Pair-Count)
-  kWordGroups,            // Section 2.3
-  kWordGroupsOptMerge,    // Section 3.1 (threshold-optimized Word-Groups)
-  kClusterMem,            // Section 4 (limited-memory)
-  kPrefixFilter,          // extension: AllPairs-style prefix filtering
-};
-
 /// Paper-style display name, e.g. "ProbeCount-optMerge".
 const char* JoinAlgorithmName(JoinAlgorithm algorithm);
 
 /// Union of per-algorithm knobs; the driver picks the relevant block.
+/// The algorithm picks the variant (Probe-Count ladder rung, the §3.1
+/// threshold optimization of Pair-Count and Word-Groups); these only set
+/// limits and tuning values. The Probe-Count family and PrefixFilter have
+/// none besides num_threads.
 struct JoinOptions {
-  ProbeJoinOptions probe;          // flags overridden per algorithm preset
-  ProbeClusterOptions cluster;
+  ClusterSetOptions cluster;  // Probe-Cluster
   ClusterMemOptions cluster_mem;
   PairCountOptions pair_count;
   WordGroupsOptions word_groups;
-  PrefixFilterJoinOptions prefix_filter;
 
   /// Worker threads for the index-probe algorithms (the Probe-Count
   /// family and PrefixFilter), passed straight to ProbeJoin and

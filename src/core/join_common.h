@@ -9,6 +9,25 @@
 
 namespace ssjoin {
 
+/// Every algorithm evaluated in the paper, named as in the figures. This
+/// enum alone picks a variant: the option structs of the joins hold
+/// limits and tuning values, never a switch between variants.
+enum class JoinAlgorithm {
+  kBruteForce,            // reference nested-loop join (testing)
+  kProbeCount,            // Section 2.1
+  kProbeStopwords,        // Section 3.1 (Probe-stopWords)
+  kProbeOptMerge,         // Section 3.1 (Probe-optMerge)
+  kProbeOnline,           // Section 3.2 (ProbeCount-online)
+  kProbeSort,             // Section 3.3 (ProbeCount-sort)
+  kProbeCluster,          // Section 3.4 (the final Probe Cluster)
+  kPairCount,             // Section 2.2
+  kPairCountOptMerge,     // Section 3.1 (threshold-optimized Pair-Count)
+  kWordGroups,            // Section 2.3
+  kWordGroupsOptMerge,    // Section 3.1 (threshold-optimized Word-Groups)
+  kClusterMem,            // Section 4 (limited-memory)
+  kPrefixFilter,          // extension: AllPairs-style prefix filtering
+};
+
 /// Receives each matching pair exactly once, with a < b.
 using PairSink = std::function<void(RecordId a, RecordId b)>;
 

@@ -12,6 +12,7 @@ namespace ssjoin {
 Result<JoinStats> PairCountJoin(const RecordSet& records,
                                 const Predicate& pred,
                                 const PairCountOptions& options,
+                                bool threshold_optimized,
                                 const PairSink& sink) {
   JoinStats stats;
   InvertedIndex index;
@@ -53,7 +54,7 @@ Result<JoinStats> PairCountJoin(const RecordSet& records,
     cumulative[i] = running;
   }
   size_t split_k = 0;
-  if (options.optimized) {
+  if (threshold_optimized) {
     while (split_k < lists.size() &&
            cumulative[split_k] < PruneBound(floor)) {
       ++split_k;

@@ -15,22 +15,22 @@ namespace ssjoin {
 /// algorithm only completes on small inputs — so `max_aggregated_pairs`
 /// provides an abort valve for the benchmarks.
 struct PairCountOptions {
-  /// Threshold optimization of Section 3.1: the globally largest lists
-  /// whose total potential stays below the smallest possible pair
-  /// threshold are excluded from pair generation; surviving pairs
-  /// binary-search into them (with cumulative-weight early termination)
-  /// to complete their counts.
-  bool optimized = true;
-
   /// Abort (OutOfRange) when the aggregation table exceeds this many
   /// pairs; 0 = unlimited.
   uint64_t max_aggregated_pairs = 0;
 };
 
 /// Runs Pair-Count. `records` must already be Prepare()d by `pred`.
+///
+/// `threshold_optimized` selects PairCount-optMerge, the threshold
+/// optimization of Section 3.1: the globally largest lists whose total
+/// potential stays below the smallest possible pair threshold are
+/// excluded from pair generation; surviving pairs binary-search into them
+/// (with cumulative-weight early termination) to complete their counts.
 Result<JoinStats> PairCountJoin(const RecordSet& records,
                                 const Predicate& pred,
                                 const PairCountOptions& options,
+                                bool threshold_optimized,
                                 const PairSink& sink);
 
 }  // namespace ssjoin

@@ -14,7 +14,6 @@ namespace ssjoin {
 
 Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
                                    const Predicate& pred,
-                                   const PrefixFilterJoinOptions& options,
                                    const PairSink& sink, int num_threads) {
   if (pred.MinMatchOverlap(1e18) <= 0) {
     return Status::InvalidArgument(
@@ -38,13 +37,7 @@ Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
   // Corpus-wide max score per token (the gmax of the suffix bound).
   const std::vector<double> gmax = MaxTokenScores(records);
 
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = records.IdsByDecreasingNorm();
-  } else {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-  }
+  const std::vector<RecordId> order = records.IdsByDecreasingNorm();
 
   // What every probe reads and no probe writes, one entry per processing
   // position. A record's prefix holds its tokens in rank order minus the

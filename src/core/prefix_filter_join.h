@@ -38,27 +38,22 @@ namespace ssjoin {
 /// Dice, cosine; Hamming degrades gracefully — tiny records index fully
 /// and the short-record pool covers zero-overlap pairs). Weighted scores
 /// are supported through the gmax bound.
-struct PrefixFilterJoinOptions {
-  /// Process records in decreasing norm order (affects speed only).
-  bool presort = true;
-};
-
+///
 /// Runs the prefix-filter self-join. `records` must already be
 /// Prepare()d. Emits each matching pair once (smaller id first). Returns
 /// InvalidArgument for predicates whose MinMatchOverlap is never
 /// positive.
 ///
-/// The prefix index (an InvertedIndex) is built whole, keyed by
-/// processing position, and every position runs one probe body that reads
-/// only the list entries below its own position — what an incremental
-/// build would hold there.
+/// Records are processed in decreasing norm order. The prefix index (an
+/// InvertedIndex) is built whole, keyed by processing position, and every
+/// position runs one probe body that reads only the list entries below
+/// its own position — what an incremental build would hold there.
 /// With `num_threads` <= 1 the positions run in order and pairs are
 /// emitted as found; with more, the probes fan out across a ThreadPool
 /// (ParallelProbeDriver) and pairs arrive sorted. Pairs and every
 /// counter are identical at every thread count.
 Result<JoinStats> PrefixFilterJoin(const RecordSet& records,
                                    const Predicate& pred,
-                                   const PrefixFilterJoinOptions& options,
                                    const PairSink& sink, int num_threads = 1);
 
 }  // namespace ssjoin

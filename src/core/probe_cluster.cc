@@ -2,19 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/function_ref.h"
 #include "util/logging.h"
 
 namespace ssjoin {
 
+namespace {
+
+/// Where the low-floor home search (Section 4.1.1) starts, as a fraction
+/// of T(r, I).
+constexpr double kInitialFloorFraction = 0.2;
+
+}  // namespace
+
 ClusterSet::ClusterSet(const Predicate& pred, ClusterSetOptions options,
-                       size_t vocabulary_size)
-    : pred_(pred), options_(options), lists_(vocabulary_size) {
-  SSJOIN_CHECK(options_.initial_floor_fraction >= 0 &&
-               options_.initial_floor_fraction <= 1);
-}
+                       size_t vocabulary_size, uint64_t max_index_postings)
+    : pred_(pred),
+      options_(options),
+      max_index_postings_(max_index_postings),
+      lists_(vocabulary_size) {}
 
 ClusterId ClusterSet::CreateCluster(RecordView record) {
   ClusterId id = static_cast<ClusterId>(clusters_.size());
@@ -98,14 +105,13 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
   bool can_create =
       (options_.max_clusters == 0 ||
        clusters_.size() < options_.max_clusters) &&
-      (options_.max_index_postings == 0 ||
-       index_postings_ < options_.max_index_postings);
+      (max_index_postings_ == 0 || index_postings_ < max_index_postings_);
   // Section 4's promise: "when sufficient memory is available, the method
   // just reduces to the Probe Cluster method". While new clusters can
   // still be created, the home search stays at full MergeOpt strength;
   // the expensive below-threshold search only starts once the budget
   // binds and every record must be squeezed into an existing cluster.
-  bool low_floor = options_.low_floor_home_search && !can_create;
+  bool low_floor = max_index_postings_ != 0 && !can_create;
 
   double best_similarity = -1;
   ClusterId best_cluster = kNoCluster;
@@ -121,7 +127,7 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
     double floor = t_index;
     if (low_floor && t_index > 0) {
       // Scaling a negative threshold would move the floor above T(r, I).
-      floor = options_.initial_floor_fraction * t_index;
+      floor = kInitialFloorFraction * t_index;
     }
     auto required_fn = [this, norm](RecordId c) {
       return pred_.ThresholdForNorms(norm, norms_[c]);
@@ -306,20 +312,10 @@ void ProbeMemberIndex(const RecordSet& records, const Predicate& pred,
 
 Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
                                    const Predicate& pred,
-                                   const ProbeClusterOptions& options,
+                                   const ClusterSetOptions& options,
                                    const PairSink& sink) {
   JoinStats stats;
-  const size_t n = records.size();
-
-  std::vector<RecordId> order;
-  if (options.presort) {
-    order = records.IdsByDecreasingNorm();
-  } else {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-  }
-
-  ClusterSet cluster_set(pred, options.cluster, records.vocabulary_size());
+  ClusterSet cluster_set(pred, options, records.vocabulary_size());
   probe_internal::ProbeScratch scratch;  // reused by every member probe
   // Per-cluster member indexes. A cluster's index is built on its second
   // member: a singleton cluster keeps its lone member in first_member and
@@ -327,8 +323,7 @@ Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
   std::vector<RecordId> first_member;
   std::vector<MemberIndex> member_index;
 
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    RecordId id = order[pos];
+  for (RecordId id : records.IdsByDecreasingNorm()) {
     const RecordView record = records.record(id);
 
     ClusterSet::ProbeResult probe =

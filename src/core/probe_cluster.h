@@ -24,19 +24,6 @@ constexpr ClusterId kNoCluster = UINT32_MAX;
 /// Knobs shared by Probe-Cluster (Section 3.4) and ClusterMem phase 1
 /// (Section 4.1).
 struct ClusterSetOptions {
-  /// Whether the home-cluster search may consider clusters below the join
-  /// threshold. Section 3.4's full-memory Probe-Cluster assigns a record
-  /// only to a cluster from its T-overlap set J(r) (or a new one), so the
-  /// probe runs at full MergeOpt strength. ClusterMem (Section 4.1.1)
-  /// must assign every record somewhere even without T overlap, so it
-  /// starts the merge at a low floor and raises it as candidates appear.
-  bool low_floor_home_search = false;
-
-  /// The Section 4.1.1 search starts at this fraction of T(r, I) and is
-  /// raised toward it as similar clusters are found. Only used when
-  /// low_floor_home_search is true.
-  double initial_floor_fraction = 0.2;
-
   /// A record joins its most similar cluster only when the ratio
   /// similarity overlap/union reaches this; otherwise a new cluster is
   /// created (when allowed).
@@ -47,10 +34,6 @@ struct ClusterSetOptions {
 
   /// Ng: maximum number of clusters (0 = unlimited).
   uint32_t max_clusters = 0;
-
-  /// Hard cap on cluster-level index postings — the M of Section 4
-  /// (0 = unlimited). When reached, no new clusters are created.
-  uint64_t max_index_postings = 0;
 };
 
 /// Online clustering over a stream of records: maintains the cluster-level
@@ -82,8 +65,18 @@ class ClusterSet {
   };
 
   /// Every probed record's tokens must lie below `vocabulary_size`.
+  ///
+  /// `max_index_postings` is ClusterMem's memory budget M (Section 4): a
+  /// hard cap on cluster-level index postings, past which no new cluster
+  /// is created. 0 means no cap, i.e. Probe-Cluster. Under a cap, once no
+  /// cluster can be created the home search also considers clusters
+  /// below the join threshold (Section 4.1.1), since every record must be
+  /// assigned somewhere: it starts the merge at 0.2 T(r, I) and raises
+  /// the floor toward T(r, I) as candidates appear. Without a cap the
+  /// home is always a J(r) member or a new cluster, so the probe runs at
+  /// full MergeOpt strength.
   ClusterSet(const Predicate& pred, ClusterSetOptions options,
-             size_t vocabulary_size);
+             size_t vocabulary_size, uint64_t max_index_postings = 0);
 
   ClusterSet(const ClusterSet&) = delete;
   ClusterSet& operator=(const ClusterSet&) = delete;
@@ -131,6 +124,7 @@ class ClusterSet {
 
   const Predicate& pred_;
   ClusterSetOptions options_;
+  uint64_t max_index_postings_;  // 0 = no cap
   std::vector<PostingList> lists_;  // cluster-level index, by token
   uint64_t index_postings_ = 0;
   double min_norm_ = std::numeric_limits<double>::infinity();
@@ -203,18 +197,12 @@ void CollectProbeLists(const MemberIndex& index, RecordView probe,
                        std::vector<double>* probe_scores);
 
 /// Probe-Cluster (Section 3.4): the fully-optimized in-memory algorithm —
-/// online build+probe, optional pre-sort, MergeOpt everywhere, and
+/// online build+probe in decreasing norm order, MergeOpt everywhere, and
 /// cluster-level indirection so highly overlapping records share index
-/// postings.
-struct ProbeClusterOptions {
-  bool presort = true;
-  ClusterSetOptions cluster;
-};
-
-/// Runs Probe-Cluster. `records` must already be Prepare()d by `pred`.
+/// postings. `records` must already be Prepare()d by `pred`.
 Result<JoinStats> ProbeClusterJoin(const RecordSet& records,
                                    const Predicate& pred,
-                                   const ProbeClusterOptions& options,
+                                   const ClusterSetOptions& options,
                                    const PairSink& sink);
 
 /// Probes one cluster's member-level index with `record` (RecordId

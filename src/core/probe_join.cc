@@ -20,6 +20,38 @@ using probe_internal::ProbeScratch;
 using probe_internal::ReducedThreshold;
 using probe_internal::StopwordPlan;
 
+/// The techniques a Probe-Count rung turns on (see probe_join.h).
+struct ProbeVariant {
+  bool optimized_merge;  // MergeOpt (3.1) instead of the plain heap merge
+  bool online;           // one build-and-probe pass (3.2) vs. two passes
+  bool presort;          // decreasing norm order (3.3) vs. id order
+  bool stopwords;        // frequent tokens left out of the index (3.1)
+};
+
+/// The one place a Probe-Count algorithm maps to its techniques; nullopt
+/// for an algorithm outside the family.
+std::optional<ProbeVariant> VariantOf(JoinAlgorithm algorithm) {
+  switch (algorithm) {
+    case JoinAlgorithm::kProbeCount:
+      return ProbeVariant{.optimized_merge = false, .online = false,
+                          .presort = false, .stopwords = false};
+    case JoinAlgorithm::kProbeStopwords:
+      return ProbeVariant{.optimized_merge = false, .online = false,
+                          .presort = false, .stopwords = true};
+    case JoinAlgorithm::kProbeOptMerge:
+      return ProbeVariant{.optimized_merge = true, .online = false,
+                          .presort = false, .stopwords = false};
+    case JoinAlgorithm::kProbeOnline:
+      return ProbeVariant{.optimized_merge = true, .online = true,
+                          .presort = false, .stopwords = false};
+    case JoinAlgorithm::kProbeSort:
+      return ProbeVariant{.optimized_merge = true, .online = true,
+                          .presort = true, .stopwords = false};
+    default:
+      return std::nullopt;
+  }
+}
+
 /// The postings of `index` at positions below `limit`: what the serial
 /// online probe at position `limit` sees of a frozen index.
 struct IndexPrefix {
@@ -61,7 +93,7 @@ void CollectProbeLists(const IndexPrefix& prefix, RecordView probe,
 struct ProbePlan {
   const RecordSet& records;
   const Predicate& pred;
-  const ProbeJoinOptions& options;
+  ProbeVariant variant;
   std::vector<RecordId> order = {};  // processing position -> RecordId
   StopwordPlan stop_plan = {};
   /// prefix_min_norm[k] is the minimum norm over positions < k (+inf for
@@ -99,7 +131,7 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
                                   records.record(plan.order[m]).norm());
   };
   FunctionRef<double(RecordId)> required;
-  if (plan.options.stopwords) {
+  if (plan.variant.stopwords) {
     const double reduced = ReducedThreshold(probe, plan.stop_plan);
     if (reduced <= 0) {
       // Degenerate probe: its own stopwords could carry the whole
@@ -131,19 +163,24 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
 }  // namespace
 
 Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
-                            const ProbeJoinOptions& options,
-                            const PairSink& sink, int num_threads) {
+                            JoinAlgorithm algorithm, const PairSink& sink,
+                            int num_threads) {
+  const std::optional<ProbeVariant> variant = VariantOf(algorithm);
+  if (!variant.has_value()) {
+    return Status::InvalidArgument(
+        "ProbeJoin runs the Probe-Count family only");
+  }
   const size_t n = records.size();
-  ProbePlan plan{.records = records, .pred = pred, .options = options};
+  ProbePlan plan{.records = records, .pred = pred, .variant = *variant};
 
-  if (options.presort) {
+  if (variant->presort) {
     plan.order = records.IdsByDecreasingNorm();
   } else {
     plan.order.resize(n);
     std::iota(plan.order.begin(), plan.order.end(), 0);
   }
 
-  if (options.stopwords) {
+  if (variant->stopwords) {
     std::optional<double> constant = pred.ConstantThreshold();
     if (!constant.has_value()) {
       return Status::InvalidArgument(
@@ -153,7 +190,7 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
     plan.stop_plan = BuildStopwordPlan(records, *constant);
   }
   const std::vector<bool>* skip =
-      options.stopwords ? &plan.stop_plan.is_stop : nullptr;
+      variant->stopwords ? &plan.stop_plan.is_stop : nullptr;
 
   plan.prefix_min_norm.resize(n + 1);
   plan.prefix_min_norm[0] = std::numeric_limits<double>::infinity();
@@ -162,7 +199,7 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
         plan.prefix_min_norm[k], records.record(plan.order[k]).norm());
   }
 
-  plan.merge_options.split_lists = options.optimized_merge;
+  plan.merge_options.split_lists = variant->optimized_merge;
 
   // The index is keyed by processing position so posting ids stay
   // strictly increasing under any processing order; `order` maps back to
@@ -173,14 +210,14 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   // online probe then sees only the prefix below its own position.
   InvertedIndex index;
   index.PlanFromRecords(records);
-  const bool grow_online = options.online && num_threads <= 1;
+  const bool grow_online = variant->online && num_threads <= 1;
   if (!grow_online) {
     for (uint32_t pos = 0; pos < n; ++pos) {
       index.Insert(pos, records.record(plan.order[pos]), skip);
     }
   }
   auto limit_of = [&](uint32_t pos) {
-    return options.online ? pos : static_cast<uint32_t>(n);
+    return variant->online ? pos : static_cast<uint32_t>(n);
   };
 
   JoinStats stats;

@@ -13,6 +13,7 @@ namespace ssjoin {
 Result<JoinStats> WordGroupsJoin(const RecordSet& records,
                                  const Predicate& pred,
                                  const WordGroupsOptions& options,
+                                 bool threshold_optimized,
                                  const PairSink& sink) {
   std::optional<double> constant = pred.ConstantThreshold();
   if (!constant.has_value() || !pred.has_static_weights()) {
@@ -29,19 +30,18 @@ Result<JoinStats> WordGroupsJoin(const RecordSet& records,
     token_weights[t] = pred.StaticTokenWeight(t);
   }
 
-  AprioriOptions apriori = options.apriori;
-  apriori.min_weight = threshold;
-  if (options.threshold_optimized) {
+  std::vector<bool> token_in_large_set;
+  if (threshold_optimized) {
     // Global L set: the most frequent tokens whose cumulative weight stays
     // below T; itemsets inside L can never certify a match.
     std::vector<TokenId> by_frequency =
         TopFrequentTokens(records, records.vocabulary_size());
-    apriori.token_in_large_set.assign(records.vocabulary_size(), false);
+    token_in_large_set.assign(records.vocabulary_size(), false);
     double sum = 0;
     for (TokenId t : by_frequency) {
       if (sum + token_weights[t] >= PruneBound(threshold)) break;
       sum += token_weights[t];
-      apriori.token_in_large_set[t] = true;
+      token_in_large_set[t] = true;
     }
   }
 
@@ -67,10 +67,12 @@ Result<JoinStats> WordGroupsJoin(const RecordSet& records,
   };
 
   if (options.miner == WordGroupsMiner::kDepthFirst) {
-    DfsMiner miner(records, std::move(token_weights), apriori);
+    DfsMiner miner(records, std::move(token_weights), threshold,
+                   std::move(token_in_large_set), options.apriori);
     miner.Mine(handle_group);
   } else {
-    AprioriMiner miner(records, std::move(token_weights), apriori);
+    AprioriMiner miner(records, std::move(token_weights), threshold,
+                       std::move(token_in_large_set), options.apriori);
     miner.Mine(handle_group);
   }
   return stats;

@@ -19,6 +19,7 @@ namespace ssjoin {
 ///
 /// Requires a constant-threshold predicate with static token weights
 /// (the weighted T-overlap family).
+
 /// Which itemset miner drives Word-Groups.
 enum class WordGroupsMiner {
   /// Level-wise Apriori with MinHash compaction (Section 2.3's default).
@@ -29,20 +30,23 @@ enum class WordGroupsMiner {
 };
 
 struct WordGroupsOptions {
-  /// Threshold optimization of Section 3.1: never generate itemsets whose
-  /// tokens all come from the global large-list set L.
-  bool threshold_optimized = true;
-
   WordGroupsMiner miner = WordGroupsMiner::kApriori;
 
-  /// Miner knobs (min_weight and token_in_large_set are filled in here).
+  /// Miner tuning values; the miner's threshold is the predicate's
+  /// constant threshold T.
   AprioriOptions apriori;
 };
 
 /// Runs Word-Groups. `records` must already be Prepare()d by `pred`.
+///
+/// `threshold_optimized` selects Word-Groups-optMerge, the threshold
+/// optimization of Section 3.1: the global large-list set L holds the
+/// most frequent tokens whose cumulative weight stays below T, and the
+/// miner never generates an itemset whose tokens all come from L.
 Result<JoinStats> WordGroupsJoin(const RecordSet& records,
                                  const Predicate& pred,
                                  const WordGroupsOptions& options,
+                                 bool threshold_optimized,
                                  const PairSink& sink);
 
 }  // namespace ssjoin

@@ -25,14 +25,26 @@
 
 namespace ssjoin {
 
+namespace {
+
+/// Signature length and hash seed of the MinHash compaction step.
+constexpr int kMinHashComponents = 16;
+constexpr uint64_t kMinHashSeed = 7;
+
+}  // namespace
+
 AprioriMiner::AprioriMiner(const RecordSet& records,
                            std::vector<double> token_weights,
+                           double min_weight,
+                           std::vector<bool> token_in_large_set,
                            AprioriOptions options)
     : records_(records),
       token_weights_(std::move(token_weights)),
+      min_weight_(min_weight),
+      token_in_large_set_(std::move(token_in_large_set)),
       options_(std::move(options)) {
   SSJOIN_CHECK(options_.early_output_support >= 2);
-  SSJOIN_CHECK(options_.min_weight > 0);
+  SSJOIN_CHECK(min_weight_ > 0);
 }
 
 double AprioriMiner::TokenWeight(TokenId t) const {
@@ -40,8 +52,7 @@ double AprioriMiner::TokenWeight(TokenId t) const {
 }
 
 bool AprioriMiner::InLargeSet(TokenId t) const {
-  return t < options_.token_in_large_set.size() &&
-         options_.token_in_large_set[t];
+  return t < token_in_large_set_.size() && token_in_large_set_[t];
 }
 
 uint64_t AprioriMiner::OrderKey(TokenId t) const {
@@ -82,8 +93,7 @@ bool AprioriMiner::Classify(
   if (itemset.tids.size() < 2) return false;  // below minimum support
   // Relative slack so float rounding on borderline weights errs toward
   // emitting (downstream verification keeps the join exact).
-  double cap =
-      options_.min_weight - 1e-7 * std::max(1.0, options_.min_weight);
+  double cap = min_weight_ - 1e-7 * std::max(1.0, min_weight_);
   if (itemset.weight >= cap) {
     // Reached the weight cap: all contained pairs are genuine matches.
     emit({std::move(itemset.tids), itemset.weight, /*confirmed=*/true});
@@ -102,7 +112,7 @@ void AprioriMiner::CompactLevel(
     std::vector<Itemset>* level,
     const std::function<void(const MinedGroup&)>& emit) const {
   if (!options_.minhash_compaction || level->size() < 2) return;
-  MinHasher hasher(options_.minhash_k, options_.seed);
+  MinHasher hasher(kMinHashComponents, kMinHashSeed);
 
   // Bucket by the first signature component; estimate resemblance within a
   // bucket and greedily merge chains of similar groups.

@@ -9,12 +9,10 @@
 
 namespace ssjoin {
 
-/// Options for the Word-Groups itemset miner (Section 2.3).
+/// Tuning values for the Word-Groups itemset miners (Section 2.3). The
+/// join's threshold and the §3.1 large-list set are constructor arguments
+/// of the miners, since Word-Groups derives them from the predicate.
 struct AprioriOptions {
-  /// The T of the T-overlap join: itemsets stop growing and are emitted as
-  /// confirmed once their total item weight reaches this.
-  double min_weight = 1;
-
   /// The paper's M: itemsets whose support (record-list length) drops
   /// below this are emitted early as candidate groups and pruned from
   /// further growth ("output small groups early"). Must be >= 2.
@@ -22,11 +20,9 @@ struct AprioriOptions {
 
   /// Enables the MinHash group-compaction step run after each level.
   bool minhash_compaction = true;
-  int minhash_k = 16;
   /// The p of Section 2.3: groups agreeing on >= p fraction of MinHash
   /// components are merged.
   double compaction_threshold = 0.7;
-  uint64_t seed = 7;
 
   /// Safety valve against exponential blowup on adversarial inputs: when
   /// non-zero, mining stops after this level, emitting every still-open
@@ -47,12 +43,6 @@ struct AprioriOptions {
   /// Word-Groups runs took hours on the 3-gram corpora; the join stays
   /// exact, degrading toward verify-all-candidates). 0 disables it.
   double deadline_seconds = 0;
-
-  /// Optional Section 3.1 threshold optimization: token_in_large_set[t] is
-  /// true for tokens in the global large-list set L (cumulative weight
-  /// < min_weight). Itemsets contained entirely in L are never generated.
-  /// Empty disables the optimization.
-  std::vector<bool> token_in_large_set;
 };
 
 /// A group of records emitted by the miner. Every pair of records inside a
@@ -73,8 +63,15 @@ struct MinedGroup {
 class AprioriMiner {
  public:
   /// `token_weights[t]` is the weight of token t (the word match score);
-  /// tokens beyond the vector get weight 1.
+  /// tokens beyond the vector get weight 1. `min_weight` is the T of the
+  /// T-overlap join (> 0): itemsets stop growing and are emitted as
+  /// confirmed once their total item weight reaches it.
+  /// `token_in_large_set[t]` is true for tokens in the global large-list
+  /// set L of the Section 3.1 threshold optimization (cumulative weight
+  /// < min_weight): itemsets contained entirely in L are never generated.
+  /// Empty turns the optimization off.
   AprioriMiner(const RecordSet& records, std::vector<double> token_weights,
+               double min_weight, std::vector<bool> token_in_large_set,
                AprioriOptions options);
 
   /// Runs the mining; calls `emit` once per emitted group. Also returns
@@ -111,6 +108,8 @@ class AprioriMiner {
 
   const RecordSet& records_;
   std::vector<double> token_weights_;
+  double min_weight_;
+  std::vector<bool> token_in_large_set_;
   AprioriOptions options_;
 };
 

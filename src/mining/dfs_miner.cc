@@ -21,12 +21,16 @@ Timer& MinerTimer() {
 }  // namespace
 
 DfsMiner::DfsMiner(const RecordSet& records,
-                   std::vector<double> token_weights, AprioriOptions options)
+                   std::vector<double> token_weights, double min_weight,
+                   std::vector<bool> token_in_large_set,
+                   AprioriOptions options)
     : records_(records),
       token_weights_(std::move(token_weights)),
+      min_weight_(min_weight),
+      token_in_large_set_(std::move(token_in_large_set)),
       options_(std::move(options)) {
   SSJOIN_CHECK(options_.early_output_support >= 2);
-  SSJOIN_CHECK(options_.min_weight > 0);
+  SSJOIN_CHECK(min_weight_ > 0);
 }
 
 double DfsMiner::TokenWeight(TokenId t) const {
@@ -34,8 +38,7 @@ double DfsMiner::TokenWeight(TokenId t) const {
 }
 
 bool DfsMiner::InLargeSet(TokenId t) const {
-  return t < options_.token_in_large_set.size() &&
-         options_.token_in_large_set[t];
+  return t < token_in_large_set_.size() && token_in_large_set_[t];
 }
 
 size_t DfsMiner::Mine(const std::function<void(const MinedGroup&)>& emit) {
@@ -69,8 +72,7 @@ size_t DfsMiner::Mine(const std::function<void(const MinedGroup&)>& emit) {
   steps_ = 0;
   max_depth_seen_ = columns_.empty() ? 0 : 1;
 
-  double cap =
-      options_.min_weight - 1e-7 * std::max(1.0, options_.min_weight);
+  double cap = min_weight_ - 1e-7 * std::max(1.0, min_weight_);
   for (size_t i = 0; i < columns_.size(); ++i) {
     const Column& root = columns_[i];
     if (root.in_large_set) break;  // L columns are extensions only
@@ -102,8 +104,7 @@ bool DfsMiner::Grow(size_t col, const std::vector<RecordId>& tids,
                     double weight, size_t depth,
                     const std::function<void(const MinedGroup&)>& emit) {
   max_depth_seen_ = std::max(max_depth_seen_, depth);
-  double cap =
-      options_.min_weight - 1e-7 * std::max(1.0, options_.min_weight);
+  double cap = min_weight_ - 1e-7 * std::max(1.0, min_weight_);
   for (size_t j = col + 1; j < columns_.size(); ++j) {
     bool over_deadline =
         options_.deadline_seconds > 0 &&

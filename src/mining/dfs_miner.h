@@ -21,12 +21,13 @@ namespace ssjoin {
 /// support threshold, large-list-set skipping) and the completeness
 /// invariant are identical to AprioriMiner: every itemset pruned from
 /// growth is emitted first, so every matching pair is covered by some
-/// emitted group. Options are shared with AprioriMiner; the MinHash
+/// emitted group. Constructor arguments are AprioriMiner's; the MinHash
 /// compaction knobs are ignored (there is no level to compact — the
 /// early-output rule plays that role).
 class DfsMiner {
  public:
   DfsMiner(const RecordSet& records, std::vector<double> token_weights,
+           double min_weight, std::vector<bool> token_in_large_set,
            AprioriOptions options);
 
   /// Runs the mining; calls `emit` once per emitted group. Returns the
@@ -52,6 +53,8 @@ class DfsMiner {
 
   const RecordSet& records_;
   std::vector<double> token_weights_;
+  double min_weight_;
+  std::vector<bool> token_in_large_set_;
   AprioriOptions options_;
   std::vector<Column> columns_;  // singleton record lists, non-L first
   size_t max_depth_seen_ = 0;

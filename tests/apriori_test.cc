@@ -14,10 +14,13 @@ namespace {
 using PairSet = std::set<uint64_t>;
 
 /// All record pairs implied by the emitted groups.
-PairSet CoveredPairs(const RecordSet& records, const AprioriOptions& options,
-                     std::vector<double> weights = {}) {
+PairSet CoveredPairs(const RecordSet& records, double min_weight,
+                     const AprioriOptions& options = {},
+                     std::vector<double> weights = {},
+                     std::vector<bool> token_in_large_set = {}) {
   if (weights.empty()) weights.assign(records.vocabulary_size(), 1.0);
-  AprioriMiner miner(records, std::move(weights), options);
+  AprioriMiner miner(records, std::move(weights), min_weight,
+                     std::move(token_in_large_set), options);
   PairSet covered;
   miner.Mine([&covered](const MinedGroup& group) {
     for (size_t i = 0; i < group.rids.size(); ++i) {
@@ -43,9 +46,11 @@ PairSet MatchingPairs(const RecordSet& records, double threshold) {
   return matches;
 }
 
-void ExpectCoversAllMatches(const RecordSet& records,
-                            const AprioriOptions& options, double threshold) {
-  PairSet covered = CoveredPairs(records, options);
+void ExpectCoversAllMatches(const RecordSet& records, double threshold,
+                            const AprioriOptions& options = {},
+                            std::vector<bool> token_in_large_set = {}) {
+  PairSet covered = CoveredPairs(records, threshold, options, {},
+                                 std::move(token_in_large_set));
   for (uint64_t key : MatchingPairs(records, threshold)) {
     EXPECT_TRUE(covered.count(key) > 0)
         << "pair (" << (key >> 32) << "," << (key & 0xFFFFFFFF)
@@ -59,13 +64,12 @@ TEST(AprioriTest, ConfirmedGroupsCarryRealMatches) {
   records.Add(Record::FromTokens({1, 2, 3, 5}));
   records.Add(Record::FromTokens({7, 8}));
   AprioriOptions options;
-  options.min_weight = 3;
   options.minhash_compaction = false;
   // Disable early output (support threshold 2 = minimum support) so the
   // itemset chain reaches the confirmed weight-3 group.
   options.early_output_support = 2;
   std::vector<double> weights(10, 1.0);
-  AprioriMiner miner(records, weights, options);
+  AprioriMiner miner(records, weights, /*min_weight=*/3, {}, options);
   bool found_confirmed = false;
   miner.Mine([&](const MinedGroup& group) {
     if (group.confirmed) {
@@ -89,9 +93,7 @@ TEST(AprioriTest, CoversAllMatchesOnRandomData) {
     RecordSet records = testing_util::MakeRandomRecordSet(
         {.num_records = 80, .vocabulary = 40}, seed);
     for (double threshold : {2.0, 4.0}) {
-      AprioriOptions options;
-      options.min_weight = threshold;
-      ExpectCoversAllMatches(records, options, threshold);
+      ExpectCoversAllMatches(records, threshold);
     }
   }
 }
@@ -100,43 +102,38 @@ TEST(AprioriTest, CoversWithCompactionDisabled) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 30}, 9);
   AprioriOptions options;
-  options.min_weight = 3;
   options.minhash_compaction = false;
-  ExpectCoversAllMatches(records, options, 3);
+  ExpectCoversAllMatches(records, 3, options);
 }
 
 TEST(AprioriTest, CoversWithAggressiveEarlyOutput) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 30}, 10);
   AprioriOptions options;
-  options.min_weight = 3;
   options.early_output_support = 20;  // almost everything leaves early
-  ExpectCoversAllMatches(records, options, 3);
+  ExpectCoversAllMatches(records, 3, options);
 }
 
 TEST(AprioriTest, CoversWithMaxLevelCutoff) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 30}, 11);
   AprioriOptions options;
-  options.min_weight = 5;
   options.max_level = 2;  // stop early; open itemsets must still be emitted
-  ExpectCoversAllMatches(records, options, 5);
+  ExpectCoversAllMatches(records, 5, options);
 }
 
 TEST(AprioriTest, CoversWithLargeListPruning) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 70, .vocabulary = 25, .zipf_exponent = 1.3}, 12);
-  AprioriOptions options;
-  options.min_weight = 3;
   // Mark the two hottest tokens as the L set (total weight 2 < T = 3).
-  options.token_in_large_set.assign(records.vocabulary_size(), false);
+  std::vector<bool> token_in_large_set(records.vocabulary_size(), false);
   const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
   std::vector<std::pair<uint64_t, TokenId>> by_df;
   for (TokenId t = 0; t < df.size(); ++t) by_df.push_back({df[t], t});
   std::sort(by_df.rbegin(), by_df.rend());
-  options.token_in_large_set[by_df[0].second] = true;
-  options.token_in_large_set[by_df[1].second] = true;
-  ExpectCoversAllMatches(records, options, 3);
+  token_in_large_set[by_df[0].second] = true;
+  token_in_large_set[by_df[1].second] = true;
+  ExpectCoversAllMatches(records, 3, {}, std::move(token_in_large_set));
 }
 
 TEST(AprioriTest, WeightedItemsets) {
@@ -145,9 +142,8 @@ TEST(AprioriTest, WeightedItemsets) {
   records.Add(Record::FromTokens({0, 1}));
   records.Add(Record::FromTokens({2}));
   std::vector<double> weights = {2.5, 1.0, 1.0};
-  AprioriOptions options;
-  options.min_weight = 3.0;  // tokens {0,1} together weigh 3.5 >= 3
-  PairSet covered = CoveredPairs(records, options, weights);
+  // Tokens {0,1} together weigh 3.5 >= 3.
+  PairSet covered = CoveredPairs(records, /*min_weight=*/3.0, {}, weights);
   EXPECT_TRUE(covered.count(PairKey(0, 1)) > 0);
 }
 
@@ -155,16 +151,12 @@ TEST(AprioriTest, NoGroupsWhenNothingRepeats) {
   RecordSet records;
   records.Add(Record::FromTokens({0, 1}));
   records.Add(Record::FromTokens({2, 3}));
-  AprioriOptions options;
-  options.min_weight = 1;
-  EXPECT_TRUE(CoveredPairs(records, options).empty());
+  EXPECT_TRUE(CoveredPairs(records, /*min_weight=*/1).empty());
 }
 
 TEST(AprioriTest, EmptyInput) {
   RecordSet records;
-  AprioriOptions options;
-  options.min_weight = 2;
-  EXPECT_TRUE(CoveredPairs(records, options).empty());
+  EXPECT_TRUE(CoveredPairs(records, /*min_weight=*/2).empty());
 }
 
 }  // namespace

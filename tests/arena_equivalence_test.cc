@@ -545,7 +545,7 @@ void RunWorkSuite(const std::string& corpus_label, const RecordSet& base,
     }
     PairVector pairs;
     Result<JoinStats> stats = ForeignProbeJoin(
-        &left, &right, pred, {},
+        &left, &right, pred,
         [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     CheckWork(prefix + "foreign", std::move(pairs), stats.value());

@@ -6,9 +6,9 @@
 //     one bit, empty/single-token records, saturated bitmaps), and times
 //     min(pmax(r), pmax(s)) it bounds the weighted (TF-IDF) overlap;
 //   * PrefixFilterJoin, whose verifications the bound gates, emits the
-//     brute-force join's pairs under every predicate it supports, presort
-//     on and off, at 1 and 4 threads, and every candidate it checks is
-//     either pruned or verified;
+//     brute-force join's pairs under every predicate it supports, at 1
+//     and 4 threads, and every candidate it checks is either pruned or
+//     verified;
 //   * MergeLowerBound — whatever backend runtime dispatch resolved
 //     (AVX2 or scalar, see ActiveMergeBackend) — returns positions
 //     identical to the scalar galloping primitive on randomized lists;
@@ -196,18 +196,18 @@ TEST(TokenBitmapTest, WeightedBoundDominatesTfIdfOverlap) {
 // ---------------------------------------------------------------------
 // Join level: PrefixFilter gates every distinct candidate that passes the
 // norm filter with the bound before verifying it. Its pairs must equal
-// the brute-force join's at every thread count, presort on and off, and
-// every checked candidate is either pruned or verified.
+// the brute-force join's at every thread count, and every checked
+// candidate is either pruned or verified.
 
 using PairVector = std::vector<std::pair<RecordId, RecordId>>;
 
 /// Runs PrefixFilterJoin (sorted pairs) and checks the gate's accounting.
 PairVector RunPrefixFilter(const RecordSet& prepared, const Predicate& pred,
-                           bool presort, int threads,
-                           const std::string& tag, JoinStats* stats) {
+                           int threads, const std::string& tag,
+                           JoinStats* stats) {
   PairVector pairs;
   Result<JoinStats> result = PrefixFilterJoin(
-      prepared, pred, {.presort = presort},
+      prepared, pred,
       [&](RecordId a, RecordId b) { pairs.emplace_back(a, b); }, threads);
   EXPECT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
   if (!result.ok()) return pairs;
@@ -219,8 +219,8 @@ PairVector RunPrefixFilter(const RecordSet& prepared, const Predicate& pred,
   return testing_util::SortedPairs(std::move(pairs));
 }
 
-/// Sweeps seeds, presort and thread counts for `pred` and returns the
-/// candidates the gate pruned over the whole sweep.
+/// Sweeps seeds and thread counts for `pred` and returns the candidates
+/// the gate pruned over the whole sweep.
 uint64_t RunGateDifferential(const Predicate& pred) {
   uint64_t pruned = 0;
   for (int seed = 0; seed < SeedCount(); ++seed) {
@@ -240,36 +240,31 @@ uint64_t RunGateDifferential(const Predicate& pred) {
     });
     std::sort(expected.begin(), expected.end());
     std::sort(sharing.begin(), sharing.end());
-    for (bool presort : {true, false}) {
-      JoinStats stats[2];
-      for (int t = 0; t < 2; ++t) {
-        const int threads = t == 0 ? 1 : 4;
-        const std::string tag = pred.name() + " seed=" + std::to_string(seed) +
-                                " presort=" + std::to_string(presort) +
-                                " threads=" + std::to_string(threads);
-        EXPECT_EQ(
-            RunPrefixFilter(records, pred, presort, threads, tag, &stats[t]),
-            sharing)
-            << tag;
-        RecordSet working = records;
-        JoinOptions options;
-        options.prefix_filter.presort = presort;
-        options.num_threads = threads;
-        Result<PairVector> joined =
-            JoinToPairs(&working, pred, JoinAlgorithm::kPrefixFilter, options);
-        EXPECT_TRUE(joined.ok()) << tag << ": " << joined.status().ToString();
-        if (joined.ok()) {
-          EXPECT_EQ(joined.value(), expected) << tag;
-        }
+    JoinStats stats[2];
+    for (int t = 0; t < 2; ++t) {
+      const int threads = t == 0 ? 1 : 4;
+      const std::string tag = pred.name() + " seed=" + std::to_string(seed) +
+                              " threads=" + std::to_string(threads);
+      EXPECT_EQ(RunPrefixFilter(records, pred, threads, tag, &stats[t]),
+                sharing)
+          << tag;
+      RecordSet working = records;
+      JoinOptions options;
+      options.num_threads = threads;
+      Result<PairVector> joined =
+          JoinToPairs(&working, pred, JoinAlgorithm::kPrefixFilter, options);
+      EXPECT_TRUE(joined.ok()) << tag << ": " << joined.status().ToString();
+      if (joined.ok()) {
+        EXPECT_EQ(joined.value(), expected) << tag;
       }
-      EXPECT_EQ(stats[1].candidates_verified, stats[0].candidates_verified)
-          << pred.name() << " seed=" << seed;
-      EXPECT_EQ(stats[1].merge.bitmap_checked, stats[0].merge.bitmap_checked)
-          << pred.name() << " seed=" << seed;
-      EXPECT_EQ(stats[1].merge.bitmap_pruned, stats[0].merge.bitmap_pruned)
-          << pred.name() << " seed=" << seed;
-      pruned += stats[0].merge.bitmap_pruned;
     }
+    EXPECT_EQ(stats[1].candidates_verified, stats[0].candidates_verified)
+        << pred.name() << " seed=" << seed;
+    EXPECT_EQ(stats[1].merge.bitmap_checked, stats[0].merge.bitmap_checked)
+        << pred.name() << " seed=" << seed;
+    EXPECT_EQ(stats[1].merge.bitmap_pruned, stats[0].merge.bitmap_pruned)
+        << pred.name() << " seed=" << seed;
+    pruned += stats[0].merge.bitmap_pruned;
   }
   return pruned;
 }

@@ -90,24 +90,6 @@ TEST(ClusterMemTest, CleansUpTempFilesByDefault) {
   EXPECT_TRUE(fs::is_empty(dir));
 }
 
-TEST(ClusterMemTest, KeepTempFilesOption) {
-  namespace fs = std::filesystem;
-  std::string dir = ::testing::TempDir() + "/ssjoin_keep_test";
-  fs::create_directories(dir);
-  RecordSet set = testing_util::MakeRandomRecordSet({.num_records = 50}, 5);
-  OverlapPredicate pred(2);
-  pred.Prepare(&set);
-  ClusterMemOptions options;
-  options.memory_budget_postings = 50;
-  options.temp_dir = dir;
-  options.keep_temp_files = true;
-  Result<JoinStats> result =
-      ClusterMemJoin(set, pred, options, [](RecordId, RecordId) {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(fs::is_empty(dir));
-  fs::remove_all(dir);
-}
-
 TEST(ClusterMemTest, CleanErrorWhenTempDirIsNotADirectory) {
   namespace fs = std::filesystem;
   // temp_dir names a regular file: every spill-file open fails with a
@@ -142,27 +124,6 @@ TEST(ClusterMemTest, ExplicitClusterOverridesRespected) {
   options.temp_dir = ::testing::TempDir();
   options.cluster.max_clusters = 5;
   options.cluster.max_cluster_size = 40;
-  std::vector<std::pair<RecordId, RecordId>> actual;
-  Result<JoinStats> result = ClusterMemJoin(
-      working, pred, options,
-      [&actual](RecordId a, RecordId b) { actual.emplace_back(a, b); });
-  ASSERT_TRUE(result.ok());
-  std::sort(actual.begin(), actual.end());
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(ClusterMemTest, PresortOffStillExact) {
-  RecordSet base = testing_util::MakeRandomRecordSet(
-      {.num_records = 90, .vocabulary = 45}, 7);
-  OverlapPredicate pred(3);
-  auto expected = Reference(base, pred);
-
-  RecordSet working = base;
-  pred.Prepare(&working);
-  ClusterMemOptions options;
-  options.memory_budget_postings = 60;
-  options.temp_dir = ::testing::TempDir();
-  options.presort = false;
   std::vector<std::pair<RecordId, RecordId>> actual;
   Result<JoinStats> result = ClusterMemJoin(
       working, pred, options,

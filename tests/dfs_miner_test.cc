@@ -12,10 +12,12 @@ namespace {
 
 using PairSet = std::set<uint64_t>;
 
-PairSet CoveredPairs(const RecordSet& records, const AprioriOptions& options,
-                     std::vector<double> weights = {}) {
-  if (weights.empty()) weights.assign(records.vocabulary_size(), 1.0);
-  DfsMiner miner(records, std::move(weights), options);
+PairSet CoveredPairs(const RecordSet& records, double min_weight,
+                     const AprioriOptions& options = {},
+                     std::vector<bool> token_in_large_set = {}) {
+  std::vector<double> weights(records.vocabulary_size(), 1.0);
+  DfsMiner miner(records, std::move(weights), min_weight,
+                 std::move(token_in_large_set), options);
   PairSet covered;
   miner.Mine([&covered](const MinedGroup& group) {
     for (size_t i = 0; i < group.rids.size(); ++i) {
@@ -27,10 +29,11 @@ PairSet CoveredPairs(const RecordSet& records, const AprioriOptions& options,
   return covered;
 }
 
-void ExpectCoversAllMatches(const RecordSet& records,
-                            const AprioriOptions& options,
-                            double threshold) {
-  PairSet covered = CoveredPairs(records, options);
+void ExpectCoversAllMatches(const RecordSet& records, double threshold,
+                            const AprioriOptions& options = {},
+                            std::vector<bool> token_in_large_set = {}) {
+  PairSet covered = CoveredPairs(records, threshold, options,
+                                 std::move(token_in_large_set));
   for (RecordId a = 0; a < records.size(); ++a) {
     for (RecordId b = a + 1; b < records.size(); ++b) {
       if (records.record(a).IntersectionSize(records.record(b)) >=
@@ -48,10 +51,9 @@ TEST(DfsMinerTest, ConfirmedGroupsAreRealMatches) {
   records.Add(Record::FromTokens({1, 2, 3, 5}));
   records.Add(Record::FromTokens({7, 8}));
   AprioriOptions options;
-  options.min_weight = 3;
   options.early_output_support = 2;
   std::vector<double> weights(10, 1.0);
-  DfsMiner miner(records, weights, options);
+  DfsMiner miner(records, weights, /*min_weight=*/3, {}, options);
   bool found_confirmed = false;
   miner.Mine([&](const MinedGroup& group) {
     if (!group.confirmed) return;
@@ -72,9 +74,7 @@ TEST(DfsMinerTest, CoversAllMatchesOnRandomData) {
     RecordSet records = testing_util::MakeRandomRecordSet(
         {.num_records = 80, .vocabulary = 40}, seed);
     for (double threshold : {2.0, 4.0}) {
-      AprioriOptions options;
-      options.min_weight = threshold;
-      ExpectCoversAllMatches(records, options, threshold);
+      ExpectCoversAllMatches(records, threshold);
     }
   }
 }
@@ -82,26 +82,23 @@ TEST(DfsMinerTest, CoversAllMatchesOnRandomData) {
 TEST(DfsMinerTest, CoversWithLargeListPruning) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 70, .vocabulary = 25, .zipf_exponent = 1.3}, 24);
-  AprioriOptions options;
-  options.min_weight = 3;
-  options.token_in_large_set.assign(records.vocabulary_size(), false);
+  std::vector<bool> token_in_large_set(records.vocabulary_size(), false);
   // Hottest two tokens (weight 2 < T = 3) form L.
   const std::vector<uint64_t> df = records.CountDocumentFrequencies().counts;
   std::vector<std::pair<uint64_t, TokenId>> by_df;
   for (TokenId t = 0; t < df.size(); ++t) by_df.push_back({df[t], t});
   std::sort(by_df.rbegin(), by_df.rend());
-  options.token_in_large_set[by_df[0].second] = true;
-  options.token_in_large_set[by_df[1].second] = true;
-  ExpectCoversAllMatches(records, options, 3);
+  token_in_large_set[by_df[0].second] = true;
+  token_in_large_set[by_df[1].second] = true;
+  ExpectCoversAllMatches(records, 3, {}, std::move(token_in_large_set));
 }
 
 TEST(DfsMinerTest, CoversWithDepthCutoff) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 30}, 25);
   AprioriOptions options;
-  options.min_weight = 5;
   options.max_level = 2;
-  ExpectCoversAllMatches(records, options, 5);
+  ExpectCoversAllMatches(records, 5, options);
 }
 
 TEST(DfsMinerTest, CoversWithImmediateDeadline) {
@@ -110,9 +107,8 @@ TEST(DfsMinerTest, CoversWithImmediateDeadline) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 60, .vocabulary = 30}, 26);
   AprioriOptions options;
-  options.min_weight = 4;
   options.deadline_seconds = 1e-9;
-  ExpectCoversAllMatches(records, options, 4);
+  ExpectCoversAllMatches(records, 4, options);
 }
 
 TEST(DfsMinerTest, AgreesWithAprioriOnCoverage) {
@@ -121,12 +117,10 @@ TEST(DfsMinerTest, AgreesWithAprioriOnCoverage) {
   RecordSet records = testing_util::MakeRandomRecordSet(
       {.num_records = 70, .vocabulary = 35}, 27);
   double threshold = 3;
-  AprioriOptions options;
-  options.min_weight = threshold;
 
-  PairSet dfs = CoveredPairs(records, options);
+  PairSet dfs = CoveredPairs(records, threshold);
   std::vector<double> weights(records.vocabulary_size(), 1.0);
-  AprioriMiner apriori(records, weights, options);
+  AprioriMiner apriori(records, weights, threshold, {}, {});
   PairSet apriori_covered;
   apriori.Mine([&apriori_covered](const MinedGroup& group) {
     for (size_t i = 0; i < group.rids.size(); ++i) {
@@ -148,15 +142,13 @@ TEST(DfsMinerTest, AgreesWithAprioriOnCoverage) {
 }
 
 TEST(DfsMinerTest, EmptyAndTrivialInputs) {
-  AprioriOptions options;
-  options.min_weight = 2;
   RecordSet empty;
-  EXPECT_TRUE(CoveredPairs(empty, options).empty());
+  EXPECT_TRUE(CoveredPairs(empty, /*min_weight=*/2).empty());
 
   RecordSet no_repeats;
   no_repeats.Add(Record::FromTokens({0, 1}));
   no_repeats.Add(Record::FromTokens({2, 3}));
-  EXPECT_TRUE(CoveredPairs(no_repeats, options).empty());
+  EXPECT_TRUE(CoveredPairs(no_repeats, /*min_weight=*/2).empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Randomized differential testing: every iteration draws a corpus shape,
 // a predicate, an algorithm and a random knob assignment, then checks the
 // join output against brute force. The option space here is deliberately
-// wider than the structured equivalence suite (filters toggled off,
-// extreme cluster limits, tiny miner valves, odd memory budgets) — the
-// places where pruning bugs hide.
+// wider than the structured equivalence suite (extreme cluster limits,
+// tiny miner valves, odd memory budgets) — the places where pruning bugs
+// hide.
 
 #include <memory>
 #include <string>
@@ -84,21 +84,16 @@ JoinAlgorithm RandomAlgorithm(Rng& rng, bool constant_threshold) {
 
 JoinOptions RandomOptions(Rng& rng) {
   JoinOptions options;
-  options.probe.presort = rng.Bernoulli(0.5);
-
-  options.cluster.presort = rng.Bernoulli(0.5);
-  options.cluster.cluster.assign_similarity_threshold =
-      rng.NextDouble() * 0.9;
+  options.cluster.assign_similarity_threshold = rng.NextDouble() * 0.9;
   if (rng.Bernoulli(0.3)) {
-    options.cluster.cluster.max_cluster_size = 2 + rng.UniformU32(20);
+    options.cluster.max_cluster_size = 2 + rng.UniformU32(20);
   }
   if (rng.Bernoulli(0.3)) {
-    options.cluster.cluster.max_clusters = 1 + rng.UniformU32(30);
+    options.cluster.max_clusters = 1 + rng.UniformU32(30);
   }
 
   options.cluster_mem.memory_budget_postings = 10 + rng.UniformU32(2000);
   options.cluster_mem.temp_dir = ::testing::TempDir();
-  options.cluster_mem.presort = rng.Bernoulli(0.5);
 
   options.word_groups.miner = rng.Bernoulli(0.5)
                                   ? WordGroupsMiner::kApriori
@@ -194,10 +189,8 @@ TEST(DifferentialTest, PrefixFilterRandomized) {
     std::sort(expected.begin(), expected.end());
 
     RecordSet working = base;
-    JoinOptions options;
-    options.prefix_filter.presort = rng.Bernoulli(0.5);
-    Result<PairVector> actual = JoinToPairs(
-        &working, *pred, JoinAlgorithm::kPrefixFilter, options);
+    Result<PairVector> actual =
+        JoinToPairs(&working, *pred, JoinAlgorithm::kPrefixFilter);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_EQ(actual.value(), expected);
   }

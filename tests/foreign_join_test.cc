@@ -32,11 +32,10 @@ PairVector BruteForceCross(const RecordSet& left, const RecordSet& right,
   return pairs;
 }
 
-PairVector RunForeign(RecordSet left, RecordSet right, const Predicate& pred,
-                      ForeignJoinOptions options = {}) {
+PairVector RunForeign(RecordSet left, RecordSet right, const Predicate& pred) {
   PairVector pairs;
   Result<JoinStats> stats = ForeignProbeJoin(
-      &left, &right, pred, options,
+      &left, &right, pred,
       [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   std::sort(pairs.begin(), pairs.end());
@@ -50,16 +49,7 @@ void ExpectCrossEquivalence(RecordSet left, RecordSet right,
   RecordSet ref_right = right;
   pred.PrepareForJoin(&ref_left, &ref_right);
   PairVector expected = BruteForceCross(ref_left, ref_right, pred);
-  for (bool optimized : {true, false}) {
-    for (bool presort : {true, false}) {
-      ForeignJoinOptions options;
-      options.optimized_merge = optimized;
-      options.presort = presort;
-      EXPECT_EQ(RunForeign(left, right, pred, options), expected)
-          << pred.name() << " optimized=" << optimized
-          << " presort=" << presort;
-    }
-  }
+  EXPECT_EQ(RunForeign(left, right, pred), expected) << pred.name();
 }
 
 TEST(ForeignJoinTest, OverlapMatchesBruteForce) {

@@ -16,10 +16,10 @@ TEST(PairCountTest, AggregationBudgetAborts) {
   OverlapPredicate pred(2);
   pred.Prepare(&set);
   PairCountOptions options;
-  options.optimized = false;
   options.max_aggregated_pairs = 10;  // absurdly small on purpose
   Result<JoinStats> result =
-      PairCountJoin(set, pred, options, [](RecordId, RecordId) {});
+      PairCountJoin(set, pred, options, /*threshold_optimized=*/false,
+                    [](RecordId, RecordId) {});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }
@@ -33,10 +33,8 @@ TEST(PairCountTest, OptimizedAggregatesFewerPairs) {
   pred.Prepare(&set);
 
   auto run = [&](bool optimized) {
-    PairCountOptions options;
-    options.optimized = optimized;
     Result<JoinStats> result =
-        PairCountJoin(set, pred, options, [](RecordId, RecordId) {});
+        PairCountJoin(set, pred, {}, optimized, [](RecordId, RecordId) {});
     EXPECT_TRUE(result.ok());
     return result.value();
   };
@@ -52,9 +50,8 @@ TEST(PairCountTest, EmitsPairsSortedWithSmallerIdFirst) {
   OverlapPredicate pred(3);
   pred.Prepare(&set);
   std::vector<std::pair<RecordId, RecordId>> pairs;
-  PairCountOptions options;
   Result<JoinStats> result = PairCountJoin(
-      set, pred, options,
+      set, pred, {}, /*threshold_optimized=*/true,
       [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
   ASSERT_TRUE(result.ok());
   for (const auto& [a, b] : pairs) EXPECT_LT(a, b);
@@ -69,8 +66,8 @@ TEST(PairCountTest, EmptyInput) {
   RecordSet set;
   OverlapPredicate pred(2);
   pred.Prepare(&set);
-  Result<JoinStats> result =
-      PairCountJoin(set, pred, {}, [](RecordId, RecordId) {});
+  Result<JoinStats> result = PairCountJoin(
+      set, pred, {}, /*threshold_optimized=*/true, [](RecordId, RecordId) {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().pairs, 0u);
 }

@@ -28,16 +28,11 @@ void ExpectMatchesBruteForce(const RecordSet& base, const Predicate& pred) {
   });
   std::sort(expected.begin(), expected.end());
 
-  for (bool presort : {true, false}) {
-    RecordSet working = base;
-    JoinOptions options;
-    options.prefix_filter.presort = presort;
-    Result<PairVector> actual =
-        JoinToPairs(&working, pred, JoinAlgorithm::kPrefixFilter, options);
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    EXPECT_EQ(actual.value(), expected)
-        << pred.name() << " presort=" << presort;
-  }
+  RecordSet working = base;
+  Result<PairVector> actual =
+      JoinToPairs(&working, pred, JoinAlgorithm::kPrefixFilter);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual.value(), expected) << pred.name();
 }
 
 TEST(PrefixFilterTest, OverlapExact) {
@@ -91,7 +86,7 @@ TEST(PrefixFilterTest, RejectsPredicatesWithoutBound) {
   EditDistancePredicate pred(2, 3);
   pred.Prepare(&base);
   Result<JoinStats> result =
-      PrefixFilterJoin(base, pred, {}, [](RecordId, RecordId) {});
+      PrefixFilterJoin(base, pred, [](RecordId, RecordId) {});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -105,7 +100,7 @@ TEST(PrefixFilterTest, PrefixIndexSmallerThanFullIndex) {
   pred.Prepare(&base);
   JoinStats stats;
   Result<JoinStats> result =
-      PrefixFilterJoin(base, pred, {}, [](RecordId, RecordId) {});
+      PrefixFilterJoin(base, pred, [](RecordId, RecordId) {});
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result.value().index_postings,
             base.total_token_occurrences() / 3);

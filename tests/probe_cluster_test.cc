@@ -340,26 +340,6 @@ TEST(ProbeClusterJoinTest, FewerIndexPostingsOnDuplicateHeavyData) {
   EXPECT_GT(result.value().pairs, 0u);
 }
 
-TEST(ProbeClusterJoinTest, PresortOffStillExact) {
-  OverlapPredicate pred(3);
-  RecordSet set = PreparedRandomSet(17, pred);
-  std::vector<std::pair<RecordId, RecordId>> expected;
-  BruteForceJoin(set, pred, [&expected](RecordId a, RecordId b) {
-    expected.emplace_back(a, b);
-  });
-  std::sort(expected.begin(), expected.end());
-
-  ProbeClusterOptions options;
-  options.presort = false;
-  std::vector<std::pair<RecordId, RecordId>> actual;
-  Result<JoinStats> result = ProbeClusterJoin(
-      set, pred, options,
-      [&actual](RecordId a, RecordId b) { actual.emplace_back(a, b); });
-  ASSERT_TRUE(result.ok());
-  std::sort(actual.begin(), actual.end());
-  EXPECT_EQ(actual, expected);
-}
-
 TEST(ProbeClusterJoinTest, TightSimilarityThresholdStillExact) {
   OverlapPredicate pred(3);
   RecordSet set = PreparedRandomSet(18, pred);
@@ -370,8 +350,8 @@ TEST(ProbeClusterJoinTest, TightSimilarityThresholdStillExact) {
   std::sort(expected.begin(), expected.end());
 
   for (double assign : {0.05, 0.9}) {
-    ProbeClusterOptions options;
-    options.cluster.assign_similarity_threshold = assign;
+    ClusterSetOptions options;
+    options.assign_similarity_threshold = assign;
     std::vector<std::pair<RecordId, RecordId>> actual;
     Result<JoinStats> result = ProbeClusterJoin(
         set, pred, options,

@@ -12,8 +12,8 @@ TEST(WordGroupsTest, RejectsPairDependentThresholds) {
   RecordSet set = testing_util::MakeRandomRecordSet({.num_records = 20}, 1);
   JaccardPredicate pred(0.5);
   pred.Prepare(&set);
-  Result<JoinStats> result =
-      WordGroupsJoin(set, pred, {}, [](RecordId, RecordId) {});
+  Result<JoinStats> result = WordGroupsJoin(
+      set, pred, {}, /*threshold_optimized=*/true, [](RecordId, RecordId) {});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -29,7 +29,8 @@ TEST(WordGroupsTest, NoDuplicatePairsDespiteOverlappingGroups) {
   pred.Prepare(&set);
   int emissions = 0;
   Result<JoinStats> result = WordGroupsJoin(
-      set, pred, {}, [&emissions](RecordId a, RecordId b) {
+      set, pred, {}, /*threshold_optimized=*/true,
+      [&emissions](RecordId a, RecordId b) {
         EXPECT_EQ(a, 0u);
         EXPECT_EQ(b, 1u);
         ++emissions;
@@ -46,11 +47,9 @@ TEST(WordGroupsTest, ThresholdOptimizationPreservesOutput) {
   pred.Prepare(&set);
 
   auto run = [&](bool optimized) {
-    WordGroupsOptions options;
-    options.threshold_optimized = optimized;
     std::vector<std::pair<RecordId, RecordId>> pairs;
     Result<JoinStats> result = WordGroupsJoin(
-        set, pred, options,
+        set, pred, {}, optimized,
         [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
     EXPECT_TRUE(result.ok());
     std::sort(pairs.begin(), pairs.end());
@@ -69,7 +68,7 @@ TEST(WordGroupsTest, DepthFirstMinerSameOutput) {
     options.miner = miner;
     std::vector<std::pair<RecordId, RecordId>> pairs;
     Result<JoinStats> result = WordGroupsJoin(
-        set, pred, options,
+        set, pred, options, /*threshold_optimized=*/true,
         [&pairs](RecordId a, RecordId b) { pairs.emplace_back(a, b); });
     EXPECT_TRUE(result.ok());
     std::sort(pairs.begin(), pairs.end());
@@ -87,8 +86,9 @@ TEST(WordGroupsTest, WeightedOverlapSupported) {
   OverlapPredicate pred(4, weights);
   pred.Prepare(&set);
   int emissions = 0;
-  Result<JoinStats> result = WordGroupsJoin(
-      set, pred, {}, [&emissions](RecordId, RecordId) { ++emissions; });
+  Result<JoinStats> result =
+      WordGroupsJoin(set, pred, {}, /*threshold_optimized=*/true,
+                     [&emissions](RecordId, RecordId) { ++emissions; });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(emissions, 1);  // shared token 0 weighs 5 >= 4
 }

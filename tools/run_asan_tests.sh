@@ -4,9 +4,13 @@
 # lists its suites once): the arena/view/index unit tests (the
 # RecordSet arena and its document-frequency counts in record_test, the
 # tokenizers, dictionary and borrowed-table TF-IDF weighter in
-# text_test) plus the golden-output equivalence suite, which together
-# walk every probe loop over the CSR corpus arena and the flat postings
-# buffer; the suites of every caller of the shared probe-and-verify body
+# text_test) plus the golden-output and join-equivalence suites, which
+# together walk every probe loop over the CSR corpus arena and the flat
+# postings buffer; Pair-Count's pair aggregation and Word-Groups with
+# both itemset miners (pair_count_test, word_groups_test, apriori_test,
+# dfs_miner_test), whose record lists, large-list bit vectors and MinHash
+# signatures are indexed by token and record id; the suites of every
+# caller of the shared probe-and-verify body
 # (cross join, Probe-Cluster and ClusterMem member probes, the serving
 # tiers in serve_test), whose reused scratch and
 # sorted short-pool walk are exactly the buffer reuse ASan watches, and

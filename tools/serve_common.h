@@ -3,8 +3,10 @@
 // predicate construction, the corpus/query tokenizer, the durable
 // token-dictionary sidecar, fresh-vs-restore service setup, and the
 // SIGINT/SIGTERM graceful-shutdown plumbing. Header-only; each driver
-// includes it once. ssjoin_cli borrows its flag parsers, ReadLines and
-// the per-predicate threshold check.
+// includes it once. ssjoin_cli borrows its flag parsers, ReadLines, the
+// per-predicate threshold check, the tokens-mode check, the predicate
+// factory and the tokenizer; each tool keeps its own list of accepted
+// predicate names.
 #ifndef SSJOIN_TOOLS_SERVE_COMMON_H_
 #define SSJOIN_TOOLS_SERVE_COMMON_H_
 
@@ -31,7 +33,9 @@
 #include "core/cosine_predicate.h"
 #include "core/dice_predicate.h"
 #include "core/edit_distance_predicate.h"
+#include "core/hamming_predicate.h"
 #include "core/jaccard_predicate.h"
+#include "core/overlap_coefficient_predicate.h"
 #include "core/overlap_predicate.h"
 #include "data/corpus_builder.h"
 #include "serve/checkpoint.h"
@@ -218,6 +222,17 @@ inline bool ValidateThreshold(const std::string& predicate,
   return false;
 }
 
+/// Whether `mode` is a --tokens mode LineTokenizer understands; prints
+/// one unknown tokens mode line when it is not.
+inline bool ValidateTokens(const std::string& mode) {
+  if (mode == "words" || mode == "2gram" || mode == "3gram" ||
+      mode == "4gram") {
+    return true;
+  }
+  std::fprintf(stderr, "unknown tokens mode: %s\n", mode.c_str());
+  return false;
+}
+
 /// Cross-flag validation shared by the drivers; prints and fails like
 /// the per-flag parsers. With a data_dir the corpus may come from a
 /// previous incarnation's checkpoint instead of a file; service setup
@@ -235,12 +250,7 @@ inline bool ValidateServeOptions(const ServeCliOptions& options) {
     return false;
   }
   if (!ValidateThreshold(options.predicate, options.threshold)) return false;
-  if (options.tokens != "words" && options.tokens != "2gram" &&
-      options.tokens != "3gram" && options.tokens != "4gram") {
-    std::fprintf(stderr, "unknown tokens mode: %s\n",
-                 options.tokens.c_str());
-    return false;
-  }
+  if (!ValidateTokens(options.tokens)) return false;
   if (options.resident_budget > 0 && options.data_dir.empty()) {
     std::fprintf(stderr,
                  "--resident-budget needs --data-dir (segments are served "
@@ -263,14 +273,18 @@ inline std::optional<std::vector<std::string>> ReadLines(
   return lines;
 }
 
-inline std::unique_ptr<Predicate> MakePredicate(
-    const ServeCliOptions& options, int q) {
-  const std::string& name = options.predicate;
-  double t = options.threshold;
+/// Builds predicate `name` (already validated by the caller) at threshold
+/// `t`; `q` is edit distance's q-gram length (LineTokenizer::q()).
+inline std::unique_ptr<Predicate> MakePredicate(const std::string& name,
+                                                double t, int q) {
   if (name == "overlap") return std::make_unique<OverlapPredicate>(t);
   if (name == "jaccard") return std::make_unique<JaccardPredicate>(t);
   if (name == "cosine") return std::make_unique<CosinePredicate>(t);
   if (name == "dice") return std::make_unique<DicePredicate>(t);
+  if (name == "hamming") return std::make_unique<HammingPredicate>(t);
+  if (name == "overlap-coefficient") {
+    return std::make_unique<OverlapCoefficientPredicate>(t);
+  }
   return std::make_unique<EditDistancePredicate>(static_cast<int>(t), q);
 }
 

@@ -14,17 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/cosine_predicate.h"
-#include "core/dice_predicate.h"
-#include "core/edit_distance_predicate.h"
 #include "core/foreign_join.h"
-#include "core/hamming_predicate.h"
-#include "core/jaccard_predicate.h"
 #include "core/join.h"
-#include "core/overlap_coefficient_predicate.h"
-#include "core/overlap_predicate.h"
 #include "core/topk_join.h"
-#include "data/corpus_builder.h"
 #include "serve_common.h"
 #include "text/token_dictionary.h"
 #include "util/timer.h"
@@ -73,11 +65,6 @@ bool KnownPredicate(const std::string& name) {
   return name == "overlap" || name == "jaccard" || name == "cosine" ||
          name == "dice" || name == "hamming" ||
          name == "overlap-coefficient" || name == "edit-distance";
-}
-
-bool KnownTokens(const std::string& mode) {
-  return mode == "words" || mode == "2gram" || mode == "3gram" ||
-         mode == "4gram";
 }
 
 std::optional<JoinAlgorithm> AlgorithmByName(const std::string& name) {
@@ -160,42 +147,13 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
   if (!ValidateThreshold(options.predicate, options.threshold)) {
     return std::nullopt;
   }
-  if (!KnownTokens(options.tokens)) {
-    std::fprintf(stderr, "unknown tokens mode: %s\n",
-                 options.tokens.c_str());
-    return std::nullopt;
-  }
+  if (!ValidateTokens(options.tokens)) return std::nullopt;
   if (!AlgorithmByName(options.algorithm).has_value()) {
     std::fprintf(stderr, "unknown algorithm: %s\n",
                  options.algorithm.c_str());
     return std::nullopt;
   }
   return options;
-}
-
-std::unique_ptr<Predicate> MakePredicate(const CliOptions& options, int q) {
-  const std::string& name = options.predicate;
-  double t = options.threshold;
-  if (name == "overlap") return std::make_unique<OverlapPredicate>(t);
-  if (name == "jaccard") return std::make_unique<JaccardPredicate>(t);
-  if (name == "cosine") return std::make_unique<CosinePredicate>(t);
-  if (name == "dice") return std::make_unique<DicePredicate>(t);
-  if (name == "hamming") return std::make_unique<HammingPredicate>(t);
-  if (name == "overlap-coefficient") {
-    return std::make_unique<OverlapCoefficientPredicate>(t);
-  }
-  return std::make_unique<EditDistancePredicate>(static_cast<int>(t), q);
-}
-
-RecordSet BuildCorpus(const std::vector<std::string>& lines,
-                      const std::string& mode, int* q_out,
-                      TokenDictionary* dict) {
-  if (mode == "2gram" || mode == "3gram" || mode == "4gram") {
-    *q_out = mode[0] - '0';
-    return BuildQGramCorpus(lines, *q_out, dict);
-  }
-  *q_out = 3;  // default q if edit-distance is used with word tokens
-  return BuildWordCorpus(lines, dict);
 }
 
 void PrintPair(const CliOptions& options, const RecordSet& left,
@@ -235,8 +193,8 @@ int main(int argc, char** argv) {
   if (!left_lines.has_value()) return 1;
 
   TokenDictionary dict;
-  int q = 3;
-  RecordSet left = BuildCorpus(*left_lines, options->tokens, &q, &dict);
+  LineTokenizer tokenizer(options->tokens, &dict);
+  RecordSet left = tokenizer.Build(*left_lines);
 
   if (options->topk > 0) {
     if (!options->right.empty()) {
@@ -273,16 +231,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<Predicate> pred = MakePredicate(*options, q);
+  std::unique_ptr<Predicate> pred =
+      MakePredicate(options->predicate, options->threshold, tokenizer.q());
 
   if (!options->right.empty()) {
     std::optional<std::vector<std::string>> right_lines =
         ReadLines(options->right);
     if (!right_lines.has_value()) return 1;
-    RecordSet right = BuildCorpus(*right_lines, options->tokens, &q, &dict);
+    RecordSet right = tokenizer.Build(*right_lines);
     Timer timer;
     Result<JoinStats> stats = ForeignProbeJoin(
-        &left, &right, *pred, {},
+        &left, &right, *pred,
         [&](RecordId a, RecordId b) { PrintPair(*options, left, right, a, b); });
     if (!stats.ok()) {
       std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());

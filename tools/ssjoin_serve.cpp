@@ -167,7 +167,8 @@ int main(int argc, char** argv) {
 
   TokenDictionary dict;
   LineTokenizer tokenizer(options->tokens, &dict);
-  std::unique_ptr<Predicate> pred = MakePredicate(*options, tokenizer.q());
+  std::unique_ptr<Predicate> pred =
+      MakePredicate(options->predicate, options->threshold, tokenizer.q());
 
   DictLog dict_log;
   InstallShutdownSignals();

@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
   TokenDictionary dict;
   LineTokenizer tokenizer(options->serve.tokens, &dict);
   std::unique_ptr<Predicate> pred =
-      MakePredicate(options->serve, tokenizer.q());
+      MakePredicate(options->serve.predicate, options->serve.threshold,
+                    tokenizer.q());
 
   DictLog dict_log;
   InstallShutdownSignals();
