@@ -1,8 +1,11 @@
 // Table 1: similarity functions with the average set size and the number
 // of distinct elements, for the four corpus/tokenization combinations the
 // paper evaluates (citation All-words / All-3grams, address All-3grams /
-// Name-3grams).
+// Name-3grams), plus what building each corpus from its text costs
+// (microseconds per record, median of 3 builds, each into a fresh
+// dictionary).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,10 +18,29 @@ namespace {
 using namespace ssjoin;
 using namespace ssjoin::bench;
 
-void Report(const char* function, const RecordSet& records) {
+constexpr int kBuilds = 3;
+
+/// Builds `texts` as words (q == 0) or 3-grams kBuilds times and reports
+/// the corpus's shape with the median build time per record.
+void Report(const char* function, const std::vector<std::string>& texts,
+            int q) {
+  std::vector<double> seconds;
+  RecordSet records;
+  for (int i = 0; i < kBuilds; ++i) {
+    TokenDictionary dict;
+    Timer timer;
+    records = q == 0 ? BuildWordCorpus(texts, &dict)
+                     : BuildQGramCorpus(texts, q, &dict);
+    seconds.push_back(timer.ElapsedSeconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  const double build_us =
+      texts.empty() ? 0 : seconds[kBuilds / 2] * 1e6 / texts.size();
   CorpusStats stats = ComputeCorpusStats(records);
-  std::printf("%-24s %16.0f %20llu\n", function, stats.average_set_size,
-              static_cast<unsigned long long>(stats.num_distinct_elements));
+  std::printf("%-24s %16.0f %20llu %18.2f\n", function,
+              stats.average_set_size,
+              static_cast<unsigned long long>(stats.num_distinct_elements),
+              build_us);
 }
 
 }  // namespace
@@ -31,40 +53,27 @@ int main(int argc, char** argv) {
   std::printf("Table 1: similarity functions (scaled: %u citations, "
               "%u addresses; paper used 250k / 500k)\n\n",
               citation_n, address_n);
-  std::printf("%-24s %16s %20s\n", "Function", "Average set size",
-              "Number of elements");
+  std::printf("%-24s %16s %20s %18s\n", "Function", "Average set size",
+              "Number of elements", "Build us/record");
 
   std::vector<std::string> citations = CitationTexts(citation_n);
-  {
-    TokenDictionary dict;
-    Report("Citation All-words", WordCorpusPrefix(citations, citation_n,
-                                                  &dict));
-  }
-  {
-    TokenDictionary dict;
-    Report("Citation All-3grams",
-           QGramCorpusPrefix(citations, citation_n, &dict));
-  }
+  Report("Citation All-words", citations, 0);
+  Report("Citation All-3grams", citations, 3);
 
   AddressGeneratorOptions address_options;
   address_options.num_records = address_n;
   std::vector<AddressRecord> addresses =
       AddressGenerator(address_options).Generate();
-  {
-    std::vector<std::string> full;
-    full.reserve(addresses.size());
-    for (const AddressRecord& a : addresses) full.push_back(a.FullText());
-    TokenDictionary dict;
-    Report("Address All-3grams", QGramCorpusPrefix(full, address_n, &dict));
+  std::vector<std::string> full;
+  std::vector<std::string> names;
+  full.reserve(addresses.size());
+  names.reserve(addresses.size());
+  for (const AddressRecord& a : addresses) {
+    full.push_back(a.FullText());
+    names.push_back(a.name);
   }
-  {
-    std::vector<std::string> names;
-    names.reserve(addresses.size());
-    for (const AddressRecord& a : addresses) names.push_back(a.name);
-    TokenDictionary dict;
-    Report("Address Name-3grams",
-           QGramCorpusPrefix(names, address_n, &dict));
-  }
+  Report("Address All-3grams", full, 3);
+  Report("Address Name-3grams", names, 3);
   std::printf(
       "\npaper (Table 1): All-words 24 / 70000; Citation All-3grams 127 / "
       "29000; Address All-3grams 47 / 37000; Name-3grams 16 / 14000\n");

@@ -1,55 +1,50 @@
 #include "data/corpus_builder.h"
 
-#include "text/normalizer.h"
-#include "text/tokenizer.h"
+#include <algorithm>
 
 namespace ssjoin {
 
-namespace {
-
-Record RecordFromPairs(std::vector<std::pair<TokenId, uint32_t>> pairs) {
-  // Set semantics: multiplicity collapses to presence with unit score;
-  // TF-IDF weighting counts document frequency from the corpus later, and
-  // within-record multiplicity is folded into text_length for q-gram
-  // corpora.
-  std::vector<TokenId> tokens;
-  tokens.reserve(pairs.size());
-  for (const auto& [token, count] : pairs) tokens.push_back(token);
-  return Record::FromTokens(std::move(tokens));
+CorpusBuilder CorpusBuilder::Words(const CorpusBuilderOptions& options) {
+  return CorpusBuilder(WordTokenizer(options.normalize));
 }
 
-}  // namespace
+CorpusBuilder CorpusBuilder::QGrams(int q,
+                                    const CorpusBuilderOptions& options) {
+  return CorpusBuilder(
+      QGramTokenizer(q, /*tag_occurrences=*/true, options.normalize));
+}
+
+RecordId CorpusBuilder::Append(std::string_view text, TokenDictionary* dict,
+                               RecordSet* set) {
+  const std::string_view kept = std::visit(
+      [&](auto& kernel) { return kernel.Tokenize(text, dict, &ids_); },
+      kernel_);
+  std::sort(ids_.begin(), ids_.end());
+  ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+  if (ones_.size() < ids_.size()) ones_.resize(ids_.size(), 1.0);
+  const RecordView record(ids_.data(), ones_.data(),
+                          static_cast<uint32_t>(ids_.size()), /*norm=*/0,
+                          static_cast<uint32_t>(kept.size()));
+  return set->Add(record, std::string(kept));
+}
+
+RecordSet CorpusBuilder::Build(const std::vector<std::string>& texts,
+                               TokenDictionary* dict) {
+  RecordSet set;
+  for (const std::string& text : texts) Append(text, dict, &set);
+  return set;
+}
 
 RecordSet BuildWordCorpus(const std::vector<std::string>& texts,
                           TokenDictionary* dict,
                           const CorpusBuilderOptions& options) {
-  Normalizer normalizer;
-  WordTokenizer tokenizer;
-  RecordSet set;
-  for (const std::string& raw : texts) {
-    std::string text = options.normalize ? normalizer.Normalize(raw) : raw;
-    Record record = RecordFromPairs(tokenizer.Tokenize(text, dict));
-    record.set_text_length(static_cast<uint32_t>(text.size()));
-    set.Add(std::move(record), options.keep_text ? text : std::string());
-  }
-  return set;
+  return CorpusBuilder::Words(options).Build(texts, dict);
 }
 
 RecordSet BuildQGramCorpus(const std::vector<std::string>& texts, int q,
                            TokenDictionary* dict,
                            const CorpusBuilderOptions& options) {
-  Normalizer normalizer;
-  // Occurrence tagging makes set intersection equal multiset q-gram
-  // intersection, which the edit-distance count filter requires.
-  QGramTokenizer tokenizer(q, '$', /*tag_occurrences=*/true);
-  RecordSet set;
-  for (const std::string& raw : texts) {
-    std::string text = options.normalize ? normalizer.Normalize(raw) : raw;
-    Record record = RecordFromPairs(tokenizer.Tokenize(text, dict));
-    record.set_text_length(static_cast<uint32_t>(text.size()));
-    set.Add(std::move(record), options.keep_text ? text : std::string());
-  }
-  return set;
+  return CorpusBuilder::QGrams(q, options).Build(texts, dict);
 }
 
 }  // namespace ssjoin

@@ -3,10 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ssjoin {
@@ -19,9 +17,12 @@ constexpr TokenId kInvalidToken = UINT32_MAX;
 
 /// Bidirectional string <-> TokenId mapping with interned storage.
 /// Ids are assigned densely in first-seen order, which the inverted index
-/// exploits to use vectors instead of hash maps keyed on tokens. Lookups
-/// hash the string_view directly, so finding a known token builds no
-/// std::string.
+/// exploits to use vectors instead of hash maps keyed on tokens, and
+/// which every golden over tokenized corpora rests on. The strings live
+/// once, in id order; the string -> id side is a flat linear-probing
+/// table of ids with cached hashes that compares keys through the owned
+/// strings, so it holds no views that move when the strings do, and
+/// finding a known token builds no std::string.
 class TokenDictionary {
  public:
   TokenDictionary() = default;
@@ -44,14 +45,23 @@ class TokenDictionary {
   size_t size() const { return tokens_.size(); }
 
  private:
-  struct ViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view token) const noexcept {
-      return std::hash<std::string_view>{}(token);
-    }
+  /// One table slot: a token's id (kInvalidToken when empty) and the low
+  /// 32 bits of its std::hash<std::string_view>, which place it and
+  /// screen string comparisons.
+  struct Slot {
+    TokenId id = kInvalidToken;
+    uint32_t hash = 0;
   };
-  std::unordered_map<std::string, TokenId, ViewHash, std::equal_to<>> ids_;
-  std::vector<std::string> tokens_;  // owned copies, indexed by id
+
+  /// The slot holding `token`, or the empty slot that ends its probe.
+  /// Requires a non-empty table.
+  size_t FindSlot(std::string_view token, uint32_t hash) const;
+
+  /// Doubles the table (16 slots at first) and re-places every id.
+  void Grow();
+
+  std::vector<Slot> slots_;  // empty or a power of two, at most half full
+  std::vector<std::string> tokens_;  // owned strings, indexed by id
 };
 
 }  // namespace ssjoin

@@ -1,79 +1,142 @@
 #include "text/tokenizer.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <charconv>
+#include <cstdint>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace ssjoin {
 
 namespace {
 
-/// (token, count) pairs in increasing token order, from the ids a record
-/// interned in text order: sort, then count runs.
-std::vector<std::pair<TokenId, uint32_t>> RunLengthCounts(
-    std::vector<TokenId> ids) {
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::pair<TokenId, uint32_t>> out;
-  for (TokenId id : ids) {
-    if (!out.empty() && out.back().first == id) {
-      ++out.back().second;
-    } else {
-      out.emplace_back(id, 1);
-    }
+constexpr char kPad = '$';
+constexpr size_t kNoWord = SIZE_MAX;
+
+/// kNormalized[b]: the byte normalized text keeps for input byte b (an
+/// ASCII letter lowercased, or a digit), or 0 when b separates words.
+constexpr std::array<char, 256> kNormalized = [] {
+  std::array<char, 256> table{};
+  for (int b = '0'; b <= '9'; ++b) table[b] = static_cast<char>(b);
+  for (int b = 'a'; b <= 'z'; ++b) table[b] = static_cast<char>(b);
+  for (int b = 'A'; b <= 'Z'; ++b) table[b] = static_cast<char>(b - 'A' + 'a');
+  return table;
+}();
+
+/// kRawSeparator[b]: whether b separates words in text kept as given.
+constexpr std::array<bool, 256> kRawSeparator = [] {
+  std::array<bool, 256> table{};
+  for (char c : {' ', '\t', '\n', '\r'}) {
+    table[static_cast<unsigned char>(c)] = true;
   }
-  return out;
+  return table;
+}();
+
+/// Appends the normalized form of `text` to `*out`, calling
+/// `word(begin, end)` with each word's offsets in `*out` as it ends.
+template <typename WordFn>
+void AppendNormalized(std::string_view text, std::string* out, WordFn word) {
+  const size_t base = out->size();
+  // Never longer than `text`: each kept byte maps one input byte, and
+  // each space stands for at least one separator byte.
+  out->resize(base + text.size());
+  char* const data = out->data();
+  size_t end = base;
+  size_t word_begin = kNoWord;
+  for (char raw : text) {
+    const char c = kNormalized[static_cast<unsigned char>(raw)];
+    if (c == 0) {
+      if (word_begin != kNoWord) word(word_begin, end);
+      word_begin = kNoWord;
+      continue;
+    }
+    if (word_begin == kNoWord) {
+      if (end != base) data[end++] = ' ';
+      word_begin = end;
+    }
+    data[end++] = c;
+  }
+  if (word_begin != kNoWord) word(word_begin, end);
+  out->resize(end);
 }
 
 }  // namespace
 
-std::vector<std::pair<TokenId, uint32_t>> WordTokenizer::Tokenize(
-    std::string_view text, TokenDictionary* dict) const {
-  std::vector<TokenId> ids;
-  for (std::string_view word : SplitAndTrim(text)) {
-    ids.push_back(dict->Intern(word));
+std::string_view WordTokenizer::Tokenize(std::string_view text,
+                                         TokenDictionary* dict,
+                                         std::vector<TokenId>* ids) {
+  ids->clear();
+  ids->reserve(text.size() / 2 + 1);  // at most one word per two bytes
+  if (normalize_) {
+    normalized_.clear();
+    AppendNormalized(text, &normalized_, [&](size_t begin, size_t end) {
+      ids->push_back(dict->Intern(
+          std::string_view(normalized_).substr(begin, end - begin)));
+    });
+    return normalized_;
   }
-  return RunLengthCounts(std::move(ids));
+  size_t word_begin = kNoWord;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    const bool separator =
+        i == text.size() || kRawSeparator[static_cast<unsigned char>(text[i])];
+    if (separator && word_begin != kNoWord) {
+      ids->push_back(dict->Intern(text.substr(word_begin, i - word_begin)));
+      word_begin = kNoWord;
+    } else if (!separator && word_begin == kNoWord) {
+      word_begin = i;
+    }
+  }
+  return text;
 }
 
-QGramTokenizer::QGramTokenizer(int q, char pad, bool tag_occurrences)
-    : q_(q), pad_(pad), tag_occurrences_(tag_occurrences) {
+QGramTokenizer::QGramTokenizer(int q, bool tag_occurrences, bool normalize)
+    : q_(q), tag_occurrences_(tag_occurrences), normalize_(normalize) {
   SSJOIN_CHECK(q >= 1);
 }
 
-std::vector<std::pair<TokenId, uint32_t>> QGramTokenizer::Tokenize(
-    std::string_view text, TokenDictionary* dict) const {
-  std::string padded;
-  padded.reserve(text.size() + 2 * (q_ - 1));
-  padded.append(q_ - 1, pad_);
-  padded.append(text);
-  padded.append(q_ - 1, pad_);
+std::string_view QGramTokenizer::Tokenize(std::string_view text,
+                                          TokenDictionary* dict,
+                                          std::vector<TokenId>* ids) {
+  const size_t q = static_cast<size_t>(q_);
+  padded_.assign(q - 1, kPad);
+  if (normalize_) {
+    AppendNormalized(text, &padded_, [](size_t, size_t) {});
+  } else {
+    padded_.append(text);
+  }
+  const size_t length = padded_.size() - (q - 1);
+  padded_.append(q - 1, kPad);
 
-  std::vector<TokenId> ids;
-  // Tag mode: repetitions so far per gram, keyed by views into `padded`.
-  std::unordered_map<std::string_view, uint32_t> occurrence;
-  if (padded.size() >= static_cast<size_t>(q_)) {
-    for (size_t i = 0; i + q_ <= padded.size(); ++i) {
-      std::string_view gram(padded.data() + i, q_);
-      if (!tag_occurrences_) {
-        ids.push_back(dict->Intern(gram));
-        continue;
-      }
-      uint32_t seen = occurrence[gram]++;
-      if (seen == 0) {
-        ids.push_back(dict->Intern(gram));
-      } else {
-        // '\x01' cannot occur in text, so tagged names never collide with
-        // real grams.
-        std::string tagged(gram);
-        tagged.push_back('\x01');
-        tagged.append(std::to_string(seen));
-        ids.push_back(dict->Intern(tagged));
-      }
+  const std::string_view padded(padded_);
+  ids->clear();
+  ids->reserve(padded.size());
+  for (size_t i = 0; i + q <= padded.size(); ++i) {
+    const std::string_view gram = padded.substr(i, q);
+    const TokenId id = dict->Intern(gram);
+    ids->push_back(tag_occurrences_ ? TagRepeat(id, gram, dict) : id);
+  }
+  if (tag_occurrences_) {
+    // Every counted gram's first window pushed the gram's own id; the
+    // tagged ids in between have zero counts already.
+    for (TokenId id : *ids) {
+      if (id < repeats_.size()) repeats_[id] = 0;
     }
   }
-  return RunLengthCounts(std::move(ids));
+  return padded.substr(q - 1, length);
+}
+
+TokenId QGramTokenizer::TagRepeat(TokenId gram_id, std::string_view gram,
+                                  TokenDictionary* dict) {
+  if (gram_id >= repeats_.size()) repeats_.resize(dict->size());
+  const uint32_t repeat = repeats_[gram_id]++;
+  if (repeat == 0) return gram_id;
+  // A tagged name is longer than q, so it never equals a real gram.
+  tagged_.assign(gram);
+  tagged_.push_back('\x01');
+  char digits[10];
+  tagged_.append(digits,
+                 std::to_chars(digits, digits + sizeof(digits), repeat).ptr);
+  return dict->Intern(tagged_);
 }
 
 }  // namespace ssjoin

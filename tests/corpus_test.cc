@@ -1,5 +1,7 @@
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +164,201 @@ TEST(CorpusBuilderTest, TaggedGramsMakeSetIntersectionMultiset) {
   // Multiset intersection of the padded gram bags ($$a, $aa, aaa, aa$,
   // a$$) is 5; the second "aaa" of record 0 is tagged and unshared.
   EXPECT_EQ(set.record(0).IntersectionSize(set.record(1)), 5u);
+}
+
+// ---------------------------------------------------------------------
+// Ingestion goldens: every (dictionary, RecordSet) a build produces is
+// pinned byte for byte, so a rewrite of the text -> RecordSet path must
+// reproduce the same token strings, the same first-seen ids and the same
+// records, texts and lengths.
+
+/// 64-bit FNV-1a over the bytes fed to it.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Value(T value) {
+    Bytes(&value, sizeof(value));
+  }
+  void String(std::string_view s) {
+    Value<uint64_t>(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t digest() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// The dictionary strings in id order, then every record's tokens,
+/// scores, norm, text length and text.
+void HashIngestion(const TokenDictionary& dict, const RecordSet& set,
+                   Fnv1a* hash) {
+  hash->Value<uint64_t>(dict.size());
+  for (TokenId id = 0; id < dict.size(); ++id) {
+    hash->String(dict.ToString(id));
+  }
+  hash->Value<uint64_t>(set.size());
+  for (RecordId id = 0; id < set.size(); ++id) {
+    const RecordView record = set.record(id);
+    hash->Value<uint64_t>(record.size());
+    for (TokenId t : record.tokens()) hash->Value(t);
+    for (double s : record.scores()) hash->Value(s);
+    hash->Value(record.norm());
+    hash->Value(record.text_length());
+    hash->String(set.text(id));
+  }
+}
+
+/// Lines that stress the byte classes: empty, whitespace-only and
+/// punctuation-only lines, tabs, CR and LF, vertical tab and form feed,
+/// bytes >= 0x80, control bytes, leading and trailing separators, mixed
+/// case and repeated words and grams.
+std::vector<std::string> EdgeRows() {
+  return {"",
+          "   ",
+          "\t \t",
+          "...!!!",
+          ",;:-()[]{}<>/\\|@#$%^&*~`'\"",
+          "a\tb\r\nc",
+          "line\rwith\ncontrol\x0b" "vt\x0c" "ff",
+          "caf\xc3\xa9 na\xc3\xafve \xff\x80 end",
+          "  ,leading and trailing,  ",
+          "the The THE cat the",
+          "aaaa",
+          "abab abab",
+          "x",
+          "\x01\x7f\x01",
+          "MiXeD CaSe 123abc 0xFF",
+          "tab\tseparated\tvalues",
+          "trailing space ",
+          " leading space",
+          "$$ pad $$"};
+}
+
+std::vector<std::string> GoldenTexts(const std::string& source) {
+  if (source == "citations") {
+    CitationGeneratorOptions options;
+    options.num_records = 2000;
+    return CitationGenerator(options).Generate();
+  }
+  if (source == "addresses") {
+    AddressGeneratorOptions options;
+    options.num_records = 2000;
+    return AddressGenerator(options).GenerateFullTexts();
+  }
+  return EdgeRows();
+}
+
+/// q == 0 builds words, q >= 1 tagged q-grams.
+RecordSet BuildGolden(const std::vector<std::string>& texts, int q,
+                      bool normalize, TokenDictionary* dict) {
+  CorpusBuilderOptions options;
+  options.normalize = normalize;
+  return q == 0 ? BuildWordCorpus(texts, dict, options)
+                : BuildQGramCorpus(texts, q, dict, options);
+}
+
+struct IngestionGolden {
+  const char* source;
+  int q;
+  bool normalize;
+  uint64_t expected;
+};
+
+constexpr IngestionGolden kIngestionGoldens[] = {
+    {"citations", 0, true, 0xdb848698c43570d8ull},
+    {"citations", 0, false, 0x6c71c99e14356f5eull},
+    {"citations", 2, true, 0xa9a0aa54b528e3acull},
+    {"citations", 2, false, 0x48c5b88d4ecf1bull},
+    {"citations", 3, true, 0x1c2108b16ab4799bull},
+    {"citations", 3, false, 0x3f14e839eeaac334ull},
+    {"citations", 4, true, 0x945d84b24bff7e80ull},
+    {"citations", 4, false, 0x11bbf4b0672f5b9full},
+    {"addresses", 0, true, 0x3e4f8be4c5e69abdull},
+    {"addresses", 0, false, 0x992be8ea89a8c45bull},
+    {"addresses", 2, true, 0x9fa4e8db1c8ecbb9ull},
+    {"addresses", 2, false, 0x2243faf2fe306dabull},
+    {"addresses", 3, true, 0x6bfe260bf5d36082ull},
+    {"addresses", 3, false, 0x167f13d3c8281ee1ull},
+    {"addresses", 4, true, 0x6b9d20398ae64541ull},
+    {"addresses", 4, false, 0x1bd2db869843b44bull},
+    {"edge", 0, true, 0xa70b20a739159d6dull},
+    {"edge", 0, false, 0xf12efdc574e6dd5dull},
+    {"edge", 1, true, 0xfe7ff468d2cb632dull},
+    {"edge", 1, false, 0x8925a3617807e4a0ull},
+    {"edge", 2, true, 0xc76cabee4a21267aull},
+    {"edge", 2, false, 0x923932332bb62220ull},
+    {"edge", 3, true, 0xabf7c3c0abaf1a24ull},
+    {"edge", 3, false, 0xf90a78b2c7ff171dull},
+    {"edge", 4, true, 0xa491d525abf9fc67ull},
+    {"edge", 4, false, 0x4004bdf0792d6d60ull},
+};
+
+TEST(CorpusGoldenTest, IngestionIsByteIdentical) {
+  for (const IngestionGolden& golden : kIngestionGoldens) {
+    TokenDictionary dict;
+    const RecordSet set = BuildGolden(GoldenTexts(golden.source), golden.q,
+                                      golden.normalize, &dict);
+    Fnv1a hash;
+    HashIngestion(dict, set, &hash);
+    EXPECT_EQ(hash.digest(), golden.expected)
+        << golden.source << " q=" << golden.q
+        << " normalize=" << golden.normalize << ": 0x" << std::hex
+        << hash.digest();
+  }
+}
+
+TEST(CorpusGoldenTest, SharedDictionaryAcrossBuilds) {
+  // One dictionary through consecutive builds of different modes: later
+  // builds reuse earlier ids and append new tokens in first-seen order.
+  TokenDictionary dict;
+  Fnv1a hash;
+  const std::vector<std::string> edge = EdgeRows();
+  std::vector<std::string> citations = GoldenTexts("citations");
+  citations.resize(300);
+  HashIngestion(dict, BuildGolden(edge, 0, true, &dict), &hash);
+  HashIngestion(dict, BuildGolden(edge, 3, false, &dict), &hash);
+  HashIngestion(dict, BuildGolden(citations, 0, true, &dict), &hash);
+  HashIngestion(dict, BuildGolden(citations, 2, true, &dict), &hash);
+  HashIngestion(dict, BuildGolden(edge, 0, true, &dict), &hash);
+  EXPECT_EQ(hash.digest(), 0x8f80d9aef4af97b0ull)
+      << "0x" << std::hex << hash.digest();
+}
+
+TEST(CorpusGoldenTest, EdgeRowsTokenizeAsDocumented) {
+  TokenDictionary dict;
+  const RecordSet words = BuildWordCorpus(
+      {"", " \t ", "...!!!", "  ,Caf\xc3\xa9 au\tLAIT,  ", "the The THE"},
+      &dict);
+  ASSERT_EQ(words.size(), 5u);
+  for (RecordId id = 0; id < 3; ++id) {
+    EXPECT_TRUE(words.record(id).empty()) << id;
+    EXPECT_EQ(words.text(id), "") << id;
+  }
+  // Bytes >= 0x80 are separators under normalization (the C locale).
+  EXPECT_EQ(words.text(3), "caf au lait");
+  EXPECT_EQ(words.record(3).text_length(), 11u);
+  EXPECT_EQ(words.text(4), "the the the");
+  ASSERT_EQ(words.record(4).size(), 1u);
+  EXPECT_EQ(dict.ToString(words.record(4).token(0)), "the");
+
+  // Without normalization words split on space, tab, CR and LF only and
+  // the text is kept as given.
+  CorpusBuilderOptions raw;
+  raw.normalize = false;
+  TokenDictionary raw_dict;
+  const RecordSet raw_words =
+      BuildWordCorpus({" A,b\tA,b\x0b" "c\r\n"}, &raw_dict, raw);
+  EXPECT_EQ(raw_words.text(0), " A,b\tA,b\x0b" "c\r\n");
+  ASSERT_EQ(raw_dict.size(), 2u);
+  EXPECT_EQ(raw_dict.ToString(0), "A,b");
+  EXPECT_EQ(raw_dict.ToString(1), "A,b\x0b" "c");
 }
 
 TEST(CorpusStatsTest, BasicCounts) {

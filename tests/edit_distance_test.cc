@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,18 +104,21 @@ TEST(QGramBoundTest, TheoremHoldsOnRandomPairs) {
     ASSERT_LE(EditDistance(a, b), static_cast<size_t>(k));
 
     TokenDictionary dict;
-    auto grams_a = tok.Tokenize(a, &dict);
-    auto grams_b = tok.Tokenize(b, &dict);
-    // Count shared grams with multiplicity (min of counts).
+    std::vector<TokenId> grams_a, grams_b;
+    tok.Tokenize(a, &dict, &grams_a);
+    tok.Tokenize(b, &dict, &grams_b);
+    // Count shared grams with multiplicity: merge the sorted bags.
+    std::sort(grams_a.begin(), grams_a.end());
+    std::sort(grams_b.begin(), grams_b.end());
     long shared = 0;
     size_t ia = 0, ib = 0;
     while (ia < grams_a.size() && ib < grams_b.size()) {
-      if (grams_a[ia].first < grams_b[ib].first) {
+      if (grams_a[ia] < grams_b[ib]) {
         ++ia;
-      } else if (grams_a[ia].first > grams_b[ib].first) {
+      } else if (grams_a[ia] > grams_b[ib]) {
         ++ib;
       } else {
-        shared += std::min(grams_a[ia].second, grams_b[ib].second);
+        ++shared;
         ++ia;
         ++ib;
       }

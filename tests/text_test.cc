@@ -1,9 +1,10 @@
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/record_set.h"
-#include "text/normalizer.h"
 #include "text/tfidf.h"
 #include "text/token_dictionary.h"
 #include "text/tokenizer.h"
@@ -37,80 +38,134 @@ TEST(TokenDictionaryTest, DenseIds) {
   }
 }
 
+TEST(TokenDictionaryTest, GrowthKeepsFirstIdsThroughRehashes) {
+  // 200k distinct tokens, most of them short enough to live in
+  // std::string's inline buffer, which moves whenever the token vector
+  // reallocates: the table must reach keys through the strings, never
+  // through views taken before a move. The table doubles from 16 slots,
+  // so this crosses about fourteen rehashes.
+  constexpr TokenId kTokens = 200000;
+  std::vector<std::string> tokens;
+  tokens.reserve(kTokens);
+  for (TokenId i = 0; i < kTokens; ++i) {
+    tokens.push_back(i % 64 == 0 ? "a-token-past-the-inline-buffer-" +
+                                       std::to_string(i)
+                                 : "w" + std::to_string(i));
+  }
+  TokenDictionary dict;
+  for (TokenId i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(dict.Intern(tokens[i]), i);
+    if (i % 1024 == 0) {
+      ASSERT_EQ(dict.Intern(tokens[i / 2]), i / 2);
+    }
+  }
+  ASSERT_EQ(dict.size(), kTokens);
+  for (TokenId i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(dict.Intern(tokens[i]), i);
+    ASSERT_EQ(dict.Lookup(tokens[i]), i);
+    ASSERT_EQ(dict.ToString(i), tokens[i]);
+  }
+  EXPECT_EQ(dict.Lookup("never-interned"), kInvalidToken);
+  EXPECT_EQ(dict.Lookup(""), kInvalidToken);
+  EXPECT_EQ(dict.size(), kTokens);
+
+  // A moved dictionary resolves every token in its new home.
+  TokenDictionary moved(std::move(dict));
+  TokenDictionary assigned;
+  assigned.Intern("replaced");
+  assigned = std::move(moved);
+  for (TokenId i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(assigned.Lookup(tokens[i]), i);
+  }
+  EXPECT_EQ(assigned.Lookup("replaced"), kInvalidToken);
+  EXPECT_EQ(assigned.Intern("new"), kTokens);
+}
+
 TEST(NormalizerTest, DefaultPipeline) {
-  Normalizer norm;
-  EXPECT_EQ(norm.Normalize("  Hello,   World!  "), "hello world");
-  EXPECT_EQ(norm.Normalize("A.B-C"), "a b c");
-  EXPECT_EQ(norm.Normalize(""), "");
-  EXPECT_EQ(norm.Normalize("...!!!"), "");
+  TokenDictionary dict;
+  WordTokenizer tok(/*normalize=*/true);
+  std::vector<TokenId> ids;
+  EXPECT_EQ(tok.Tokenize("  Hello,   World!  ", &dict, &ids), "hello world");
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1}));
+  EXPECT_EQ(tok.Tokenize("A.B-C", &dict, &ids), "a b c");
+  EXPECT_EQ(tok.Tokenize("", &dict, &ids), "");
+  EXPECT_EQ(tok.Tokenize("...!!!", &dict, &ids), "");
+  EXPECT_TRUE(ids.empty());
+  // Every byte >= 0x80 separates, as under the C locale's isalnum.
+  EXPECT_EQ(tok.Tokenize("Caf\xc3\xa9\tNa\xefve", &dict, &ids),
+            "caf na ve");
+  QGramTokenizer grams(2, /*tag_occurrences=*/false, /*normalize=*/true);
+  EXPECT_EQ(grams.Tokenize(" Ab, ", &dict, &ids), "ab");
+  EXPECT_EQ(ids.size(), 3u);  // $a ab b$
 }
 
-TEST(NormalizerTest, OptionsAreHonored) {
-  NormalizerOptions opts;
-  opts.lowercase = false;
-  opts.strip_punctuation = false;
-  opts.collapse_whitespace = false;
-  Normalizer norm(opts);
-  EXPECT_EQ(norm.Normalize("A.B  C"), "A.B  C");
-}
-
-TEST(WordTokenizerTest, DistinctTokensWithCounts) {
+TEST(WordTokenizerTest, IdsInTextOrder) {
   TokenDictionary dict;
   WordTokenizer tok;
-  auto pairs = tok.Tokenize("a b a c a", &dict);
-  ASSERT_EQ(pairs.size(), 3u);
-  // sorted by token id; "a" was interned first
-  EXPECT_EQ(pairs[0].second, 3u);  // a appears 3 times
-  EXPECT_EQ(pairs[1].second, 1u);
-  EXPECT_EQ(pairs[2].second, 1u);
+  std::vector<TokenId> ids;
+  EXPECT_EQ(tok.Tokenize("a b a c a", &dict, &ids), "a b a c a");
+  // "a" was interned first; repeats keep their places.
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 0, 2, 0}));
 }
 
 TEST(WordTokenizerTest, EmptyText) {
   TokenDictionary dict;
   WordTokenizer tok;
-  EXPECT_TRUE(tok.Tokenize("", &dict).empty());
-  EXPECT_TRUE(tok.Tokenize("   ", &dict).empty());
+  std::vector<TokenId> ids = {7};
+  tok.Tokenize("", &dict, &ids);
+  EXPECT_TRUE(ids.empty());
+  tok.Tokenize(" \t\r\n ", &dict, &ids);
+  EXPECT_TRUE(ids.empty());
+  EXPECT_EQ(dict.size(), 0u);
 }
 
 TEST(QGramTokenizerTest, PaddedGramCount) {
   TokenDictionary dict;
   QGramTokenizer tok(3);
+  std::vector<TokenId> ids;
   // "ab" padded to "$$ab$$": grams $$a $ab ab$ b$$ -> 4 distinct.
-  auto pairs = tok.Tokenize("ab", &dict);
-  size_t total = 0;
-  for (const auto& [t, c] : pairs) total += c;
-  EXPECT_EQ(total, 4u);  // len + q - 1 = 2 + 2
+  EXPECT_EQ(tok.Tokenize("ab", &dict, &ids), "ab");
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 2, 3}));  // len + q - 1
 }
 
 TEST(QGramTokenizerTest, RepeatedGramsCounted) {
   TokenDictionary dict;
   QGramTokenizer tok(2);
-  // "aaa" padded "$aaa$": $a aa aa a$ -> "aa" has count 2.
-  auto pairs = tok.Tokenize("aaa", &dict);
-  uint32_t max_count = 0;
-  size_t total = 0;
-  for (const auto& [t, c] : pairs) {
-    max_count = std::max(max_count, c);
-    total += c;
-  }
-  EXPECT_EQ(total, 4u);
-  EXPECT_EQ(max_count, 2u);
+  std::vector<TokenId> ids;
+  // "aaa" padded "$aaa$": $a aa aa a$ -> "aa" twice.
+  tok.Tokenize("aaa", &dict, &ids);
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 1, 2}));
 }
 
 TEST(QGramTokenizerTest, EmptyString) {
   TokenDictionary dict;
   QGramTokenizer tok(3);
-  // "" padded to "$$$$": grams $$$ $$$ -> one distinct gram, count 2.
-  auto pairs = tok.Tokenize("", &dict);
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].second, 2u);
+  std::vector<TokenId> ids;
+  // "" padded to "$$$$": grams $$$ $$$ -> one distinct gram, twice.
+  tok.Tokenize("", &dict, &ids);
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 0}));
 }
 
 TEST(QGramTokenizerTest, Q1HasNoPadding) {
   TokenDictionary dict;
   QGramTokenizer tok(1);
-  auto pairs = tok.Tokenize("abca", &dict);
-  EXPECT_EQ(pairs.size(), 3u);  // a, b, c
+  std::vector<TokenId> ids;
+  tok.Tokenize("abca", &dict, &ids);
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 2, 0}));  // a, b, c
+  EXPECT_EQ(dict.size(), 3u);
+}
+
+TEST(QGramTokenizerTest, TaggedRepeatsAreFirstSeen) {
+  // The k-th repeat of a gram is interned as gram\x01k where it occurs,
+  // and the repeat counts restart with every text.
+  TokenDictionary dict;
+  QGramTokenizer tok(2, /*tag_occurrences=*/true);
+  std::vector<TokenId> ids;
+  tok.Tokenize("aaab", &dict, &ids);  // $a aa aa ab b$
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(dict.ToString(2), std::string("aa\x01" "1"));
+  tok.Tokenize("aaa", &dict, &ids);  // $a aa aa a$
+  EXPECT_EQ(ids, (std::vector<TokenId>{0, 1, 2, 5}));
 }
 
 TEST(TfIdfTest, RareTokensWeighMore) {

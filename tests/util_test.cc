@@ -258,16 +258,6 @@ TEST(ZipfTest, ZeroExponentIsUniformish) {
   }
 }
 
-TEST(StringUtilTest, SplitAndTrim) {
-  auto pieces = SplitAndTrim("  foo  bar\tbaz\n");
-  ASSERT_EQ(pieces.size(), 3u);
-  EXPECT_EQ(pieces[0], "foo");
-  EXPECT_EQ(pieces[1], "bar");
-  EXPECT_EQ(pieces[2], "baz");
-  EXPECT_TRUE(SplitAndTrim("").empty());
-  EXPECT_TRUE(SplitAndTrim("   ").empty());
-}
-
 TEST(StringUtilTest, FormatDoubleExactRoundTrips) {
   EXPECT_EQ(FormatDoubleExact(0.7), "0.7");
   EXPECT_EQ(FormatDoubleExact(2.0), "2");

@@ -365,25 +365,28 @@ class DictLog {
 
 /// Tokenizer shared by the corpus, inserts and queries: every text goes
 /// through the same builder with the same (growing) dictionary, so query
-/// tokens line up with index tokens.
+/// tokens line up with index tokens. The builder's scratch is reused
+/// from request to request, so like the dictionary it needs one caller
+/// at a time (the server takes its tokenize lock around Build).
 class LineTokenizer {
  public:
-  LineTokenizer(std::string mode, TokenDictionary* dict)
-      : mode_(std::move(mode)), dict_(dict) {}
+  /// `mode` is a --tokens mode ValidateTokens accepts.
+  LineTokenizer(const std::string& mode, TokenDictionary* dict)
+      : q_(mode == "words" ? 3 : mode[0] - '0'),
+        builder_(mode == "words" ? CorpusBuilder::Words()
+                                 : CorpusBuilder::QGrams(q_)),
+        dict_(dict) {}
 
-  int q() const { return mode_ == "words" ? 3 : mode_[0] - '0'; }
+  /// Edit distance's q-gram length: the mode's q, 3 for words.
+  int q() const { return q_; }
 
-  RecordSet Build(const std::vector<std::string>& lines) const {
-    if (mode_ == "words") return BuildWordCorpus(lines, dict_);
-    return BuildQGramCorpus(lines, q(), dict_);
-  }
-
-  RecordSet BuildOne(const std::string& line) const {
-    return Build(std::vector<std::string>{line});
+  RecordSet Build(const std::vector<std::string>& lines) {
+    return builder_.Build(lines, dict_);
   }
 
  private:
-  std::string mode_;
+  int q_;
+  CorpusBuilder builder_;
   TokenDictionary* dict_;
 };
 
@@ -402,7 +405,7 @@ inline void WarnIfDurabilityDegraded(const SimilarityService& service) {
 /// printing the failure.
 inline std::unique_ptr<SimilarityService> SetUpService(
     const ServeCliOptions& options, const Predicate& pred,
-    const LineTokenizer& tokenizer, TokenDictionary* dict,
+    LineTokenizer& tokenizer, TokenDictionary* dict,
     DictLog* dict_log) {
   ServiceOptions service_options;
   service_options.memtable_limit =

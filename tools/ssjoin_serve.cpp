@@ -89,7 +89,7 @@ std::optional<ServeCliOptions> ParseArgs(int argc, char** argv) {
 }
 
 int RunBatch(const SimilarityService& service,
-             const ServeCliOptions& options, const LineTokenizer& tokenizer) {
+             const ServeCliOptions& options, LineTokenizer& tokenizer) {
   std::optional<std::vector<std::string>> lines = ReadLines(options.queries);
   if (!lines.has_value()) return 1;
   RecordSet queries = tokenizer.Build(*lines);
@@ -112,7 +112,7 @@ int RunBatch(const SimilarityService& service,
 }
 
 int RunRepl(SimilarityService* service, const ServeCliOptions& options,
-            const LineTokenizer& tokenizer, const TokenDictionary& dict,
+            LineTokenizer& tokenizer, const TokenDictionary& dict,
             DictLog* dict_log) {
   // A non-tty stdin means a script is driving the REPL: every ERR line
   // then also fails the exit code, so a typo in a command file cannot be
