@@ -1,5 +1,5 @@
 // Substrate microbenchmarks (google-benchmark): the primitives whose
-// constants drive the figure-level results — heap merge vs MergeOpt,
+// constants drive the figure-level results — plain merge vs MergeOpt,
 // galloping search, MinHash signatures, varint coding, banded vs full
 // edit distance — plus the storage-layout benches (index build and probe
 // throughput with heap-allocation counters) that track the CSR arena.
@@ -90,8 +90,8 @@ void BM_MergePlain(benchmark::State& state) {
   std::vector<double> scores(lists.size(), 1.0);
   double threshold = static_cast<double>(state.range(0));
   for (auto _ : state) {
-    ListMerger merger(views, scores, threshold, nullptr, nullptr,
-                      {.split_lists = false}, nullptr);
+    ListMerger merger(views, scores, threshold, /*min_overlap=*/0, nullptr,
+                      nullptr, {.split_lists = false}, nullptr);
     MergeCandidate c;
     uint64_t count = 0;
     while (merger.Next(&c)) ++count;
@@ -107,8 +107,8 @@ void BM_MergeOpt(benchmark::State& state) {
   std::vector<double> scores(lists.size(), 1.0);
   double threshold = static_cast<double>(state.range(0));
   for (auto _ : state) {
-    ListMerger merger(views, scores, threshold, nullptr, nullptr,
-                      {.split_lists = true}, nullptr);
+    ListMerger merger(views, scores, threshold, /*min_overlap=*/0, nullptr,
+                      nullptr, {.split_lists = true}, nullptr);
     MergeCandidate c;
     uint64_t count = 0;
     while (merger.Next(&c)) ++count;
@@ -242,8 +242,8 @@ void BM_LayoutProbe(benchmark::State& state) {
     const RecordView probe = set.record(id);
     double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
     CollectProbeLists(index, probe, &lists, &probe_scores);
-    merger.Reset(lists, probe_scores, floor, nullptr, nullptr,
-                 {.split_lists = true}, &merge_stats);
+    merger.Reset(lists, probe_scores, floor, /*min_overlap=*/0, nullptr,
+                 nullptr, {.split_lists = true}, &merge_stats);
     MergeCandidate candidate;
     while (merger.Next(&candidate)) {
     }
@@ -255,8 +255,8 @@ void BM_LayoutProbe(benchmark::State& state) {
       const RecordView probe = set.record(id);
       double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
       CollectProbeLists(index, probe, &lists, &probe_scores);
-      merger.Reset(lists, probe_scores, floor, nullptr, nullptr,
-                   {.split_lists = true}, &merge_stats);
+      merger.Reset(lists, probe_scores, floor, /*min_overlap=*/0, nullptr,
+                   nullptr, {.split_lists = true}, &merge_stats);
       MergeCandidate candidate;
       while (merger.Next(&candidate)) ++candidates;
     }

@@ -31,17 +31,25 @@ double PruneBound(double bound) {
 
 void ListMerger::Reset(const std::vector<PostingListView>& lists,
                        const std::vector<double>& probe_scores, double floor,
+                       double min_overlap,
                        FunctionRef<double(RecordId)> required,
                        FunctionRef<bool(RecordId)> filter,
                        MergeOptions options, MergeStats* stats) {
   SSJOIN_CHECK(lists.size() == probe_scores.size());
   floor_ = floor;
+  min_overlap_ = min_overlap;
   required_ = required;
   filter_ = filter;
   options_ = options;
   stats_ = stats;
   split_k_ = 0;
-  heap_.clear();
+  if (block_overlap_.empty()) {
+    block_overlap_.assign(kBlockIds, 0.0);
+  } else {
+    ClearBlock();
+  }
+  word_ = 0;
+  block_words_ = 0;
   if (stats_ != nullptr) ++stats_->merges;
 
   // Order lists by decreasing length (step 1 of Algorithm 1), ties broken
@@ -73,13 +81,17 @@ void ListMerger::Reset(const std::vector<PostingListView>& lists,
 
   frontier_.assign(lists_.size(), 0);
   search_pos_.assign(lists_.size(), 0);
-  direct_.assign(lists_.size(), false);
   RecomputeSplit();
-  for (uint32_t i = 0; i < lists_.size(); ++i) {
-    if (!direct_[i]) {
-      if (stats_ != nullptr) ++stats_->lists_merged;
-      PushFrontier(i);
+  if (stats_ != nullptr) stats_->lists_merged += lists_.size() - split_k_;
+}
+
+void ListMerger::ClearBlock() {
+  for (uint32_t w = word_; w < block_words_; ++w) {
+    for (uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
+      block_overlap_[w * 64 + static_cast<uint32_t>(__builtin_ctzll(bits))] =
+          0;
     }
+    touched_[w] = 0;
   }
 }
 
@@ -93,10 +105,9 @@ void ListMerger::RecomputeSplit() {
   // grows k.
   size_t k = split_k_;
   while (k < lists_.size() && cumulative_weight_[k] < PruneBound(floor_)) {
-    direct_[k] = true;
-    // A list moving out of the heap mid-merge keeps its frontier as the
-    // direct-search start: everything before it was already consumed
-    // through the heap.
+    // A list moving out of S mid-merge starts its direct searches at its
+    // frontier: everything before it, the current block included, is
+    // already counted.
     search_pos_[k] = frontier_[k];
     if (stats_ != nullptr) ++stats_->lists_direct;
     ++k;
@@ -110,85 +121,108 @@ void ListMerger::RaiseFloor(double floor) {
   RecomputeSplit();
 }
 
-void ListMerger::PushFrontier(uint32_t i) {
-  const PostingListView& list = lists_[i];
-  size_t& pos = frontier_[i];
-  const bool filtering = filter_ != nullptr;
-  while (pos < list.size()) {
-    const Posting& p = list[pos];
-    if (filtering && !filter_(p.id)) {
-      ++pos;  // step 7: apply filter(r, n) before pushing
-      continue;
-    }
-    heap_.push_back({p.id, i});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    return;
+bool ListMerger::FillBlock() {
+  // The block opens at the smallest uncounted S posting, so it is never
+  // empty and blocks arrive in increasing id order.
+  const size_t n = lists_.size();
+  bool any = false;
+  RecordId base = 0;
+  for (size_t i = split_k_; i < n; ++i) {
+    if (frontier_[i] == lists_[i].size()) continue;
+    const RecordId id = lists_[i][frontier_[i]].id;
+    if (!any || id < base) base = id;
+    any = true;
   }
+  if (!any) return false;
+
+  // Step 6 for a whole block at once: every S posting of the block adds
+  // its contribution to its id's count, list by list.
+  double* counts = block_overlap_.data();
+  uint32_t last_slot = 0;
+  uint64_t counted = 0;
+  for (size_t i = split_k_; i < n; ++i) {
+    const size_t size = lists_[i].size();
+    const size_t begin = frontier_[i];
+    if (begin == size) continue;
+    const Posting* postings = &lists_[i][0];
+    const double weight = probe_scores_[i];
+    size_t pos = begin;
+    for (; pos < size; ++pos) {
+      // Every uncounted id is >= base, so the unsigned difference cannot
+      // wrap, even for ids near UINT32_MAX.
+      const uint32_t slot = postings[pos].id - base;
+      if (slot >= kBlockIds) break;
+      counts[slot] += weight * postings[pos].score;
+      touched_[slot / 64] |= uint64_t{1} << (slot % 64);
+    }
+    if (pos == begin) continue;
+    last_slot = std::max(last_slot, postings[pos - 1].id - base);
+    counted += pos - begin;
+    frontier_[i] = pos;
+  }
+  if (stats_ != nullptr) stats_->heap_pops += counted;
+  block_base_ = base;
+  word_ = 0;
+  block_words_ = last_slot / 64 + 1;
+  return true;
 }
 
 bool ListMerger::Next(MergeCandidate* out) {
-  while (!heap_.empty()) {
-    // Pop every entry for the minimum id, accumulating the S-side overlap
-    // (step 6). Entries of lists that migrated to L are skipped without
-    // advancing their frontier: the direct search covers them.
-    RecordId id = heap_.front().id;
-    double overlap = 0;
-    uint32_t s_matched = 0;  // distinct probe tokens matched via the heap
-    while (!heap_.empty() && heap_.front().id == id) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-      uint32_t i = heap_.back().list;
-      heap_.pop_back();
-      if (direct_[i]) continue;  // migrated by RaiseFloor; frontier kept
-      const Posting& p = lists_[i][frontier_[i]];
-      SSJOIN_DCHECK(p.id == id);
-      overlap += probe_scores_[i] * p.score;
-      ++frontier_[i];
-      if (stats_ != nullptr) ++stats_->heap_pops;
-      PushFrontier(i);
-      // Each live pop is one distinct common token: every list belongs
-      // to a different probe token (tokens are strictly increasing).
-      ++s_matched;
-    }
-    if (s_matched == 0) continue;
-
-    // Floor-based viability, BEFORE the per-candidate required_() call:
-    // the emit bound is at least the floor, so a candidate that cannot
-    // reach the floor even with full membership in every L list is
-    // discarded without paying required_'s indirect call and norm
-    // lookup. (The descent's own first check repeats this against the
-    // tighter bound.)
-    const double l_potential =
-        split_k_ > 0 ? cumulative_weight_[split_k_ - 1] : 0.0;
-    if (overlap + l_potential < PruneBound(floor_)) continue;
-
-    double bound = floor_;
-    if (required_ != nullptr) bound = std::max(bound, required_(id));
-
-    // Steps 8-11: direct search of the L lists from the smallest
-    // cumulative potential upwards, abandoning the candidate as soon as
-    // even full membership in the remaining lists cannot reach the bound.
-    bool viable = true;
-    for (size_t i = split_k_; i-- > 0;) {
-      if (overlap + cumulative_weight_[i] < PruneBound(bound)) {
-        viable = false;
-        break;
+  // The floor and the split move only through RaiseFloor, between calls.
+  const double l_potential =
+      split_k_ > 0 ? cumulative_weight_[split_k_ - 1] : 0.0;
+  const double id_floor = std::max(floor_, min_overlap_);
+  const double floor_bound = PruneBound(id_floor);
+  for (;;) {
+    while (word_ < block_words_) {
+      uint64_t& bits = touched_[word_];
+      if (bits == 0) {
+        ++word_;
+        continue;
       }
-      uint64_t* cost = stats_ != nullptr ? &stats_->gallop_probes : nullptr;
-      size_t pos = MergeLowerBound(lists_[i], id, search_pos_[i], cost);
-      search_pos_[i] = pos;  // candidates arrive in increasing id order
-      if (pos < lists_[i].size() && lists_[i][pos].id == id) {
-        overlap += probe_scores_[i] * lists_[i][pos].score;
-      }
-    }
-    if (!viable) continue;
-    if (overlap < PruneBound(bound)) continue;
+      const uint32_t slot =
+          word_ * 64 + static_cast<uint32_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      double overlap = block_overlap_[slot];
+      block_overlap_[slot] = 0;
+      const RecordId id = block_base_ + slot;
 
-    if (stats_ != nullptr) ++stats_->candidates;
-    out->id = id;
-    out->overlap = overlap;
-    return true;
+      // Each distinct id is tested once, cheapest test first. A candidate
+      // that cannot reach the floor even with full membership in every L
+      // list is discarded before the filter and required_() pay their
+      // indirect calls and norm lookups.
+      if (overlap + l_potential < floor_bound) continue;
+      if (filter_ != nullptr && !filter_(id)) continue;
+      double bound = id_floor;
+      if (required_ != nullptr) bound = std::max(bound, required_(id));
+
+      // Steps 8-11: direct search of the L lists from the smallest
+      // cumulative potential upwards, abandoning the candidate as soon as
+      // even full membership in the remaining lists cannot reach the
+      // bound.
+      bool viable = true;
+      for (size_t i = split_k_; i-- > 0;) {
+        if (overlap + cumulative_weight_[i] < PruneBound(bound)) {
+          viable = false;
+          break;
+        }
+        uint64_t* cost = stats_ != nullptr ? &stats_->gallop_probes : nullptr;
+        size_t pos = MergeLowerBound(lists_[i], id, search_pos_[i], cost);
+        search_pos_[i] = pos;  // candidates arrive in increasing id order
+        if (pos < lists_[i].size() && lists_[i][pos].id == id) {
+          overlap += probe_scores_[i] * lists_[i][pos].score;
+        }
+      }
+      if (!viable) continue;
+      if (overlap < PruneBound(bound)) continue;
+
+      if (stats_ != nullptr) ++stats_->candidates;
+      out->id = id;
+      out->overlap = overlap;
+      return true;
+    }
+    if (!FillBlock()) return false;
   }
-  return false;
 }
 
 namespace {

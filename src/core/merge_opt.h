@@ -15,7 +15,9 @@ namespace ssjoin {
 /// Instrumentation counters for one or many merges.
 struct MergeStats {
   uint64_t merges = 0;          // probe-merge invocations
-  uint64_t heap_pops = 0;       // postings consumed through the heap
+  // S postings counted into the block; the stats JSON and perfbench read
+  // it under this name.
+  uint64_t heap_pops = 0;
   uint64_t gallop_probes = 0;   // comparisons in direct (L) searches
   uint64_t candidates = 0;      // candidates emitted
   uint64_t bitmap_checked = 0;  // candidates PrefixFilter's bitmap gate read
@@ -36,7 +38,7 @@ struct MergeCandidate {
 
 struct MergeOptions {
   /// Enables the threshold-sensitive L/S split of Section 3.1 (MergeOpt).
-  /// False gives the plain heap merge over all lists (Probe-Count).
+  /// False counts every list (Probe-Count).
   bool split_lists = true;
 };
 
@@ -67,21 +69,30 @@ size_t MergeLowerBound(const PostingListView& list, RecordId id, size_t start,
 ///
 /// Given the posting lists of a probe record's tokens, emits every indexed
 /// id whose total overlap with the probe reaches the per-candidate bound
-/// max(floor, required(id)). Lists are split into L (largest lists whose
-/// cumulative potential stays below the floor, consulted only by doubling
-/// binary search) and S (heap-merged). Candidates stream out of Next() in
-/// increasing id order.
+/// max(floor, min_overlap, required(id)). Lists are split into L (largest
+/// lists whose cumulative potential stays below the floor, consulted only
+/// by doubling binary search) and S. Where the paper merges S through a
+/// heap, the merger counts: it adds every S posting of the next block of
+/// kBlockIds ids into a block-sized overlap array, then walks the block's
+/// touched ids in increasing order and tests each id once — floor plus L
+/// potential, then the pair filter, then required(id), then the L
+/// gallops. Candidates stream out of Next() in increasing id order.
 ///
 /// The merger is reusable: default-construct it once outside the probe
-/// loop and Reset() it per probe — internal buffers keep their capacity,
-/// so steady-state probes perform no heap allocations.
+/// loop and Reset() it per probe — the block arrays are allocated by the
+/// first Reset and every buffer keeps its capacity, so steady-state probes
+/// perform no heap allocations.
 ///
 /// Contracts:
+///   * `min_overlap` is a lower bound every wanted candidate meets
+///     (Predicate::MinMatchOverlap of the probe, or 0). It joins the floor
+///     in the per-id tests only: the L/S split stays at the floor.
 ///   * `required` may be null; candidates are then held only to the floor.
 ///     When supplied it must satisfy required(id) >= any floor ever set
 ///     (join mode: required = T(r, m) and floor = T(r, I) <= T(r, m)).
-///   * `filter` may be null; when supplied, the pair filter runs on every
-///     posting as it enters the heap (Section 5's simplest placement).
+///   * `filter` may be null; when supplied, the pair filter runs once per
+///     id that survives the floor test (Section 5's filter, applied per
+///     candidate id instead of per posting).
 ///   * `required` and `filter` are non-owning references; the underlying
 ///     callables must outlive every Next() call of the current merge.
 ///   * RaiseFloor only increases the floor, and the caller must keep it
@@ -89,61 +100,74 @@ size_t MergeLowerBound(const PostingListView& list, RecordId id, size_t start,
 ///     mode caps raises at T(r, I)).
 class ListMerger {
  public:
+  /// Ids per counting block: a fixed size, so the merger's memory does not
+  /// grow with the id space it probes.
+  static constexpr uint32_t kBlockIds = 4096;
+
   ListMerger() = default;
 
   /// Convenience for one-shot merges (tests, benches).
   ListMerger(const std::vector<PostingListView>& lists,
              const std::vector<double>& probe_scores, double floor,
-             FunctionRef<double(RecordId)> required,
+             double min_overlap, FunctionRef<double(RecordId)> required,
              FunctionRef<bool(RecordId)> filter, MergeOptions options,
              MergeStats* stats) {
-    Reset(lists, probe_scores, floor, required, filter, options, stats);
+    Reset(lists, probe_scores, floor, min_overlap, required, filter, options,
+          stats);
   }
 
   ListMerger(const ListMerger&) = delete;
   ListMerger& operator=(const ListMerger&) = delete;
 
   /// Re-arms the merger for a new probe, reusing internal buffer capacity.
+  /// A merge abandoned mid-block leaves nothing behind.
   void Reset(const std::vector<PostingListView>& lists,
              const std::vector<double>& probe_scores, double floor,
-             FunctionRef<double(RecordId)> required,
+             double min_overlap, FunctionRef<double(RecordId)> required,
              FunctionRef<bool(RecordId)> filter, MergeOptions options,
              MergeStats* stats);
 
   /// Produces the next candidate; returns false when the merge is done.
   bool Next(MergeCandidate* out);
 
-  /// Raises the emit floor, migrating newly prunable lists from the heap
-  /// to the direct-search set (Section 4.1.1).
+  /// Raises the emit floor, migrating newly prunable lists from S to the
+  /// direct-search set L (Section 4.1.1).
   void RaiseFloor(double floor);
 
   double floor() const { return floor_; }
 
  private:
-  struct HeapEntry {
-    RecordId id;
-    uint32_t list;
-    bool operator>(const HeapEntry& other) const { return id > other.id; }
-  };
+  static constexpr uint32_t kBlockWords = kBlockIds / 64;
 
-  /// Pushes list `i`'s frontier posting (after filtering) into the heap.
-  void PushFrontier(uint32_t i);
+  /// Counts the S postings of the block that opens at the smallest
+  /// unconsumed S id; false when every S list is consumed.
+  bool FillBlock();
+  /// Zeroes the counts the current block has not handed out yet.
+  void ClearBlock();
   void RecomputeSplit();
 
   std::vector<PostingListView> lists_;      // decreasing length order
   std::vector<double> probe_scores_;        // parallel to lists_
   std::vector<uint32_t> order_;             // sort scratch (reused)
   std::vector<double> cumulative_weight_;   // prefix sums of potential
-  std::vector<size_t> frontier_;            // next unconsumed posting (S)
+  std::vector<size_t> frontier_;            // next uncounted posting (S)
   std::vector<size_t> search_pos_;          // rolling gallop hint (L)
-  std::vector<bool> direct_;                // list is in L
-  size_t split_k_ = 0;                      // |L| under the current floor
+  size_t split_k_ = 0;  // |L| under the current floor: L = lists_[0, k)
   double floor_ = 0;
+  double min_overlap_ = 0;
   FunctionRef<double(RecordId)> required_;
   FunctionRef<bool(RecordId)> filter_;
   MergeOptions options_;
   MergeStats* stats_ = nullptr;
-  std::vector<HeapEntry> heap_;  // min-heap on id via std::*_heap
+
+  // The counting block: ids [block_base_, block_base_ + kBlockIds). A
+  // touched bit marks an id some S posting reached; Next() clears the bit
+  // and zeroes the count as it hands the id out.
+  std::vector<double> block_overlap_;  // kBlockIds, allocated once
+  uint64_t touched_[kBlockWords] = {};
+  RecordId block_base_ = 0;
+  uint32_t word_ = 0;         // next touched word to walk
+  uint32_t block_words_ = 0;  // words the current block touched
 };
 
 /// Gathers the posting lists for `probe`'s tokens from `index`, paired

@@ -148,17 +148,21 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
     // No pair filter: cluster norms aggregate members, so filters apply
     // at the member level only.
     ListMerger& merger = scratch_.merger;
-    merger.Reset(scratch_.lists, scratch_.probe_scores, floor, required,
-                 /*filter=*/nullptr, MergeOptions{}, stats);
+    merger.Reset(scratch_.lists, scratch_.probe_scores, floor,
+                 /*min_overlap=*/0, required, /*filter=*/nullptr,
+                 MergeOptions{}, stats);
 
     MergeCandidate candidate;
     while (merger.Next(&candidate)) {
       ClusterId c = candidate.id;
       double overlap = candidate.overlap;
-      if (overlap >= PruneBound(pred_.ThresholdForNorms(norm, norms_[c]))) {
+      // Full-strength mode: the merge emitted c against max(T(r, I),
+      // T(r, ||C||)) = T(r, ||C||), as min_norm_ <= norms_[c], so every
+      // candidate is in J(r). Low-floor mode also emits clusters below
+      // it, which may still become the record's home.
+      if (!low_floor ||
+          overlap >= PruneBound(pred_.ThresholdForNorms(norm, norms_[c]))) {
         joins_.push_back(c);
-      } else if (!low_floor) {
-        continue;  // full-strength mode: only J(r) members are homes
       }
       bool joinable_size =
           options_.max_cluster_size == 0 ||

@@ -67,10 +67,11 @@ inline double ReducedThreshold(RecordView r, const StopwordPlan& plan) {
 }
 
 /// Reusable per-probe scratch for ProbeOne and ProbeMatches: posting-list
-/// collection buffers, the merger and the matched-id list keep their
-/// capacity across probes, so steady-state probing performs no heap
-/// allocations. One instance per thread; a probe loop default-constructs
-/// it once outside the loop.
+/// collection buffers, the merger (with its counting block) and the
+/// matched-id list keep their capacity across probes, so steady-state
+/// probing performs no heap allocations. One instance per thread; a probe
+/// loop default-constructs it once outside the loop, and the serving
+/// tiers keep one per thread for the thread's lifetime.
 struct ProbeScratch {
   std::vector<PostingListView> lists;
   std::vector<double> probe_scores;
@@ -81,15 +82,18 @@ struct ProbeScratch {
 /// The single-record probe at the heart of every index-probe algorithm:
 /// gathers the posting lists of `probe`'s tokens from `index` (flat
 /// InvertedIndex or DynamicIndex — both CollectProbeLists overloads
-/// apply), merges them under the emit bound max(floor, required(id)),
-/// and streams each surviving candidate (indexed entity id + exact
-/// merged overlap) to `emit` in increasing id order.
+/// apply), merges them under the emit bound max(floor, min_overlap,
+/// required(id)) with the L/S split at `floor`, and streams each
+/// surviving candidate (indexed entity id + exact merged overlap) to
+/// `emit` in increasing id order.
 ///
-/// `required` and `filter` follow the ListMerger contracts (may be
-/// null; non-owning, must outlive the call). The caller verifies
-/// candidates — ProbeOne prunes, it does not decide matches.
+/// `min_overlap`, `required` and `filter` follow the ListMerger contracts
+/// (the callables may be null; non-owning, must outlive the call). The
+/// caller verifies candidates — ProbeOne prunes, it does not decide
+/// matches.
 template <typename IndexT>
 inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
+                     double min_overlap,
                      FunctionRef<double(RecordId)> required,
                      FunctionRef<bool(RecordId)> filter,
                      const MergeOptions& options, MergeStats* stats,
@@ -97,7 +101,7 @@ inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
                      FunctionRef<void(const MergeCandidate&)> emit) {
   CollectProbeLists(index, probe, &scratch->lists, &scratch->probe_scores);
   scratch->merger.Reset(scratch->lists, scratch->probe_scores, floor,
-                        required, filter, options, stats);
+                        min_overlap, required, filter, options, stats);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }
@@ -124,10 +128,11 @@ struct ProbeTarget {
 /// `target` with `probe` (= probes.record(q)) and reports every target
 /// record it matches as on_match(local id, record id).
 ///
-///   * The merge runs under the floor T(probe, minS) of the target index
-///     and the per-candidate bound T(probe, ||m||), plus the norm filter
-///     when the predicate has one. Empty probes and empty indexes skip
-///     the merge: they can share no token.
+///   * The merge splits its lists at the floor T(probe, minS) of the
+///     target index and holds each id to max(T(probe, minS),
+///     MinMatchOverlap(||probe||)) and T(probe, ||m||), plus the norm
+///     filter when the predicate has one. Empty probes and empty indexes
+///     skip the merge: they can share no token.
 ///   * `skip` (may be null) drops a candidate before verification: dead
 ///     masks and tombstones, which must act as if compaction had already
 ///     removed the record's postings.
@@ -173,8 +178,9 @@ void ProbeMatches(const Predicate& pred, const ProbeTarget<IndexT>& target,
     if (pred.has_norm_filter()) filter = filter_fn;
     ProbeOne(
         target.index, probe,
-        pred.ThresholdForNorms(norm, target.index.min_norm()), required_fn,
-        filter, merge_options, stats, scratch,
+        pred.ThresholdForNorms(norm, target.index.min_norm()),
+        pred.MinMatchOverlap(norm), required_fn, filter, merge_options,
+        stats, scratch,
         [&](const MergeCandidate& candidate) {
           if (skip != nullptr && skip(candidate.id)) return;
           if (verify(candidate.id) && short_probe) {

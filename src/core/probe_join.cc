@@ -22,7 +22,7 @@ using probe_internal::StopwordPlan;
 
 /// The techniques a Probe-Count rung turns on (see probe_join.h).
 struct ProbeVariant {
-  bool optimized_merge;  // MergeOpt (3.1) instead of the plain heap merge
+  bool optimized_merge;  // MergeOpt (3.1) instead of the plain merge
   bool online;           // one build-and-probe pass (3.2) vs. two passes
   bool presort;          // decreasing norm order (3.3) vs. id order
   bool stopwords;        // frequent tokens left out of the index (3.1)
@@ -150,8 +150,8 @@ void ProbePosition(const ProbePlan& plan, const InvertedIndex& index,
   FunctionRef<bool(RecordId)> filter;
   if (pred.has_norm_filter()) filter = filter_fn;
   ProbeOne(
-      IndexPrefix{index, limit}, probe, floor, required, filter,
-      plan.merge_options, &stats->merge, scratch,
+      IndexPrefix{index, limit}, probe, floor, /*min_overlap=*/0, required,
+      filter, plan.merge_options, &stats->merge, scratch,
       [&](const MergeCandidate& candidate) {
         // A two-pass probe sees every record: skip self matches and emit
         // each unordered pair from its later endpoint only.

@@ -10,8 +10,8 @@ namespace ssjoin {
 
 /// Runs one rung of the Probe-Count ladder, the one `algorithm` names:
 ///
-///   kProbeCount      Probe (Section 2.1): plain heap merge over all
-///                    lists, full index built before the first probe
+///   kProbeCount      Probe (Section 2.1): plain merge counting every
+///                    list, full index built before the first probe
 ///   kProbeStopwords  Probe-stopWords (Section 3.1): the most frequent
 ///                    tokens whose total potential stays below the
 ///                    (constant) threshold are left out of the index, and

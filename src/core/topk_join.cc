@@ -127,8 +127,8 @@ Result<std::vector<TopKMatch>> TopKJoin(RecordSet* records,
         double floor =
             plan.required_overlap(bound(), probe.norm(), index.min_norm());
         CollectProbeLists(index, probe, &lists, &probe_scores);
-        merger.Reset(lists, probe_scores, std::max(floor, 0.0), required,
-                     nullptr, {}, &stats.merge);
+        merger.Reset(lists, probe_scores, std::max(floor, 0.0),
+                     /*min_overlap=*/0, required, nullptr, {}, &stats.merge);
         MergeCandidate candidate;
         while (merger.Next(&candidate)) {
           RecordId other = order[candidate.id];

@@ -16,23 +16,37 @@ namespace ssjoin {
 
 namespace {
 
-/// Per-query mutable context: scratch buffers plus the counters folded
-/// into ServiceStats afterwards. One per worker in batch mode, one per
-/// shard in the point-query fan-out.
-struct QueryContext {
-  probe_internal::ProbeScratch scratch;
+/// What probing one shard adds to ServiceStats: a call keeps one per
+/// shard (per shard and worker in batch mode) and folds them in once.
+struct ShardCounters {
   MergeStats merge;
-  // Per-shard attribution; sized lazily on first use.
-  std::vector<uint64_t> shard_candidates;
-  std::vector<uint64_t> shard_results;
-
-  void EnsureShards(size_t num_shards) {
-    if (shard_candidates.size() < num_shards) {
-      shard_candidates.resize(num_shards, 0);
-      shard_results.resize(num_shards, 0);
-    }
-  }
+  uint64_t candidates = 0;  // verified candidates
+  uint64_t results = 0;
 };
+
+/// The calling thread's probe scratch, warm across every request the
+/// thread serves. Call it on the thread that probes: a thread_local named
+/// inside a lambda that another thread runs would resolve to that
+/// thread's copy, which its declaration never constructed.
+probe_internal::ProbeScratch& ThreadProbeScratch() {
+  thread_local probe_internal::ProbeScratch scratch;
+  return scratch;
+}
+
+/// Folds per-shard counters into `stats`; entry i belongs to shard
+/// i % num_shards.
+void FoldShardCounters(const std::vector<ShardCounters>& counters,
+                       size_t num_shards, ServiceStats* stats) {
+  stats->EnsureShards(num_shards);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    const ShardCounters& c = counters[i];
+    ShardStats& shard = stats->shards[i % num_shards];
+    stats->merge += c.merge;
+    stats->candidates += c.candidates;
+    shard.candidates += c.candidates;
+    shard.results += c.results;
+  }
+}
 
 bool IdLess(const QueryMatch& a, const QueryMatch& b) { return a.id < b.id; }
 
@@ -96,15 +110,15 @@ ShardTier<DynamicIndex> DeltaTier(const DeltaShard& delta) {
 std::vector<QueryMatch> LookupShard(const Predicate& pred,
                                     const IndexSnapshot& snap, size_t shard,
                                     const RecordSet& staged, RecordId q,
-                                    QueryContext* ctx) {
-  ctx->EnsureShards(snap.num_shards());
+                                    ShardCounters* counters) {
+  probe_internal::ProbeScratch& scratch = ThreadProbeScratch();
   std::vector<QueryMatch> out;
   const RecordView probe = staged.record(q);
   auto probe_tier = [&](const auto& tier) {
     probe_internal::ProbeMatches(
         pred, tier.target, probe, staged, q, MergeOptions{},
-        [&tier](RecordId local) { return tier.Dropped(local); }, &ctx->merge,
-        &ctx->shard_candidates[shard], &ctx->scratch,
+        [&tier](RecordId local) { return tier.Dropped(local); },
+        &counters->merge, &counters->candidates, &scratch,
         [&](RecordId, RecordId id) {
           out.push_back({tier.global_ids[id],
                          tier.target.records.record(id).OverlapWith(probe)});
@@ -116,21 +130,22 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
   }
   probe_tier(DeltaTier(delta));
   std::sort(out.begin(), out.end(), IdLess);
-  ctx->shard_results[shard] += out.size();
+  counters->results += out.size();
   return out;
 }
 
 /// Serial all-shard lookup used by batch workers (the pool is already
 /// fanned out over queries, so shards are swept in-line). Identical
 /// output to the point-query shard fan-out: per-shard parts are sorted
-/// and disjoint, and the merge order is unique.
+/// and disjoint, and the merge order is unique. `counters` holds one
+/// entry per shard.
 std::vector<QueryMatch> LookupAllShards(const Predicate& pred,
                                         const IndexSnapshot& snap,
                                         const RecordSet& staged, RecordId q,
-                                        QueryContext* ctx) {
+                                        ShardCounters* counters) {
   std::vector<std::vector<QueryMatch>> parts(snap.num_shards());
   for (size_t s = 0; s < snap.num_shards(); ++s) {
-    parts[s] = LookupShard(pred, snap, s, staged, q, ctx);
+    parts[s] = LookupShard(pred, snap, s, staged, q, &counters[s]);
   }
   std::vector<QueryMatch> out;
   probe_internal::MergeSortedParts(parts, IdLess, &out);
@@ -144,18 +159,18 @@ std::vector<QueryMatch> LookupAllShards(const Predicate& pred,
 /// SURVIVORS (a deleted record never displaces a live one from the
 /// truncated list).
 void SweepShardOverlaps(const IndexSnapshot& snap, size_t shard,
-                        RecordView probe, QueryContext* ctx,
+                        RecordView probe, ShardCounters* counters,
                         std::vector<QueryMatch>* out) {
-  ctx->EnsureShards(snap.num_shards());
   if (probe.empty()) return;
+  probe_internal::ProbeScratch& scratch = ThreadProbeScratch();
   auto sweep_tier = [&](const auto& tier) {
     if (tier.target.index.num_entities() == 0) return;
     probe_internal::ProbeOne(
-        tier.target.index, probe, /*floor=*/0, /*required=*/{},
-        /*filter=*/{}, MergeOptions{}, &ctx->merge, &ctx->scratch,
-        [&](const MergeCandidate& candidate) {
+        tier.target.index, probe, /*floor=*/0, /*min_overlap=*/0,
+        /*required=*/{}, /*filter=*/{}, MergeOptions{}, &counters->merge,
+        &scratch, [&](const MergeCandidate& candidate) {
           if (tier.Dropped(candidate.id)) return;
-          ++ctx->shard_candidates[shard];
+          ++counters->candidates;
           const RecordId id = tier.target.ToRecord(candidate.id);
           out->push_back({tier.global_ids[id],
                           tier.target.records.record(id).OverlapWith(probe)});
@@ -879,12 +894,12 @@ std::vector<QueryMatch> SimilarityService::Query(RecordView query,
   staged.Add(query, std::move(text));
   pred_.PrepareIncremental(snap->stats_reference(), &staged);
 
-  // One context and one result slot per shard: scheduling cannot change
-  // the output or the stats attribution.
-  std::vector<QueryContext> contexts(num_shards_);
+  // One counter set and one result slot per shard: scheduling cannot
+  // change the output or the stats attribution.
+  std::vector<ShardCounters> counters(num_shards_);
   std::vector<std::vector<QueryMatch>> parts(num_shards_);
   RunOverShards(num_shards_, [&](size_t s) {
-    parts[s] = LookupShard(pred_, *snap, s, staged, 0, &contexts[s]);
+    parts[s] = LookupShard(pred_, *snap, s, staged, 0, &counters[s]);
   });
   std::vector<QueryMatch> out;
   probe_internal::MergeSortedParts(parts, IdLess, &out);
@@ -893,16 +908,7 @@ std::vector<QueryMatch> SimilarityService::Query(RecordView query,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.point_queries;
     stats_.results += out.size();
-    stats_.EnsureShards(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      const QueryContext& ctx = contexts[s];
-      stats_.merge += ctx.merge;
-      for (size_t i = 0; i < ctx.shard_candidates.size(); ++i) {
-        stats_.candidates += ctx.shard_candidates[i];
-        stats_.shards[i].candidates += ctx.shard_candidates[i];
-        stats_.shards[i].results += ctx.shard_results[i];
-      }
-    }
+    FoldShardCounters(counters, num_shards_, &stats_);
     stats_.query_latency_us.Record(micros);
   }
   return out;
@@ -916,18 +922,18 @@ std::vector<std::vector<QueryMatch>> SimilarityService::BatchQuery(
   pred_.PrepareIncremental(snap->stats_reference(), &staged);
 
   // Slot vector indexed by query id: scheduling order cannot change the
-  // output, and per-worker contexts keep the hot path allocation-free.
+  // output. Each worker adds into its own row of per-shard counters.
   std::vector<std::vector<QueryMatch>> results(staged.size());
-  std::vector<QueryContext> contexts(
-      static_cast<size_t>(pool_->num_threads()));
+  std::vector<ShardCounters> counters(
+      static_cast<size_t>(pool_->num_threads()) * num_shards_);
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     pool_->ParallelFor(
         staged.size(), /*chunk=*/1, [&](size_t begin, size_t end, int worker) {
           for (size_t i = begin; i < end; ++i) {
-            results[i] = LookupAllShards(pred_, *snap, staged,
-                                         static_cast<RecordId>(i),
-                                         &contexts[worker]);
+            results[i] = LookupAllShards(
+                pred_, *snap, staged, static_cast<RecordId>(i),
+                &counters[static_cast<size_t>(worker) * num_shards_]);
           }
         });
   }
@@ -936,15 +942,7 @@ std::vector<std::vector<QueryMatch>> SimilarityService::BatchQuery(
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.batch_queries;
     stats_.batched_records += staged.size();
-    stats_.EnsureShards(num_shards_);
-    for (const QueryContext& ctx : contexts) {
-      stats_.merge += ctx.merge;
-      for (size_t i = 0; i < ctx.shard_candidates.size(); ++i) {
-        stats_.candidates += ctx.shard_candidates[i];
-        stats_.shards[i].candidates += ctx.shard_candidates[i];
-        stats_.shards[i].results += ctx.shard_results[i];
-      }
-    }
+    FoldShardCounters(counters, num_shards_, &stats_);
     for (const std::vector<QueryMatch>& r : results) {
       stats_.results += r.size();
     }
@@ -963,10 +961,10 @@ std::vector<QueryMatch> SimilarityService::QueryTopK(RecordView query,
   pred_.PrepareIncremental(snap->stats_reference(), &staged);
   const RecordView probe = staged.record(0);
 
-  std::vector<QueryContext> contexts(num_shards_);
+  std::vector<ShardCounters> counters(num_shards_);
   std::vector<std::vector<QueryMatch>> parts(num_shards_);
   RunOverShards(num_shards_, [&](size_t s) {
-    SweepShardOverlaps(*snap, s, probe, &contexts[s], &parts[s]);
+    SweepShardOverlaps(*snap, s, probe, &counters[s], &parts[s]);
   });
   std::vector<QueryMatch> out;
   for (const std::vector<QueryMatch>& part : parts) {
@@ -986,15 +984,7 @@ std::vector<QueryMatch> SimilarityService::QueryTopK(RecordView query,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.topk_queries;
     stats_.results += out.size();
-    stats_.EnsureShards(num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      const QueryContext& ctx = contexts[s];
-      stats_.merge += ctx.merge;
-      for (size_t i = 0; i < ctx.shard_candidates.size(); ++i) {
-        stats_.candidates += ctx.shard_candidates[i];
-        stats_.shards[i].candidates += ctx.shard_candidates[i];
-      }
-    }
+    FoldShardCounters(counters, num_shards_, &stats_);
     stats_.query_latency_us.Record(micros);
   }
   return out;

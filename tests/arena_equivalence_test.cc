@@ -363,8 +363,8 @@ const WorkGolden kWorkGoldens[] = {
      {4108, 4108, 1687, 1400, 12964, 5359, 0, 0, 2794, 4279},
      10806, 10809},
     {"work/dense/overlap/cluster-mem", 10388405375568447476ull,
-     {4108, 4108, 403, 1586, 14189, 5792, 0, 0, 3154, 4939},
-     10342, 10362},
+     {4108, 4108, 403, 1586, 15933, 5792, 0, 0, 3154, 4939},
+     8761, 8773},
     {"work/dense/overlap/prefix-filter", 10388405375568447476ull,
      {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0},
      0, 0},
@@ -375,11 +375,11 @@ const WorkGolden kWorkGoldens[] = {
      {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449},
      5733, 5755},
     {"work/dense/jaccard/probe-cluster", 15267942115989793231ull,
-     {100, 100, 1481, 242, 3267, 193, 0, 0, 1129, 601},
+     {100, 100, 1481, 242, 3287, 193, 0, 0, 1129, 601},
      3695, 3637},
     {"work/dense/jaccard/cluster-mem", 15267942115989793231ull,
-     {100, 100, 467, 491, 3856, 1143, 0, 0, 1901, 1307},
-     5110, 5114},
+     {100, 100, 467, 491, 8036, 1143, 0, 0, 1901, 1307},
+     1958, 1957},
     {"work/dense/jaccard/prefix-filter", 15267942115989793231ull,
      {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
      0, 0},
@@ -387,14 +387,14 @@ const WorkGolden kWorkGoldens[] = {
      {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
      0, 0},
     {"work/dense/jaccard/foreign", 17818566169546503509ull,
-     {36, 36, 619, 75, 3978, 36, 0, 0, 178, 419},
+     {36, 36, 619, 75, 5305, 36, 0, 0, 178, 419},
      1567, 1590},
     {"work/dense/cosine/probe-cluster", 14618095315970372102ull,
      {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570},
      6125, 6099},
     {"work/dense/cosine/cluster-mem", 14618095315970372102ull,
-     {181, 181, 461, 418, 3208, 904, 0, 0, 1879, 1104},
-     6216, 6242},
+     {181, 181, 461, 418, 6072, 904, 0, 0, 1879, 1104},
+     3956, 3973},
     {"work/dense/cosine/prefix-filter", 14618095315970372102ull,
      {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0},
      0, 0},
@@ -408,8 +408,8 @@ const WorkGolden kWorkGoldens[] = {
      {2506, 2506, 1243, 883, 5575, 3230, 0, 0, 2631, 1706},
      11025, 10978},
     {"work/skewed/overlap/cluster-mem", 16066056405829026878ull,
-     {2506, 2506, 324, 980, 6402, 3842, 0, 0, 2884, 1982},
-     11910, 11919},
+     {2506, 2506, 324, 980, 7978, 3842, 0, 0, 2884, 1982},
+     10714, 10706},
     {"work/skewed/overlap/prefix-filter", 16066056405829026878ull,
      {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0},
      0, 0},
@@ -420,11 +420,11 @@ const WorkGolden kWorkGoldens[] = {
      {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244},
      8965, 9109},
     {"work/skewed/dice/probe-cluster", 15189134890236523082ull,
-     {1211, 1211, 1266, 723, 4903, 1775, 0, 0, 2093, 1194},
+     {1211, 1211, 1266, 723, 5055, 1775, 0, 0, 2093, 1194},
      9849, 9880},
     {"work/skewed/dice/cluster-mem", 15189134890236523082ull,
-     {1211, 1211, 329, 824, 5392, 2463, 0, 0, 2344, 1433},
-     10024, 10063},
+     {1211, 1211, 329, 824, 7005, 2463, 0, 0, 2344, 1433},
+     8794, 8824},
     {"work/skewed/dice/prefix-filter", 15189134890236523082ull,
      {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
      0, 0},
@@ -432,23 +432,23 @@ const WorkGolden kWorkGoldens[] = {
      {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
      0, 0},
     {"work/skewed/dice/foreign", 8841834680040183975ull,
-     {573, 573, 495, 80, 4868, 573, 0, 0, 156, 313},
+     {573, 573, 495, 80, 5516, 573, 0, 0, 156, 313},
      5818, 5894},
     {"work/skewed/overlap-coefficient/probe-cluster", 14277149952392889830ull,
      {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173},
      9475, 9593},
     {"work/skewed/overlap-coefficient/cluster-mem", 14277149952392889830ull,
-     {2378, 2378, 330, 974, 4909, 3476, 0, 0, 2588, 1433},
-     9427, 9528},
+     {2378, 2378, 330, 974, 7444, 3476, 0, 0, 2588, 1433},
+     7495, 7570},
     {"work/skewed/overlap-coefficient/foreign", 10368379174138491742ull,
      {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394},
      3724, 3759},
     {"work/skewed/hamming/probe-cluster", 17022430018312793733ull,
-     {1595, 1867, 1273, 892, 7592, 2249, 0, 0, 1532, 1397},
+     {1595, 1867, 1273, 892, 8323, 2249, 0, 0, 1532, 1397},
      8026, 8113},
     {"work/skewed/hamming/cluster-mem", 17022430018312793733ull,
-     {1595, 1867, 370, 1200, 7270, 3633, 0, 0, 2256, 1936},
-     8312, 8379},
+     {1595, 1867, 370, 1200, 12585, 3633, 0, 0, 2256, 1936},
+     4825, 4882},
     {"work/skewed/hamming/prefix-filter", 17022430018312793733ull,
      {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
      0, 0},
@@ -456,16 +456,16 @@ const WorkGolden kWorkGoldens[] = {
      {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
      0, 0},
     {"work/skewed/hamming/foreign", 9834587799572333019ull,
-     {787, 923, 495, 80, 6392, 745, 0, 0, 120, 349},
+     {787, 923, 495, 80, 7783, 745, 0, 0, 120, 349},
      2801, 2809},
     {"work/qgram/edit-distance/probe-cluster", 2522082964145004146ull,
      {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306},
      158, 158},
     {"work/qgram/edit-distance/cluster-mem", 2522082964145004146ull,
-     {72, 222, 966, 201, 851, 311, 0, 0, 495, 665},
-     168, 168},
+     {72, 222, 966, 201, 954, 311, 0, 0, 495, 665},
+     165, 165},
     {"work/qgram/edit-distance/foreign", 14831784346469832657ull,
-     {34, 96, 803, 55, 135, 44, 0, 0, 159, 120},
+     {34, 96, 803, 55, 220, 44, 0, 0, 159, 120},
      87, 87},
 };
 

@@ -1,12 +1,10 @@
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/cluster_mem.h"
 #include "core/cosine_predicate.h"
 #include "core/jaccard_predicate.h"
@@ -18,79 +16,6 @@
 #include "index/dynamic_index.h"
 #include "test_util.h"
 #include "util/rng.h"
-
-// Global allocation counter for AllocationsPerRecordStayBounded: every
-// operator new in the process, plain, over-aligned and nothrow, bumps it.
-// The nothrow forms are replaced too so that every block reaching the
-// replaced deletes came from malloc (AddressSanitizer checks the pairing).
-static std::atomic<uint64_t> g_alloc_calls{0};
-
-static void* CountedAlloc(std::size_t size, std::size_t align) noexcept {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (align <= alignof(std::max_align_t)) {
-    p = std::malloc(size == 0 ? 1 : size);
-  } else if (posix_memalign(&p, align, size == 0 ? 1 : size) != 0) {
-    p = nullptr;
-  }
-  return p;
-}
-
-static void* CountedAllocOrThrow(std::size_t size, std::size_t align) {
-  if (void* p = CountedAlloc(size, align)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size) { return CountedAllocOrThrow(size, 0); }
-void* operator new[](std::size_t size) {
-  return CountedAllocOrThrow(size, 0);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size, 0);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size, 0);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  return CountedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  return CountedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace ssjoin {
 namespace {
@@ -450,13 +375,12 @@ TEST(ProbeClusterJoinTest, AllocationsPerRecordStayBounded) {
   pred.Prepare(&set);
 
   uint64_t pairs = 0;
-  const uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const uint64_t before = testing_util::AllocationCalls();
   Result<JoinStats> result =
       ProbeClusterJoin(set, pred, {}, [&pairs](RecordId, RecordId) {
         ++pairs;
       });
-  const uint64_t allocs =
-      g_alloc_calls.load(std::memory_order_relaxed) - before;
+  const uint64_t allocs = testing_util::AllocationCalls() - before;
   ASSERT_TRUE(result.ok());
   EXPECT_GT(pairs, 0u);
   const double per_record = static_cast<double>(allocs) / set.size();

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/cosine_predicate.h"
 #include "core/edit_distance_predicate.h"
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_predicate.h"
+#include "data/citation_generator.h"
 #include "data/corpus_builder.h"
 #include "test_util.h"
 #include "text/token_dictionary.h"
@@ -655,6 +657,45 @@ TEST(SimilarityServiceTest, SegmentsAreMergedSeparately) {
     EXPECT_LE(lists, corpus.record(r).size() * (after.merges - before.merges))
         << "record " << r;
   }
+}
+
+// Every thread that probes a shard keeps one warm probe scratch (merge
+// buffers and counting block), so a steady-state point query allocates
+// only its staging record, per-shard counters, result vectors and the
+// pool hand-off. Counts every operator new overload, over-aligned
+// included.
+TEST(SimilarityServiceTest, SteadyStateQueryAllocationsStayBounded) {
+  CitationGeneratorOptions generator;
+  generator.num_records = 5000;
+  TokenDictionary dict;
+  const RecordSet all =
+      BuildWordCorpus(CitationGenerator(generator).Generate(), &dict);
+  const RecordId num_corpus = 4000;
+  const RecordSet queries = Slice(all, num_corpus, all.size());
+  JaccardPredicate pred(0.6);
+  ServiceOptions options = MakeOptions(/*memtable_limit=*/0,
+                                       /*num_threads=*/2);
+  options.num_shards = 4;
+  SimilarityService service(Slice(all, 0, num_corpus), pred, options);
+  auto run_queries = [&] {
+    uint64_t results = 0;
+    for (RecordId q = 0; q < queries.size(); ++q) {
+      results +=
+          service.Query(queries.record(q), std::string(queries.text(q)))
+              .size();
+    }
+    return results;
+  };
+
+  const uint64_t warm_results = run_queries();  // warms every scratch
+  const uint64_t before = testing_util::AllocationCalls();
+  const uint64_t results = run_queries();
+  const uint64_t allocs = testing_util::AllocationCalls() - before;
+  EXPECT_GT(results, 0u);
+  EXPECT_EQ(results, warm_results);
+  const double per_query = static_cast<double>(allocs) / queries.size();
+  EXPECT_LE(per_query, 16.0)
+      << allocs << " allocations for " << queries.size() << " queries";
 }
 
 TEST(SimilarityServiceTest, LatencyHistogramQuantiles) {

@@ -13,7 +13,9 @@
 # arena_equivalence_test's work goldens pin every counter of the shared
 # probe-and-verify body's callers against the scalar column. The cross
 # join, Probe-Cluster, ClusterMem and serving suites run that body
-# through the scalar gallop too.
+# through the scalar gallop too, and topk_join_test runs the top-k
+# join's floor raises, which move lists into the scalar direct searches
+# mid-merge.
 #
 #   tools/run_scalar_tests.sh [build-dir]
 #
