@@ -5,9 +5,13 @@
 //   (c) address data, several dataset sizes, fixed threshold.
 //
 // Each series reports running time normalized to the full-memory run
-// (index fraction 1.0), exactly as the paper's y-axis. Paper shape:
-// memory / 5 => time x ~1.5; memory / 50 => time x <= ~2.5.
+// (index fraction 1.0), exactly as the paper's y-axis. Every fraction,
+// full memory included, is timed in kRounds alternating rounds, and each
+// cell is its median over the full-memory median, so one noisy
+// denominator cannot move a whole column. Paper shape: memory / 5 =>
+// time x ~1.5; memory / 50 => time x <= ~2.5.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -20,23 +24,32 @@ using namespace ssjoin;
 using namespace ssjoin::bench;
 
 const double kFractions[] = {1.0, 0.5, 0.2, 0.1, 0.05, 0.02};
+constexpr int kRounds = 3;
 
 /// One series: normalized ClusterMem time per index-size fraction.
 std::vector<double> Series(const RecordSet& corpus, double threshold) {
   OverlapPredicate pred(threshold);
   uint64_t full_index = corpus.total_token_occurrences();
-  std::vector<double> times;
-  for (double fraction : kFractions) {
-    JoinOptions options;
-    options.cluster_mem.memory_budget_postings = std::max<uint64_t>(
-        1, static_cast<uint64_t>(fraction * full_index));
-    options.cluster_mem.temp_dir = "/tmp";
-    times.push_back(
-        TimeJoin(corpus, pred, JoinAlgorithm::kClusterMem, options).seconds);
+  std::vector<std::vector<double>> times(std::size(kFractions));
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t f = 0; f < std::size(kFractions); ++f) {
+      JoinOptions options;
+      options.cluster_mem.memory_budget_postings = std::max<uint64_t>(
+          1, static_cast<uint64_t>(kFractions[f] * full_index));
+      options.cluster_mem.temp_dir = "/tmp";
+      times[f].push_back(
+          TimeJoin(corpus, pred, JoinAlgorithm::kClusterMem, options)
+              .seconds);
+    }
   }
-  double base = times[0] > 0 ? times[0] : 1e-9;
-  for (double& t : times) t /= base;
-  return times;
+  std::vector<double> medians;
+  for (std::vector<double>& t : times) {
+    std::sort(t.begin(), t.end());
+    medians.push_back(t[kRounds / 2]);
+  }
+  double base = medians[0] > 0 ? medians[0] : 1e-9;
+  for (double& m : medians) m /= base;
+  return medians;
 }
 
 void PrintPanel(const char* title, const std::vector<std::string>& labels,

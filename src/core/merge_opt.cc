@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 #include "util/logging.h"
 
@@ -207,7 +202,7 @@ bool ListMerger::Next(MergeCandidate* out) {
           break;
         }
         uint64_t* cost = stats_ != nullptr ? &stats_->gallop_probes : nullptr;
-        size_t pos = MergeLowerBound(lists_[i], id, search_pos_[i], cost);
+        size_t pos = lists_[i].GallopLowerBound(id, search_pos_[i], cost);
         search_pos_[i] = pos;  // candidates arrive in increasing id order
         if (pos < lists_[i].size() && lists_[i][pos].id == id) {
           overlap += probe_scores_[i] * lists_[i][pos].score;
@@ -223,113 +218,6 @@ bool ListMerger::Next(MergeCandidate* out) {
     }
     if (!FillBlock()) return false;
   }
-}
-
-namespace {
-
-size_t ScalarLowerBound(const PostingListView& list, RecordId id, size_t start,
-                        uint64_t* probe_cost) {
-  return list.GallopLowerBound(id, start, probe_cost);
-}
-
-#if defined(__x86_64__)
-
-// Same contract as GallopLowerBound, compiled for AVX2 without requiring a
-// global -mavx2: gallop exactly like the scalar primitive, binary-search
-// the window down to a few vector strides, then compare 8 gathered ids per
-// step. The returned position is the unique lower bound, so it is
-// identical to the scalar path by construction; only the probe_cost
-// comparison accounting differs (one increment per 8-lane compare).
-__attribute__((target("avx2"))) size_t Avx2LowerBound(
-    const PostingListView& list, RecordId id, size_t start,
-    uint64_t* probe_cost) {
-  const size_t n = list.size();
-  if (start >= n) return n;
-  const Posting* data = &list[0];
-  size_t lo = start;
-  size_t step = 1;
-  size_t hi = start;
-  while (hi < n && data[hi].id < id) {
-    if (probe_cost != nullptr) ++*probe_cost;
-    lo = hi + 1;
-    hi = start + step;
-    step *= 2;
-  }
-  hi = std::min(hi, n);
-  while (hi - lo > 32) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (probe_cost != nullptr) ++*probe_cost;
-    if (data[mid].id < id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  // Posting is 16 bytes with the id at offset 0 (checked at dispatch), so
-  // ids sit at every 4th int32; unsigned compares via the INT32_MIN bias.
-  const __m256i offsets = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
-  const __m256i bias = _mm256_set1_epi32(INT32_MIN);
-  const __m256i target =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int32_t>(id)), bias);
-  while (lo + 8 <= hi) {
-    const int* base = reinterpret_cast<const int*>(data + lo);
-    __m256i ids = _mm256_i32gather_epi32(base, offsets, 4);
-    ids = _mm256_xor_si256(ids, bias);
-    // Lane k set when data[lo + k].id < id.
-    const __m256i lt = _mm256_cmpgt_epi32(target, ids);
-    const int mask = _mm256_movemask_ps(_mm256_castsi256_ps(lt));
-    if (probe_cost != nullptr) ++*probe_cost;
-    if (mask != 0xFF) {
-      return lo + static_cast<size_t>(__builtin_ctz(~mask & 0xFF));
-    }
-    lo += 8;
-  }
-  while (lo < hi) {
-    if (probe_cost != nullptr) ++*probe_cost;
-    if (data[lo].id >= id) break;
-    ++lo;
-  }
-  return lo;
-}
-
-#endif  // defined(__x86_64__)
-
-using LowerBoundFn = size_t (*)(const PostingListView&, RecordId, size_t,
-                                uint64_t*);
-
-bool ForceScalarEnv() {
-  const char* v = std::getenv("SSJOIN_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-LowerBoundFn ResolveLowerBound() {
-#if defined(__x86_64__)
-  if (!ForceScalarEnv() && __builtin_cpu_supports("avx2") &&
-      sizeof(Posting) == 16 && offsetof(Posting, id) == 0) {
-    return &Avx2LowerBound;
-  }
-#endif
-  return &ScalarLowerBound;
-}
-
-LowerBoundFn ActiveLowerBound() {
-  // Resolved once per process: env + CPUID are stable for its lifetime.
-  static const LowerBoundFn fn = ResolveLowerBound();
-  return fn;
-}
-
-}  // namespace
-
-const char* ActiveMergeBackend() {
-#if defined(__x86_64__)
-  if (ActiveLowerBound() == &Avx2LowerBound) return "avx2";
-#endif
-  return "scalar";
-}
-
-size_t MergeLowerBound(const PostingListView& list, RecordId id, size_t start,
-                       uint64_t* probe_cost) {
-  return ActiveLowerBound()(list, id, start, probe_cost);
 }
 
 void CollectProbeLists(const InvertedIndex& index, RecordView probe,

@@ -47,22 +47,6 @@ struct MergeOptions {
 /// accumulation-order rounding.
 double PruneBound(double bound);
 
-/// The lower-bound search backend the direct (L) searches use:
-/// "avx2" when the CPU supports it and SSJOIN_FORCE_SCALAR is unset (or
-/// "0"), "scalar" otherwise. Resolved once per process; both backends
-/// return identical positions for identical inputs (only the
-/// `gallop_probes` comparison accounting differs), which the differential
-/// suite enforces.
-const char* ActiveMergeBackend();
-
-/// Dispatched first-position-with-id->=target search over a posting run,
-/// starting at `start`: the scalar path is PostingListView::
-/// GallopLowerBound; the AVX2 path gallops, narrows by binary search and
-/// finishes with 8-lane gathered id compares. Exposed for the
-/// differential tests.
-size_t MergeLowerBound(const PostingListView& list, RecordId id, size_t start,
-                       uint64_t* probe_cost);
-
 /// Threshold-sensitive multi-way posting-list merge: Algorithm 1
 /// (MergeOpt) and its generalized form Algorithm 3 (MergeOptGen), plus the
 /// dynamic floor raises of Section 4.1.1.

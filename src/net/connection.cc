@@ -115,22 +115,16 @@ void Connection::ReadInput() {
     CloseNow();
     return;
   }
-  // Blank lines are no-ops with no response frame.
-  std::erase_if(parsed, [](const Request& request) {
-    return request.type == RequestType::kNone;
-  });
-  if (!parsed.empty()) {
-    counters_->requests.fetch_add(parsed.size(), std::memory_order_relaxed);
-    for (const Request& request : parsed) {
-      if (request.type == RequestType::kMalformed) {
-        counters_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
+  for (const Request& request : parsed) {
+    // Blank lines are no-ops with no response frame.
+    if (request.type == RequestType::kNone) continue;
+    counters_->requests.fetch_add(1, std::memory_order_relaxed);
+    if (request.type == RequestType::kMalformed) {
+      counters_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
     }
-    std::vector<Response> responses = dispatcher_->ExecuteBatch(parsed);
-    for (const Response& response : responses) {
-      outbox_ += response.ok ? OkFrame(response.payload)
-                             : ErrFrame(response.payload);
-    }
+    const Response response = dispatcher_->Execute(request);
+    outbox_ += response.ok ? OkFrame(response.payload)
+                           : ErrFrame(response.payload);
   }
   if (!framing_error.empty()) outbox_ += ErrFrame(framing_error);
 }

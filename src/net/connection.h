@@ -30,10 +30,9 @@ struct ServerCounters {
 /// One accepted client socket, owned by exactly one worker event loop —
 /// every method runs on that loop's thread, so a connection needs no
 /// locking of its own. Reads request lines through a LineFramer, parses
-/// them with the shared serve/protocol grammar, executes them through
-/// the worker-shared ServiceDispatcher (consecutive queries ride the
-/// BatchQuery fan-out), and writes length-delimited response frames back
-/// in request order.
+/// them with the shared serve/protocol grammar, executes them one at a
+/// time through the worker-shared ServiceDispatcher, and writes
+/// length-delimited response frames back in request order.
 ///
 /// Flow control: responses queue in an outbox flushed opportunistically
 /// and via EPOLLOUT; while the outbox holds more than kHighWatermark

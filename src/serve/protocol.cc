@@ -158,7 +158,7 @@ ServiceDispatcher::ServiceDispatcher(SimilarityService* service,
       stats_decorator_(std::move(stats_decorator)) {}
 
 Response ServiceDispatcher::ExecuteQuery(const Request& request) const {
-  RecordSet staged = tokenize_({request.text});
+  RecordSet staged = tokenize_(request.text);
   std::vector<QueryMatch> matches;
   if (request.type == RequestType::kTopK) {
     matches = service_->QueryTopK(staged.record(0), request.k,
@@ -180,7 +180,7 @@ Response ServiceDispatcher::Execute(const Request& request) const {
     case RequestType::kTopK:
       return ExecuteQuery(request);
     case RequestType::kInsert: {
-      RecordSet staged = tokenize_({request.text});
+      RecordSet staged = tokenize_(request.text);
       if (before_insert_) before_insert_();
       RecordId id = service_->Insert(staged.record(0), staged.text(0));
       return Response{true, FormatInserted(id)};
@@ -205,38 +205,6 @@ Response ServiceDispatcher::Execute(const Request& request) const {
       return Response{false, request.error};
   }
   return Response{false, "internal: unhandled request type"};
-}
-
-std::vector<Response> ServiceDispatcher::ExecuteBatch(
-    const std::vector<Request>& requests) const {
-  std::vector<Response> responses;
-  responses.reserve(requests.size());
-  size_t i = 0;
-  while (i < requests.size()) {
-    // Find the maximal run of plain queries starting here; runs of two
-    // or more ride the BatchQuery ThreadPool fan-out.
-    size_t run = i;
-    while (run < requests.size() &&
-           requests[run].type == RequestType::kQuery) {
-      ++run;
-    }
-    if (run - i >= 2 && default_topk_ == 0) {
-      std::vector<std::string> lines;
-      lines.reserve(run - i);
-      for (size_t q = i; q < run; ++q) lines.push_back(requests[q].text);
-      RecordSet staged = tokenize_(lines);
-      std::vector<std::vector<QueryMatch>> results =
-          service_->BatchQuery(staged);
-      for (std::vector<QueryMatch>& matches : results) {
-        responses.push_back(Response{true, FormatMatches(matches)});
-      }
-      i = run;
-      continue;
-    }
-    responses.push_back(Execute(requests[i]));
-    ++i;
-  }
-  return responses;
 }
 
 }  // namespace ssjoin

@@ -91,10 +91,10 @@ struct Response {
 /// token dictionary grows on new tokens).
 class ServiceDispatcher {
  public:
-  /// Builds one RecordSet from the given lines with the session's shared
-  /// (growing) token dictionary — BuildWordCorpus/BuildQGramCorpus behind
-  /// a tool-owned tokenizer.
-  using TokenizeFn = std::function<RecordSet(const std::vector<std::string>&)>;
+  /// Builds the one-record RecordSet of a request's text with the
+  /// session's shared (growing) token dictionary — a tool-owned
+  /// CorpusBuilder.
+  using TokenizeFn = std::function<RecordSet(std::string_view)>;
   /// Runs after tokenization and before SimilarityService::Insert — the
   /// REPL uses it to sync the token-dictionary sidecar ahead of the WAL.
   using HookFn = std::function<void()>;
@@ -109,14 +109,6 @@ class ServiceDispatcher {
 
   /// Executes one request. kNone yields an empty OK response.
   Response Execute(const Request& request) const;
-
-  /// Executes a pipelined run of requests in order, one response per
-  /// request. Maximal runs of two or more consecutive kQuery requests are
-  /// answered through SimilarityService::BatchQuery (the ThreadPool
-  /// fan-out path) — documented byte-identical to per-record Query, so
-  /// responses do not depend on how the client batched its pipeline.
-  std::vector<Response> ExecuteBatch(
-      const std::vector<Request>& requests) const;
 
  private:
   Response ExecuteQuery(const Request& request) const;

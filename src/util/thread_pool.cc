@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(int num_threads)
     workers_.emplace_back([this, worker] {
       uint64_t seen_generation = 0;
       for (;;) {
-        const RangeFn* fn;
+        RangeFn fn;
         size_t total, chunk;
         {
           std::unique_lock<std::mutex> lock(mutex_);
@@ -27,7 +27,7 @@ ThreadPool::ThreadPool(int num_threads)
           total = job_total_;
           chunk = job_chunk_;
         }
-        RunChunks(*fn, total, chunk, worker);
+        RunChunks(fn, total, chunk, worker);
         {
           std::lock_guard<std::mutex> lock(mutex_);
           if (--remaining_ == 0) done_cv_.notify_one();
@@ -46,7 +46,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::RunChunks(const RangeFn& fn, size_t total, size_t chunk,
+void ThreadPool::RunChunks(RangeFn fn, size_t total, size_t chunk,
                            int worker) {
   for (;;) {
     size_t begin = next_.fetch_add(chunk, std::memory_order_relaxed);
@@ -55,7 +55,7 @@ void ThreadPool::RunChunks(const RangeFn& fn, size_t total, size_t chunk,
   }
 }
 
-void ThreadPool::ParallelFor(size_t total, size_t chunk, const RangeFn& fn) {
+void ThreadPool::ParallelFor(size_t total, size_t chunk, RangeFn fn) {
   if (total == 0) return;
   if (chunk == 0) chunk = 1;
 
@@ -66,7 +66,7 @@ void ThreadPool::ParallelFor(size_t total, size_t chunk, const RangeFn& fn) {
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const RangeFn guarded = [&](size_t begin, size_t end, int worker) {
+  const auto guarded = [&](size_t begin, size_t end, int worker) {
     if (failed.load(std::memory_order_relaxed)) return;
     try {
       fn(begin, end, worker);
@@ -83,7 +83,7 @@ void ThreadPool::ParallelFor(size_t total, size_t chunk, const RangeFn& fn) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       SSJOIN_CHECK(remaining_ == 0);  // ParallelFor is not reentrant
-      job_fn_ = &guarded;
+      job_fn_ = guarded;
       job_total_ = total;
       job_chunk_ = chunk;
       next_.store(0, std::memory_order_relaxed);

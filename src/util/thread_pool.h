@@ -5,10 +5,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/function_ref.h"
 
 namespace ssjoin {
 
@@ -24,7 +25,9 @@ class ThreadPool {
  public:
   /// fn(begin, end, worker): process items [begin, end). `worker` is a
   /// stable id in [0, num_threads) — use it to index per-worker state.
-  using RangeFn = std::function<void(size_t begin, size_t end, int worker)>;
+  /// Borrowed, not owned: ParallelFor blocks until every chunk has run,
+  /// so handing the range function to the workers never allocates.
+  using RangeFn = FunctionRef<void(size_t begin, size_t end, int worker)>;
 
   /// Spawns num_threads - 1 background workers (clamped to >= 1; a pool
   /// of size 1 runs everything inline on the caller).
@@ -48,13 +51,13 @@ class ThreadPool {
   /// it never crosses the noexcept worker-thread boundary. Chunks
   /// claimed after a failure are skipped, so items may go unprocessed;
   /// the pool itself stays usable for subsequent ParallelFor calls.
-  void ParallelFor(size_t total, size_t chunk, const RangeFn& fn);
+  void ParallelFor(size_t total, size_t chunk, RangeFn fn);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static int DefaultNumThreads();
 
  private:
-  void RunChunks(const RangeFn& fn, size_t total, size_t chunk, int worker);
+  void RunChunks(RangeFn fn, size_t total, size_t chunk, int worker);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -68,7 +71,7 @@ class ThreadPool {
 
   // Current job; valid while remaining_ > 0. Chunk claims go through
   // next_ so workers never contend on mutex_ while there is work.
-  const RangeFn* job_fn_ = nullptr;
+  RangeFn job_fn_;
   size_t job_total_ = 0;
   size_t job_chunk_ = 0;
   std::atomic<size_t> next_{0};

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -339,11 +338,7 @@ TEST(ArenaEquivalence, GoldenOutputsEditDistance) {
 // that these paths still prune, merge and verify exactly as before;
 // equal counters do.
 //
-// gallop_probes counts comparisons, which the AVX2 and the scalar
-// lower-bound backends account differently (identical positions, see
-// MergeLowerBound), so each golden holds one value per backend.
-// Regenerate with SSJOIN_PRINT_GOLDENS=1, once per backend
-// (SSJOIN_FORCE_SCALAR=1 for the scalar column).
+// Regenerate with SSJOIN_PRINT_GOLDENS=1.
 
 constexpr size_t kWorkCounters = 10;
 
@@ -354,119 +349,82 @@ struct WorkGolden {
   // heap_pops, candidates, bitmap_checked, bitmap_pruned, lists_direct,
   // lists_merged.
   std::array<uint64_t, kWorkCounters> counters;
-  uint64_t gallop_avx2;
-  uint64_t gallop_scalar;
+  uint64_t gallop_probes;
 };
 
 const WorkGolden kWorkGoldens[] = {
     {"work/dense/overlap/probe-cluster", 10388405375568447476ull,
-     {4108, 4108, 1687, 1400, 12964, 5359, 0, 0, 2794, 4279},
-     10806, 10809},
+     {4108, 4108, 1687, 1400, 12964, 5359, 0, 0, 2794, 4279}, 10809},
     {"work/dense/overlap/cluster-mem", 10388405375568447476ull,
-     {4108, 4108, 403, 1586, 15933, 5792, 0, 0, 3154, 4939},
-     8761, 8773},
+     {4108, 4108, 403, 1586, 15933, 5792, 0, 0, 3154, 4939}, 8773},
     {"work/dense/overlap/prefix-filter", 10388405375568447476ull,
-     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0},
-     0, 0},
+     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0}, 0},
     {"work/dense/overlap/prefix-filter/t4", 10388405375568447476ull,
-     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0},
-     0, 0},
+     {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0}, 0},
     {"work/dense/overlap/foreign", 1625824576597524418ull,
-     {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449},
-     5733, 5755},
+     {2069, 2069, 619, 75, 6117, 2069, 0, 0, 148, 449}, 5755},
     {"work/dense/jaccard/probe-cluster", 15267942115989793231ull,
-     {100, 100, 1481, 242, 3287, 193, 0, 0, 1129, 601},
-     3695, 3637},
+     {100, 100, 1481, 242, 3287, 193, 0, 0, 1129, 601}, 3637},
     {"work/dense/jaccard/cluster-mem", 15267942115989793231ull,
-     {100, 100, 467, 491, 8036, 1143, 0, 0, 1901, 1307},
-     1958, 1957},
+     {100, 100, 467, 491, 8036, 1143, 0, 0, 1901, 1307}, 1957},
     {"work/dense/jaccard/prefix-filter", 15267942115989793231ull,
-     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
-     0, 0},
+     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0}, 0},
     {"work/dense/jaccard/prefix-filter/t4", 15267942115989793231ull,
-     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0},
-     0, 0},
+     {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0}, 0},
     {"work/dense/jaccard/foreign", 17818566169546503509ull,
-     {36, 36, 619, 75, 5305, 36, 0, 0, 178, 419},
-     1567, 1590},
+     {36, 36, 619, 75, 5305, 36, 0, 0, 178, 419}, 1590},
     {"work/dense/cosine/probe-cluster", 14618095315970372102ull,
-     {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570},
-     6125, 6099},
+     {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570}, 6099},
     {"work/dense/cosine/cluster-mem", 14618095315970372102ull,
-     {181, 181, 461, 418, 6072, 904, 0, 0, 1879, 1104},
-     3956, 3973},
+     {181, 181, 461, 418, 6072, 904, 0, 0, 1879, 1104}, 3973},
     {"work/dense/cosine/prefix-filter", 14618095315970372102ull,
-     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0},
-     0, 0},
+     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0}, 0},
     {"work/dense/cosine/prefix-filter/t4", 14618095315970372102ull,
-     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0},
-     0, 0},
+     {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0}, 0},
     {"work/dense/cosine/foreign", 17353743904922788193ull,
-     {80, 80, 619, 75, 4222, 80, 0, 0, 223, 374},
-     4872, 4905},
+     {80, 80, 619, 75, 4222, 80, 0, 0, 223, 374}, 4905},
     {"work/skewed/overlap/probe-cluster", 16066056405829026878ull,
-     {2506, 2506, 1243, 883, 5575, 3230, 0, 0, 2631, 1706},
-     11025, 10978},
+     {2506, 2506, 1243, 883, 5575, 3230, 0, 0, 2631, 1706}, 10978},
     {"work/skewed/overlap/cluster-mem", 16066056405829026878ull,
-     {2506, 2506, 324, 980, 7978, 3842, 0, 0, 2884, 1982},
-     10714, 10706},
+     {2506, 2506, 324, 980, 7978, 3842, 0, 0, 2884, 1982}, 10706},
     {"work/skewed/overlap/prefix-filter", 16066056405829026878ull,
-     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0},
-     0, 0},
+     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0}, 0},
     {"work/skewed/overlap/prefix-filter/t4", 16066056405829026878ull,
-     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0},
-     0, 0},
+     {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0}, 0},
     {"work/skewed/overlap/foreign", 12968886164391366775ull,
-     {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244},
-     8965, 9109},
+     {1217, 1217, 495, 80, 3221, 1217, 0, 0, 225, 244}, 9109},
     {"work/skewed/dice/probe-cluster", 15189134890236523082ull,
-     {1211, 1211, 1266, 723, 5055, 1775, 0, 0, 2093, 1194},
-     9849, 9880},
+     {1211, 1211, 1266, 723, 5055, 1775, 0, 0, 2093, 1194}, 9880},
     {"work/skewed/dice/cluster-mem", 15189134890236523082ull,
-     {1211, 1211, 329, 824, 7005, 2463, 0, 0, 2344, 1433},
-     8794, 8824},
+     {1211, 1211, 329, 824, 7005, 2463, 0, 0, 2344, 1433}, 8824},
     {"work/skewed/dice/prefix-filter", 15189134890236523082ull,
-     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
-     0, 0},
+     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0}, 0},
     {"work/skewed/dice/prefix-filter/t4", 15189134890236523082ull,
-     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0},
-     0, 0},
+     {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0}, 0},
     {"work/skewed/dice/foreign", 8841834680040183975ull,
-     {573, 573, 495, 80, 5516, 573, 0, 0, 156, 313},
-     5818, 5894},
+     {573, 573, 495, 80, 5516, 573, 0, 0, 156, 313}, 5894},
     {"work/skewed/overlap-coefficient/probe-cluster", 14277149952392889830ull,
-     {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173},
-     9475, 9593},
+     {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173}, 9593},
     {"work/skewed/overlap-coefficient/cluster-mem", 14277149952392889830ull,
-     {2378, 2378, 330, 974, 7444, 3476, 0, 0, 2588, 1433},
-     7495, 7570},
+     {2378, 2378, 330, 974, 7444, 3476, 0, 0, 2588, 1433}, 7570},
     {"work/skewed/overlap-coefficient/foreign", 10368379174138491742ull,
-     {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394},
-     3724, 3759},
+     {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394}, 3759},
     {"work/skewed/hamming/probe-cluster", 17022430018312793733ull,
-     {1595, 1867, 1273, 892, 8323, 2249, 0, 0, 1532, 1397},
-     8026, 8113},
+     {1595, 1867, 1273, 892, 8323, 2249, 0, 0, 1532, 1397}, 8113},
     {"work/skewed/hamming/cluster-mem", 17022430018312793733ull,
-     {1595, 1867, 370, 1200, 12585, 3633, 0, 0, 2256, 1936},
-     4825, 4882},
+     {1595, 1867, 370, 1200, 12585, 3633, 0, 0, 2256, 1936}, 4882},
     {"work/skewed/hamming/prefix-filter", 17022430018312793733ull,
-     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
-     0, 0},
+     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0}, 0},
     {"work/skewed/hamming/prefix-filter/t4", 17022430018312793733ull,
-     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0},
-     0, 0},
+     {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0}, 0},
     {"work/skewed/hamming/foreign", 9834587799572333019ull,
-     {787, 923, 495, 80, 7783, 745, 0, 0, 120, 349},
-     2801, 2809},
+     {787, 923, 495, 80, 7783, 745, 0, 0, 120, 349}, 2809},
     {"work/qgram/edit-distance/probe-cluster", 2522082964145004146ull,
-     {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306},
-     158, 158},
+     {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306}, 158},
     {"work/qgram/edit-distance/cluster-mem", 2522082964145004146ull,
-     {72, 222, 966, 201, 954, 311, 0, 0, 495, 665},
-     165, 165},
+     {72, 222, 966, 201, 954, 311, 0, 0, 495, 665}, 165},
     {"work/qgram/edit-distance/foreign", 14831784346469832657ull,
-     {34, 96, 803, 55, 220, 44, 0, 0, 159, 120},
-     87, 87},
+     {34, 96, 803, 55, 220, 44, 0, 0, 159, 120}, 87},
 };
 
 std::array<uint64_t, kWorkCounters> WorkCounters(const JoinStats& s) {
@@ -487,7 +445,6 @@ void CheckWork(const std::string& label, PairVector pairs,
   std::sort(pairs.begin(), pairs.end());
   const uint64_t h = HashPairs(pairs);
   const std::array<uint64_t, kWorkCounters> counters = WorkCounters(stats);
-  const bool scalar = std::strcmp(ActiveMergeBackend(), "scalar") == 0;
   if (PrintGoldens()) {
     std::printf("    {\"%s\", %lluull, {", label.c_str(),
                 static_cast<unsigned long long>(h));
@@ -495,7 +452,7 @@ void CheckWork(const std::string& label, PairVector pairs,
       std::printf("%s%llu", i == 0 ? "" : ", ",
                   static_cast<unsigned long long>(counters[i]));
     }
-    std::printf("}, /*%s*/ %llu},\n", scalar ? "scalar" : "avx2",
+    std::printf("}, %llu},\n",
                 static_cast<unsigned long long>(stats.merge.gallop_probes));
     return;
   }
@@ -504,8 +461,7 @@ void CheckWork(const std::string& label, PairVector pairs,
     EXPECT_EQ(h, g.hash) << label << ": pair set diverged (" << pairs.size()
                          << " pairs)";
     EXPECT_EQ(counters, g.counters) << label << ": join work diverged";
-    EXPECT_EQ(stats.merge.gallop_probes,
-              scalar ? g.gallop_scalar : g.gallop_avx2)
+    EXPECT_EQ(stats.merge.gallop_probes, g.gallop_probes)
         << label << ": gallop probes diverged";
     return;
   }

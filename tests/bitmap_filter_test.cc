@@ -1,5 +1,4 @@
-// Differential lockdown of the token-bitmap bound and the SIMD
-// lower-bound search:
+// Differential lockdown of the token-bitmap bound:
 //
 //   * the XOR-parity overlap bound is a true upper bound for every
 //     random pair, including adversarial shapes (all tokens colliding on
@@ -8,13 +7,7 @@
 //   * PrefixFilterJoin, whose verifications the bound gates, emits the
 //     brute-force join's pairs under every predicate it supports, at 1
 //     and 4 threads, and every candidate it checks is either pruned or
-//     verified;
-//   * MergeLowerBound — whatever backend runtime dispatch resolved
-//     (AVX2 or scalar, see ActiveMergeBackend) — returns positions
-//     identical to the scalar galloping primitive on randomized lists;
-//     running the suite under SSJOIN_FORCE_SCALAR=1 (tools/
-//     run_scalar_tests.sh) pins the scalar backend, so both paths stay
-//     covered.
+//     verified.
 //
 // The randomized sweeps honor SSJOIN_DIFF_SEEDS like the other
 // differential suites.
@@ -32,12 +25,10 @@
 #include "core/hamming_predicate.h"
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
-#include "core/merge_opt.h"
 #include "core/overlap_predicate.h"
 #include "core/prefix_filter_join.h"
 #include "data/corpus_stats.h"
 #include "data/token_bitmap.h"
-#include "index/posting_list.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -294,58 +285,6 @@ TEST(BitmapJoinDifferentialTest, Cosine) {
 
 TEST(BitmapJoinDifferentialTest, Hamming) {
   RunGateDifferential(HammingPredicate(4));
-}
-
-// ---------------------------------------------------------------------
-// SIMD lower-bound parity: whatever backend dispatch picked, positions
-// must equal the scalar galloping primitive's on randomized lists and
-// adversarial starts. Under SSJOIN_FORCE_SCALAR=1 ActiveMergeBackend()
-// must report "scalar".
-
-TEST(MergeLowerBoundTest, BackendMatchesScalarPositions) {
-  const char* forced = std::getenv("SSJOIN_FORCE_SCALAR");
-  if (forced != nullptr && forced[0] != '\0' &&
-      !(forced[0] == '0' && forced[1] == '\0')) {
-    EXPECT_STREQ(ActiveMergeBackend(), "scalar");
-  }
-  for (int seed = 0; seed < SeedCount(); ++seed) {
-    Rng rng(31 + seed);
-    for (int trial = 0; trial < 60; ++trial) {
-      PostingList list;
-      uint32_t id = rng.UniformU32(4);
-      const int n = rng.UniformInt(0, 400);
-      for (int i = 0; i < n; ++i) {
-        id += 1 + rng.UniformU32(5);
-        list.Append(id, 0.25 + rng.NextDouble());
-      }
-      const PostingListView view = list.view();
-      for (int probe = 0; probe < 80; ++probe) {
-        const RecordId target = rng.UniformU32(id + 10);
-        const size_t start =
-            rng.UniformU32(static_cast<uint32_t>(view.size()) + 2);
-        uint64_t unused = 0;
-        EXPECT_EQ(MergeLowerBound(view, target, start, &unused),
-                  view.GallopLowerBound(target, start))
-            << "seed " << seed << " trial " << trial << " target " << target
-            << " start " << start << " backend " << ActiveMergeBackend();
-      }
-      // Large-id regression: ids above INT32_MAX exercise the unsigned-
-      // compare bias of the vector path.
-      PostingList big;
-      big.Append(5, 1.0);
-      big.Append(0x7FFFFFFFu, 1.0);
-      big.Append(0x80000001u, 1.0);
-      big.Append(0xFFFFFFF0u, 1.0);
-      for (RecordId t : {RecordId{0}, RecordId{6}, RecordId{0x7FFFFFFFu},
-                         RecordId{0x80000000u}, RecordId{0x80000001u},
-                         RecordId{0xFFFFFFF0u}, RecordId{0xFFFFFFFFu}}) {
-        uint64_t unused = 0;
-        EXPECT_EQ(MergeLowerBound(big.view(), t, 0, &unused),
-                  big.view().GallopLowerBound(t, 0))
-            << "big-id target " << t;
-      }
-    }
-  }
 }
 
 }  // namespace

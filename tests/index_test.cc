@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -66,23 +67,45 @@ TEST(PostingListTest, GallopFindHonorsStart) {
 }
 
 TEST(PostingListTest, GallopLowerBoundMatchesStdLowerBound) {
+  // A start at or past the end yields the list size.
+  auto check = [](const std::vector<uint32_t>& ids, uint32_t target,
+                  size_t start) {
+    PostingList list;
+    for (uint32_t id : ids) list.Append(id, 1.0);
+    const size_t expected =
+        start >= ids.size()
+            ? ids.size()
+            : std::lower_bound(ids.begin() + start, ids.end(), target) -
+                  ids.begin();
+    EXPECT_EQ(list.GallopLowerBound(target, start), expected)
+        << "size=" << ids.size() << " target=" << target
+        << " start=" << start;
+  };
+
   Rng rng(17);
-  PostingList list;
   uint32_t id = 0;
   std::vector<uint32_t> ids;
   for (int i = 0; i < 500; ++i) {
     id += 1 + rng.UniformU32(7);
-    list.Append(id, 1.0);
     ids.push_back(id);
   }
   for (int trial = 0; trial < 2000; ++trial) {
-    uint32_t target = rng.UniformU32(id + 10);
-    size_t start = rng.UniformU32(static_cast<uint32_t>(ids.size()));
-    size_t expected =
-        std::lower_bound(ids.begin() + start, ids.end(), target) -
-        ids.begin();
-    EXPECT_EQ(list.GallopLowerBound(target, start), expected)
-        << "target=" << target << " start=" << start;
+    check(ids, rng.UniformU32(id + 10),
+          rng.UniformU32(static_cast<uint32_t>(ids.size()) + 2));
+  }
+  for (size_t start : {ids.size(), ids.size() + 1}) {
+    check(ids, 0, start);
+    check(ids, id + 1, start);
+  }
+
+  for (size_t start : {0, 1}) check({}, 7, start);
+
+  // Ids above INT32_MAX must compare unsigned.
+  const std::vector<uint32_t> big = {5, 0x7FFFFFFFu, 0x80000001u,
+                                     0xFFFFFFF0u};
+  for (uint32_t target : {0u, 6u, 0x7FFFFFFFu, 0x80000000u, 0x80000001u,
+                          0xFFFFFFF0u, 0xFFFFFFFFu}) {
+    check(big, target, 0);
   }
 }
 

@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -128,9 +129,9 @@ class ServerFixture {
         BuildWordCorpus(CorpusLines(), &dict_), pred_, service_options);
     server_ = std::make_unique<net::SimilarityServer>(
         service_.get(),
-        [this](const std::vector<std::string>& lines) {
+        [this](std::string_view line) {
           std::lock_guard<std::mutex> lock(tokenize_mutex_);
-          return BuildWordCorpus(lines, &dict_);
+          return BuildWordCorpus({std::string(line)}, &dict_);
         },
         /*before_insert=*/nullptr, net_options);
     Status started = server_->Start();
@@ -168,8 +169,8 @@ class Twin {
     service_ = std::make_unique<SimilarityService>(
         BuildWordCorpus(CorpusLines(), &dict_), pred_, options);
     dispatcher_ = std::make_unique<ServiceDispatcher>(
-        service_.get(), [this](const std::vector<std::string>& lines) {
-          return BuildWordCorpus(lines, &dict_);
+        service_.get(), [this](std::string_view line) {
+          return BuildWordCorpus({std::string(line)}, &dict_);
         });
   }
 
@@ -184,9 +185,9 @@ class Twin {
   std::unique_ptr<ServiceDispatcher> dispatcher_;
 };
 
-/// The mutation schedule both sides run: queries (runs of >= 2 ride the
-/// batch path over the network), inserts, deletes (one hit, one miss,
-/// one malformed), top-k, compaction.
+/// The mutation schedule both sides run: queries (consecutive ones
+/// pipelined back to back), inserts, deletes (one hit, one miss, one
+/// malformed), top-k, compaction.
 std::vector<std::string> MutationSchedule() {
   return {
       "efficient set joins on similarity predicates",

@@ -1,9 +1,8 @@
 // Unit tests for the shared serve/protocol grammar and the net/wire
 // framing: every command form parses the way the REPL documents, every
 // malformed input produces the REPL's exact ERR string, the dispatcher's
-// output bytes match the service's own format helpers, ExecuteBatch is
-// byte-identical to one-at-a-time Execute, and both wire codecs survive
-// a pipelined stream split at EVERY byte boundary.
+// output bytes match the service's own format helpers, and both wire
+// codecs survive a pipelined stream split at EVERY byte boundary.
 
 #include "serve/protocol.h"
 
@@ -141,8 +140,8 @@ struct DispatcherFixture {
   DispatcherFixture()
       : pred(0.5),
         service(BuildWordCorpus(TestCorpusLines(), &dict), pred),
-        dispatcher(&service, [this](const std::vector<std::string>& lines) {
-          return BuildWordCorpus(lines, &dict);
+        dispatcher(&service, [this](std::string_view line) {
+          return BuildWordCorpus({std::string(line)}, &dict);
         }) {}
 
   Response Run(const std::string& line) {
@@ -202,8 +201,8 @@ TEST(ServiceDispatcherTest, StatsDecoratorRuns) {
   SimilarityService service(BuildWordCorpus(TestCorpusLines(), &dict), pred);
   ServiceDispatcher dispatcher(
       &service,
-      [&dict](const std::vector<std::string>& lines) {
-        return BuildWordCorpus(lines, &dict);
+      [&dict](std::string_view line) {
+        return BuildWordCorpus({std::string(line)}, &dict);
       },
       /*default_topk=*/0, /*before_insert=*/{},
       [](std::string json) {
@@ -229,48 +228,14 @@ TEST(ServiceDispatcherTest, BeforeInsertHookRunsPerInsert) {
   int hook_runs = 0;
   ServiceDispatcher dispatcher(
       &service,
-      [&dict](const std::vector<std::string>& lines) {
-        return BuildWordCorpus(lines, &dict);
+      [&dict](std::string_view line) {
+        return BuildWordCorpus({std::string(line)}, &dict);
       },
       /*default_topk=*/0, [&hook_runs] { ++hook_runs; });
   dispatcher.Execute(ParseRequest("+ one record"));
   dispatcher.Execute(ParseRequest("+ two records"));
   dispatcher.Execute(ParseRequest("some query"));
   EXPECT_EQ(hook_runs, 2);
-}
-
-// ExecuteBatch (the pipelined path, query runs >= 2 riding BatchQuery)
-// must be byte-identical to one-at-a-time Execute on a twin service.
-TEST(ServiceDispatcherTest, ExecuteBatchMatchesSequentialExecution) {
-  std::vector<std::string> script = {
-      "efficient set joins on similarity predicates",
-      "set joins on similarity predicates",
-      "an unrelated record about inverted indexes",  // 3-query run
-      "+ efficient set joins on similarity predicates again",
-      "efficient set joins on similarity predicates",
-      "totally different text entirely",  // 2-query run after a write
-      "- 2",
-      "?k 2 set joins on similarity predicates",
-      "! compact",
-      "efficient set joins with similarity predicates",  // lone query
-      // NOT "? stats": the batch path legitimately counts its query run
-      // under batch_queries where serial execution counts point_queries,
-      // so the stats JSON is the one response that may differ.
-  };
-  std::vector<Request> requests;
-  for (const std::string& line : script) {
-    requests.push_back(ParseRequest(line));
-  }
-
-  DispatcherFixture batch_fx;
-  DispatcherFixture serial_fx;
-  std::vector<Response> batched = batch_fx.dispatcher.ExecuteBatch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Response expected = serial_fx.dispatcher.Execute(requests[i]);
-    EXPECT_EQ(batched[i].ok, expected.ok) << script[i];
-    EXPECT_EQ(batched[i].payload, expected.payload) << script[i];
-  }
 }
 
 // -------------------------------------------------------------------

@@ -661,9 +661,8 @@ TEST(SimilarityServiceTest, SegmentsAreMergedSeparately) {
 
 // Every thread that probes a shard keeps one warm probe scratch (merge
 // buffers and counting block), so a steady-state point query allocates
-// only its staging record, per-shard counters, result vectors and the
-// pool hand-off. Counts every operator new overload, over-aligned
-// included.
+// only its staging record, per-shard counters and result vectors.
+// Counts every operator new overload, over-aligned included.
 TEST(SimilarityServiceTest, SteadyStateQueryAllocationsStayBounded) {
   CitationGeneratorOptions generator;
   generator.num_records = 5000;
@@ -694,7 +693,7 @@ TEST(SimilarityServiceTest, SteadyStateQueryAllocationsStayBounded) {
   EXPECT_GT(results, 0u);
   EXPECT_EQ(results, warm_results);
   const double per_query = static_cast<double>(allocs) / queries.size();
-  EXPECT_LE(per_query, 16.0)
+  EXPECT_LE(per_query, 13.0)
       << allocs << " allocations for " << queries.size() << " queries";
 }
 

@@ -26,10 +26,10 @@
 # and corrupted files, and the network layer
 # (protocol parser + wire framing + the loopback server), whose framers
 # chew on byte-split, oversized and mutated input. The
-# SIMD differential rig (bitmap_filter_test) rides along: its
-# gather-based AVX2 lower-bound searches and PrefixFilter's per-join
-# prefix, bitmap and pmax table reads are exactly the pointer
-# arithmetic ASan/UBSan exist to check. The serve_recovery_test_mapped leg (ctest
+# token-bitmap differential (bitmap_filter_test) rides along:
+# PrefixFilter's per-join prefix, bitmap and pmax table reads are
+# exactly the pointer arithmetic ASan/UBSan exist to check. The
+# serve_recovery_test_mapped leg (ctest
 # ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeats the recovery suite with
 # the base tier served from mmap'd segment files, so every view-mode
 # accessor path over the mapped arenas runs under ASan too.

@@ -384,6 +384,13 @@ class LineTokenizer {
     return builder_.Build(lines, dict_);
   }
 
+  /// The one-record set of one request line.
+  RecordSet BuildLine(std::string_view line) {
+    RecordSet set;
+    builder_.Append(line, dict_, &set);
+    return set;
+  }
+
  private:
   int q_;
   CorpusBuilder builder_;

@@ -123,8 +123,8 @@ int RunRepl(SimilarityService* service, const ServeCliOptions& options,
   // grammar, shared execution, shared output bytes.
   ServiceDispatcher dispatcher(
       service,
-      [&tokenizer](const std::vector<std::string>& lines) {
-        return tokenizer.Build(lines);
+      [&tokenizer](std::string_view line) {
+        return tokenizer.BuildLine(line);
       },
       static_cast<size_t>(options.topk),
       // New tokens must hit the sidecar before the record hits the WAL.

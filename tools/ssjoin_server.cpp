@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
   server_options.default_topk = static_cast<size_t>(options->serve.topk);
   net::SimilarityServer server(
       service.get(),
-      [&](const std::vector<std::string>& lines) {
+      [&](std::string_view line) {
         std::lock_guard<std::mutex> lock(tokenize_mutex);
-        return tokenizer.Build(lines);
+        return tokenizer.BuildLine(line);
       },
       [&] {
         std::lock_guard<std::mutex> lock(tokenize_mutex);
