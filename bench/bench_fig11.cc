@@ -8,8 +8,14 @@
 // (index fraction 1.0), exactly as the paper's y-axis. Every fraction,
 // full memory included, is timed in kRounds alternating rounds, and each
 // cell is its median over the full-memory median, so one noisy
-// denominator cannot move a whole column. Paper shape: memory / 5 =>
-// time x ~1.5; memory / 50 => time x <= ~2.5.
+// denominator cannot move a whole column. Beside each ratio, the
+// `postings` column is the run's JoinStats::index_postings: the larger
+// of the phase-1 cluster-level index and the biggest phase-2 batch of
+// member indexes. Paper shape: memory / 5 => time x ~1.5; memory / 50 =>
+// time x <= ~2.5.
+//
+// Every run must find the full-memory run's pairs; the bench exits 1 on
+// the first mismatch (ctest runs it small as bench_fig11_smoke).
 
 #include <algorithm>
 #include <cstdio>
@@ -26,20 +32,46 @@ using namespace ssjoin::bench;
 const double kFractions[] = {1.0, 0.5, 0.2, 0.1, 0.05, 0.02};
 constexpr int kRounds = 3;
 
-/// One series: normalized ClusterMem time per index-size fraction.
-std::vector<double> Series(const RecordSet& corpus, double threshold) {
+/// One point of a series: the normalized time and the index postings at
+/// one fraction.
+struct SeriesPoint {
+  double ratio = 0;
+  uint64_t index_postings = 0;
+};
+
+/// One series: a point per index-size fraction. Exits 1 when a run fails
+/// or its sorted pairs differ from the first full-memory run's.
+std::vector<SeriesPoint> Series(const RecordSet& corpus, double threshold) {
   OverlapPredicate pred(threshold);
   uint64_t full_index = corpus.total_token_occurrences();
   std::vector<std::vector<double>> times(std::size(kFractions));
+  std::vector<SeriesPoint> points(std::size(kFractions));
+  Pairs full_pairs;
   for (int round = 0; round < kRounds; ++round) {
     for (size_t f = 0; f < std::size(kFractions); ++f) {
       JoinOptions options;
       options.cluster_mem.memory_budget_postings = std::max<uint64_t>(
           1, static_cast<uint64_t>(kFractions[f] * full_index));
       options.cluster_mem.temp_dir = "/tmp";
-      times[f].push_back(
-          TimeJoin(corpus, pred, JoinAlgorithm::kClusterMem, options)
-              .seconds);
+      Pairs pairs;
+      RunResult run = TimeJoin(corpus, pred, JoinAlgorithm::kClusterMem,
+                               options, &pairs);
+      if (!run.completed) {
+        std::fprintf(stderr, "ClusterMem failed at index fraction %.2f\n",
+                     kFractions[f]);
+        std::exit(1);
+      }
+      times[f].push_back(run.seconds);
+      points[f].index_postings = run.stats.index_postings;
+      if (round == 0 && f == 0) {
+        full_pairs = std::move(pairs);
+        continue;
+      }
+      char name[48];
+      std::snprintf(name, sizeof(name), "ClusterMem at %.2f",
+                    kFractions[f]);
+      ExitOnPairMismatch(&pairs, name, &full_pairs, "full memory",
+                         corpus.size(), threshold);
     }
   }
   std::vector<double> medians;
@@ -48,24 +80,30 @@ std::vector<double> Series(const RecordSet& corpus, double threshold) {
     medians.push_back(t[kRounds / 2]);
   }
   double base = medians[0] > 0 ? medians[0] : 1e-9;
-  for (double& m : medians) m /= base;
-  return medians;
+  for (size_t f = 0; f < points.size(); ++f) {
+    points[f].ratio = medians[f] / base;
+  }
+  return points;
 }
 
 void PrintPanel(const char* title, const std::vector<std::string>& labels,
-                const std::vector<std::vector<double>>& series) {
+                const std::vector<std::vector<SeriesPoint>>& series) {
   std::printf("%s\n", title);
   std::vector<std::string> header = {"index_fraction"};
-  header.insert(header.end(), labels.begin(), labels.end());
+  for (const std::string& label : labels) {
+    header.push_back(label);
+    header.push_back(label + " postings");
+  }
   PrintRow(header);
   for (size_t f = 0; f < std::size(kFractions); ++f) {
     std::vector<std::string> row;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2f", kFractions[f]);
     row.push_back(buf);
-    for (const std::vector<double>& s : series) {
-      std::snprintf(buf, sizeof(buf), "%.2f", s[f]);
+    for (const std::vector<SeriesPoint>& s : series) {
+      std::snprintf(buf, sizeof(buf), "%.2f", s[f].ratio);
       row.push_back(buf);
+      row.push_back(std::to_string(s[f].index_postings));
     }
     PrintRow(row);
   }
@@ -89,7 +127,7 @@ int main(int argc, char** argv) {
 
   {
     std::vector<std::string> labels;
-    std::vector<std::vector<double>> series;
+    std::vector<std::vector<SeriesPoint>> series;
     for (uint32_t n : citation_sizes) {
       TokenDictionary dict;
       RecordSet corpus = WordCorpusPrefix(citation_texts, n, &dict);
@@ -105,7 +143,7 @@ int main(int argc, char** argv) {
     RecordSet corpus =
         WordCorpusPrefix(citation_texts, citation_sizes[1], &dict);
     std::vector<std::string> labels;
-    std::vector<std::vector<double>> series;
+    std::vector<std::vector<SeriesPoint>> series;
     for (double t : citation_thresholds) {
       labels.push_back("T=" + std::to_string((int)t));
       series.push_back(Series(corpus, t));
@@ -117,7 +155,7 @@ int main(int argc, char** argv) {
   }
   {
     std::vector<std::string> labels;
-    std::vector<std::vector<double>> series;
+    std::vector<std::vector<SeriesPoint>> series;
     for (uint32_t n : address_sizes) {
       TokenDictionary dict;
       RecordSet corpus = QGramCorpusPrefix(address_texts, n, &dict);

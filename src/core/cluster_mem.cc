@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "data/record_store.h"
 #include "util/logging.h"
 #include "util/varint.h"
 
@@ -120,19 +119,6 @@ class SpillFile {
   bool owns_file_ = true;
 };
 
-/// RAII deletion for temp files created through other APIs (the
-/// RecordStore backing file): removed on scope exit.
-class TempFileGuard {
- public:
-  explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
-  TempFileGuard(const TempFileGuard&) = delete;
-  TempFileGuard& operator=(const TempFileGuard&) = delete;
-  ~TempFileGuard() { std::remove(path_.c_str()); }
-
- private:
-  std::string path_;
-};
-
 std::string UniqueTempPath(const std::string& dir, const std::string& stem) {
   // The pid keeps concurrent processes sharing a temp_dir (e.g. test
   // binaries under `ctest -j`) from clobbering each other's spill files.
@@ -173,17 +159,11 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
         static_cast<uint32_t>(std::max<uint64_t>(2 * per_cluster, 2));
   }
 
-  // The record store stands in for "the database" phase 2 re-fetches from.
-  std::string store_path = UniqueTempPath(options.temp_dir, "ssjoin_records");
-  TempFileGuard store_guard(store_path);
-  Result<RecordStore> store_result = RecordStore::Create(store_path, records);
-  if (!store_result.ok()) return store_result.status();
-  const RecordStore& store = store_result.value();
-
   // ---- Phase 1: data partitioning -------------------------------------
-  // The budget caps the cluster-level index. Limited memory forces every
-  // record into some cluster, so once the cap binds the home search
-  // considers clusters below the join threshold (Section 4.1.1).
+  // Probe-Cluster's ClusterSet, except that the budget stops cluster
+  // creation: once the cluster-level index holds M postings (or Ng
+  // clusters exist), a record with no similar J(r) cluster is forced
+  // into an existing one (see ClusterSet::ProbeAndAssign).
   ClusterSet cluster_set(pred, cluster_options, records.vocabulary_size(),
                          /*max_index_postings=*/budget);
   SpillFile pinfo(UniqueTempPath(options.temp_dir, "ssjoin_pinfo"));
@@ -261,35 +241,26 @@ Result<JoinStats> ClusterMemJoin(const RecordSet& records,
   // probing, exactly like the online Probe-Cluster inner loop.
   uint64_t peak_batch_postings = 0;
   probe_internal::ProbeScratch scratch;  // reused by every member probe
-  Record fetched;
-  std::string text;
   for (uint32_t b = 0; b < num_batches; ++b) {
     // The batch's member indexes, by cluster id - batch_begin[b]; freed
     // when the batch ends, so one batch's indexes are resident at a time.
     const ClusterId base = batch_begin[b];
     std::vector<MemberIndex> member_index(batch_begin[b + 1] - base);
-    Status status = Status::OK();
     uint64_t batch_postings = 0;
     Status scan_status = batch_files[b].Scan([&](const PartitionEntry& e) {
-      if (!status.ok()) return;
-      Status fetch = store.Fetch(e.rid, &fetched, &text);
-      if (!fetch.ok()) {
-        status = fetch;
-        return;
-      }
+      const RecordView record = records.record(e.rid);
       for (ClusterId c : e.joins) {
         const MemberIndex& index = member_index[c - base];
         if (index.empty()) continue;  // no members yet
-        ProbeMemberIndex(records, pred, fetched.view(), e.rid, index,
-                         &scratch, &stats, sink);
+        ProbeMemberIndex(records, pred, record, e.rid, index, &scratch,
+                         &stats, sink);
       }
       if (e.home != kNoCluster) {
-        member_index[e.home - base].Insert(e.rid, fetched.view());
-        batch_postings += fetched.size();
+        member_index[e.home - base].Insert(e.rid, record);
+        batch_postings += record.size();
       }
     });
     SSJOIN_RETURN_IF_ERROR(scan_status);
-    SSJOIN_RETURN_IF_ERROR(status);
     peak_batch_postings = std::max(peak_batch_postings, batch_postings);
   }
   stats.index_postings = std::max(stats.index_postings, peak_batch_postings);

@@ -21,22 +21,26 @@ namespace ssjoin {
 /// disk.
 ///
 /// Phase 2 packs clusters into batches whose full member-level indexes fit
-/// in M, splits pInfo by batch, and streams each batch: records are
-/// re-fetched from the record store in scan order, probe the member
-/// indexes of their J(r) ∩ batch clusters, and are inserted into their
-/// home cluster's index when it belongs to the batch.
+/// in M, splits pInfo by batch, and streams each batch: its records, read
+/// from `records` in scan order, probe the member indexes of their
+/// J(r) ∩ batch clusters, and are inserted into their home cluster's
+/// index when it belongs to the batch. The paper re-fetches them from the
+/// database; here the corpus is the in-memory RecordSet the join was
+/// given, so phase 2 reads it in place.
 ///
-/// Records are scanned in decreasing norm order. The cluster set runs
-/// under the posting cap M, so once M binds, its home search also
-/// considers clusters below the join threshold (see ClusterSet).
+/// Records are scanned in decreasing norm order. Phase 1 is
+/// Probe-Cluster's ClusterSet with M as its creation cap: once the
+/// cluster-level index holds M postings (or Ng clusters exist), no cluster
+/// is created, and a record with no similar-enough J(r) cluster joins the
+/// most similar non-full one, else the smallest cluster.
 struct ClusterMemOptions {
   /// M: the memory budget in postings (word occurrences). Must be > 0.
   /// With M >= W (the full index size) the algorithm degenerates to a
   /// single batch, i.e. Probe-Cluster.
   uint64_t memory_budget_postings = 0;
 
-  /// Directory for the record store, pInfo and per-batch spill files,
-  /// all removed when the join returns.
+  /// Directory for pInfo and the per-batch spill files, all removed when
+  /// the join returns.
   std::string temp_dir = ".";
 
   /// Clustering knobs. max_clusters / max_cluster_size of 0 are estimated

@@ -80,8 +80,8 @@ double PruneBound(double bound);
 ///   * `required` and `filter` are non-owning references; the underlying
 ///     callables must outlive every Next() call of the current merge.
 ///   * RaiseFloor only increases the floor, and the caller must keep it
-///     <= min over ids of the emit bound it still cares about (cluster
-///     mode caps raises at T(r, I)).
+///     <= min over ids of the emit bound it still cares about (top-k
+///     raises it to the k-th best score's overlap at the index's minS).
 class ListMerger {
  public:
   /// Ids per counting block: a fixed size, so the merger's memory does not
@@ -117,8 +117,6 @@ class ListMerger {
   /// Raises the emit floor, migrating newly prunable lists from S to the
   /// direct-search set L (Section 4.1.1).
   void RaiseFloor(double floor);
-
-  double floor() const { return floor_; }
 
  private:
   static constexpr uint32_t kBlockWords = kBlockIds / 64;

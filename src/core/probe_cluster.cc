@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/function_ref.h"
 #include "util/logging.h"
 
 namespace ssjoin {
-
-namespace {
-
-/// Where the low-floor home search (Section 4.1.1) starts, as a fraction
-/// of T(r, I).
-constexpr double kInitialFloorFraction = 0.2;
-
-}  // namespace
 
 ClusterSet::ClusterSet(const Predicate& pred, ClusterSetOptions options,
                        size_t vocabulary_size, uint64_t max_index_postings)
@@ -91,6 +82,29 @@ void ClusterSet::AddToCluster(ClusterId c, RecordView record) {
   min_norm_ = std::min(min_norm_, record.norm());
 }
 
+ClusterId ClusterSet::SmallestCluster() {
+  // Creation never resumes once it stops (the cluster count and the index
+  // only grow), so the clusters are fixed here, and their sizes only grow.
+  // A cluster the cursor passed therefore stays above smallest_size_, and
+  // the first cluster of that size at or past the cursor is the lowest-id
+  // smallest one. A pass that finds none means the minimum grew: recount
+  // it and start over. The minimum is at most N / (cluster count), so the
+  // passes cost O(N) over a whole join.
+  SSJOIN_DCHECK(!clusters_.empty());
+  for (;;) {
+    for (; smallest_cursor_ < clusters_.size(); ++smallest_cursor_) {
+      if (clusters_[smallest_cursor_].size == smallest_size_) {
+        return smallest_cursor_;
+      }
+    }
+    smallest_size_ = clusters_[0].size;
+    for (const Cluster& cluster : clusters_) {
+      smallest_size_ = std::min(smallest_size_, cluster.size);
+    }
+    smallest_cursor_ = 0;
+  }
+}
+
 ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
                                                    MergeStats* stats) {
   SSJOIN_DCHECK(record.empty() ||
@@ -102,40 +116,16 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
     record_weight += record.score(i) * record.score(i);
   }
 
-  bool can_create =
-      (options_.max_clusters == 0 ||
-       clusters_.size() < options_.max_clusters) &&
-      (max_index_postings_ == 0 || index_postings_ < max_index_postings_);
-  // Section 4's promise: "when sufficient memory is available, the method
-  // just reduces to the Probe Cluster method". While new clusters can
-  // still be created, the home search stays at full MergeOpt strength;
-  // the expensive below-threshold search only starts once the budget
-  // binds and every record must be squeezed into an existing cluster.
-  bool low_floor = max_index_postings_ != 0 && !can_create;
-
   double best_similarity = -1;
   ClusterId best_cluster = kNoCluster;
 
   if (!clusters_.empty()) {
-    // T(r, I): the smallest threshold any cluster can demand. In
-    // low-floor mode (ClusterMem) the search starts below it and is
-    // raised toward it as candidates appear — never beyond, or a J(r)
-    // member could be pruned. In full-strength mode (Probe-Cluster) the
-    // merge runs directly at the join threshold with per-cluster bounds.
+    // The merge runs at the join threshold: floor T(r, I), the smallest
+    // threshold any cluster can demand, and per-cluster bound T(r, ||C||).
     const double norm = record.norm();
-    double t_index = pred_.ThresholdForNorms(norm, min_norm_);
-    double floor = t_index;
-    if (low_floor && t_index > 0) {
-      // Scaling a negative threshold would move the floor above T(r, I).
-      floor = kInitialFloorFraction * t_index;
-    }
-    auto required_fn = [this, norm](RecordId c) {
+    auto required = [this, norm](RecordId c) {
       return pred_.ThresholdForNorms(norm, norms_[c]);
     };
-    FunctionRef<double(RecordId)> required;
-    if (!low_floor) {
-      required = required_fn;
-    }
 
     scratch_.lists.clear();
     scratch_.probe_scores.clear();
@@ -148,70 +138,56 @@ ClusterSet::ProbeResult ClusterSet::ProbeAndAssign(RecordView record,
     // No pair filter: cluster norms aggregate members, so filters apply
     // at the member level only.
     ListMerger& merger = scratch_.merger;
-    merger.Reset(scratch_.lists, scratch_.probe_scores, floor,
+    merger.Reset(scratch_.lists, scratch_.probe_scores,
+                 pred_.ThresholdForNorms(norm, min_norm_),
                  /*min_overlap=*/0, required, /*filter=*/nullptr,
                  MergeOptions{}, stats);
 
     MergeCandidate candidate;
     while (merger.Next(&candidate)) {
-      ClusterId c = candidate.id;
-      double overlap = candidate.overlap;
-      // Full-strength mode: the merge emitted c against max(T(r, I),
-      // T(r, ||C||)) = T(r, ||C||), as min_norm_ <= norms_[c], so every
-      // candidate is in J(r). Low-floor mode also emits clusters below
-      // it, which may still become the record's home.
-      if (!low_floor ||
-          overlap >= PruneBound(pred_.ThresholdForNorms(norm, norms_[c]))) {
-        joins_.push_back(c);
+      // The merge emitted c against max(T(r, I), T(r, ||C||)) =
+      // T(r, ||C||), as min_norm_ <= norms_[c], so c is in J(r).
+      const ClusterId c = candidate.id;
+      const double overlap = candidate.overlap;
+      joins_.push_back(c);
+      if (options_.max_cluster_size != 0 &&
+          clusters_[c].size >= options_.max_cluster_size) {
+        continue;
       }
-      bool joinable_size =
-          options_.max_cluster_size == 0 ||
-          clusters_[c].size < options_.max_cluster_size;
-      if (joinable_size) {
-        // Ratio similarity (overlap over union weight): "prevents large
-        // clusters from getting too large too fast".
-        double union_weight =
-            record_weight + clusters_[c].total_weight - overlap;
-        double similarity =
-            union_weight > 0 ? overlap / union_weight : 1.0;
-        if (similarity > best_similarity) {
-          best_similarity = similarity;
-          best_cluster = c;
-        }
-        if (low_floor) {
-          // Ratio-similarity update rule (Section 4.1.1): raise the floor
-          // toward T(r, I) by averaging in the observed overlap.
-          merger.RaiseFloor(std::min(
-              t_index,
-              0.5 * (merger.floor() + std::min(overlap, t_index))));
-        }
+      // Ratio similarity (overlap over union weight): "prevents large
+      // clusters from getting too large too fast".
+      double union_weight =
+          record_weight + clusters_[c].total_weight - overlap;
+      double similarity = union_weight > 0 ? overlap / union_weight : 1.0;
+      if (similarity > best_similarity) {
+        best_similarity = similarity;
+        best_cluster = c;
       }
     }
   }
   result.joins = joins_;
 
+  const bool can_create =
+      (options_.max_clusters == 0 ||
+       clusters_.size() < options_.max_clusters) &&
+      (max_index_postings_ == 0 || index_postings_ < max_index_postings_);
   if (best_cluster != kNoCluster &&
       best_similarity >= options_.assign_similarity_threshold) {
     result.home = best_cluster;
-    AddToCluster(best_cluster, record);
   } else if (can_create) {
     result.home = CreateCluster(record);
     result.created = true;
+    return result;
   } else if (best_cluster != kNoCluster) {
-    // Cluster budget exhausted and nothing similar: fall back to the most
-    // similar non-full cluster anyway.
+    // Creation has stopped and nothing is similar enough: fall back to
+    // the most similar non-full J(r) cluster anyway.
     result.home = best_cluster;
-    AddToCluster(best_cluster, record);
   } else {
-    // Every probed cluster was full (or none shared a token). Assign to
-    // the globally smallest cluster to keep sizes balanced.
-    ClusterId smallest = 0;
-    for (ClusterId c = 1; c < clusters_.size(); ++c) {
-      if (clusters_[c].size < clusters_[smallest].size) smallest = c;
-    }
-    result.home = smallest;
-    AddToCluster(smallest, record);
+    // No joinable cluster in J(r): take the smallest, to keep sizes
+    // balanced.
+    result.home = SmallestCluster();
   }
+  AddToCluster(result.home, record);
   return result;
 }
 

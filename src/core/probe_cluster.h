@@ -41,10 +41,13 @@ struct ClusterSetOptions {
 /// over members, ||C|| = min member norm) and, per record, finds
 ///
 ///   * J(r): every cluster whose word-union overlap with r reaches
-///     T(r, ||C||) — a superset of the clusters holding true matches;
-///   * h(r): the most similar cluster (ratio of overlap to union weight),
-///     located with the increasing-threshold MergeOpt adaptation of
-///     Section 4.1.1, or a freshly created cluster.
+///     T(r, ||C||) — a superset of the clusters holding true matches —
+///     with one MergeOpt probe at the join threshold;
+///   * h(r): the most similar J(r) cluster (ratio of overlap to union
+///     weight) that is not full, when that similarity reaches the
+///     assignment threshold; otherwise a new cluster while creation is
+///     allowed; otherwise the most similar non-full J(r) cluster anyway;
+///     otherwise the lowest-id smallest cluster.
 ///
 /// Both callers are batch joins over one RecordSet, so the cluster-level
 /// index is one PostingList per token of that set's vocabulary: an old
@@ -66,15 +69,11 @@ class ClusterSet {
 
   /// Every probed record's tokens must lie below `vocabulary_size`.
   ///
-  /// `max_index_postings` is ClusterMem's memory budget M (Section 4): a
-  /// hard cap on cluster-level index postings, past which no new cluster
-  /// is created. 0 means no cap, i.e. Probe-Cluster. Under a cap, once no
-  /// cluster can be created the home search also considers clusters
-  /// below the join threshold (Section 4.1.1), since every record must be
-  /// assigned somewhere: it starts the merge at 0.2 T(r, I) and raises
-  /// the floor toward T(r, I) as candidates appear. Without a cap the
-  /// home is always a J(r) member or a new cluster, so the probe runs at
-  /// full MergeOpt strength.
+  /// `max_index_postings` is ClusterMem's memory budget M (Section 4): no
+  /// cluster is created once the cluster-level index holds that many
+  /// postings. It caps creation, not the index, which keeps growing as
+  /// clusters absorb records with new tokens. 0 means no cap, i.e.
+  /// Probe-Cluster.
   ClusterSet(const Predicate& pred, ClusterSetOptions options,
              size_t vocabulary_size, uint64_t max_index_postings = 0);
 
@@ -121,6 +120,9 @@ class ClusterSet {
 
   ClusterId CreateCluster(RecordView record);
   void AddToCluster(ClusterId c, RecordView record);
+  /// The lowest-id cluster of minimum size; only called once creation
+  /// has stopped.
+  ClusterId SmallestCluster();
 
   const Predicate& pred_;
   ClusterSetOptions options_;
@@ -132,6 +134,10 @@ class ClusterSet {
   std::vector<Cluster> clusters_;
   probe_internal::ProbeScratch scratch_;
   std::vector<ClusterId> joins_;
+  // SmallestCluster's cursor: every cluster below it is larger than
+  // smallest_size_, the minimum cluster size when last counted.
+  ClusterId smallest_cursor_ = 0;
+  uint32_t smallest_size_ = 0;
 };
 
 /// One cluster's member-level inverted index (Probe-Cluster and ClusterMem

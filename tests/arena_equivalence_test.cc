@@ -356,7 +356,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/dense/overlap/probe-cluster", 10388405375568447476ull,
      {4108, 4108, 1687, 1400, 12964, 5359, 0, 0, 2794, 4279}, 10809},
     {"work/dense/overlap/cluster-mem", 10388405375568447476ull,
-     {4108, 4108, 403, 1586, 15933, 5792, 0, 0, 3154, 4939}, 8773},
+     {4108, 4108, 410, 1586, 13479, 5545, 0, 0, 3166, 4767}, 10873},
     {"work/dense/overlap/prefix-filter", 10388405375568447476ull,
      {4108, 4108, 922, 0, 0, 0, 5470, 1362, 0, 0}, 0},
     {"work/dense/overlap/prefix-filter/t4", 10388405375568447476ull,
@@ -366,7 +366,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/dense/jaccard/probe-cluster", 15267942115989793231ull,
      {100, 100, 1481, 242, 3287, 193, 0, 0, 1129, 601}, 3637},
     {"work/dense/jaccard/cluster-mem", 15267942115989793231ull,
-     {100, 100, 467, 491, 8036, 1143, 0, 0, 1901, 1307}, 1957},
+     {100, 100, 482, 526, 3194, 477, 0, 0, 2151, 1010}, 4585},
     {"work/dense/jaccard/prefix-filter", 15267942115989793231ull,
      {100, 100, 720, 0, 0, 0, 3175, 3075, 0, 0}, 0},
     {"work/dense/jaccard/prefix-filter/t4", 15267942115989793231ull,
@@ -376,7 +376,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/dense/cosine/probe-cluster", 14618095315970372102ull,
      {181, 181, 1683, 277, 2344, 309, 0, 0, 1274, 570}, 6099},
     {"work/dense/cosine/cluster-mem", 14618095315970372102ull,
-     {181, 181, 461, 418, 6072, 904, 0, 0, 1879, 1104}, 3973},
+     {181, 181, 481, 447, 2372, 479, 0, 0, 2028, 811}, 6330},
     {"work/dense/cosine/prefix-filter", 14618095315970372102ull,
      {181, 4386, 817, 0, 0, 0, 4823, 437, 0, 0}, 0},
     {"work/dense/cosine/prefix-filter/t4", 14618095315970372102ull,
@@ -386,7 +386,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/overlap/probe-cluster", 16066056405829026878ull,
      {2506, 2506, 1243, 883, 5575, 3230, 0, 0, 2631, 1706}, 10978},
     {"work/skewed/overlap/cluster-mem", 16066056405829026878ull,
-     {2506, 2506, 324, 980, 7978, 3842, 0, 0, 2884, 1982}, 10706},
+     {2506, 2506, 356, 980, 5713, 3327, 0, 0, 2922, 1862}, 11302},
     {"work/skewed/overlap/prefix-filter", 16066056405829026878ull,
      {2506, 2546, 524, 0, 0, 0, 3393, 847, 0, 0}, 0},
     {"work/skewed/overlap/prefix-filter/t4", 16066056405829026878ull,
@@ -396,7 +396,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/dice/probe-cluster", 15189134890236523082ull,
      {1211, 1211, 1266, 723, 5055, 1775, 0, 0, 2093, 1194}, 9880},
     {"work/skewed/dice/cluster-mem", 15189134890236523082ull,
-     {1211, 1211, 329, 824, 7005, 2463, 0, 0, 2344, 1433}, 8824},
+     {1211, 1211, 333, 852, 5347, 1904, 0, 0, 2390, 1396}, 10248},
     {"work/skewed/dice/prefix-filter", 15189134890236523082ull,
      {1211, 1321, 652, 0, 0, 0, 5265, 3944, 0, 0}, 0},
     {"work/skewed/dice/prefix-filter/t4", 15189134890236523082ull,
@@ -406,13 +406,13 @@ const WorkGolden kWorkGoldens[] = {
     {"work/skewed/overlap-coefficient/probe-cluster", 14277149952392889830ull,
      {2378, 2378, 1305, 882, 4328, 3101, 0, 0, 2248, 1173}, 9593},
     {"work/skewed/overlap-coefficient/cluster-mem", 14277149952392889830ull,
-     {2378, 2378, 330, 974, 7444, 3476, 0, 0, 2588, 1433}, 7570},
+     {2378, 2378, 336, 981, 4472, 3200, 0, 0, 2616, 1310}, 9679},
     {"work/skewed/overlap-coefficient/foreign", 10368379174138491742ull,
      {1143, 1143, 495, 80, 9533, 1143, 0, 0, 75, 394}, 3759},
     {"work/skewed/hamming/probe-cluster", 17022430018312793733ull,
      {1595, 1867, 1273, 892, 8323, 2249, 0, 0, 1532, 1397}, 8113},
     {"work/skewed/hamming/cluster-mem", 17022430018312793733ull,
-     {1595, 1867, 370, 1200, 12585, 3633, 0, 0, 2256, 1936}, 4882},
+     {1595, 1867, 383, 965, 7700, 2322, 0, 0, 1970, 1564}, 8288},
     {"work/skewed/hamming/prefix-filter", 17022430018312793733ull,
      {1595, 1886, 719, 0, 0, 0, 6296, 4761, 0, 0}, 0},
     {"work/skewed/hamming/prefix-filter/t4", 17022430018312793733ull,
@@ -422,7 +422,7 @@ const WorkGolden kWorkGoldens[] = {
     {"work/qgram/edit-distance/probe-cluster", 2522082964145004146ull,
      {72, 224, 1838, 130, 525, 130, 0, 0, 435, 306}, 158},
     {"work/qgram/edit-distance/cluster-mem", 2522082964145004146ull,
-     {72, 222, 966, 201, 954, 311, 0, 0, 495, 665}, 165},
+     {72, 222, 1007, 196, 698, 194, 0, 0, 609, 462}, 155},
     {"work/qgram/edit-distance/foreign", 14831784346469832657ull,
      {34, 96, 803, 55, 220, 44, 0, 0, 159, 120}, 87},
 };

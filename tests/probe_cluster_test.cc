@@ -106,6 +106,46 @@ TEST(ClusterSetTest, MaxClustersForcesFallbackAssignment) {
   EXPECT_EQ(clusters.num_clusters(), 2u);
 }
 
+// Once a capped set stops creating clusters, a record with no joinable
+// J(r) cluster joins the lowest-id smallest cluster. ClusterSet finds it
+// with a cursor instead of scanning every cluster; the scan here pins it.
+TEST(ClusterSetTest, FallbackHomeIsLowestIdSmallestCluster) {
+  CitationGeneratorOptions generator;
+  generator.num_records = 3000;
+  TokenDictionary dict;
+  RecordSet set = BuildWordCorpus(CitationGenerator(generator).Generate(),
+                                  &dict);
+  OverlapPredicate pred(13);
+  pred.Prepare(&set);
+  ClusterSetOptions options;
+  options.max_clusters = 40;
+  options.max_cluster_size = 150;
+  ClusterSet clusters(pred, options, set.vocabulary_size(),
+                      /*max_index_postings=*/set.total_token_occurrences() /
+                          50);
+  MergeStats stats;
+  size_t fallbacks = 0;
+  for (RecordId id : set.IdsByDecreasingNorm()) {
+    ClusterId smallest = kNoCluster;
+    for (ClusterId c = 0; c < clusters.num_clusters(); ++c) {
+      if (smallest == kNoCluster ||
+          clusters.cluster_size(c) < clusters.cluster_size(smallest)) {
+        smallest = c;
+      }
+    }
+    ClusterSet::ProbeResult result =
+        clusters.ProbeAndAssign(set.record(id), &stats);
+    if (result.created ||
+        std::find(result.joins.begin(), result.joins.end(), result.home) !=
+            result.joins.end()) {
+      continue;
+    }
+    ++fallbacks;
+    ASSERT_EQ(result.home, smallest) << "record " << id;
+  }
+  EXPECT_GT(fallbacks, set.size() / 5);
+}
+
 TEST(ClusterSetTest, MaxClusterSizeSpillsToNewCluster) {
   OverlapPredicate pred(2);
   RecordSet set;

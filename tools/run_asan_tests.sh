@@ -14,10 +14,10 @@
 # (cross join, Probe-Cluster and ClusterMem member probes, the serving
 # tiers in serve_test), whose reused scratch and
 # sorted short-pool walk are exactly the buffer reuse ASan watches; the
-# top-k join (topk_join_test), the merger's other RaiseFloor caller
-# beside ClusterMem, whose mid-block floor raises move lists out of the
-# counting block; and PrefixFilter's one
-# per-position body at 1 and 4 threads; the
+# top-k join (topk_join_test), the merger's only production RaiseFloor
+# caller, whose mid-block floor raises move lists out of the counting
+# block (merge_opt_test raises the floor mid-block directly); and
+# PrefixFilter's one per-position body at 1 and 4 threads; the
 # durability suites (util's durable-file helpers — CRC32, atomic
 # write, errno context — plus WAL framing and crash recovery, including
 # multi-segment chain restore, orphan segment GC, corrupt and crafted
