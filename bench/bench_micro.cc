@@ -24,7 +24,6 @@
 #include "minhash/minhash.h"
 #include "text/edit_distance.h"
 #include "util/rng.h"
-#include "util/varint.h"
 
 // Global allocation counter: every operator new in the process, plain
 // and over-aligned, bumps it, so a delta across a timed region counts
@@ -137,23 +136,6 @@ void BM_MinHashSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(64);
-
-void BM_VarintDeltaRoundTrip(benchmark::State& state) {
-  Rng rng(11);
-  std::vector<uint32_t> ids;
-  uint32_t v = 0;
-  for (int i = 0; i < 10000; ++i) {
-    v += 1 + rng.UniformU32(50);
-    ids.push_back(v);
-  }
-  for (auto _ : state) {
-    std::string encoded = EncodeDeltaList(ids);
-    std::vector<uint32_t> decoded;
-    DecodeDeltaList(encoded, &decoded);
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_VarintDeltaRoundTrip);
 
 void BM_EditDistanceFull(benchmark::State& state) {
   Rng rng(13);

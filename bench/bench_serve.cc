@@ -41,14 +41,16 @@
 // and best of three per leg; the sweep ABORTS if the two legs disagree
 // on a single result count.
 //
-// The sixth sweep prices the out-of-core base tier: the same durable
-// corpus opened materialized (resident_budget_bytes = 0, every segment
-// arena heap-copied) and mapped (a budget a quarter of the segment
-// bytes, arenas served from the mmap'd .sseg files). Reported per mode:
-// cold Open time, point QPS, RSS after the query replay and after
-// re-applying the residency advice. The sweep ABORTS if the two modes
-// disagree on a single result count, or if dropping the over-budget
-// segments does not actually shrink RSS.
+// The sixth sweep prices the residency budget: the same durable corpus,
+// whose segments are always served from their mmap'd .sseg files and
+// proven whole at Open, opened with no cap (resident_budget_bytes = 0,
+// every segment advised WILLNEED) and under a budget a quarter of the
+// segment file bytes (the older segments advised RANDOM + DONTNEED).
+// Reported per leg: Open time, point QPS, RSS after the query replay and
+// after re-applying the residency advice. The sweep ABORTS if a leg
+// leaves a segment unmapped, if the two legs disagree on a single result
+// count, or if dropping the over-budget segments does not actually
+// shrink RSS.
 //
 // Usage: bench_serve [--scale=F | --quick] [--threads=N]
 
@@ -411,12 +413,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Out-of-core sweep: one durable corpus, opened materialized vs
-  // mapped under a budget a quarter of its segment bytes (so most of
-  // the chain is over budget and must be served from disk).
+  // Out-of-core sweep: one durable corpus, opened with no cap vs under a
+  // budget a quarter of its segment file bytes (so most of the chain is
+  // over budget and must be served from disk).
   {
     const std::string dir = "bench_serve_ooc";
-    uint64_t segment_bytes = 0;
+    uint64_t file_bytes = 0;
     uint64_t expected_size = 0;
     {
       ServiceOptions options;
@@ -436,24 +438,24 @@ int main(int argc, char** argv) {
                      builder.durability_status().ToString().c_str());
         return 1;
       }
-      segment_bytes = builder.stats().segment_bytes;
+      file_bytes = builder.stats().mapped_bytes;
       expected_size = builder.size();
     }
-    const uint64_t budget = segment_bytes / 4;
-    std::printf("\nout_of_core,segment_bytes=%" PRIu64 ",budget=%" PRIu64
+    const uint64_t budget = file_bytes / 4;
+    std::printf("\nout_of_core,file_bytes=%" PRIu64 ",budget=%" PRIu64
                 "\nmode,open_sec,point_qps,rss_queries_kb,rss_advised_kb,"
                 "results\n",
-                segment_bytes, budget);
+                file_bytes, budget);
     uint64_t leg_results[2] = {0, 0};
     for (int leg = 0; leg < 2; ++leg) {
-      const bool mapped = leg == 0;
+      const bool capped = leg == 1;
       ServiceOptions options;
       options.memtable_limit = 0;
       options.num_threads = threads;
       options.num_shards = 4;
       options.data_dir = dir;
       options.wal_sync = WalSyncPolicy::kNever;
-      options.resident_budget_bytes = mapped ? budget : 0;
+      options.resident_budget_bytes = capped ? budget : 0;
       Timer open_timer;
       Result<std::unique_ptr<SimilarityService>> opened =
           SimilarityService::Open(pred, options);
@@ -463,8 +465,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       SimilarityService& service = *opened.value();
-      if (mapped && service.stats().mapped_bytes == 0) {
-        std::fprintf(stderr, "mapped leg has no mapped segments\n");
+      if (service.stats().mapped_segments != service.stats().segments) {
+        std::fprintf(stderr, "out-of-core open left a segment unmapped\n");
         return 1;
       }
       uint64_t results = 0;
@@ -477,7 +479,7 @@ int main(int argc, char** argv) {
       uint64_t rss_queries_kb = ResidentKb();
       service.ApplyResidencyAdvice();
       uint64_t rss_advised_kb = ResidentKb();
-      if (mapped) {
+      if (capped) {
         // The budget must have teeth: re-advising after the query replay
         // faulted the arenas back in has to return the over-budget
         // segments' pages to the kernel. (A quarter of the over-budget
@@ -497,15 +499,15 @@ int main(int argc, char** argv) {
         }
       }
       std::printf("%s,%.3f,%.0f,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-                  mapped ? "mapped" : "materialized", open_seconds,
+                  capped ? "budget" : "no_cap", open_seconds,
                   queries.size() / point_seconds, rss_queries_kb,
                   rss_advised_kb, results);
       std::fflush(stdout);
     }
     if (leg_results[0] != leg_results[1]) {
       std::fprintf(stderr,
-                   "out-of-core result mismatch: mapped %" PRIu64
-                   " vs materialized %" PRIu64 "\n",
+                   "out-of-core result mismatch: no cap %" PRIu64
+                   " vs budget %" PRIu64 "\n",
                    leg_results[0], leg_results[1]);
       return 1;
     }

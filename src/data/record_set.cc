@@ -73,13 +73,16 @@ RecordId RecordSet::Add(RecordView record, std::string text) {
 }
 
 DocumentFrequencies RecordSet::CountDocumentFrequencies() const {
-  SSJOIN_CHECK(!is_view()) << "RecordSet::CountDocumentFrequencies on a view";
   DocumentFrequencies frequencies;
   frequencies.counts.assign(vocabulary_size(), 0);
   frequencies.num_records = size();
   // Tokens are distinct within a record, so counting arena occurrences
   // counts the records holding each token.
-  for (TokenId t : token_arena_) ++frequencies.counts[t];
+  const TokenId* tokens =
+      view_tokens_ != nullptr ? view_tokens_ : token_arena_.data();
+  for (uint64_t i = 0; i < total_occurrences_; ++i) {
+    ++frequencies.counts[tokens[i]];
+  }
   return frequencies;
 }
 

@@ -51,7 +51,8 @@ struct DocumentFrequencies {
 /// Two storage modes share this one type (see DESIGN.md "Out-of-core
 /// segments"):
 ///   * OWNED (default): every arena lives in the vectors below; Add()
-///     grows them. This is every memtable, staged query and hot segment.
+///     grows them. This is every memtable, staged query and segment of a
+///     memory-only service.
 ///   * VIEW (MakeView): the token/score arenas and text blob are BORROWED
 ///     pointers into an immutable mapped `.sseg` body, kept alive by a
 ///     shared backing handle, while the small per-record tables the probe
@@ -162,10 +163,10 @@ class RecordSet {
     return static_cast<size_t>(vocabulary_size_);
   }
 
-  /// Counts every token's document frequency from the arena: O(arena +
-  /// vocabulary_size()) per call, so callers take the result once (per
-  /// join, per segment) and index it, never call this per token. Owned
-  /// mode only — mapped segments are never re-planned.
+  /// Counts every token's document frequency from the arena (owned or
+  /// mapped): O(arena + vocabulary_size()) per call, so callers take the
+  /// result once (per join, per segment) and index it, never call this
+  /// per token.
   DocumentFrequencies CountDocumentFrequencies() const;
 
   /// Sum of record sizes == total word occurrences W of Section 4.

@@ -87,12 +87,4 @@ void InvertedIndex::Insert(RecordId id, RecordView record,
   }
 }
 
-void InvertedIndex::RestoreStats(size_t num_entities, double min_norm) {
-  num_entities_ = num_entities;
-  if (num_entities > 0) {
-    max_entity_id_ = static_cast<RecordId>(num_entities - 1);
-  }
-  min_norm_ = min_norm;
-}
-
 }  // namespace ssjoin

@@ -177,9 +177,6 @@ class InvertedIndex {
   /// Total postings currently stored (index size in word occurrences).
   uint64_t total_postings() const { return total_postings_; }
 
-  /// Restores the aggregate statistics a serialized index carries.
-  void RestoreStats(size_t num_entities, double min_norm);
-
  private:
   void TrackEntity(RecordId id, double norm);
 

@@ -266,14 +266,14 @@ double LoadF64(const char* base, uint64_t off) {
 }
 
 /// Parses and verifies the v4 header of the byte range [data, data +
-/// size) — the common front half of materialized and mapped opens.
-/// The version gate runs BEFORE the header checksum: an older file's
-/// layout differs from v4's, and its error must read "old format", not
-/// "corrupt". Every count is bounded against the real file size before
-/// the layout walk, so the walk cannot overflow and the derived section
-/// offsets are safe to dereference once `layout.file_size == size` holds
-/// (truncation therefore surfaces here as a Status, never as a fault on
-/// a mapped read).
+/// size), the front half of OpenSegmentFile. The version gate runs
+/// BEFORE the header checksum: an older file's layout differs from v4's,
+/// and its error must read "old format", not "corrupt". Every count is
+/// bounded against the real file size before the layout walk, so the
+/// walk cannot overflow and the derived section offsets are safe to
+/// dereference once `layout.file_size == size` holds (truncation
+/// therefore surfaces here as a Status, never as a fault on a mapped
+/// read).
 Result<SegmentLayout> ParseSegmentHeader(const char* data, uint64_t size,
                                          uint64_t expected_id,
                                          uint64_t num_shards,
@@ -508,52 +508,42 @@ Status WriteSegmentFile(const std::string& data_dir,
 
 namespace {
 
-/// Materialized opens only: proves token order and range and re-Adds
-/// every record. `spec` holds the validated gating tables.
-Result<std::shared_ptr<const RecordSet>> CopyOutRecords(
-    const char* base, const SegmentLayout& layout,
-    const RecordSet::ViewSpec& spec, const std::string& path) {
+/// Proves the mapped record arena in place: every record's tokens are
+/// strictly increasing and below the header's vocabulary, so every
+/// per-token table a probe indexes by them stays in bounds. `offsets` are
+/// the validated record offsets.
+Status ProveRecordTokens(const char* base, const SegmentLayout& layout,
+                         const std::vector<size_t>& offsets,
+                         const std::string& path) {
   const TokenId* tokens =
       reinterpret_cast<const TokenId*>(base + layout.tokens_off);
-  const double* scores =
-      reinterpret_cast<const double*>(base + layout.scores_off);
-  const uint64_t* text_offsets =
-      reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
-  auto owned = std::make_shared<RecordSet>();
   for (RecordId id = 0; id < layout.num_records; ++id) {
-    const size_t begin = spec.offsets[id];
-    const uint32_t count = static_cast<uint32_t>(spec.offsets[id + 1] - begin);
-    for (size_t i = begin; i < begin + count; ++i) {
-      if (i > begin && tokens[i] <= tokens[i - 1]) {
+    for (size_t i = offsets[id]; i < offsets[id + 1]; ++i) {
+      if (i > offsets[id] && tokens[i] <= tokens[i - 1]) {
         return Corrupt("non-monotone record tokens [segment arena]", path);
       }
       if (tokens[i] >= layout.vocab) {
         return Corrupt("segment token out of range", path);
       }
     }
-    std::string text(base + layout.text_blob_off + text_offsets[id],
-                     static_cast<size_t>(text_offsets[id + 1] -
-                                         text_offsets[id]));
-    owned->Add(RecordView(tokens + begin, scores + begin, count,
-                          spec.norms[id], spec.text_lengths[id]),
-               std::move(text));
   }
-  return std::shared_ptr<const RecordSet>(std::move(owned));
+  return Status::OK();
 }
 
-/// Materialized opens only: proves one shard part's extent tables,
-/// postings and max scores against each other and the header, and
-/// rebuilds its index through Plan/AppendPosting.
-Result<InvertedIndex> CopyOutShardIndex(const char* base,
-                                        const SegmentLayout& layout,
-                                        const ShardLayout& sh,
-                                        const std::string& path) {
+/// Proves one shard part's mapped extent tables, postings and max scores
+/// in place, against each other and the header: extents tile the posting
+/// section, every list is strictly increasing in part-local ids below the
+/// member count with finite scores, and every max score is its list's.
+Status ProveShardIndex(const char* base, const SegmentLayout& layout,
+                       const ShardLayout& sh, const std::string& path) {
   const uint64_t* begin =
       reinterpret_cast<const uint64_t*>(base + sh.begin_off);
   const uint32_t* live = reinterpret_cast<const uint32_t*>(base + sh.size_off);
   const double* max_score =
       reinterpret_cast<const double*>(base + sh.max_score_off);
-  std::vector<uint64_t> counts(static_cast<size_t>(layout.vocab), 0);
+  if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
+    return Corrupt("bad segment extent table", path);
+  }
   uint64_t total = 0;
   uint64_t nonempty = 0;
   for (uint64_t t = 0; t < layout.vocab; ++t) {
@@ -561,34 +551,29 @@ Result<InvertedIndex> CopyOutShardIndex(const char* base,
         live[t] > sh.members) {
       return Corrupt("bad segment extent table", path);
     }
-    counts[t] = live[t];
     total += live[t];
     if (live[t] > 0) ++nonempty;
   }
   if (total != sh.total_postings || nonempty != sh.num_nonempty) {
     return Corrupt("segment extent table disagrees with header", path);
   }
-  InvertedIndex index;
-  index.Plan(counts);
   const Posting* postings =
       reinterpret_cast<const Posting*>(base + sh.postings_off);
   for (uint64_t t = 0; t < layout.vocab; ++t) {
+    const Posting* list = postings + begin[t];
     double seen_max = 0.0;
     for (uint32_t i = 0; i < live[t]; ++i) {
-      const Posting& p = postings[begin[t] + i];
-      if ((i > 0 && p.id <= postings[begin[t] + i - 1].id) ||
-          p.id >= sh.members || !std::isfinite(p.score)) {
+      if ((i > 0 && list[i].id <= list[i - 1].id) ||
+          list[i].id >= sh.members || !std::isfinite(list[i].score)) {
         return Corrupt("bad segment shard index", path);
       }
-      index.AppendPosting(static_cast<TokenId>(t), p.id, p.score);
-      seen_max = std::max(seen_max, p.score);
+      seen_max = std::max(seen_max, list[i].score);
     }
     if (max_score[t] != (live[t] > 0 ? seen_max : 0.0)) {
       return Corrupt("segment extent table disagrees with header", path);
     }
   }
-  index.RestoreStats(sh.members, sh.min_norm);
-  return index;
+  return Status::OK();
 }
 
 /// Unlinks every segment file in `data_dir` not in `referenced` and
@@ -625,7 +610,7 @@ GcStats CollectSegmentGarbage(const std::string& data_dir,
 
 Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
     const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
-    bool materialize, bool count_frequencies) {
+    bool count_frequencies) {
   const std::string path = SegmentFilePath(data_dir, segment_id);
   Result<MappedFile> opened = MappedFile::Open(path);
   if (!opened.ok()) return opened.status();
@@ -636,22 +621,15 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
       base, mapping->size(), segment_id, num_shards, path);
   if (!parsed.ok()) return parsed.status();
   const SegmentLayout layout = std::move(parsed).value();
-  // Only a materialized open checks the whole-file CRC: on a mapped open
-  // it would fault in every page, which is exactly what mapping exists to
-  // avoid. There the header CRC covers every count the layout derives
-  // from, the tables copied to the heap below are validated structurally,
-  // and segment files are written once (tmp + fsync + rename) and never
-  // modified afterwards. Point `--resident-budget=0` at a directory to
-  // audit it end to end.
-  if (materialize && LoadU32(base, layout.file_size - sizeof(uint32_t)) !=
-                         Crc32(base, layout.file_size - sizeof(uint32_t))) {
+  if (LoadU32(base, layout.file_size - sizeof(uint32_t)) !=
+      Crc32(base, layout.file_size - sizeof(uint32_t))) {
     return Corrupt("segment checksum mismatch", path);
   }
   const uint64_t n = layout.num_records;
 
-  // The gating tables, validated and heap-copied in both modes: everything
+  // The gating tables, validated and copied to the heap: everything
   // candidate gating, norm filters and id resolution touch per candidate,
-  // so a mapped segment's gating path never faults a cold page.
+  // so the gating path never faults an evicted page.
   if (LoadU64(base, layout.offsets_off) != 0 ||
       LoadU64(base, layout.text_offsets_off) != 0) {
     return Corrupt("bad segment record offsets", path);
@@ -679,30 +657,25 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
       prev_text != layout.text_blob_bytes) {
     return Corrupt("segment arena size disagrees with header", path);
   }
+  Status proven = ProveRecordTokens(base, layout, spec.offsets, path);
+  if (!proven.ok()) return proven;
   spec.norms = CopySection<double>(base, layout.norms_off, n);
   spec.text_lengths = CopySection<uint32_t>(base, layout.text_lengths_off, n);
 
+  // The CSR arenas, text table/blob and posting extents stay in the
+  // mapping and page in on demand.
   auto segment = std::make_shared<CorpusSegment>();
   segment->id = segment_id;
-  if (materialize) {
-    Result<std::shared_ptr<const RecordSet>> records =
-        CopyOutRecords(base, layout, spec, path);
-    if (!records.ok()) return records.status();
-    segment->records = std::move(records).value();
-  } else {
-    // The CSR arenas, text table/blob and posting extents stay in the
-    // mapping and page in on demand.
-    spec.tokens = reinterpret_cast<const TokenId*>(base + layout.tokens_off);
-    spec.scores = reinterpret_cast<const double*>(base + layout.scores_off);
-    spec.text_offsets =
-        reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
-    spec.text_blob = base + layout.text_blob_off;
-    spec.vocabulary_size = layout.vocab;
-    spec.total_occurrences = layout.total_occurrences;
-    spec.backing = mapping;
-    segment->records =
-        std::make_shared<RecordSet>(RecordSet::MakeView(std::move(spec)));
-  }
+  spec.tokens = reinterpret_cast<const TokenId*>(base + layout.tokens_off);
+  spec.scores = reinterpret_cast<const double*>(base + layout.scores_off);
+  spec.text_offsets =
+      reinterpret_cast<const uint64_t*>(base + layout.text_offsets_off);
+  spec.text_blob = base + layout.text_blob_off;
+  spec.vocabulary_size = layout.vocab;
+  spec.total_occurrences = layout.total_occurrences;
+  spec.backing = mapping;
+  segment->records =
+      std::make_shared<RecordSet>(RecordSet::MakeView(std::move(spec)));
   segment->global_ids = CopySection<RecordId>(base, layout.global_ids_off, n);
   if (!StrictlyIncreasing(segment->global_ids)) {
     return Corrupt("bad segment global ids", path);
@@ -724,31 +697,20 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
          part.short_ids.back() >= part.member_ids.size())) {
       return Corrupt("segment short id out of range", path);
     }
-    const uint64_t* begin =
-        reinterpret_cast<const uint64_t*>(base + sh.begin_off);
-    if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
-      return Corrupt("bad segment extent table", path);
-    }
-    if (materialize) {
-      Result<InvertedIndex> index = CopyOutShardIndex(base, layout, sh, path);
-      if (!index.ok()) return index.status();
-      part.index = std::move(index).value();
-    } else {
-      InvertedIndex::ViewSpec ispec;
-      ispec.postings =
-          reinterpret_cast<const Posting*>(base + sh.postings_off);
-      ispec.begin = begin;
-      ispec.size = reinterpret_cast<const uint32_t*>(base + sh.size_off);
-      ispec.max_score =
-          reinterpret_cast<const double*>(base + sh.max_score_off);
-      ispec.vocabulary_size = layout.vocab;
-      ispec.num_nonempty_tokens = sh.num_nonempty;
-      ispec.num_entities = sh.members;
-      ispec.min_norm = sh.min_norm;
-      ispec.total_postings = sh.total_postings;
-      ispec.backing = mapping;
-      part.index = InvertedIndex::MakeView(std::move(ispec));
-    }
+    proven = ProveShardIndex(base, layout, sh, path);
+    if (!proven.ok()) return proven;
+    InvertedIndex::ViewSpec ispec;
+    ispec.postings = reinterpret_cast<const Posting*>(base + sh.postings_off);
+    ispec.begin = reinterpret_cast<const uint64_t*>(base + sh.begin_off);
+    ispec.size = reinterpret_cast<const uint32_t*>(base + sh.size_off);
+    ispec.max_score = reinterpret_cast<const double*>(base + sh.max_score_off);
+    ispec.vocabulary_size = layout.vocab;
+    ispec.num_nonempty_tokens = sh.num_nonempty;
+    ispec.num_entities = sh.members;
+    ispec.min_norm = sh.min_norm;
+    ispec.total_postings = sh.total_postings;
+    ispec.backing = mapping;
+    part.index = InvertedIndex::MakeView(std::move(ispec));
     members_total += sh.members;
   }
   // Shard parts must partition the segment's records (each member id is
@@ -757,10 +719,8 @@ Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
   if (members_total != n) {
     return Corrupt("segment shard parts do not partition records", path);
   }
-  if (!materialize) {
-    segment->mapping = mapping;
-    segment->mapped_bytes = mapping->size();
-  }
+  segment->mapping = mapping;
+  segment->mapped_bytes = mapping->size();
   if (count_frequencies) {
     segment->frequencies = segment->records->CountDocumentFrequencies();
   }
@@ -835,7 +795,7 @@ Status SaveCheckpoint(const std::string& data_dir,
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
-                                  const CheckpointLoadOptions& options,
+                                  bool count_frequencies,
                                   GcStats* gc_stats) {
   const std::string path = CheckpointFilePath(data_dir);
   Result<std::string> read = ReadFileToString(path);
@@ -923,11 +883,8 @@ Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
     return Corrupt("trailing bytes", path);
   }
 
-  // The manifest is whole; now load every referenced segment file and
+  // The manifest is whole; now open every referenced segment file and
   // cross-validate masks, live counts and the chain's global-id order.
-  // With a resident budget, segment bodies are served from their mappings
-  // instead of copied out.
-  const bool materialize = options.resident_budget_bytes == 0;
   std::set<uint64_t> referenced;
   RecordId prev_last_gid = 0;
   bool any_gid = false;
@@ -936,8 +893,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
     const uint64_t segment_id = segment_ids[i];
     referenced.insert(segment_id);
     Result<std::shared_ptr<const CorpusSegment>> loaded = OpenSegmentFile(
-        data_dir, segment_id, num_shards, materialize,
-        options.count_frequencies);
+        data_dir, segment_id, num_shards, count_frequencies);
     if (!loaded.ok()) return loaded.status();
     entry.segment = std::move(loaded).value();
     const CorpusSegment& segment = *entry.segment;

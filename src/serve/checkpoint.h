@@ -18,10 +18,12 @@ namespace ssjoin {
 ///
 ///   * Segment files hold a segment's prepared record arena (full double
 ///     scores, texts), its global-id table and every shard part's id
-///     tables and CSR index. A segment is written ONCE, when a checkpoint
-///     first covers it, and never rewritten — steady-state checkpoints
-///     write one new (delta-sized) segment file plus the small manifest,
-///     which is what makes checkpointing O(delta) alongside compaction.
+///     tables and CSR index. A segment is written ONCE, by the service
+///     right after it builds the segment (or, should that write fail, by
+///     the next checkpoint), and never rewritten — steady-state
+///     checkpoints write at most one new (delta-sized) segment file plus
+///     the small manifest, which is what makes checkpointing O(delta)
+///     alongside compaction.
 ///   * The manifest (v5) holds everything that still changes: epoch, WAL
 ///     fence, shard count and bounds, id counters, and the segment chain
 ///     as the snapshot holds it — the ordered segment file ids, each with
@@ -46,10 +48,9 @@ namespace ssjoin {
 /// Segment files are v4: every arena the probe path streams (record
 /// offsets, token/score CSR arenas, text blob, per-shard posting
 /// extents) is written 64-byte-aligned and byte-layout-identical to its
-/// in-memory form, so one opener (OpenSegmentFile) maps every file and
-/// either copies it out, fully verified (the `resident_budget_bytes ==
-/// 0` path), or serves the body straight from the page cache (see
-/// DESIGN.md "Out-of-core segments").
+/// in-memory form, so one opener (OpenSegmentFile) maps every file,
+/// proves it whole in place and serves the body straight from the page
+/// cache (see DESIGN.md "Out-of-core segments").
 /// Shard indexes keep full double posting scores: the recovery contract
 /// is BYTE-identical query answers, and probe pruning reads posting
 /// scores directly.
@@ -107,19 +108,6 @@ struct GcStats {
   uint64_t unlink_failures = 0;
 };
 
-/// How LoadCheckpoint materializes segment bodies.
-struct CheckpointLoadOptions {
-  /// 0 (default): copy every segment into heap memory, fully verified
-  /// — the historical behavior. >0: serve segment bodies from read-only
-  /// mappings; the budget value itself only steers residency advice,
-  /// applied by the service after load.
-  uint64_t resident_budget_bytes = 0;
-  /// Count each segment's document frequencies
-  /// (CorpusSegment::frequencies) — what a corpus-statistics predicate
-  /// stages requests against. Requires a zero budget.
-  bool count_frequencies = false;
-};
-
 /// Writes `checkpoint` into `data_dir`: first every chain
 /// segment file not yet on disk (tracked via `persisted_segments`, which
 /// is updated ONLY when the whole checkpoint commits), then the manifest,
@@ -135,35 +123,37 @@ Status SaveCheckpoint(const std::string& data_dir,
                       GcStats* gc_stats = nullptr);
 
 /// Reads and verifies (magic, version, trailing CRC32, structural
-/// bounds) the manifest and every segment file it references, then
-/// garbage-collects unreferenced segment files, reporting the outcome in
-/// `gc_stats` when given. With a non-zero resident budget, segment
-/// bodies are mapped instead of decoded (see CheckpointLoadOptions).
+/// bounds) the manifest, opens every segment file it references through
+/// OpenSegmentFile, then garbage-collects unreferenced segment files,
+/// reporting the outcome in `gc_stats` when given. `count_frequencies`
+/// counts each segment's document frequencies
+/// (CorpusSegment::frequencies), what a corpus-statistics predicate
+/// stages requests against.
 Result<Checkpoint> LoadCheckpoint(const std::string& data_dir,
-                                  const CheckpointLoadOptions& options = {},
+                                  bool count_frequencies = false,
                                   GcStats* gc_stats = nullptr);
 
 /// Writes segment-<id>.sseg (v4, atomic tmp+rename). Exposed so the
-/// service can persist a freshly merged segment at compaction time and
-/// map it straight back (the O(delta)-RSS compaction path); SaveCheckpoint
-/// skips segments already recorded in `persisted_segments`.
+/// service can persist every segment it builds and map it straight back
+/// before publishing it; SaveCheckpoint skips segments already recorded
+/// in `persisted_segments`.
 Status WriteSegmentFile(const std::string& data_dir,
                         const CorpusSegment& segment);
 
-/// Opens segment-<id>.sseg. The file is mapped read-only and its
-/// CRC-protected header parsed; the tables candidate gating reads
-/// (record and text offsets, norms, text lengths, id tables, extent
-/// bounds) are validated and copied to the heap.
-/// `materialize` then also verifies the whole-file CRC and copies out
-/// everything else — arena, extent tables, postings — proving each
-/// structurally, and drops the mapping; otherwise arenas and posting
-/// extents stay views into the mapping. `count_frequencies` (materialized
-/// opens only) also counts the segment's document frequencies. Truncated
-/// or foreign files surface as a Status — the mapping is never
-/// dereferenced past its validated size.
+/// Opens segment-<id>.sseg as a mapped segment. The file is mapped
+/// read-only, its CRC-protected header parsed and its whole-file CRC
+/// checked; the tables candidate gating reads (record and text offsets,
+/// norms, text lengths, id tables) are validated and copied to the heap;
+/// and the body is proven in place: token order and range in every
+/// record, extent tables that tile the posting section, strictly
+/// increasing in-range posting ids with finite scores, and exact max
+/// scores. The arenas and posting extents then serve as views into the
+/// mapping. `count_frequencies` also counts the segment's document
+/// frequencies. Truncated, foreign or mutated files surface as a Status,
+/// and the mapping is never dereferenced past its validated size.
 Result<std::shared_ptr<const CorpusSegment>> OpenSegmentFile(
     const std::string& data_dir, uint64_t segment_id, uint64_t num_shards,
-    bool materialize, bool count_frequencies = false);
+    bool count_frequencies = false);
 
 }  // namespace ssjoin
 

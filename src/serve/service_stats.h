@@ -94,10 +94,11 @@ struct ServiceStats {
   uint64_t segments_merged = 0;
   uint64_t last_compact_delta_records = 0;
 
-  /// Out-of-core base tier. `mapped_segments`/`mapped_bytes` are gauges:
-  /// chain segments currently served from mmap'd `.sseg` bodies and the
-  /// file bytes behind them (page cache, not heap — segment_bytes keeps
-  /// counting only heap-resident tables). The GC counters accumulate
+  /// Segment files. `mapped_segments`/`mapped_bytes` are gauges: chain
+  /// segments currently served from mmap'd `.sseg` bodies (every segment
+  /// of a durable service, unless its write or map failed) and the file
+  /// bytes behind them (page cache, not heap — segment_bytes counts only
+  /// heap-resident tables). The GC counters accumulate
   /// over the service lifetime; a nonzero `gc_unlink_failures` means the
   /// data directory is accreting dead segment files and needs operator
   /// attention.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -187,25 +186,6 @@ uint64_t ElapsedMicros(const Timer& timer) {
   return static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
 }
 
-/// The out-of-core budget a service runs with: the option, or the
-/// SSJOIN_RESIDENT_BUDGET environment variable when the option is 0 (the
-/// test/CI hook — lets existing harnesses exercise the mapped path
-/// without plumbing a flag everywhere). Unparsable values read as 0.
-/// Always 0 for corpus-statistics predicates (TF-IDF cosine): staging
-/// weighs records against the front segment's document frequencies
-/// (IndexSnapshot::stats_reference), counted from its arena at build or
-/// reopen, and every compaction re-Prepares the whole corpus.
-uint64_t EffectiveResidentBudget(const ServiceOptions& options,
-                                 const Predicate& pred) {
-  if (!pred.corpus_independent_scores()) return 0;
-  if (options.resident_budget_bytes > 0) return options.resident_budget_bytes;
-  const char* env = std::getenv("SSJOIN_RESIDENT_BUDGET");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(env, &end, 10);
-  return end != nullptr && *end == '\0' ? static_cast<uint64_t>(value) : 0;
-}
-
 /// Refreshes the chain-shape gauges (segment count and approximate bytes).
 void SetChainGauges(const SegmentChain& chain, ServiceStats* stats) {
   stats->segments = chain.size();
@@ -237,7 +217,6 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
     : pred_(pred),
       options_(options),
       num_shards_(options.num_shards > 1 ? options.num_shards : 1),
-      resident_budget_(EffectiveResidentBudget(options_, pred)),
       pool_(std::make_unique<ThreadPool>(
           options.num_threads > 0 ? options.num_threads
                                   : ThreadPool::DefaultNumThreads())) {
@@ -248,6 +227,10 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.EnsureShards(num_shards_);
   }
+  // The data dir and an empty WAL come first, so segment 0 is written,
+  // mapped and checkpointed by the same compaction-point step as every
+  // later segment.
+  if (!options_.data_dir.empty()) InitDurabilityLocked();
   // Segment 0 is the corpus itself, prepared in place; every shard counts
   // it as one rebuild.
   pred_.Prepare(&corpus);
@@ -259,10 +242,6 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
                          std::vector<bool>(num_shards_, true),
                          /*merged_count=*/0, /*delta_records=*/0,
                          /*count_compaction=*/false);
-  if (!options_.data_dir.empty()) InitDurabilityLocked();
-  // The initial checkpoint just wrote segment 0; in out-of-core mode,
-  // serve it mapped from the start instead of keeping the heap copy.
-  AdoptMappedSegmentsLocked();
 }
 
 SimilarityService::SimilarityService(Checkpoint checkpoint,
@@ -273,7 +252,6 @@ SimilarityService::SimilarityService(Checkpoint checkpoint,
     : pred_(pred),
       options_(std::move(options)),
       num_shards_(checkpoint.num_shards),
-      resident_budget_(EffectiveResidentBudget(options_, pred)),
       pool_(std::make_unique<ThreadPool>(
           options_.num_threads > 0 ? options_.num_threads
                                    : ThreadPool::DefaultNumThreads())) {
@@ -329,10 +307,9 @@ SimilarityService::SimilarityService(Checkpoint checkpoint,
     }
   }
   replaying_ = false;
-  // Checkpointed segments arrive mapped (LoadCheckpoint) and replay
-  // compactions map their own output; this covers any that fell back to
-  // heap, then applies the budget's residency advice across the chain.
-  AdoptMappedSegmentsLocked();
+  // Checkpointed segments arrive mapped and proven (LoadCheckpoint), and
+  // replay compactions map their own output: advise the chain once.
+  ApplyResidencyAdviceLocked(*snapshot()->chain);
 }
 
 Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
@@ -340,12 +317,10 @@ Result<std::unique_ptr<SimilarityService>> SimilarityService::Open(
   if (options.data_dir.empty()) {
     return Status::InvalidArgument("Open requires ServiceOptions::data_dir");
   }
-  CheckpointLoadOptions load_options;
-  load_options.resident_budget_bytes = EffectiveResidentBudget(options, pred);
-  load_options.count_frequencies = !pred.corpus_independent_scores();
   GcStats gc;
-  Result<Checkpoint> loaded =
-      LoadCheckpoint(options.data_dir, load_options, &gc);
+  Result<Checkpoint> loaded = LoadCheckpoint(
+      options.data_dir,
+      /*count_frequencies=*/!pred.corpus_independent_scores(), &gc);
   if (!loaded.ok()) return loaded.status();
   Checkpoint checkpoint = std::move(loaded).value();
   if (checkpoint.predicate != pred.fingerprint()) {
@@ -377,46 +352,11 @@ void SimilarityService::InitDurabilityLocked() {
       status = wal.status();
     }
   }
-  if (status.ok()) status = SaveCheckpointLocked();
   if (!status.ok()) SetDurabilityErrorLocked(std::move(status));
 }
 
-void SimilarityService::AdoptMappedSegmentsLocked() {
-  if (wal_ == nullptr || resident_budget_ == 0) return;
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  SegmentChain chain = *snap->chain;
-  bool swapped = false;
-  for (SegmentChainEntry& entry : chain) {
-    if (entry.segment->mapping != nullptr) continue;
-    if (persisted_segments_.count(entry.segment->id) == 0) continue;
-    Result<std::shared_ptr<const CorpusSegment>> mapped = OpenSegmentFile(
-        options_.data_dir, entry.segment->id, num_shards_,
-        /*materialize=*/false);
-    if (!mapped.ok()) {
-      // Mapping is an optimization: the owned segment keeps serving.
-      SSJOIN_LOG_WARNING << "cannot map segment " << entry.segment->id
-                         << ", serving from heap: "
-                         << mapped.status().message();
-      continue;
-    }
-    entry.segment = std::move(mapped).value();
-    swapped = true;
-  }
-  if (swapped) {
-    // Republish in place at the CURRENT epoch: the mapped views answer
-    // byte-identically, so the swap must be invisible to readers — no
-    // epoch bump, delta images and counts carried over unchanged.
-    auto adopted = std::make_shared<const SegmentChain>(std::move(chain));
-    IndexSnapshot next = *snap;
-    next.chain = adopted;
-    Publish(std::move(next), /*bump_epoch=*/false);
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    SetChainGauges(*adopted, &stats_);
-  }
-  ApplyResidencyAdviceLocked(*snapshot()->chain);
-}
-
 void SimilarityService::ApplyResidencyAdviceLocked(const SegmentChain& chain) {
+  const uint64_t budget = options_.resident_budget_bytes;
   uint64_t mapped_segments = 0;
   uint64_t mapped_bytes = 0;
   uint64_t resident = 0;
@@ -429,7 +369,7 @@ void SimilarityService::ApplyResidencyAdviceLocked(const SegmentChain& chain) {
     if (seg.mapping == nullptr) continue;
     ++mapped_segments;
     mapped_bytes += seg.mapped_bytes;
-    if (resident + seg.mapped_bytes <= resident_budget_) {
+    if (budget == 0 || resident + seg.mapped_bytes <= budget) {
       resident += seg.mapped_bytes;
       seg.mapping->Advise(MappedFile::Advice::kWillNeed);
     } else {
@@ -692,14 +632,15 @@ void SimilarityService::FinishCompactionLocked(SegmentChain chain,
                                                uint64_t merged_count,
                                                uint64_t delta_records,
                                                bool count_compaction) {
-  // Out-of-core mode: spill the segments this compaction built to disk
-  // and map them straight back, so the merged arenas leave the heap
-  // before the snapshot is published — peak RSS stays O(delta) plus the
-  // budget, never O(merged corpus). The files are recorded as persisted
-  // immediately (the upcoming checkpoint references them without
+  // Durable services write the segments this compaction built and map
+  // them straight back, so their arenas leave the heap before the
+  // snapshot is published: peak RSS stays O(delta) plus what the page
+  // cache keeps, never O(merged corpus). The files are recorded as
+  // persisted at once (the upcoming checkpoint references them without
   // rewriting; a crash before it leaves orphans the next load GCs).
-  // Either step failing just keeps the owned segment serving.
-  if (wal_ != nullptr && resident_budget_ > 0) {
+  // Either step failing keeps the owned segment serving, and the next
+  // compaction retries it.
+  if (wal_ != nullptr) {
     for (SegmentChainEntry& entry : chain) {
       if (entry.segment->mapping != nullptr) continue;
       const uint64_t segment_id = entry.segment->id;
@@ -713,7 +654,8 @@ void SimilarityService::FinishCompactionLocked(SegmentChain chain,
         persisted_segments_.insert(segment_id);
       }
       Result<std::shared_ptr<const CorpusSegment>> mapped = OpenSegmentFile(
-          options_.data_dir, segment_id, num_shards_, /*materialize=*/false);
+          options_.data_dir, segment_id, num_shards_,
+          /*count_frequencies=*/!pred_.corpus_independent_scores());
       if (!mapped.ok()) {
         SSJOIN_LOG_WARNING << "cannot map segment " << segment_id
                            << ", serving from heap: "
@@ -722,7 +664,8 @@ void SimilarityService::FinishCompactionLocked(SegmentChain chain,
       }
       entry.segment = std::move(mapped).value();
     }
-    ApplyResidencyAdviceLocked(chain);
+    // Replay advises once, when the restore finishes.
+    if (!replaying_) ApplyResidencyAdviceLocked(chain);
   }
 
   // Publish the new chain (cheap — one entry per segment) with empty

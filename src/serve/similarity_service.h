@@ -63,31 +63,27 @@ struct ServiceOptions {
   size_t segment_merge_ratio = 2;
   /// When non-empty, the service is durable: a checkpoint of the base
   /// tier plus a write-ahead log of every Insert/Delete live under this
-  /// directory (created if missing). The CONSTRUCTOR starts fresh — it
-  /// writes an initial checkpoint and an empty WAL, replacing whatever a
-  /// previous incarnation left there; use Open() to restore instead.
-  /// Durability failures (full disk, permissions) never fail serving:
-  /// they latch durability_status() and suspend logging until a later
-  /// checkpoint succeeds.
+  /// directory (created if missing), and every segment serves from its
+  /// read-only mapped `.sseg` file, proven whole when it was mapped (the
+  /// heap holds only the gating tables: record offsets, norms, text
+  /// lengths, id tables and manifest state). The CONSTRUCTOR starts
+  /// fresh — it writes an initial checkpoint and an empty WAL, replacing
+  /// whatever a previous incarnation left there; use Open() to restore
+  /// instead. Durability failures (full disk, permissions) never fail
+  /// serving: they latch durability_status() and suspend logging until a
+  /// later checkpoint succeeds; a segment whose file cannot be written or
+  /// mapped serves from the heap until a later compaction maps it.
   std::string data_dir;
   /// WAL fsync policy; meaningful only with a data_dir. See WalSyncPolicy.
   WalSyncPolicy wal_sync = WalSyncPolicy::kAlways;
-  /// Out-of-core base tier (durable services only). 0 (default): every
-  /// segment is materialized in heap memory at Open — the historical
-  /// behavior, fully verified end to end. >0: segment bodies are served
-  /// from mmap'd `.sseg` files (the heap holds only the gating tables:
-  /// record offsets, norms, text lengths, id tables and manifest state),
-  /// and the budget steers residency advice — the newest segments
-  /// fitting under the budget are marked MADV_WILLNEED, the rest
-  /// MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their clean
-  /// pages first. Query/BatchQuery/QueryTopK answers are
-  /// byte-identical for every value. Ignored for memory-only services
-  /// and for corpus-statistics predicates: staging weighs new records
-  /// and queries against the front segment's document frequencies
-  /// (IndexSnapshot::stats_reference), which are counted from its arena
-  /// when it is built or reopened, and every compaction re-Prepares the
-  /// whole corpus anyway. The SSJOIN_RESIDENT_BUDGET environment variable
-  /// overrides a zero value (test/CI hook).
+  /// Residency advice for a durable service's mapped segments: the
+  /// newest segments fitting under the budget are marked MADV_WILLNEED,
+  /// the rest MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their
+  /// clean pages first. 0 (default) means no cap: every segment is
+  /// WILLNEED. Applied after Open and after every compaction.
+  /// Query/BatchQuery/QueryTopK answers are byte-identical for every
+  /// value. Ignored for memory-only services, whose segments live on the
+  /// heap.
   uint64_t resident_budget_bytes = 0;
 };
 
@@ -237,14 +233,9 @@ class SimilarityService {
 
   /// Re-applies the residency-budget madvise policy over the mapped
   /// chain (over-budget segments drop their clean pages; they reload
-  /// from disk on the next fault). A no-op for materialized chains.
+  /// from disk on the next fault). A no-op for memory-only services.
   /// Exposed so benchmarks can measure the post-advice RSS floor.
   void ApplyResidencyAdvice();
-
-  /// The effective resident budget: the option, or the
-  /// SSJOIN_RESIDENT_BUDGET environment override when the option is 0;
-  /// always 0 for corpus-statistics predicates.
-  uint64_t resident_budget_bytes() const { return resident_budget_; }
 
   /// Copy of the aggregate serving counters.
   ServiceStats stats() const;
@@ -278,27 +269,23 @@ class SimilarityService {
   void AppendSegmentLocked(SegmentChain* chain, RecordSet records,
                            std::vector<RecordId> global_ids);
   /// Publishes `chain` as a compaction point — delta images empty, the
-  /// shards marked `dirty` counted as rebuilt — after the out-of-core
-  /// spill, and checkpoints it when durable.
+  /// shards marked `dirty` counted as rebuilt. A durable service first
+  /// writes and maps every segment not yet mapped, and checkpoints the
+  /// published chain (construction, replay and compaction alike).
   void FinishCompactionLocked(SegmentChain chain,
                               const std::vector<bool>& dirty,
                               uint64_t merged_count, uint64_t delta_records,
                               bool count_compaction);
 
-  /// Fresh-construction durability setup: data dir, empty WAL, initial
-  /// checkpoint. Failures latch durability_status().
+  /// Fresh-construction durability setup, before segment 0 exists: data
+  /// dir and empty WAL (the first compaction point writes the initial
+  /// checkpoint). Failures latch durability_status().
   void InitDurabilityLocked();
-  /// Out-of-core mode only: swaps every heap-materialized chain segment
-  /// whose file is already on disk for a mapped view of that file and
-  /// republishes in place at the CURRENT epoch (the answers are byte-
-  /// identical, so the swap is invisible to readers). Failures leave the
-  /// owned segments serving — mapping is an optimization, never a
-  /// correctness dependency.
-  void AdoptMappedSegmentsLocked();
   /// Re-applies the residency-budget madvise policy over the mapped
   /// segments of `chain`, newest first: segments accumulating under the
-  /// budget get MADV_WILLNEED, the rest MADV_RANDOM + MADV_DONTNEED. Also
-  /// refreshes the mapped_segments/mapped_bytes gauges.
+  /// budget (all of them when it is 0) get MADV_WILLNEED, the rest
+  /// MADV_RANDOM + MADV_DONTNEED. Also refreshes the
+  /// mapped_segments/mapped_bytes gauges.
   void ApplyResidencyAdviceLocked(const SegmentChain& chain);
   /// Serializes the just-published compaction point (write_mutex_ held).
   Status SaveCheckpointLocked();
@@ -308,7 +295,7 @@ class SimilarityService {
   void SetDurabilityErrorLocked(Status status);
   /// Swaps in `next` (write_mutex_ held): at the epoch after the current
   /// snapshot's, or, with `bump_epoch` false, at the epoch `next` carries
-  /// (the restore, and the invisible mapped-segment swap).
+  /// (the restore).
   void Publish(IndexSnapshot next, bool bump_epoch = true);
   /// Runs fn(shard) for every shard — on the worker pool when it is free
   /// and the fan-out is worth it, serially otherwise. Output written to
@@ -318,9 +305,6 @@ class SimilarityService {
   const Predicate& pred_;
   const ServiceOptions options_;
   const size_t num_shards_;
-  /// Effective out-of-core budget (see resident_budget_bytes()), fixed
-  /// at construction; 0 = materialized mode.
-  const uint64_t resident_budget_;
   std::unique_ptr<ThreadPool> pool_;
 
   // Writer state, guarded by write_mutex_: only what no snapshot holds.

@@ -70,11 +70,12 @@ struct CorpusSegment {
   /// counts only the heap-resident tables — the mapped body is page
   /// cache, accounted by mapped_bytes instead.
   uint64_t approx_bytes = 0;
-  /// Non-null iff this segment serves from a mapped `.sseg` body (the
-  /// out-of-core base tier): records/shard indexes are views into this
-  /// mapping, and the residency-budget policy issues madvise hints
-  /// through it. Segments built in memory (memtable folds before their
-  /// first checkpoint, cosine, non-durable mode) leave it null.
+  /// Non-null iff this segment serves from its mapped `.sseg` body:
+  /// records/shard indexes are views into this mapping, and the
+  /// residency-budget policy issues madvise hints through it. Every
+  /// segment a durable service publishes is mapped, except one whose
+  /// write or map failed (it serves from the heap until the next
+  /// compaction retries); memory-only services leave it null.
   std::shared_ptr<const MappedFile> mapping;
   /// Size of the mapped file (0 when mapping is null).
   uint64_t mapped_bytes = 0;

@@ -55,9 +55,4 @@ bool EditDistanceAtMost(std::string_view a, std::string_view b, size_t k) {
   return row[b.size()] <= k;
 }
 
-long QGramCountLowerBound(size_t len_a, size_t len_b, int q, int k) {
-  long longest = static_cast<long>(std::max(len_a, len_b));
-  return longest - 1 - static_cast<long>(q) * (k - 1);
-}
-
 }  // namespace ssjoin

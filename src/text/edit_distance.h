@@ -16,11 +16,6 @@ size_t EditDistance(std::string_view a, std::string_view b);
 /// edit-distance join.
 bool EditDistanceAtMost(std::string_view a, std::string_view b, size_t k);
 
-/// Lower bound from Section 5.2.3: two strings within edit distance k share
-/// at least max(|a|,|b|) - 1 - q*(k-1) positional q-grams. Can be negative
-/// (meaning the filter is vacuous), hence the signed return type.
-long QGramCountLowerBound(size_t len_a, size_t len_b, int q, int k);
-
 }  // namespace ssjoin
 
 #endif  // SSJOIN_TEXT_EDIT_DISTANCE_H_

@@ -40,23 +40,39 @@ void PutFixed64(std::string* out, uint64_t v) {
 }
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  // Table-driven IEEE 802.3 CRC-32 (reflected polynomial 0xEDB88320),
-  // built once. No external dependency (zlib may be absent).
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+  // Slicing-by-8 IEEE 802.3 CRC-32 (reflected polynomial 0xEDB88320):
+  // table[0] is the bytewise table, and table[k][i] advances table[k-1][i]
+  // by one more zero byte, so eight input bytes fold in with eight
+  // independent lookups. No external dependency (zlib may be absent).
+  static const auto* table = [] {
+    static uint32_t t[8][256];
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    // Assembled byte by byte, so the result does not depend on host
+    // endianness; compilers fold it into one load on little-endian hosts.
+    const uint32_t low = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                                uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    crc = table[7][low & 0xFFu] ^ table[6][(low >> 8) & 0xFFu] ^
+          table[5][(low >> 16) & 0xFFu] ^ table[4][low >> 24] ^
+          table[3][p[4]] ^ table[2][p[5]] ^ table[1][p[6]] ^ table[0][p[7]];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = table[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace ssjoin {
@@ -23,25 +22,17 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-std::atomic<int>& MinLevelStorage() {
-  static std::atomic<int> level = [] {
-    if (const char* env = std::getenv("SSJOIN_LOG_LEVEL")) {
-      int v = std::atoi(env);
-      if (v >= 0 && v <= 4) return v;
-    }
-    return static_cast<int>(LogLevel::kInfo);
-  }();
-  return level;
-}
-
 }  // namespace
 
 LogLevel MinLogLevel() {
-  return static_cast<LogLevel>(MinLevelStorage().load(std::memory_order_relaxed));
-}
-
-void SetMinLogLevel(LogLevel level) {
-  MinLevelStorage().store(static_cast<int>(level), std::memory_order_relaxed);
+  static const LogLevel level = [] {
+    if (const char* env = std::getenv("SSJOIN_LOG_LEVEL")) {
+      int v = std::atoi(env);
+      if (v >= 0 && v <= 4) return static_cast<LogLevel>(v);
+    }
+    return LogLevel::kInfo;
+  }();
+  return level;
 }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -11,11 +11,10 @@ namespace internal_logging {
 
 enum class LogLevel { kDebug = 0, kInfo, kWarning, kError, kFatal };
 
-/// Minimum level that is emitted; defaults to kInfo. Settable via
-/// SetMinLogLevel or the SSJOIN_LOG_LEVEL environment variable
-/// (0=debug .. 4=fatal), read once at first use.
+/// Minimum level that is emitted; defaults to kInfo. Set by the
+/// SSJOIN_LOG_LEVEL environment variable (0=debug .. 4=fatal), read once
+/// at first use.
 LogLevel MinLogLevel();
-void SetMinLogLevel(LogLevel level);
 
 /// Stream-style log sink. Emits on destruction; aborts after emitting a
 /// kFatal message.

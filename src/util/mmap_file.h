@@ -8,11 +8,11 @@
 
 namespace ssjoin {
 
-/// A whole file mapped read-only into the address space (RAII). The
-/// serving tier's out-of-core base uses one of these per `.sseg`
-/// segment: views into the mapping back RecordSet/InvertedIndex arenas
-/// directly, so segment bodies page in on demand instead of being
-/// materialized at Open. The mapping is private and read-only — the
+/// A whole file mapped read-only into the address space (RAII). A
+/// durable service holds one of these per `.sseg` segment: views into
+/// the mapping back RecordSet/InvertedIndex arenas directly, so segment
+/// bodies are served from the page cache instead of copied onto the
+/// heap. The mapping is private and read-only — the
 /// kernel reclaims clean pages under memory pressure for free, and
 /// Advise() lets the residency-budget policy steer which segments stay
 /// warm. Instances are shared by shared_ptr from every snapshot that

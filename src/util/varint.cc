@@ -1,7 +1,5 @@
 #include "util/varint.h"
 
-#include "util/logging.h"
-
 namespace ssjoin {
 
 void PutVarint32(std::string* out, uint32_t value) {
@@ -59,47 +57,6 @@ bool GetVarint64(const std::string& data, size_t* offset, uint64_t* value) {
     }
   }
   return false;  // more than 10 bytes: malformed
-}
-
-size_t Varint32Size(uint32_t value) {
-  size_t n = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-std::string EncodeDeltaList(const std::vector<uint32_t>& ids) {
-  std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(ids.size()));
-  uint32_t prev = 0;
-  for (uint32_t id : ids) {
-    SSJOIN_DCHECK(id >= prev);
-    PutVarint32(&out, id - prev);
-    prev = id;
-  }
-  return out;
-}
-
-bool DecodeDeltaList(const std::string& encoded, std::vector<uint32_t>* ids) {
-  ids->clear();
-  size_t offset = 0;
-  uint32_t count = 0;
-  if (!GetVarint32(encoded, &offset, &count)) return false;
-  // Every delta takes at least one byte; a count beyond the remaining
-  // bytes is corrupt — reject before reserve() turns it into a huge
-  // allocation.
-  if (count > encoded.size() - offset) return false;
-  ids->reserve(count);
-  uint32_t prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t delta = 0;
-    if (!GetVarint32(encoded, &offset, &delta)) return false;
-    prev += delta;
-    ids->push_back(prev);
-  }
-  return offset == encoded.size();
 }
 
 }  // namespace ssjoin

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ssjoin {
 
@@ -24,16 +23,6 @@ bool GetVarint32(const std::string& data, size_t* offset, uint32_t* value);
 
 /// Decodes a varint64 starting at data[*offset]; advances *offset.
 bool GetVarint64(const std::string& data, size_t* offset, uint64_t* value);
-
-/// Number of bytes PutVarint32 would append for `value`.
-size_t Varint32Size(uint32_t value);
-
-/// Delta-encodes a strictly/weakly increasing sequence of ids.
-/// Requires ids to be non-decreasing.
-std::string EncodeDeltaList(const std::vector<uint32_t>& ids);
-
-/// Inverse of EncodeDeltaList. Returns false on malformed input.
-bool DecodeDeltaList(const std::string& encoded, std::vector<uint32_t>* ids);
 
 }  // namespace ssjoin
 

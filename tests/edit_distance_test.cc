@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/edit_distance_predicate.h"
 #include "test_util.h"
 #include "text/edit_distance.h"
 #include "text/token_dictionary.h"
@@ -86,8 +87,9 @@ TEST(EditDistanceAtMostTest, LengthGapShortCircuits) {
 
 TEST(QGramBoundTest, TheoremHoldsOnRandomPairs) {
   // If edit-distance(a, b) <= k then the padded q-gram multisets share at
-  // least max(|a|,|b|) - 1 - q(k-1) grams (Section 5.2.3). Verify against
-  // actual shared-gram counts.
+  // least max(|a|,|b|) - 1 - q(k-1) grams (Section 5.2.3): the threshold
+  // the edit-distance joins probe with. Verify it against actual
+  // shared-gram counts.
   Rng rng(55);
   const int q = 3;
   QGramTokenizer tok(q);
@@ -123,14 +125,17 @@ TEST(QGramBoundTest, TheoremHoldsOnRandomPairs) {
         ++ib;
       }
     }
-    long bound = QGramCountLowerBound(a.size(), b.size(), q, k);
-    EXPECT_GE(shared, bound) << "a=" << a << " b=" << b << " k=" << k;
+    const double bound = EditDistancePredicate(k, q).ThresholdForNorms(
+        static_cast<double>(a.size()), static_cast<double>(b.size()));
+    EXPECT_GE(static_cast<double>(shared), bound)
+        << "a=" << a << " b=" << b << " k=" << k;
   }
 }
 
 TEST(QGramBoundTest, VacuousForTinyStrings) {
-  EXPECT_LE(QGramCountLowerBound(2, 2, 3, 2), 0);
-  EXPECT_GT(QGramCountLowerBound(20, 20, 3, 2), 0);
+  const EditDistancePredicate pred(/*k=*/2, /*q=*/3);
+  EXPECT_LE(pred.ThresholdForNorms(2, 2), 0);
+  EXPECT_GT(pred.ThresholdForNorms(20, 20), 0);
 }
 
 }  // namespace

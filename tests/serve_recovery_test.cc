@@ -57,79 +57,15 @@ std::string TempPath(const std::string& name) {
   return testing_util::ProcessTempDir() + "/" + name;
 }
 
-/// A scrubbed service data directory (stale files from an earlier test
-/// in this process, e.g. under --gtest_repeat, would otherwise restore
-/// into the new service).
-std::string FreshDataDir(const std::string& name) {
-  std::string dir = TempPath(name);
-  EXPECT_TRUE(EnsureDataDir(dir).ok());
-  for (const std::string& file :
-       {CheckpointFilePath(dir), CheckpointFilePath(dir) + ".tmp",
-        WalFilePath(dir), WalFilePath(dir) + ".tmp"}) {
-    ::unlink(file.c_str());
-  }
-  for (uint64_t id : ListSegmentFiles(dir)) {
-    ::unlink(SegmentFilePath(dir, id).c_str());
-  }
-  return dir;
-}
+using testing_util::FreshDataDir;
+using testing_util::Slice;
 
-/// Pins a test to the materialized (budget = 0) loader even when the CI
-/// harness forces the mapped path via SSJOIN_RESIDENT_BUDGET: the deep
-/// verification under test (whole-file CRC, token order and range,
-/// extent tables and postings) is by design exclusive to the
-/// materialized path — a mapped open cannot run it without faulting the
-/// whole file in.
-class ScopedMaterialized {
- public:
-  ScopedMaterialized() {
-    const char* env = std::getenv("SSJOIN_RESIDENT_BUDGET");
-    if (env != nullptr) {
-      saved_ = env;
-      had_value_ = true;
-      ::unsetenv("SSJOIN_RESIDENT_BUDGET");
-    }
-  }
-  ~ScopedMaterialized() {
-    if (had_value_) ::setenv("SSJOIN_RESIDENT_BUDGET", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-/// The opposite pin: forces the mapped path regardless of harness.
-class ScopedMapped {
- public:
-  explicit ScopedMapped(uint64_t budget_bytes) {
-    const char* env = std::getenv("SSJOIN_RESIDENT_BUDGET");
-    if (env != nullptr) {
-      saved_ = env;
-      had_value_ = true;
-    }
-    ::setenv("SSJOIN_RESIDENT_BUDGET", std::to_string(budget_bytes).c_str(),
-             1);
-  }
-  ~ScopedMapped() {
-    if (had_value_) {
-      ::setenv("SSJOIN_RESIDENT_BUDGET", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("SSJOIN_RESIDENT_BUDGET");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-RecordSet Slice(const RecordSet& corpus, RecordId begin, RecordId end) {
-  RecordSet out;
-  for (RecordId id = begin; id < end; ++id) {
-    out.Add(corpus.record(id), corpus.text(id));
-  }
-  return out;
+/// Every segment of a durable service serves from its mapped file.
+void ExpectAllMapped(const SimilarityService& service,
+                     const std::string& context) {
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.segments, 0u) << context;
+  EXPECT_EQ(stats.mapped_segments, stats.segments) << context;
 }
 
 size_t FileSize(const std::string& path) {
@@ -374,6 +310,7 @@ void RunCrashDifferential(const Predicate& pred, const std::string& name,
       std::make_unique<SimilarityService>(corpus, pred, durable_options);
   ASSERT_TRUE(durable->durability_status().ok())
       << durable->durability_status().ToString();
+  ExpectAllMapped(*durable, name + " construction");
   SimilarityService reference(corpus, pred, reference_options);
 
   RecordSet contents = corpus;  // every record's content, dead or alive
@@ -393,6 +330,7 @@ void RunCrashDifferential(const Predicate& pred, const std::string& name,
                                << reopened.status().ToString();
     durable = std::move(reopened).value();
     ASSERT_TRUE(durable->durability_status().ok()) << context;
+    ExpectAllMapped(*durable, context);
     ASSERT_EQ(durable->epoch(), reference.epoch()) << context;
     ASSERT_EQ(durable->size(), reference.size()) << context;
     ASSERT_EQ(durable->memtable_size(), reference.memtable_size()) << context;
@@ -435,6 +373,8 @@ void RunCrashDifferential(const Predicate& pred, const std::string& name,
     } else {
       crash_and_reopen(context + " crash");
     }
+    // Inserts and deletes may have compacted too (memtable_limit).
+    ExpectAllMapped(*durable, context);
   }
 
   // Final crash mid-cycle (memtables possibly non-empty), then the full
@@ -448,6 +388,7 @@ void RunCrashDifferential(const Predicate& pred, const std::string& name,
   reference.Compact();
   durable->Compact();
   ASSERT_EQ(durable->epoch(), reference.epoch()) << tag;
+  ExpectAllMapped(*durable, tag + " final compaction");
   RecordSet survivors;
   std::vector<RecordId> gids;
   std::vector<RecordId> locals(contents.size(), 0);
@@ -503,11 +444,11 @@ TEST(CrashRecoveryDifferentialTest, Cosine) {
 }
 
 // ---------------------------------------------------------------------
-// Out-of-core base tier: mapped (.sseg mmap) and materialized opens of
-// the same data directory must answer byte-identically, and the mapped
-// chain must survive crash/reopen exactly like the materialized one.
+// Residency advice: a durable service serves every segment from its
+// mapped file whatever its resident budget, and must answer exactly like
+// a memory-only twin holding the same history on the heap.
 
-TEST(OutOfCoreTest, MappedAndMaterializedAnswerIdentically) {
+TEST(OutOfCoreTest, MappedAndHeapServicesAnswerIdentically) {
   OverlapPredicate pred(3);
   for (size_t shards : {size_t{1}, size_t{3}}) {
     for (size_t merge_ratio : {size_t{0}, size_t{2}}) {
@@ -523,6 +464,9 @@ TEST(OutOfCoreTest, MappedAndMaterializedAnswerIdentically) {
           "ooc_diff_" + std::to_string(shards) + "_" +
           std::to_string(merge_ratio));
       options.wal_sync = WalSyncPolicy::kNever;
+      ServiceOptions heap_options = options;
+      heap_options.data_dir.clear();
+      SimilarityService heap(corpus, pred, heap_options);
       RecordSet contents = corpus;
       {
         SimilarityService service(corpus, pred, options);
@@ -532,75 +476,52 @@ TEST(OutOfCoreTest, MappedAndMaterializedAnswerIdentically) {
           auto [record, text] = MakeRandomRecord(rng, zipf);
           contents.Add(record, text);
           service.Insert(record.view(), text);
-          if (i % 7 == 3) service.Delete(static_cast<RecordId>(i));
+          heap.Insert(record.view(), text);
+          if (i % 7 == 3) {
+            service.Delete(static_cast<RecordId>(i));
+            heap.Delete(static_cast<RecordId>(i));
+          }
         }
         ASSERT_TRUE(service.durability_status().ok()) << context;
+        ExpectAllMapped(service, context);
       }
 
-      ScopedMaterialized no_env;  // the option below is the only knob
-      ServiceOptions materialized_options = options;
-      Result<std::unique_ptr<SimilarityService>> materialized =
-          SimilarityService::Open(pred, materialized_options);
-      ASSERT_TRUE(materialized.ok()) << context << " "
-                                     << materialized.status().ToString();
-      EXPECT_EQ(materialized.value()->stats().mapped_segments, 0u) << context;
+      // No cap, then a tiny budget that pushes all but the newest segment
+      // onto the MADV_RANDOM/DONTNEED side of the advice split: answers
+      // must not care. Each reopen also writes through the mapped
+      // service, compacting so it writes fresh segments and maps them
+      // back, which the next reopen proves whole.
+      uint64_t probe_seed = 13 + shards;
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{4096}}) {
+        const std::string tag =
+            context + " budget=" + std::to_string(budget);
+        ServiceOptions mapped_options = options;
+        mapped_options.resident_budget_bytes = budget;
+        Result<std::unique_ptr<SimilarityService>> mapped =
+            SimilarityService::Open(pred, mapped_options);
+        ASSERT_TRUE(mapped.ok()) << tag << " " << mapped.status().ToString();
+        ExpectAllMapped(*mapped.value(), tag);
+        EXPECT_GT(mapped.value()->stats().mapped_bytes, 0u) << tag;
+        ExpectSameService(heap, *mapped.value(), contents, probe_seed++,
+                          "ooc " + tag);
 
-      // A tiny budget maps every segment and pushes all but the newest
-      // onto the MADV_RANDOM/DONTNEED side of the advice split — answers
-      // must not care.
-      ServiceOptions mapped_options = options;
-      mapped_options.resident_budget_bytes = 4096;
-      Result<std::unique_ptr<SimilarityService>> mapped =
-          SimilarityService::Open(pred, mapped_options);
-      ASSERT_TRUE(mapped.ok()) << context << " "
-                               << mapped.status().ToString();
-      const ServiceStats mapped_stats = mapped.value()->stats();
-      EXPECT_GT(mapped_stats.mapped_segments, 0u) << context;
-      EXPECT_GT(mapped_stats.mapped_bytes, 0u) << context;
-      EXPECT_EQ(mapped.value()->resident_budget_bytes(), 4096u) << context;
-
-      ExpectSameService(*materialized.value(), *mapped.value(), contents,
-                        13 + shards, "ooc " + context);
-
-      // Write through the MAPPED service (alone — the data_dir takes one
-      // writer), compacting so it spills fresh segments to disk and maps
-      // them back, then reopen both ways and re-check identity: the
-      // mapped write path must leave files the materialized loader fully
-      // re-verifies.
-      materialized.value().reset();
-      {
-        Rng rng(181);
+        Rng rng(181 + budget);
         ZipfTable zipf(40, 0.9);
         for (int i = 0; i < 8; ++i) {
           auto [record, text] = MakeRandomRecord(rng, zipf);
           contents.Add(record, text);
           mapped.value()->Insert(record.view(), text);
+          heap.Insert(record.view(), text);
         }
         mapped.value()->Compact();
-        ASSERT_TRUE(mapped.value()->durability_status().ok()) << context;
-        mapped.value().reset();
+        heap.Compact();
+        ASSERT_TRUE(mapped.value()->durability_status().ok()) << tag;
+        ExpectAllMapped(*mapped.value(), tag + " post-compaction");
+        ExpectSameService(heap, *mapped.value(), contents, probe_seed++,
+                          "ooc post-insert " + tag);
       }
-      materialized = SimilarityService::Open(pred, materialized_options);
-      ASSERT_TRUE(materialized.ok()) << context << " "
-                                     << materialized.status().ToString();
-      mapped = SimilarityService::Open(pred, mapped_options);
-      ASSERT_TRUE(mapped.ok()) << context << " "
-                               << mapped.status().ToString();
-      ExpectSameService(*materialized.value(), *mapped.value(), contents,
-                        17 + shards, "ooc post-insert " + context);
     }
   }
-}
-
-TEST(OutOfCoreTest, MappedChainSurvivesCrashAndReopen) {
-  // The full kill-at-random-op differential with the mapped path forced
-  // on: the durable (mapped) service must track its memory-only twin
-  // byte for byte through crashes, reopens and compactions.
-  ScopedMapped mapped(1);
-  OverlapPredicate pred(3);
-  RunCrashDifferential(pred, "overlap_mapped", 1);
-  JaccardPredicate jaccard(0.5);
-  RunCrashDifferential(jaccard, "jaccard_mapped", 2);
 }
 
 // ---------------------------------------------------------------------
@@ -1065,9 +986,9 @@ TEST(CrashRecoveryTest, CosineCheckpointCarriesNoRawCorpus) {
   // TF-IDF weights depend only on token sets and document frequencies,
   // which the prepared segments hold, so the same history checkpoints
   // no bigger under cosine than under jaccard (the predicate names in
-  // the manifest differ by one byte). Corpus-statistics predicates are
-  // never mapped: the mapped path is forced on to show it is ignored.
-  ScopedMapped mapped(1);
+  // the manifest differ by one byte). Cosine serves its segments mapped
+  // like every predicate: it counts document frequencies over the mapped
+  // arena.
   RecordSet corpus = testing_util::MakeRandomRecordSet(
       {.num_records = 200, .vocabulary = 80}, 113);
   CosinePredicate cosine(0.6);
@@ -1091,13 +1012,11 @@ TEST(CrashRecoveryTest, CosineCheckpointCarriesNoRawCorpus) {
     manifest_bytes[pred->name()] =
         FileSize(CheckpointFilePath(options.data_dir));
     if (pred != &cosine) continue;
-    EXPECT_EQ(service.resident_budget_bytes(), 0u);
-    EXPECT_EQ(service.stats().mapped_segments, 0u);
+    ExpectAllMapped(service, "cosine");
     Result<std::unique_ptr<SimilarityService>> restored =
         SimilarityService::Open(cosine, options);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ(restored.value()->resident_budget_bytes(), 0u);
-    EXPECT_EQ(restored.value()->stats().mapped_segments, 0u);
+    ExpectAllMapped(*restored.value(), "cosine restored");
   }
   EXPECT_LE(manifest_bytes["cosine"], manifest_bytes["jaccard"] + 8);
 }
@@ -1270,7 +1189,6 @@ TEST(SegmentFileTest, SegmentsWrittenBeforeManifestRenameAreOrphansOnReopen) {
 }
 
 TEST(SegmentFileTest, CorruptSegmentFileIsRejected) {
-  ScopedMaterialized materialized;
   OverlapPredicate pred(3);
   RecordSet corpus = testing_util::MakeRandomRecordSet(
       {.num_records = 20, .vocabulary = 15}, 96);
@@ -1325,30 +1243,18 @@ TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
   // pre-out-of-core layout) and v3 (with the token-bitmap block) — and
   // reseal the CRC: the file is structurally intact, so the rejection
   // must come from the version gate with an error an operator can act
-  // on — not a generic corruption message. Both the materialized loader
-  // and the mapped opener take the same ParseSegmentHeader gate, so
-  // check both paths.
+  // on — not a generic corruption message.
   for (const uint32_t version : {uint32_t{1}, uint32_t{2}, uint32_t{3}}) {
     std::string old_version = bytes;
     std::memcpy(old_version.data() + 4, &version, sizeof(version));
     WriteAll(path, Reseal(std::move(old_version)));
-    for (const bool mapped : {false, true}) {
-      std::unique_ptr<ScopedMaterialized> pin_materialized;
-      std::unique_ptr<ScopedMapped> pin_mapped;
-      if (mapped) {
-        pin_mapped = std::make_unique<ScopedMapped>(1);
-      } else {
-        pin_materialized = std::make_unique<ScopedMaterialized>();
-      }
-      Result<std::unique_ptr<SimilarityService>> restored =
-          SimilarityService::Open(pred, options);
-      ASSERT_FALSE(restored.ok()) << "version=" << version
-                                  << " mapped=" << mapped;
-      EXPECT_NE(
-          restored.status().message().find("unsupported segment version"),
-          std::string::npos)
-          << restored.status().ToString();
-    }
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(pred, options);
+    ASSERT_FALSE(restored.ok()) << "version=" << version;
+    EXPECT_NE(
+        restored.status().message().find("unsupported segment version"),
+        std::string::npos)
+        << restored.status().ToString();
   }
 
   // The pristine (current-version) bytes still restore.
@@ -1358,10 +1264,9 @@ TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
 
 TEST(SegmentFileTest, TruncatedSegmentMapFailsAsStatus) {
   // A segment file cut short must surface as a clean Status from the
-  // MAPPED opener — never a SIGBUS from dereferencing a mapping past
-  // EOF. The header records the file size, so every truncation (even
-  // mid-header) is caught before any section pointer is formed.
-  ScopedMapped mapped(1);
+  // opener — never a SIGBUS from dereferencing a mapping past EOF. The
+  // header records the file size, so every truncation (even mid-header)
+  // is caught before any section pointer is formed.
   OverlapPredicate pred(3);
   RecordSet corpus = testing_util::MakeRandomRecordSet(
       {.num_records = 20, .vocabulary = 15}, 103);
@@ -1383,6 +1288,67 @@ TEST(SegmentFileTest, TruncatedSegmentMapFailsAsStatus) {
     EXPECT_NE(restored.status().message().find("corrupt checkpoint"),
               std::string::npos)
         << "keep=" << keep << ": " << restored.status().ToString();
+  }
+
+  WriteAll(path, bytes);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
+TEST(SegmentFileTest, MutatedPostingIdsAreRejectedAtEveryBudget) {
+  // Posting ids the part cannot hold, behind a resealed whole-file CRC:
+  // every open proves the postings in place, so at every resident budget
+  // the open is refused with the shard-index error, instead of serving
+  // probes that index past the member tables (every id 0x7FFFFFF0) or
+  // answer from the wrong members (the first 32 ids set to 63, past the
+  // part's 60 members).
+  JaccardPredicate pred(0.5);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 60, .vocabulary = 40}, 137);
+  ServiceOptions options;
+  options.data_dir = FreshDataDir("seg_posting_ids");
+  options.wal_sync = WalSyncPolicy::kNever;
+  { SimilarityService service(corpus, pred, options); }
+  const std::set<uint64_t> files = ListSegmentFiles(options.data_dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = SegmentFilePath(options.data_dir, *files.begin());
+  const std::string bytes = ReadAll(path);
+
+  // The one shard's header entry starts at byte 64 (members, shorts,
+  // postings_cap as fixed64s), and its postings are the file's last
+  // section: postings_cap 16-byte slots (u32 id, 4 padding bytes, double
+  // score), 64-byte-aligned, just before the trailing CRC.
+  uint64_t members = 0;
+  uint64_t postings_cap = 0;
+  std::memcpy(&members, bytes.data() + 64, sizeof(members));
+  std::memcpy(&postings_cap, bytes.data() + 80, sizeof(postings_cap));
+  ASSERT_EQ(members, 60u);
+  ASSERT_GE(postings_cap, 32u);
+  constexpr size_t kSlot = 16;
+  const size_t postings_off = bytes.size() - sizeof(uint32_t) -
+                              (postings_cap * kSlot + 63) / 64 * 64;
+  auto with_ids = [&](size_t slots, uint32_t id) {
+    std::string mutated = bytes;
+    for (size_t i = 0; i < slots; ++i) {
+      std::memcpy(mutated.data() + postings_off + i * kSlot, &id, sizeof(id));
+    }
+    return Reseal(std::move(mutated));
+  };
+  const std::vector<std::pair<std::string, std::string>> mutations = {
+      {"every id 0x7FFFFFF0", with_ids(postings_cap, 0x7FFFFFF0u)},
+      {"first 32 ids 63", with_ids(32, 63)}};
+  for (const auto& [tag, mutated] : mutations) {
+    WriteAll(path, mutated);
+    for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+      ServiceOptions budgeted = options;
+      budgeted.resident_budget_bytes = budget;
+      Result<std::unique_ptr<SimilarityService>> restored =
+          SimilarityService::Open(pred, budgeted);
+      ASSERT_FALSE(restored.ok()) << tag << " budget=" << budget;
+      EXPECT_NE(restored.status().message().find("bad segment shard index"),
+                std::string::npos)
+          << tag << " budget=" << budget << ": "
+          << restored.status().ToString();
+    }
   }
 
   WriteAll(path, bytes);
@@ -1505,24 +1471,17 @@ TEST(DecoderFuzzTest, MutatedSegmentFileGivesStatusOrWorkingService) {
   int accepted = 0;
   for (int i = 0; i < 400; ++i) {
     WriteAll(path, Mutate(bytes, rng));
-    {
-      // A materialized open proves the whole file, so whatever it
-      // accepts must be safe to query.
-      ScopedMaterialized materialized;
-      Result<std::unique_ptr<SimilarityService>> opened =
-          SimilarityService::Open(pred, options);
-      if (opened.ok()) {
-        ++accepted;
-        QueryAll(*opened.value(), corpus);
-      }
-    }
-    // A mapped open trusts the body by design: it must still end in a
-    // Status or a service, but querying a mutated body is out of scope.
-    ScopedMapped mapped(1);
+    // Open proves the whole mapped file, so whatever it accepts must be
+    // safe to query.
     Result<std::unique_ptr<SimilarityService>> opened =
         SimilarityService::Open(pred, options);
-    EXPECT_TRUE(opened.ok() || opened.status().code() == StatusCode::kIOError)
-        << "mutation " << i << ": " << opened.status().ToString();
+    if (opened.ok()) {
+      ++accepted;
+      QueryAll(*opened.value(), corpus);
+    } else {
+      EXPECT_EQ(opened.status().code(), StatusCode::kIOError)
+          << "mutation " << i << ": " << opened.status().ToString();
+    }
   }
   // Some mutations land where nothing can check them (scores, texts,
   // padding); most must be caught.

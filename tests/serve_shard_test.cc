@@ -11,8 +11,6 @@
 // CI widens the sweep via SSJOIN_DIFF_SEEDS (and
 // SSJOIN_DIFF_PREDICATES filters by predicate name for matrix jobs).
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -29,7 +27,6 @@
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_predicate.h"
-#include "serve/checkpoint.h"
 #include "serve/similarity_service.h"
 #include "serve/snapshot.h"
 #include "test_util.h"
@@ -38,22 +35,8 @@
 namespace ssjoin {
 namespace {
 
-/// A scrubbed data directory for the out-of-core rider (stale files from
-/// an earlier test in this process, e.g. under --gtest_repeat, would
-/// otherwise leak into the fresh service's GC).
-std::string FreshDataDir(const std::string& name) {
-  std::string dir = testing_util::ProcessTempDir() + "/" + name;
-  EXPECT_TRUE(EnsureDataDir(dir).ok());
-  for (const std::string& file :
-       {CheckpointFilePath(dir), CheckpointFilePath(dir) + ".tmp",
-        WalFilePath(dir), WalFilePath(dir) + ".tmp"}) {
-    ::unlink(file.c_str());
-  }
-  for (uint64_t id : ListSegmentFiles(dir)) {
-    ::unlink(SegmentFilePath(dir, id).c_str());
-  }
-  return dir;
-}
+using testing_util::FreshDataDir;
+using testing_util::Slice;
 
 constexpr size_t kShardCounts[] = {1, 2, 7};
 
@@ -62,14 +45,6 @@ ServiceOptions ShardOptions(size_t num_shards, size_t memtable_limit = 0) {
   options.num_shards = num_shards;
   options.memtable_limit = memtable_limit;
   return options;
-}
-
-RecordSet Slice(const RecordSet& corpus, RecordId begin, RecordId end) {
-  RecordSet out;
-  for (RecordId id = begin; id < end; ++id) {
-    out.Add(corpus.record(id), corpus.text(id));
-  }
-  return out;
 }
 
 /// Byte-identity over QueryMatch lists: same ids, bit-equal scores.
@@ -198,11 +173,12 @@ void RunDifferential(const Predicate& pred, const std::string& pred_name,
     services.push_back(
         std::make_unique<SimilarityService>(corpus, pred, collapsed));
   }
-  // Out-of-core rider: a durable twin serving its base tier from mmap'd
-  // segment files under a tiny resident budget, bit-compared against the
-  // in-heap reference at every step. (Corpus-statistics predicates keep
-  // owned arenas regardless, so for those this degenerates to a durable
-  // twin — still a valid differential.)
+  // Out-of-core rider: a durable twin, which serves every segment from
+  // its mapped `.sseg` file, under a tiny resident budget that advises
+  // all but the newest segment out of memory; bit-compared against the
+  // in-heap reference at every step, and checked to stay fully mapped
+  // after construction and after every compaction.
+  SimilarityService* mapped_rider = nullptr;
   {
     ServiceOptions rider = ShardOptions(2);
     rider.data_dir =
@@ -211,7 +187,14 @@ void RunDifferential(const Predicate& pred, const std::string& pred_name,
     rider.resident_budget_bytes = 1;
     services.push_back(
         std::make_unique<SimilarityService>(corpus, pred, rider));
+    mapped_rider = services.back().get();
   }
+  auto expect_rider_mapped = [&](const std::string& context) {
+    const ServiceStats stats = mapped_rider->stats();
+    EXPECT_GT(stats.segments, 0u) << context;
+    EXPECT_EQ(stats.mapped_segments, stats.segments) << context;
+  };
+  expect_rider_mapped(pred_name + " construction");
   std::vector<bool> alive(corpus.size(), true);
   std::vector<RecordId> dead;  // ids whose deletes succeeded
   Rng rng(seed * 977 + 13);
@@ -310,8 +293,11 @@ void RunDifferential(const Predicate& pred, const std::string& pred_name,
       SweepAllRecords(services, corpus, alive, pred,
                       context + " post-compact");
     }
+    // Inserts and deletes may have compacted too (memtable_limit).
+    expect_rider_mapped(context);
   }
   for (auto& service : services) service->Compact();
+  expect_rider_mapped(tag + " final compaction");
   SweepAllRecords(services, corpus, alive, pred, tag + " final");
   // BatchQuery over the whole corpus must equal per-record Query.
   std::vector<std::vector<std::vector<QueryMatch>>> batched;
@@ -588,14 +574,19 @@ TEST(ShardTopKTest, RanksAboveThresholdlessTruncationAcrossShardCounts) {
 // tools/run_tsan_tests.sh. Readers (point, batch and top-k) race a
 // writer thread that interleaves inserts and deletes with explicit
 // compactions; auto-compaction is enabled too, so snapshot publication
-// churns and tombstones ride delta images under load.
+// churns and tombstones ride delta images under load. The service is
+// durable, so every compaction writes and maps a segment file under the
+// readers, and a one-byte budget advises all but the newest segment out.
 
 TEST(ShardConcurrencyTest, ConcurrentShardedReadersAndWriter) {
   RecordSet corpus = testing_util::MakeRandomRecordSet(
       {.num_records = 150, .vocabulary = 80}, 44);
   JaccardPredicate pred(0.5);
-  SimilarityService service(corpus, pred,
-                            ShardOptions(5, /*memtable_limit=*/16));
+  ServiceOptions options = ShardOptions(5, /*memtable_limit=*/16);
+  options.data_dir = FreshDataDir("shard_concurrency");
+  options.wal_sync = WalSyncPolicy::kNever;
+  options.resident_budget_bytes = 1;
+  SimilarityService service(corpus, pred, options);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> answered{0};
@@ -664,6 +655,9 @@ TEST(ShardConcurrencyTest, ConcurrentShardedReadersAndWriter) {
   EXPECT_EQ(service.memtable_size(), 0u);
   EXPECT_EQ(service.tombstone_count(), 0u);
   EXPECT_GT(answered.load(), 0u);
+  ASSERT_TRUE(service.durability_status().ok())
+      << service.durability_status().ToString();
+  EXPECT_EQ(service.stats().mapped_segments, service.stats().segments);
 
   // After the dust settles the sharded service still answers exactly
   // like a fresh 1-shard service over the SURVIVORS (reference ids are

@@ -67,13 +67,7 @@ void ExpectQueriesMatchJoin(const SimilarityService& service,
   }
 }
 
-RecordSet Slice(const RecordSet& corpus, RecordId begin, RecordId end) {
-  RecordSet out;
-  for (RecordId id = begin; id < end; ++id) {
-    out.Add(corpus.record(id), corpus.text(id));
-  }
-  return out;
-}
+using testing_util::Slice;
 
 /// Queries the service with every SURVIVING record and checks the
 /// answers against a fresh batch self-join over the survivors only —

@@ -2,6 +2,7 @@
 #define SSJOIN_TESTS_TEST_UTIL_H_
 
 #include <stdlib.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "data/record_set.h"
+#include "serve/checkpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -21,7 +23,8 @@ namespace testing_util {
 
 /// This test process's private temporary directory, created by mkdtemp
 /// under ::testing::TempDir() on first use and removed at exit. ctest -j
-/// runs a suite and its `_mapped` leg as concurrent processes; with
+/// runs suites as concurrent processes, and a suite may run in two of
+/// them at once (two build trees, or CI legs sharing a runner); with
 /// fixed paths under the shared temp dir, one would delete the other's
 /// files mid-test.
 inline const std::string& ProcessTempDir() {
@@ -101,6 +104,33 @@ inline RecordSet MakeRandomRecordSet(const RandomSetOptions& options,
     set.Add(std::move(record), std::move(text));
   }
   return set;
+}
+
+/// Records [begin, end) of `corpus`, texts included, as a new set.
+inline RecordSet Slice(const RecordSet& corpus, RecordId begin,
+                       RecordId end) {
+  RecordSet out;
+  for (RecordId id = begin; id < end; ++id) {
+    out.Add(corpus.record(id), corpus.text(id));
+  }
+  return out;
+}
+
+/// A scrubbed service data directory under ProcessTempDir() (stale files
+/// from an earlier test in this process, e.g. under --gtest_repeat,
+/// would otherwise restore into the new service or leak into its GC).
+inline std::string FreshDataDir(const std::string& name) {
+  std::string dir = ProcessTempDir() + "/" + name;
+  EXPECT_TRUE(EnsureDataDir(dir).ok());
+  for (const std::string& file :
+       {CheckpointFilePath(dir), CheckpointFilePath(dir) + ".tmp",
+        WalFilePath(dir), WalFilePath(dir) + ".tmp"}) {
+    ::unlink(file.c_str());
+  }
+  for (uint64_t id : ListSegmentFiles(dir)) {
+    ::unlink(SegmentFilePath(dir, id).c_str());
+  }
+  return dir;
 }
 
 /// Pairs as a sorted vector for set comparison in EXPECT_EQ.

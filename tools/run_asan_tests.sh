@@ -28,11 +28,11 @@
 # chew on byte-split, oversized and mutated input. The
 # token-bitmap differential (bitmap_filter_test) rides along:
 # PrefixFilter's per-join prefix, bitmap and pmax table reads are
-# exactly the pointer arithmetic ASan/UBSan exist to check. The
-# serve_recovery_test_mapped leg (ctest
-# ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeats the recovery suite with
-# the base tier served from mmap'd segment files, so every view-mode
-# accessor path over the mapped arenas runs under ASan too.
+# exactly the pointer arithmetic ASan/UBSan exist to check. Every
+# durable service serves its segments from mmap'd, open-time-proven
+# segment files, so the recovery suite runs every view-mode accessor
+# path over the mapped arenas under ASan too, and its segment-file fuzz
+# queries every mutated file the opener accepts.
 #
 #   tools/run_asan_tests.sh [build-dir]
 #

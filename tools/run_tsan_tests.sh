@@ -2,10 +2,9 @@
 # Builds the ThreadSanitizer configuration and runs the concurrency test
 # suite (thread pool, parallel joins, serving layer, network loopback;
 # the `tsan` ctest label, whose suites tests/CMakeLists.txt lists once)
-# under it. The serve_test_mapped / serve_shard_test_mapped ctest legs
-# (ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeat the serving suites with
-# the base tier served from mmap'd segment files, putting the mapped
-# read path under concurrent readers and a compacting writer.
+# under it. serve_shard_test's concurrency stress runs a durable
+# service, whose compactions write and map segment files under
+# concurrent readers, so the mapped read path runs under TSan too.
 #
 #   tools/run_tsan_tests.sh [build-dir]
 #

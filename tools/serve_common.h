@@ -186,7 +186,7 @@ inline FlagOutcome ParseServeFlag(const char* arg, ServeCliOptions* options) {
     if (!ParseUint64(value, &options->resident_budget)) {
       std::fprintf(stderr,
                    "invalid --resident-budget=%s (need bytes >= 0; "
-                   "0 keeps the base tier fully in memory)\n",
+                   "0 = no cap)\n",
                    value.c_str());
       return FlagOutcome::kInvalid;
     }
@@ -253,8 +253,8 @@ inline bool ValidateServeOptions(const ServeCliOptions& options) {
   if (!ValidateTokens(options.tokens)) return false;
   if (options.resident_budget > 0 && options.data_dir.empty()) {
     std::fprintf(stderr,
-                 "--resident-budget needs --data-dir (segments are served "
-                 "from their on-disk files)\n");
+                 "--resident-budget needs --data-dir (it advises the "
+                 "mapped segment files of a durable service)\n");
     return false;
   }
   return true;

@@ -60,15 +60,17 @@ constexpr const char kUsage[] =
     "                        checkpoint the service restores from it\n"
     "                        (--corpus is NOT re-read; pass the same\n"
     "                        --predicate/--threshold/--tokens);\n"
-    "                        otherwise it starts fresh from --corpus\n"
+    "                        otherwise it starts fresh from --corpus.\n"
+    "                        Segments are served from their mmap'd\n"
+    "                        files, each checked whole when mapped\n"
     "  --wal-sync=MODE       always (default: fsync each op) | never\n"
     "                        (page cache only: survives a crash of this\n"
     "                        process, not of the machine)\n"
-    "  --resident-budget=N   out-of-core base tier (needs --data-dir):\n"
-    "                        serve segments from mmap'd files, keeping at\n"
-    "                        most ~N bytes of segment arenas resident;\n"
-    "                        answers are identical to the in-memory mode\n"
-    "                        (default 0 = fully in memory)\n"
+    "  --resident-budget=N   residency advice (needs --data-dir): keep\n"
+    "                        about the newest N bytes of segment files\n"
+    "                        resident and let the kernel drop the rest\n"
+    "                        first; answers are identical for every N\n"
+    "                        (default 0 = no cap)\n"
     "  --stats-json          print the stats JSON to stderr at exit\n";
 
 std::optional<ServeCliOptions> ParseArgs(int argc, char** argv) {

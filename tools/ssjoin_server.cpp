@@ -45,7 +45,10 @@ constexpr const char kUsage[] =
     "  --corpus=FILE --predicate=NAME --threshold=X --tokens=MODE\n"
     "  --topk=K --threads=N --shards=N --memtable-limit=N\n"
     "  --data-dir=DIR --wal-sync=MODE --resident-budget=BYTES\n"
-    "  --stats-json\n";
+    "  --stats-json\n"
+    "  (a --data-dir service serves its segment files mmap'd, each checked\n"
+    "  whole when mapped; --resident-budget only steers residency advice,\n"
+    "  0 = no cap)\n";
 
 struct ServerCliOptions {
   ServeCliOptions serve;
